@@ -29,6 +29,7 @@ from .errors import (
     InvalidDimension,
     InvalidProjector,
     InvalidSplit,
+    NonMonotoneSeesaw,
     NonOrthonormalInput,
     NoTileMetadata,
     NotHermitian,

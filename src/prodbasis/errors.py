@@ -38,6 +38,14 @@ class InvalidProjector(ProductBasisError):
     """Operator is not Hermitian with spectrum inside [0, 1] up to tolerance."""
 
 
+class NonMonotoneSeesaw(ProductBasisError):
+    """A see-saw half step lowered the objective beyond rounding slack.
+
+    Each half step is an exact partial maximization, so this signals a
+    broken contraction or eigensolver, not a property of the input.
+    """
+
+
 class DimensionTooLarge(ProductBasisError):
     """Brute-force oracle only supports small local dimensions."""
 

@@ -1,8 +1,11 @@
 """Dense complex linear-algebra substrate.
 
-Vectors are 1-D ``complex128`` numpy arrays, operators 2-D arrays.  The
-functions here are thin, contract-checked wrappers over numpy/LAPACK
-routines; all are pure and safe to invoke concurrently.
+Vectors are 1-D ``complex128`` numpy arrays, operators 2-D arrays.
+``dagger``, ``hermitian_part`` and ``top_eigenvector`` also take a stack of
+operators (shape ``(n, d, d)``) and act on each one independently, so a
+slice of a stacked result does not depend on the other members of the
+stack.  The functions here are thin, contract-checked wrappers over
+numpy/LAPACK routines; all are pure and safe to invoke concurrently.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ def basis_vector(dim: int, k: int) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m).T
+    """Conjugate transpose of an operator, or of each operator in a stack."""
+    return np.conj(m).swapaxes(-1, -2)
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -90,11 +94,19 @@ def hermitian_eig(m: np.ndarray, tol: Tolerances = TOLERANCES):
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first non-negligible entry is real positive."""
-    for x in v:
-        if abs(x) > 1e-12:
-            return v * (abs(x) / x)
-    return v
+    """Rotate each vector's global phase so its first non-negligible entry is real positive.
+
+    ``v`` is one vector or a stack of them along the last axis; a vector
+    with no entry above 1e-12 in modulus is returned unchanged.
+    """
+    mag = np.abs(v)
+    big = mag > 1e-12
+    first = np.argmax(big, axis=-1)[..., None]
+    found = np.any(big, axis=-1, keepdims=True)
+    x = np.take_along_axis(v, first, axis=-1)
+    phase = np.divide(np.take_along_axis(mag, first, axis=-1), x,
+                      out=np.ones_like(x), where=found)
+    return np.where(found, v * phase, v)
 
 
 def top_eigenvector(m: np.ndarray, tie_tol: float = 1e-12):
@@ -103,17 +115,26 @@ def top_eigenvector(m: np.ndarray, tie_tol: float = 1e-12):
     Among eigenvectors whose eigenvalue is within ``tie_tol`` of the maximum,
     the phase-canonical vector with the lexicographically largest real part
     is selected, so degenerate inputs still give a reproducible answer.
+
+    ``m`` is one operator, which gives ``(float, vector)``, or a stack of
+    ``n`` operators, which gives ``n`` top eigenvalues and an ``(n, d)``
+    array of top eigenvectors.  Each slice of a stacked result is bit for
+    bit the result for that slice alone.  Only rows whose top eigenvalue is
+    degenerate within ``tie_tol`` run the candidate loop.
     """
-    w, v = np.linalg.eigh(hermitian_part(np.asarray(m, dtype=complex)))
-    top = w[-1]
-    best_key = None
-    best_vec = None
-    for i in np.nonzero(w >= top - tie_tol)[0]:
-        vec = _canonical_phase(v[:, i])
-        key = tuple(np.round(vec.real, 12))
-        if best_key is None or key > best_key:
-            best_key, best_vec = key, vec
-    return float(top), best_vec
+    m = np.asarray(m, dtype=complex)
+    stack = m if m.ndim == 3 else m[None]
+    w, v = np.linalg.eigh(hermitian_part(stack))
+    top = w[:, -1]
+    vecs = _canonical_phase(v[:, :, -1])
+    if w.shape[1] > 1:
+        for r in np.nonzero(w[:, -2] >= top - tie_tol)[0]:
+            candidates = _canonical_phase(v[r][:, w[r] >= top[r] - tie_tol].T)
+            keys = [tuple(np.round(vec.real, 12)) for vec in candidates]
+            vecs[r] = candidates[max(range(len(keys)), key=keys.__getitem__)]
+    if m.ndim == 3:
+        return top, vecs
+    return float(top[0]), vecs[0]
 
 
 def partial_transpose(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:

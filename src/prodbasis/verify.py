@@ -2,7 +2,8 @@
 
 Covers orthonormality and rank checks, the complement projector, and the
 numerical unextendibility test: a seeded see-saw maximization of the product
-overlap with the complement, cross-checked at small dimensions by a
+overlap with the complement, which advances every restart together through
+one factorization of the operator, cross-checked at small dimensions by a
 brute-force grid oracle that never iterates the see-saw path.
 """
 
@@ -21,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     InvalidProjector,
+    NonMonotoneSeesaw,
     NonOrthonormalInput,
 )
 from .linalg import dagger, hermitian_part, top_eigenvector
@@ -102,35 +104,68 @@ def check_orthonormal(basis: ProductBasis, tol: float = TOLERANCES.orthonormalit
     return max(dev.max_offdiag, dev.max_diag_error) <= tol, dev
 
 
-def complement_projector(basis: ProductBasis, tol: Tolerances = TOLERANCES) -> np.ndarray:
-    """Projector onto the orthogonal complement of the basis span."""
-    ok, dev = check_orthonormal(basis, tol.orthonormality)
+def _require_orthonormal(basis: ProductBasis, tol: float) -> GramDeviations:
+    ok, dev = check_orthonormal(basis, tol)
     if not ok:
         raise NonOrthonormalInput(
             f"basis is not orthonormal (max deviation {max(dev):.3e})",
             deviation=max(dev),
         )
+    return dev
+
+
+def _complement_of_checked(basis: ProductBasis) -> np.ndarray:
+    """Complement projector of a basis already known to be orthonormal."""
     v = basis.global_matrix()
-    q = np.eye(basis.dim, dtype=complex) - v @ dagger(v)
-    return hermitian_part(q)
+    return hermitian_part(np.eye(basis.dim, dtype=complex) - v @ dagger(v))
 
 
-def _check_operator_interval(q: np.ndarray, d_a: int, d_b: int, slack: float) -> np.ndarray:
+def complement_projector(basis: ProductBasis, tol: Tolerances = TOLERANCES) -> np.ndarray:
+    """Projector onto the orthogonal complement of the basis span."""
+    _require_orthonormal(basis, tol.orthonormality)
+    return _complement_of_checked(basis)
+
+
+def _check_operator_interval(q: np.ndarray, d_a: int, d_b: int, slack: float):
+    """Hermitian part of ``q`` and its eigenpairs ``(q, w, v)``, after checking 0 <= q <= I."""
     q = np.asarray(q, dtype=complex)
     dim = d_a * d_b
     if q.shape != (dim, dim):
         raise DimensionMismatch(f"operator shape {q.shape} does not match dims ({d_a}, {d_b})")
     if float(np.max(np.abs(q - dagger(q)))) > slack:
         raise InvalidProjector("operator is not Hermitian within tolerance")
-    w = np.linalg.eigvalsh(hermitian_part(q))
+    q = hermitian_part(q)
+    w, v = np.linalg.eigh(q)
     if w[0] < -slack or w[-1] > 1.0 + slack:
         raise InvalidProjector(f"spectrum [{w[0]:.3e}, {w[-1]:.3e}] outside [0, 1]")
-    return hermitian_part(q)
+    return q, w, v
 
 
-def _product_objective(q4: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    m_b = np.einsum("ijkl,i,k->jl", q4, a.conj(), a)
-    return float(np.real(np.vdot(b, m_b @ b)))
+# Rounding slack of the see-saw: how far a half step may lower the objective,
+# and how close to the best value a restart must be to supply the witness.
+_SEESAW_SLACK = 1e-12
+
+
+def _contract(x: np.ndarray, f_x: np.ndarray, d_out: int) -> np.ndarray:
+    """Per-row factors ``<x|F`` of shape (n, d_out, k), one matmul per row.
+
+    ``f_x`` is the factor F of Q with the contracted side as its rows.  Rows
+    go through separate matmuls, so a row's result does not depend on the
+    other rows of ``x``.
+    """
+    return (x.conj()[:, None, :] @ f_x).reshape(len(x), d_out, -1)
+
+
+def _half_step_operators(x: np.ndarray, f_x: np.ndarray, s: np.ndarray, d_out: int) -> np.ndarray:
+    """Stack of <x|Q|x> = X diag(s) X^dag over the other side, one per row of ``x``."""
+    y = _contract(x, f_x, d_out)
+    return (y * s) @ dagger(y)
+
+
+def _require_ascent(new: np.ndarray, old: np.ndarray) -> None:
+    drop = old - new
+    if np.any(drop > _SEESAW_SLACK):
+        raise NonMonotoneSeesaw(f"see-saw objective decreased by {float(np.max(drop)):.3e}")
 
 
 def seesaw_max_product_overlap(
@@ -148,43 +183,61 @@ def seesaw_max_product_overlap(
     With ``b`` fixed, the optimal ``a`` is the top eigenvector of the
     contracted dA x dA operator, and symmetrically for ``b``; each half step
     is an exact partial maximization, so the objective never decreases
-    (asserted).  Restarts draw rotation-invariant starting pairs from
-    independent counter-seeded streams and are merged by (value, restart
-    index), so the outcome does not depend on execution order.
+    (checked: a drop beyond 1e-12 raises :class:`NonMonotoneSeesaw`).
+
+    Q is factored once, from the eigendecomposition that checks its
+    spectrum, as F diag(s) F^dag over the eigenpairs above the numerical
+    rank cut D*eps*max|w|; each contracted operator is then X diag(s) X^dag
+    with X of size dA x k or dB x k.  All restarts advance together: each
+    half step is one stacked contraction and one stacked
+    :func:`top_eigenvector` over the restarts still active, and a restart
+    leaves the active set once its improvement drops below ``stop_tol``.
+
+    Restarts draw rotation-invariant starting pairs from independent
+    counter-seeded streams, and a restart's trajectory does not depend on
+    which other restarts share its batch.  The witness comes from the
+    lowest-index restart whose value is within 1e-12 of the best, so
+    rounding noise among restarts that reach the same optimum does not pick
+    it, and the outcome does not depend on execution order.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    q = _check_operator_interval(q, d_a, d_b, tol.operator_interval)
-    q4 = q.reshape(d_a, d_b, d_a, d_b)
+    _, w, v = _check_operator_interval(q, d_a, d_b, tol.operator_interval)
+    keep = np.abs(w) > w.size * np.finfo(float).eps * np.max(np.abs(w))
+    s = w[keep]
+    f = v[:, keep].reshape(d_a, d_b, s.size)
+    f_a = f.reshape(d_a, d_b * s.size)                      # rows: A side
+    f_b = f.transpose(1, 0, 2).reshape(d_b, d_a * s.size)   # rows: B side
 
-    best = None  # (value, -restart_index, a, b)
-    iterations_total = 0
+    a = np.empty((restarts, d_a), dtype=complex)
+    b = np.empty((restarts, d_b), dtype=complex)
     for r in range(restarts):
         rng = stream(seed, r)
-        a = random_unit_vector(rng, d_a)
-        b = random_unit_vector(rng, d_b)
-        value = _product_objective(q4, a, b)
-        for _ in range(max_iterations):
-            m_a = np.einsum("ijkl,j,l->ik", q4, b.conj(), b)
-            half, a = top_eigenvector(m_a)
-            assert half >= value - 1e-12, "see-saw objective decreased"
-            m_b = np.einsum("ijkl,i,k->jl", q4, a.conj(), a)
-            new_value, b = top_eigenvector(m_b)
-            assert new_value >= half - 1e-12, "see-saw objective decreased"
-            iterations_total += 1
-            improvement = new_value - value
-            value = new_value
-            if improvement < stop_tol:
-                break
-        key = (value, -r)
-        if best is None or key > best[0]:
-            best = (key, a, b)
+        a[r] = random_unit_vector(rng, d_a)
+        b[r] = random_unit_vector(rng, d_b)
+    z = (b.conj()[:, None, :] @ _contract(a, f_a, d_b))[:, 0]
+    value = np.sum((z.real ** 2 + z.imag ** 2) * s, axis=-1)
 
-    (value, _), a, b = best
-    witness = ProductState(a, b, label="witness")
+    active = np.arange(restarts)
+    iterations_total = 0
+    for _ in range(max_iterations):
+        half, a_new = top_eigenvector(_half_step_operators(b[active], f_b, s, d_a))
+        _require_ascent(half, value[active])
+        new_value, b_new = top_eigenvector(_half_step_operators(a_new, f_a, s, d_b))
+        _require_ascent(new_value, half)
+        iterations_total += active.size
+        a[active] = a_new
+        b[active] = b_new
+        improvement = new_value - value[active]
+        value[active] = new_value
+        active = active[~(improvement < stop_tol)]
+        if active.size == 0:
+            break
+
+    best = int(np.argmax(value >= np.max(value) - _SEESAW_SLACK))
     return SeesawResult(
-        value=float(value),
-        witness=witness,
+        value=float(value[best]),
+        witness=ProductState(a[best], b[best], label="witness"),
         restarts_used=restarts,
         iterations_total=iterations_total,
     )
@@ -199,10 +252,6 @@ def _bloch_grid(resolution: int) -> np.ndarray:
     states[:, 0] = np.cos(t / 2).ravel()
     states[:, 1] = (np.exp(1j * p) * np.sin(t / 2)).ravel()
     return states
-
-
-def _hermitian_part_batch(m: np.ndarray) -> np.ndarray:
-    return (m + np.conj(np.swapaxes(m, -2, -1))) / 2
 
 
 def grid_oracle_max_product_overlap(
@@ -226,7 +275,7 @@ def grid_oracle_max_product_overlap(
         raise DimensionTooLarge(f"grid oracle supports dA <= 2 and dB <= 3, got ({d_a}, {d_b})")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    q = _check_operator_interval(q, d_a, d_b, tol.operator_interval)
+    q, w, _ = _check_operator_interval(q, d_a, d_b, tol.operator_interval)
     q4 = q.reshape(d_a, d_b, d_a, d_b)
 
     if d_a == 1:
@@ -240,9 +289,9 @@ def grid_oracle_max_product_overlap(
         max_spacing = np.sqrt((d_theta / 4) ** 2 + (d_phi / 2) ** 2)
 
     m_b = np.einsum("ijkl,ni,nk->njl", q4, grid.conj(), grid)
-    values = np.linalg.eigvalsh(_hermitian_part_batch(m_b))[:, -1]
+    values = np.linalg.eigvalsh(hermitian_part(m_b))[:, -1]
     value = float(np.max(values))
-    lipschitz = 2.0 * float(np.max(np.abs(np.linalg.eigvalsh(q))))
+    lipschitz = 2.0 * float(np.max(np.abs(w)))
     return GridOracleResult(value=value, gap_bound=float(lipschitz * max_spacing))
 
 
@@ -263,12 +312,7 @@ def check_upb(
     best overlap stays below 1 - eta, and ``Inconclusive`` in between.
     """
     eta = tol.upb_margin if eta is None else eta
-    ok, dev = check_orthonormal(basis, tol.orthonormality)
-    if not ok:
-        raise NonOrthonormalInput(
-            f"basis is not orthonormal (max deviation {max(dev):.3e})",
-            deviation=max(dev),
-        )
+    dev = _require_orthonormal(basis, tol.orthonormality)
     span_rank = len(basis)
     complement_dim = basis.dim - span_rank
 
@@ -286,7 +330,7 @@ def check_upb(
             seed=seed,
         )
 
-    q = complement_projector(basis, tol)
+    q = _complement_of_checked(basis)
     result = seesaw_max_product_overlap(
         q, basis.d_a, basis.d_b,
         restarts=restarts, seed=seed, stop_tol=stop_tol,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prodbasis import verify
 from prodbasis.basis import ProductBasis, ProductState
 from prodbasis.errors import (
     CountMismatch,
@@ -174,6 +175,19 @@ def test_check_upb_extendible_with_witness():
     assert report.verdict is Verdict.EXTENDIBLE
     assert report.witness_state is not None
     assert report.max_product_overlap >= 1.0 - 1e-8
+
+
+def test_check_upb_builds_one_gram_matrix(monkeypatch):
+    calls = []
+
+    def counted(basis):
+        calls.append(basis)
+        return gram_matrix(basis)
+
+    monkeypatch.setattr(verify, "gram_matrix", counted)
+    report = check_upb(gen_tiles2(3, 4), restarts=5, seed=0)
+    assert report.verdict is Verdict.UPB_NUMERIC
+    assert len(calls) == 1
 
 
 def test_check_upb_propagates_non_orthonormal():
