@@ -35,6 +35,7 @@ from .errors import (
     NotHermitian,
     NoValidSplit,
     ProductBasisError,
+    WindingInvariantError,
     ZeroState,
 )
 from .families import (

@@ -51,7 +51,11 @@ EXIT_INCOMPLETE = 6
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("PB_SEED", "0"))
+    raw = os.environ.get("PB_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ProductBasisError(f"PB_SEED must be an integer, got {raw!r}") from None
 
 
 def _fail(message: str, code: int) -> int:

@@ -61,7 +61,10 @@ def basis_from_payload(payload: dict) -> ProductBasis:
     dims = payload.get("dims")
     if not (isinstance(dims, list) and len(dims) == 2):
         raise BasisFileError("dims must be a two-element list")
-    d_a, d_b = int(dims[0]), int(dims[1])
+    try:
+        d_a, d_b = int(dims[0]), int(dims[1])
+    except (TypeError, ValueError) as exc:
+        raise BasisFileError(f"dims must be integers, got {dims!r}") from exc
     try:
         family = Family(payload.get("family", "Custom"))
     except ValueError as exc:
@@ -74,7 +77,10 @@ def basis_from_payload(payload: dict) -> ProductBasis:
         if not isinstance(entry, dict):
             raise BasisFileError(f"state {i} is not an object")
         cells = entry.get("tile_cells")
-        tile_cells = None if cells is None else frozenset((int(c), int(r)) for c, r in cells)
+        try:
+            tile_cells = None if cells is None else frozenset((int(c), int(r)) for c, r in cells)
+        except (TypeError, ValueError) as exc:
+            raise BasisFileError(f"state {i} tile_cells must be [column, row] integer pairs") from exc
         try:
             states.append(ProductState(
                 _vector_from_json(entry.get("a", ()), f"state {i} side a"),

@@ -14,14 +14,14 @@ as a proof that no unwinding exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 
 import numpy as np
 
 from .basis import Family, ProductBasis, ProductState
 from .config import TOLERANCES, Tolerances
-from .errors import IncompleteBasis, InvalidSplit, NoValidSplit
+from .errors import IncompleteBasis, InvalidSplit, NoValidSplit, WindingInvariantError
 from .families import cartesian_basis
 from .linalg import dagger
 from .sampling import haar_unitary, stream
@@ -50,13 +50,13 @@ class SplitClass(Enum):
     UNCLASSIFIED = "unclassified"
 
 
-def _orthonormal_columns(mat, name: str) -> np.ndarray:
+def _orthonormal_columns(mat, name: str, tol: float) -> np.ndarray:
     arr = np.array(mat, dtype=complex)
     if arr.ndim != 2 or arr.shape[1] < 1 or arr.shape[0] < arr.shape[1]:
         raise ValueError(f"{name} must hold 1..dim orthonormal columns")
     gram = dagger(arr) @ arr
-    if float(np.max(np.abs(gram - np.eye(arr.shape[1])))) > 1e-10:
-        raise ValueError(f"{name} columns are not orthonormal within 1e-10")
+    if float(np.max(np.abs(gram - np.eye(arr.shape[1])))) > tol:
+        raise ValueError(f"{name} columns are not orthonormal within {tol:g}")
     arr.setflags(write=False)
     return arr
 
@@ -67,10 +67,12 @@ class SubspacePair:
 
     a_basis: np.ndarray  # shape (dA, ka)
     b_basis: np.ndarray  # shape (dB, kb)
+    tol: InitVar[Tolerances] = TOLERANCES
 
-    def __post_init__(self):
-        object.__setattr__(self, "a_basis", _orthonormal_columns(self.a_basis, "a_basis"))
-        object.__setattr__(self, "b_basis", _orthonormal_columns(self.b_basis, "b_basis"))
+    def __post_init__(self, tol):
+        cut = tol.subspace_orthonormality
+        object.__setattr__(self, "a_basis", _orthonormal_columns(self.a_basis, "a_basis", cut))
+        object.__setattr__(self, "b_basis", _orthonormal_columns(self.b_basis, "b_basis", cut))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -87,12 +89,12 @@ class SubspacePair:
         return self.dims != (d_a, d_b)
 
 
-def _unitary(mat, dim: int, name: str) -> np.ndarray:
+def _unitary(mat, dim: int, name: str, tol: float) -> np.ndarray:
     arr = np.array(mat, dtype=complex)
     if arr.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim}x{dim}")
-    if float(np.max(np.abs(dagger(arr) @ arr - np.eye(dim)))) > 1e-10:
-        raise ValueError(f"{name} is not unitary within 1e-10")
+    if float(np.max(np.abs(dagger(arr) @ arr - np.eye(dim)))) > tol:
+        raise ValueError(f"{name} is not unitary within {tol:g}")
     arr.setflags(write=False)
     return arr
 
@@ -102,16 +104,17 @@ class WindingMove:
     split: SubspacePair
     u_a: np.ndarray
     u_b: np.ndarray
+    tol: InitVar[Tolerances] = TOLERANCES
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         ka, kb = self.split.dims
-        object.__setattr__(self, "u_a", _unitary(self.u_a, ka, "u_a"))
-        object.__setattr__(self, "u_b", _unitary(self.u_b, kb, "u_b"))
+        object.__setattr__(self, "u_a", _unitary(self.u_a, ka, "u_a", tol.unitarity))
+        object.__setattr__(self, "u_b", _unitary(self.u_b, kb, "u_b", tol.unitarity))
 
 
-def inverse_move(move: WindingMove) -> WindingMove:
+def inverse_move(move: WindingMove, tol: Tolerances = TOLERANCES) -> WindingMove:
     """Same split, adjoint unitaries."""
-    return WindingMove(move.split, dagger(move.u_a), dagger(move.u_b))
+    return WindingMove(move.split, dagger(move.u_a), dagger(move.u_b), tol)
 
 
 def _require_complete(basis: ProductBasis):
@@ -119,6 +122,43 @@ def _require_complete(basis: ProductBasis):
         raise IncompleteBasis(
             f"basis has {len(basis)} states but the space has dimension {basis.dim}"
         )
+
+
+def _side_measures(cands, vectors):
+    """Projection residuals and weights of every local factor on every candidate.
+
+    ``res[c, n] = ||v_n - P_c v_n||`` and ``w[c, n] = Re <v_n|P_c v_n>`` with
+    ``P_c = C_c C_c^dag``, one matrix-vector product per (candidate, distinct
+    vector); factors shared bit for bit by several states are measured once.
+    """
+    slots: dict[bytes, int] = {}
+    slot = np.array([slots.setdefault(v.tobytes(), len(slots)) for v in vectors])
+    distinct = {i: v for v, i in zip(vectors, slot)}
+    res = np.empty((len(cands), len(slots)))
+    w = np.empty_like(res)
+    for c, cols in enumerate(cands):
+        p = cols @ dagger(cols)
+        for n, v in distinct.items():
+            pv = p @ v
+            res[c, n] = np.linalg.norm(v - pv)
+            w[c, n] = np.real(np.vdot(v, pv))
+    return res[:, slot], w[:, slot]
+
+
+def _classify(res_a, w_a, res_b, w_b, tol: Tolerances):
+    """INSIDE and OUTSIDE masks (see :func:`validate_split`); operands broadcast."""
+    cut = tol.split_inside_residual
+    inside = (res_a <= cut) & (res_b <= cut)
+    outside = ~inside & (w_a * w_b <= tol.split_outside_overlap)
+    return inside, outside
+
+
+def _check_inside_count(n_inside, ka, kb):
+    """Completeness forces the inside block of each valid split to hold ka * kb states."""
+    bad = np.flatnonzero(n_inside != ka * kb)
+    if bad.size:
+        n, a, b = n_inside[bad[0]], ka[bad[0]], kb[bad[0]]
+        raise WindingInvariantError(f"valid ({a}, {b}) split holds {n} inside states, not {a * b}")
 
 
 def validate_split(basis: ProductBasis, split: SubspacePair, tol: Tolerances = TOLERANCES):
@@ -129,30 +169,22 @@ def validate_split(basis: ProductBasis, split: SubspacePair, tol: Tolerances = T
     weights vanishes, which for product states is membership in the
     orthogonal complement of H_A' (x) H_B'.  The split is valid iff every
     state is classified; completeness then forces the inside count to be
-    dim H_A' * dim H_B' (asserted).
+    dim H_A' * dim H_B', and a valid split that breaks it raises
+    :class:`WindingInvariantError`.
     """
     _require_complete(basis)
-    p_a = split.a_projector()
-    p_b = split.b_projector()
-    classes = []
-    for st in basis:
-        res_a = float(np.linalg.norm(st.a - p_a @ st.a))
-        res_b = float(np.linalg.norm(st.b - p_b @ st.b))
-        if res_a <= tol.split_inside_residual and res_b <= tol.split_inside_residual:
-            classes.append(SplitClass.INSIDE)
-            continue
-        w_a = float(np.real(np.vdot(st.a, p_a @ st.a)))
-        w_b = float(np.real(np.vdot(st.b, p_b @ st.b)))
-        if w_a * w_b <= tol.split_outside_overlap:
-            classes.append(SplitClass.OUTSIDE)
-        else:
-            classes.append(SplitClass.UNCLASSIFIED)
-    ok = SplitClass.UNCLASSIFIED not in classes
+    res_a, w_a = _side_measures([split.a_basis], [st.a for st in basis])
+    res_b, w_b = _side_measures([split.b_basis], [st.b for st in basis])
+    inside, outside = _classify(res_a[0], w_a[0], res_b[0], w_b[0], tol)
+    ok = bool(np.all(inside | outside))
     if ok:
         ka, kb = split.dims
-        n_inside = sum(1 for c in classes if c is SplitClass.INSIDE)
-        assert n_inside == ka * kb, "completeness forces the inside block to fill the split"
-    return ok, tuple(classes)
+        _check_inside_count(np.array([inside.sum()]), np.array([ka]), np.array([kb]))
+    classes = tuple(
+        SplitClass.INSIDE if i else SplitClass.OUTSIDE if o else SplitClass.UNCLASSIFIED
+        for i, o in zip(inside, outside)
+    )
+    return ok, classes
 
 
 def _embed(cols: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -166,8 +198,9 @@ def apply_winding_move(basis: ProductBasis, move: WindingMove, tol: Tolerances =
     """Rotate the inside block of a valid split by u_a (x) u_b.
 
     Outside states are fixed by the support condition.  The output is again
-    a complete orthonormal product basis (asserted) and the move is appended
-    to the basis provenance.
+    a complete orthonormal product basis (checked; a failure raises
+    :class:`WindingInvariantError`) and the move is appended to the basis
+    provenance.
     """
     ok, classes = validate_split(basis, move.split, tol)
     if not ok:
@@ -185,7 +218,8 @@ def apply_winding_move(basis: ProductBasis, move: WindingMove, tol: Tolerances =
         provenance=basis.provenance + (move_to_record(move),),
     )
     ok_gram, dev = check_orthonormal(out, tol.orthonormality)
-    assert ok_gram, f"winding move broke orthonormality (deviation {max(dev):.3e})"
+    if not ok_gram:
+        raise WindingInvariantError(f"winding move broke orthonormality (deviation {max(dev):.3e})")
     return out
 
 
@@ -230,7 +264,7 @@ def is_cartesian(basis: ProductBasis, tol: float = TOLERANCES.ray_grouping) -> b
     return len(set(zip(a_ids, b_ids))) == basis.dim
 
 
-def _component_subspaces(reps, tol: float):
+def _component_subspaces(reps, tol: Tolerances):
     """Orthonormal bases for the connected components of the non-orthogonality graph.
 
     Components are discovered in first-occurrence order; a component whose
@@ -238,7 +272,7 @@ def _component_subspaces(reps, tol: float):
     natural alignment targets), otherwise a rank-revealing QR is used.
     """
     n = len(reps)
-    adj = [[abs(np.vdot(reps[i], reps[j])) > tol for j in range(n)] for i in range(n)]
+    adj = [[abs(np.vdot(reps[i], reps[j])) > tol.ray_grouping for j in range(n)] for i in range(n)]
     seen = [False] * n
     components = []
     for start in range(n):
@@ -255,66 +289,104 @@ def _component_subspaces(reps, tol: float):
                     queue.append(j)
         members.sort()
         rays = [reps[i] for i in members]
-        if _mutually_orthogonal(rays, tol):
+        if _mutually_orthogonal(rays, tol.ray_grouping):
             cols = np.column_stack(rays)
         else:
             stacked = np.column_stack(rays)
             q, r = np.linalg.qr(stacked)
-            keep = np.abs(np.diag(r)) > 1e-10
+            keep = np.abs(np.diag(r)) > tol.component_rank
             cols = q[:, keep]
         components.append(cols)
     return components
 
 
-def _union_candidates(components):
-    """Column bases for every proper nonempty union of components, bitmask order."""
+def _side_candidates(vectors, dim: int, tol: Tolerances):
+    """Column bases for one side: the full space, then every proper union of components.
+
+    Components of the non-orthogonality graph of the side's rays are
+    mutually orthogonal, so distinct unions span distinct subspaces.  Unions
+    come in bitmask order over the components.
+    """
+    _, reps = _group_rays(vectors, tol.ray_grouping)
+    components = _component_subspaces(reps, tol)
     c = len(components)
-    out = []
+    cands = [np.eye(dim, dtype=complex)]
     for mask in range(1, 2**c - 1):
         cols = [components[i] for i in range(c) if mask >> i & 1]
-        out.append(np.column_stack(cols) if len(cols) > 1 else cols[0])
-    return out
+        cands.append(np.column_stack(cols) if len(cols) > 1 else cols[0])
+    # the frozen arrays a SubspacePair would hold, checked as it checks them
+    cut = tol.subspace_orthonormality
+    return [_orthonormal_columns(cols, "candidate", cut) for cols in cands]
+
+
+@dataclass(frozen=True)
+class _SplitTable:
+    """Every valid proper split of a complete basis, in enumeration order.
+
+    Split ``s`` pairs ``a_cands[a_index[s]]`` with ``b_cands[b_index[s]]``
+    (index 0 is the full space) and holds the states marked in
+    ``inside[s]``; every other state lies outside it.
+    """
+
+    a_cands: list
+    b_cands: list
+    a_index: np.ndarray  # (S,)
+    b_index: np.ndarray  # (S,)
+    inside: np.ndarray   # (S, N) bool
+
+    def __len__(self) -> int:
+        return len(self.a_index)
+
+    def split(self, s: int, tol: Tolerances) -> SubspacePair:
+        return SubspacePair(self.a_cands[self.a_index[s]], self.b_cands[self.b_index[s]], tol)
+
+
+def _split_table(basis: ProductBasis, tol: Tolerances) -> _SplitTable:
+    """Classify every candidate pair of a complete basis in one broadcast.
+
+    Residuals and weights are computed once per side and candidate, with the
+    arithmetic of :func:`validate_split`, so every verdict is the one that
+    function gives the pair.  Pairs run (a, full B), then (full A, b), then
+    a-major (a, b); each is proper, as a proper union leaves out a component.
+    """
+    _require_complete(basis)
+    a_vecs = [st.a for st in basis]
+    b_vecs = [st.b for st in basis]
+    a_cands = _side_candidates(a_vecs, basis.d_a, tol)
+    b_cands = _side_candidates(b_vecs, basis.d_b, tol)
+    res_a, w_a = _side_measures(a_cands, a_vecs)
+    res_b, w_b = _side_measures(b_cands, b_vecs)
+
+    na, nb = len(a_cands) - 1, len(b_cands) - 1
+    a_proper = np.arange(1, na + 1)
+    b_proper = np.arange(1, nb + 1)
+    a_index = np.concatenate([a_proper, np.zeros(nb, dtype=int), np.repeat(a_proper, nb)])
+    b_index = np.concatenate([np.zeros(na, dtype=int), b_proper, np.tile(b_proper, na)])
+    inside, outside = _classify(res_a[a_index], w_a[a_index], res_b[b_index], w_b[b_index], tol)
+
+    valid = np.all(inside | outside, axis=1)
+    a_index, b_index, inside = a_index[valid], b_index[valid], inside[valid]
+    ka = np.array([cols.shape[1] for cols in a_cands])[a_index]
+    kb = np.array([cols.shape[1] for cols in b_cands])[b_index]
+    _check_inside_count(inside.sum(axis=1), ka, kb)
+    return _SplitTable(a_cands, b_cands, a_index, b_index, inside)
 
 
 def enumerate_splits(basis: ProductBasis, tol: Tolerances = TOLERANCES) -> tuple[SubspacePair, ...]:
     """All proper splits visible in the ray structure of a complete basis.
 
-    Candidate subspaces are spans of unions of connected components of the
-    per-side non-orthogonality graphs (rays in different components are
-    mutually orthogonal, so such spans always classify every state); the
+    Candidate subspaces are the full space and the spans of proper unions of
+    connected components of the per-side non-orthogonality graphs.  The
     candidates are paired with the full opposite side and with each other,
-    validated, and deduplicated by projector equality.
+    and a pair is kept when it classifies every state (see
+    :func:`validate_split`).  Distinct unions of mutually orthogonal
+    components span distinct subspaces, so no two splits coincide.  Union
+    pairs can still fail: component rays are orthogonal only to within
+    ``tol.ray_grouping``, and a leak above ``tol.split_outside_overlap``
+    leaves a state unclassified.
     """
-    _require_complete(basis)
-    _, a_reps = _group_rays([st.a for st in basis], tol.ray_grouping)
-    _, b_reps = _group_rays([st.b for st in basis], tol.ray_grouping)
-    a_cands = _union_candidates(_component_subspaces(a_reps, tol.ray_grouping))
-    b_cands = _union_candidates(_component_subspaces(b_reps, tol.ray_grouping))
-    full_a = np.eye(basis.d_a, dtype=complex)
-    full_b = np.eye(basis.d_b, dtype=complex)
-
-    pairs = [(a, full_b) for a in a_cands]
-    pairs += [(full_a, b) for b in b_cands]
-    pairs += [(a, b) for a in a_cands for b in b_cands]
-
-    splits: list[SubspacePair] = []
-    projectors: list[tuple[np.ndarray, np.ndarray]] = []
-    for a_cols, b_cols in pairs:
-        split = SubspacePair(a_cols, b_cols)
-        if not split.is_proper_for(basis.d_a, basis.d_b):
-            continue
-        ok, _ = validate_split(basis, split, tol)
-        if not ok:
-            continue
-        p_a, p_b = split.a_projector(), split.b_projector()
-        duplicate = any(
-            np.max(np.abs(p_a - qa)) <= 1e-10 and np.max(np.abs(p_b - qb)) <= 1e-10
-            for qa, qb in projectors
-        )
-        if not duplicate:
-            splits.append(split)
-            projectors.append((p_a, p_b))
-    return tuple(splits)
+    table = _split_table(basis, tol)
+    return tuple(table.split(s, tol) for s in range(len(table)))
 
 
 def _alignment_unitary(reps) -> np.ndarray:
@@ -348,7 +420,7 @@ def _is_phase_diagonal(u: np.ndarray) -> bool:
     return bool(np.all(np.abs(np.abs(np.diag(u)) - 1.0) < 1e-9))
 
 
-def _candidate_moves(basis: ProductBasis, split: SubspacePair, classes, tol: Tolerances):
+def _candidate_moves(basis: ProductBasis, split: SubspacePair, inside, tol: Tolerances):
     """Grid-restoring moves for the inside block of a split.
 
     The inside block is itself a complete product basis of the split
@@ -358,10 +430,10 @@ def _candidate_moves(basis: ProductBasis, split: SubspacePair, classes, tol: Tol
     of whatever single local rotation wound that side.  Moves that only
     adjust phases are skipped.
     """
-    inside = [st for st, c in zip(basis, classes) if c is SplitClass.INSIDE]
+    block = [st for st, x in zip(basis, inside) if x]
     ka, kb = split.dims
-    alphas = [dagger(split.a_basis) @ st.a for st in inside]
-    betas = [dagger(split.b_basis) @ st.b for st in inside]
+    alphas = [dagger(split.a_basis) @ st.a for st in block]
+    betas = [dagger(split.b_basis) @ st.b for st in block]
     alphas = [v / np.linalg.norm(v) for v in alphas]
     betas = [v / np.linalg.norm(v) for v in betas]
     _, a_reps = _group_rays(alphas, tol.ray_grouping)
@@ -375,11 +447,11 @@ def _candidate_moves(basis: ProductBasis, split: SubspacePair, classes, tol: Tol
     eye_a = np.eye(ka, dtype=complex)
     eye_b = np.eye(kb, dtype=complex)
     if a_grid and b_grid and not (_is_phase_diagonal(u_a) and _is_phase_diagonal(u_b)):
-        moves.append(WindingMove(split, u_a, u_b))
+        moves.append(WindingMove(split, u_a, u_b, tol))
     if a_grid and not _is_phase_diagonal(u_a):
-        moves.append(WindingMove(split, u_a, eye_b))
+        moves.append(WindingMove(split, u_a, eye_b, tol))
     if b_grid and not _is_phase_diagonal(u_b):
-        moves.append(WindingMove(split, eye_a, u_b))
+        moves.append(WindingMove(split, eye_a, u_b, tol))
     return moves
 
 
@@ -388,9 +460,9 @@ def _search(basis: ProductBasis, depth: int, tol: Tolerances):
         return []
     if depth == 0:
         return None
-    for split in enumerate_splits(basis, tol):
-        _, classes = validate_split(basis, split, tol)
-        for move in _candidate_moves(basis, split, classes, tol):
+    table = _split_table(basis, tol)
+    for s in range(len(table)):
+        for move in _candidate_moves(basis, table.split(s, tol), table.inside[s], tol):
             deeper = _search(apply_winding_move(basis, move, tol), depth - 1, tol)
             if deeper is not None:
                 return [move] + deeper
@@ -405,7 +477,8 @@ def unwind(basis: ProductBasis, max_depth: int, tol: Tolerances = TOLERANCES):
     move list, empty for an already-Cartesian basis, or ``None`` when the
     search is exhausted; absence means "not unwound within this depth",
     never "not unwindable".  Every returned sequence is independently
-    certified by re-application before being returned.
+    certified by re-application before being returned; a sequence that
+    fails its replay raises :class:`WindingInvariantError`.
     """
     _require_complete(basis)
     for depth in range(max_depth + 1):
@@ -414,7 +487,8 @@ def unwind(basis: ProductBasis, max_depth: int, tol: Tolerances = TOLERANCES):
             replayed = basis
             for move in seq:
                 replayed = apply_winding_move(replayed, move, tol)
-            assert is_cartesian(replayed, tol.ray_grouping), "unwinding sequence failed certification"
+            if not is_cartesian(replayed, tol.ray_grouping):
+                raise WindingInvariantError("unwinding sequence failed certification")
             return seq
     return None
 
@@ -433,15 +507,15 @@ def wind_basis(basis: ProductBasis, k_moves: int, seed: int, tol: Tolerances = T
     _require_complete(basis)
     moves: list[WindingMove] = []
     for m in range(k_moves):
-        splits = enumerate_splits(basis, tol)
-        if not splits:
+        table = _split_table(basis, tol)
+        if not len(table):
             raise NoValidSplit(
                 f"no proper split available after {m} moves", moves_applied=tuple(moves)
             )
         rng = stream(seed, m)
-        split = splits[int(rng.integers(len(splits)))]
+        split = table.split(int(rng.integers(len(table))), tol)
         ka, kb = split.dims
-        move = WindingMove(split, haar_unitary(rng, ka), haar_unitary(rng, kb))
+        move = WindingMove(split, haar_unitary(rng, ka), haar_unitary(rng, kb), tol)
         basis = apply_winding_move(basis, move, tol)
         moves.append(move)
     return basis, tuple(moves)
@@ -471,8 +545,8 @@ def move_to_record(move: WindingMove) -> dict:
     }
 
 
-def move_from_record(record: dict) -> WindingMove:
+def move_from_record(record: dict, tol: Tolerances = TOLERANCES) -> WindingMove:
     if record.get("op") != "winding_move":
         raise ValueError(f"not a winding move record: {record.get('op')!r}")
-    split = SubspacePair(_matrix_from_json(record["a_basis"]), _matrix_from_json(record["b_basis"]))
-    return WindingMove(split, _matrix_from_json(record["u_a"]), _matrix_from_json(record["u_b"]))
+    split = SubspacePair(_matrix_from_json(record["a_basis"]), _matrix_from_json(record["b_basis"]), tol)
+    return WindingMove(split, _matrix_from_json(record["u_a"]), _matrix_from_json(record["u_b"]), tol)

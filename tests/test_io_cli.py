@@ -223,3 +223,38 @@ def test_cli_pb_seed_env(tmp_path, capsys, monkeypatch):
     _, via_flag, _ = run_cli(["verify", str(path), "--restarts", "20", "--seed", "31", "--format", "json"], capsys)
     assert json.loads(via_env)["report"]["seed"] == 31
     assert via_env == via_flag
+
+
+def write_cartesian_payload(path, **changes):
+    payload = basis_to_payload(cartesian_basis(2, 3))
+    for key, value in changes.items():
+        if key == "tile_cells":
+            payload["states"][0]["tile_cells"] = value
+        else:
+            payload[key] = value
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_cli_rejects_non_integer_dims(tmp_path, capsys):
+    path = write_cartesian_payload(tmp_path / "dims.json", dims=["x", 3])
+    with pytest.raises(BasisFileError):
+        load_basis(path)
+    code, stdout, stderr = run_cli(["verify", str(path)], capsys)
+    assert code == 1 and stdout == "" and stderr.startswith("error: ")
+
+
+def test_cli_rejects_short_tile_cell(tmp_path, capsys):
+    path = write_cartesian_payload(tmp_path / "cells.json", tile_cells=[[0]])
+    with pytest.raises(BasisFileError):
+        load_basis(path)
+    code, stdout, stderr = run_cli(["render", str(path)], capsys)
+    assert code == 1 and stdout == "" and stderr.startswith("error: ")
+
+
+def test_cli_rejects_non_integer_pb_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PB_SEED", "seven")
+    code, stdout, stderr = run_cli(["wind", "--cartesian", "2", "2", "--out", str(tmp_path / "w.json")], capsys)
+    assert code == 1 and stdout == ""
+    assert stderr == "error: PB_SEED must be an integer, got 'seven'\n"
+    assert not (tmp_path / "w.json").exists()

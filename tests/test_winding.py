@@ -1,8 +1,18 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from prodbasis.errors import IncompleteBasis, InvalidSplit
+from prodbasis import cli, winding
+from prodbasis.basis import ProductBasis, ProductState
+from prodbasis.config import TOLERANCES
+from prodbasis.errors import IncompleteBasis, InvalidSplit, WindingInvariantError
 from prodbasis.families import cartesian_basis, gen_tiles1
+from prodbasis.io import save_basis
 from prodbasis.sampling import haar_unitary, stream
 from prodbasis.verify import check_orthonormal
 from prodbasis.winding import (
@@ -150,8 +160,6 @@ def test_enumerate_splits_wound_basis():
 
 def domino_basis():
     """Complete 3x3 product basis whose ray graphs are connected on both sides."""
-    from prodbasis.basis import ProductBasis, ProductState
-
     e = [np.eye(3, dtype=complex)[:, i] for i in range(3)]
     plus = lambda i, j: (e[i] + e[j]) / np.sqrt(2)
     minus = lambda i, j: (e[i] - e[j]) / np.sqrt(2)
@@ -230,3 +238,64 @@ def test_move_record_round_trip():
 def test_wind_basis_requires_complete():
     with pytest.raises(IncompleteBasis):
         wind_basis(gen_tiles1(4), 1, 0)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def repeated_state_basis():
+    """Four states on 2x2, three of them |0>|0>: complete by count, not orthonormal."""
+    e0, e1 = np.eye(2, dtype=complex)
+    pairs = [(e0, e0), (e0, e0), (e0, e0), (e1, e1)]
+    return ProductBasis(2, 2, tuple(ProductState(a, b) for a, b in pairs))
+
+
+def test_gram_check_after_move_raises():
+    strict = dataclasses.replace(TOLERANCES, orthonormality=-1.0)
+    _, move = wound_pi_over_7()
+    with pytest.raises(WindingInvariantError, match="orthonormality"):
+        apply_winding_move(cartesian_basis(2, 2), move, strict)
+
+
+def test_inside_count_check_raises():
+    basis = repeated_state_basis()
+    with pytest.raises(WindingInvariantError, match="inside states"):
+        validate_split(basis, axis_split(2, 2, a_cols=[[1, 0]]))
+    with pytest.raises(WindingInvariantError, match="inside states"):
+        enumerate_splits(basis)
+    with pytest.raises(WindingInvariantError, match="inside states"):
+        wind_basis(basis, 1, 0)
+
+
+def test_unwinder_replay_check_raises(monkeypatch):
+    wound, _ = wound_pi_over_7()
+    # a search that claims the wound basis is already Cartesian
+    monkeypatch.setattr(winding, "_search", lambda basis, depth, tol: [])
+    with pytest.raises(WindingInvariantError, match="certification"):
+        unwind(wound, 1)
+
+
+def test_cli_maps_winding_invariant_to_exit_1(tmp_path, capsys):
+    path = tmp_path / "repeated.json"
+    save_basis(repeated_state_basis(), path)
+    code = cli.main(["wind", str(path), "--out", str(tmp_path / "w.json")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: valid (")
+
+
+def test_invariant_checks_survive_optimized_python():
+    # python -O strips assert statements; the checks must survive it
+    tests = [f"{__file__}::{name}" for name in (
+        "test_gram_check_after_move_raises",
+        "test_inside_count_check_raises",
+        "test_unwinder_replay_check_raises",
+        "test_cli_maps_winding_invariant_to_exit_1",
+    )]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "4 passed" in proc.stdout
