@@ -26,9 +26,6 @@ class Tolerances:
     ray_grouping: float = 1e-8        # |overlap| >= 1 - ray_grouping merges rays
     split_inside_residual: float = 1e-10
     split_outside_overlap: float = 1e-20
-    subspace_orthonormality: float = 1e-10  # max|C^dag C - I| for split column bases
-    unitarity: float = 1e-10          # max|U^dag U - I| for winding unitaries
-    component_rank: float = 1e-10     # |R_ii| cut of the QR spanning a ray component
     set_match: float = 1e-9           # default for phase-insensitive set equality
     support_amplitude: float = 1e-12  # product amplitude treated as zero below this
 

@@ -14,7 +14,7 @@ as a proof that no unwinding exists.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -44,19 +44,24 @@ __all__ = [
 ]
 
 
+# max|C^dag C - I| for split columns and max|U^dag U - I| for move unitaries;
+# also the |R_ii| rank cut of the QR that spans a ray component
+_MATRIX_TOL = 1e-10
+
+
 class SplitClass(Enum):
     INSIDE = "inside"
     OUTSIDE = "outside"
     UNCLASSIFIED = "unclassified"
 
 
-def _orthonormal_columns(mat, name: str, tol: float) -> np.ndarray:
+def _orthonormal_columns(mat, name: str) -> np.ndarray:
     arr = np.array(mat, dtype=complex)
     if arr.ndim != 2 or arr.shape[1] < 1 or arr.shape[0] < arr.shape[1]:
         raise ValueError(f"{name} must hold 1..dim orthonormal columns")
     gram = dagger(arr) @ arr
-    if float(np.max(np.abs(gram - np.eye(arr.shape[1])))) > tol:
-        raise ValueError(f"{name} columns are not orthonormal within {tol:g}")
+    if float(np.max(np.abs(gram - np.eye(arr.shape[1])))) > _MATRIX_TOL:
+        raise ValueError(f"{name} columns are not orthonormal within {_MATRIX_TOL:g}")
     arr.setflags(write=False)
     return arr
 
@@ -67,12 +72,10 @@ class SubspacePair:
 
     a_basis: np.ndarray  # shape (dA, ka)
     b_basis: np.ndarray  # shape (dB, kb)
-    tol: InitVar[Tolerances] = TOLERANCES
 
-    def __post_init__(self, tol):
-        cut = tol.subspace_orthonormality
-        object.__setattr__(self, "a_basis", _orthonormal_columns(self.a_basis, "a_basis", cut))
-        object.__setattr__(self, "b_basis", _orthonormal_columns(self.b_basis, "b_basis", cut))
+    def __post_init__(self):
+        object.__setattr__(self, "a_basis", _orthonormal_columns(self.a_basis, "a_basis"))
+        object.__setattr__(self, "b_basis", _orthonormal_columns(self.b_basis, "b_basis"))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -89,12 +92,12 @@ class SubspacePair:
         return self.dims != (d_a, d_b)
 
 
-def _unitary(mat, dim: int, name: str, tol: float) -> np.ndarray:
+def _unitary(mat, dim: int, name: str) -> np.ndarray:
     arr = np.array(mat, dtype=complex)
     if arr.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim}x{dim}")
-    if float(np.max(np.abs(dagger(arr) @ arr - np.eye(dim)))) > tol:
-        raise ValueError(f"{name} is not unitary within {tol:g}")
+    if float(np.max(np.abs(dagger(arr) @ arr - np.eye(dim)))) > _MATRIX_TOL:
+        raise ValueError(f"{name} is not unitary within {_MATRIX_TOL:g}")
     arr.setflags(write=False)
     return arr
 
@@ -104,17 +107,16 @@ class WindingMove:
     split: SubspacePair
     u_a: np.ndarray
     u_b: np.ndarray
-    tol: InitVar[Tolerances] = TOLERANCES
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         ka, kb = self.split.dims
-        object.__setattr__(self, "u_a", _unitary(self.u_a, ka, "u_a", tol.unitarity))
-        object.__setattr__(self, "u_b", _unitary(self.u_b, kb, "u_b", tol.unitarity))
+        object.__setattr__(self, "u_a", _unitary(self.u_a, ka, "u_a"))
+        object.__setattr__(self, "u_b", _unitary(self.u_b, kb, "u_b"))
 
 
-def inverse_move(move: WindingMove, tol: Tolerances = TOLERANCES) -> WindingMove:
+def inverse_move(move: WindingMove) -> WindingMove:
     """Same split, adjoint unitaries."""
-    return WindingMove(move.split, dagger(move.u_a), dagger(move.u_b), tol)
+    return WindingMove(move.split, dagger(move.u_a), dagger(move.u_b))
 
 
 def _require_complete(basis: ProductBasis):
@@ -128,21 +130,17 @@ def _side_measures(cands, vectors):
     """Projection residuals and weights of every local factor on every candidate.
 
     ``res[c, n] = ||v_n - P_c v_n||`` and ``w[c, n] = Re <v_n|P_c v_n>`` with
-    ``P_c = C_c C_c^dag``, one matrix-vector product per (candidate, distinct
-    vector); factors shared bit for bit by several states are measured once.
+    ``P_c = C_c C_c^dag``, one matrix-vector product per (candidate, vector).
     """
-    slots: dict[bytes, int] = {}
-    slot = np.array([slots.setdefault(v.tobytes(), len(slots)) for v in vectors])
-    distinct = {i: v for v, i in zip(vectors, slot)}
-    res = np.empty((len(cands), len(slots)))
+    res = np.empty((len(cands), len(vectors)))
     w = np.empty_like(res)
     for c, cols in enumerate(cands):
         p = cols @ dagger(cols)
-        for n, v in distinct.items():
+        for n, v in enumerate(vectors):
             pv = p @ v
             res[c, n] = np.linalg.norm(v - pv)
             w[c, n] = np.real(np.vdot(v, pv))
-    return res[:, slot], w[:, slot]
+    return res, w
 
 
 def _classify(res_a, w_a, res_b, w_b, tol: Tolerances):
@@ -264,7 +262,7 @@ def is_cartesian(basis: ProductBasis, tol: float = TOLERANCES.ray_grouping) -> b
     return len(set(zip(a_ids, b_ids))) == basis.dim
 
 
-def _component_subspaces(reps, tol: Tolerances):
+def _component_subspaces(reps, tol: float):
     """Orthonormal bases for the connected components of the non-orthogonality graph.
 
     Components are discovered in first-occurrence order; a component whose
@@ -272,7 +270,7 @@ def _component_subspaces(reps, tol: Tolerances):
     natural alignment targets), otherwise a rank-revealing QR is used.
     """
     n = len(reps)
-    adj = [[abs(np.vdot(reps[i], reps[j])) > tol.ray_grouping for j in range(n)] for i in range(n)]
+    adj = [[abs(np.vdot(reps[i], reps[j])) > tol for j in range(n)] for i in range(n)]
     seen = [False] * n
     components = []
     for start in range(n):
@@ -289,34 +287,33 @@ def _component_subspaces(reps, tol: Tolerances):
                     queue.append(j)
         members.sort()
         rays = [reps[i] for i in members]
-        if _mutually_orthogonal(rays, tol.ray_grouping):
+        if _mutually_orthogonal(rays, tol):
             cols = np.column_stack(rays)
         else:
             stacked = np.column_stack(rays)
             q, r = np.linalg.qr(stacked)
-            keep = np.abs(np.diag(r)) > tol.component_rank
+            keep = np.abs(np.diag(r)) > _MATRIX_TOL
             cols = q[:, keep]
         components.append(cols)
     return components
 
 
-def _side_candidates(vectors, dim: int, tol: Tolerances):
+def _side_candidates(vectors, dim: int, tol: float):
     """Column bases for one side: the full space, then every proper union of components.
 
     Components of the non-orthogonality graph of the side's rays are
     mutually orthogonal, so distinct unions span distinct subspaces.  Unions
-    come in bitmask order over the components.
+    come in bitmask order over the components.  Their columns are checked
+    for orthonormality only when a split on them is built.
     """
-    _, reps = _group_rays(vectors, tol.ray_grouping)
+    _, reps = _group_rays(vectors, tol)
     components = _component_subspaces(reps, tol)
     c = len(components)
     cands = [np.eye(dim, dtype=complex)]
     for mask in range(1, 2**c - 1):
         cols = [components[i] for i in range(c) if mask >> i & 1]
         cands.append(np.column_stack(cols) if len(cols) > 1 else cols[0])
-    # the frozen arrays a SubspacePair would hold, checked as it checks them
-    cut = tol.subspace_orthonormality
-    return [_orthonormal_columns(cols, "candidate", cut) for cols in cands]
+    return cands
 
 
 @dataclass(frozen=True)
@@ -337,8 +334,8 @@ class _SplitTable:
     def __len__(self) -> int:
         return len(self.a_index)
 
-    def split(self, s: int, tol: Tolerances) -> SubspacePair:
-        return SubspacePair(self.a_cands[self.a_index[s]], self.b_cands[self.b_index[s]], tol)
+    def split(self, s: int) -> SubspacePair:
+        return SubspacePair(self.a_cands[self.a_index[s]], self.b_cands[self.b_index[s]])
 
 
 def _split_table(basis: ProductBasis, tol: Tolerances) -> _SplitTable:
@@ -352,8 +349,8 @@ def _split_table(basis: ProductBasis, tol: Tolerances) -> _SplitTable:
     _require_complete(basis)
     a_vecs = [st.a for st in basis]
     b_vecs = [st.b for st in basis]
-    a_cands = _side_candidates(a_vecs, basis.d_a, tol)
-    b_cands = _side_candidates(b_vecs, basis.d_b, tol)
+    a_cands = _side_candidates(a_vecs, basis.d_a, tol.ray_grouping)
+    b_cands = _side_candidates(b_vecs, basis.d_b, tol.ray_grouping)
     res_a, w_a = _side_measures(a_cands, a_vecs)
     res_b, w_b = _side_measures(b_cands, b_vecs)
 
@@ -386,7 +383,7 @@ def enumerate_splits(basis: ProductBasis, tol: Tolerances = TOLERANCES) -> tuple
     leaves a state unclassified.
     """
     table = _split_table(basis, tol)
-    return tuple(table.split(s, tol) for s in range(len(table)))
+    return tuple(table.split(s) for s in range(len(table)))
 
 
 def _alignment_unitary(reps) -> np.ndarray:
@@ -447,11 +444,11 @@ def _candidate_moves(basis: ProductBasis, split: SubspacePair, inside, tol: Tole
     eye_a = np.eye(ka, dtype=complex)
     eye_b = np.eye(kb, dtype=complex)
     if a_grid and b_grid and not (_is_phase_diagonal(u_a) and _is_phase_diagonal(u_b)):
-        moves.append(WindingMove(split, u_a, u_b, tol))
+        moves.append(WindingMove(split, u_a, u_b))
     if a_grid and not _is_phase_diagonal(u_a):
-        moves.append(WindingMove(split, u_a, eye_b, tol))
+        moves.append(WindingMove(split, u_a, eye_b))
     if b_grid and not _is_phase_diagonal(u_b):
-        moves.append(WindingMove(split, eye_a, u_b, tol))
+        moves.append(WindingMove(split, eye_a, u_b))
     return moves
 
 
@@ -462,7 +459,7 @@ def _search(basis: ProductBasis, depth: int, tol: Tolerances):
         return None
     table = _split_table(basis, tol)
     for s in range(len(table)):
-        for move in _candidate_moves(basis, table.split(s, tol), table.inside[s], tol):
+        for move in _candidate_moves(basis, table.split(s), table.inside[s], tol):
             deeper = _search(apply_winding_move(basis, move, tol), depth - 1, tol)
             if deeper is not None:
                 return [move] + deeper
@@ -513,9 +510,9 @@ def wind_basis(basis: ProductBasis, k_moves: int, seed: int, tol: Tolerances = T
                 f"no proper split available after {m} moves", moves_applied=tuple(moves)
             )
         rng = stream(seed, m)
-        split = table.split(int(rng.integers(len(table))), tol)
+        split = table.split(int(rng.integers(len(table))))
         ka, kb = split.dims
-        move = WindingMove(split, haar_unitary(rng, ka), haar_unitary(rng, kb), tol)
+        move = WindingMove(split, haar_unitary(rng, ka), haar_unitary(rng, kb))
         basis = apply_winding_move(basis, move, tol)
         moves.append(move)
     return basis, tuple(moves)
@@ -545,8 +542,8 @@ def move_to_record(move: WindingMove) -> dict:
     }
 
 
-def move_from_record(record: dict, tol: Tolerances = TOLERANCES) -> WindingMove:
+def move_from_record(record: dict) -> WindingMove:
     if record.get("op") != "winding_move":
         raise ValueError(f"not a winding move record: {record.get('op')!r}")
-    split = SubspacePair(_matrix_from_json(record["a_basis"]), _matrix_from_json(record["b_basis"]), tol)
-    return WindingMove(split, _matrix_from_json(record["u_a"]), _matrix_from_json(record["u_b"]), tol)
+    split = SubspacePair(_matrix_from_json(record["a_basis"]), _matrix_from_json(record["b_basis"]))
+    return WindingMove(split, _matrix_from_json(record["u_a"]), _matrix_from_json(record["u_b"]))

@@ -53,8 +53,8 @@ def reference_splits(basis, tol=TOLERANCES):
     """Every union pair built, validated state by state and deduplicated by projector."""
     _, a_reps = _group_rays([st.a for st in basis], tol.ray_grouping)
     _, b_reps = _group_rays([st.b for st in basis], tol.ray_grouping)
-    a_cands = union_candidates(_component_subspaces(a_reps, tol))
-    b_cands = union_candidates(_component_subspaces(b_reps, tol))
+    a_cands = union_candidates(_component_subspaces(a_reps, tol.ray_grouping))
+    b_cands = union_candidates(_component_subspaces(b_reps, tol.ray_grouping))
     full_a = np.eye(basis.d_a, dtype=complex)
     full_b = np.eye(basis.d_b, dtype=complex)
     pairs = [(a, full_b) for a in a_cands]
@@ -128,7 +128,7 @@ def test_numerically_rejected_union_pairs(dims, seed, moves):
     assert_same_splits(splits, want)
     # the rejected pairs leak no more than the component rays' own orthogonality allows
     vectors = [st.b for st in basis]
-    cands = _side_candidates(vectors, basis.d_b, TOLERANCES)
+    cands = _side_candidates(vectors, basis.d_b, TOLERANCES.ray_grouping)
     res, w = _side_measures(cands, vectors)
     leaks = w[res > TOLERANCES.split_inside_residual]
     assert TOLERANCES.split_outside_overlap < leaks.max() <= TOLERANCES.ray_grouping**2
@@ -136,7 +136,7 @@ def test_numerically_rejected_union_pairs(dims, seed, moves):
 
 def test_no_two_splits_share_projectors():
     bases = [cartesian_basis(3, 4)]
-    bases += [random_wound_basis(*dims, 1, seed)[0] for dims, seed, _ in REJECTING]
+    bases += [random_wound_basis(*dims, moves, seed)[0] for dims, seed, moves in REJECTING]
     bases += [random_wound_basis(3, 3, 2, seed)[0] for seed in range(5)]
     for basis in bases:
         projectors = [(s.a_projector(), s.b_projector()) for s in enumerate_splits(basis)]
