@@ -132,9 +132,3 @@ class ProductBasis:
     def global_matrix(self) -> np.ndarray:
         """Global product vectors as columns, shape (dA*dB, N)."""
         return np.column_stack([st.global_vector() for st in self.states])
-
-    def with_provenance(self, record: dict) -> "ProductBasis":
-        return ProductBasis(
-            self.d_a, self.d_b, self.states, family=self.family,
-            provenance=self.provenance + (record,),
-        )

@@ -5,7 +5,7 @@ outcomes:
 
   0  success (verify: complete basis or numerically unextendible)
   1  malformed or inconsistent input (bad file, non-orthonormal basis,
-     missing tile metadata)
+     missing tile metadata, a count flag out of range)
   2  construction parameters violate a family's dimension bounds
   3  verify found an extendible basis (product witness in the complement)
   4  inconclusive outcome (verify margin band, unwinder exhausted)
@@ -28,7 +28,6 @@ from .boundent import is_ppt, range_criterion_report, upb_density_state
 from .config import TOLERANCES
 from .errors import (
     BasisFileError,
-    CompleteBasisInput,
     IncompleteBasis,
     InvalidDimension,
     NonOrthonormalInput,
@@ -36,7 +35,7 @@ from .errors import (
     ProductBasisError,
 )
 from .families import cartesian_basis, gen_tiles1, gen_tiles2
-from .io import load_basis, save_basis
+from .io import complex_to_json, load_basis, save_basis
 from .render import render_tiles
 from .verify import Verdict, check_upb
 from .winding import move_to_record, unwind, wind_basis
@@ -63,13 +62,9 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _witness_payload(witness):
-    if witness is None:
-        return None
-    return {
-        "a": [[float(x.real), float(x.imag)] for x in witness.a],
-        "b": [[float(x.real), float(x.imag)] for x in witness.b],
-    }
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ProductBasisError(f"{flag} must be at least {least}, got {value}")
 
 
 def cmd_construct(args) -> int:
@@ -99,6 +94,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_at_least("--restarts", args.restarts, 1)
     try:
         basis = load_basis(args.path)
     except BasisFileError as exc:
@@ -110,6 +106,7 @@ def cmd_verify(args) -> int:
     except NonOrthonormalInput as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
 
+    witness = report.witness_state
     payload = {
         "basis": {
             "dims": [basis.d_a, basis.d_b],
@@ -123,7 +120,8 @@ def cmd_verify(args) -> int:
             "span_rank": report.span_rank,
             "complement_dim": report.complement_dim,
             "max_product_overlap": report.max_product_overlap,
-            "witness": _witness_payload(report.witness_state),
+            "witness": None if witness is None else {"a": complex_to_json(witness.a),
+                                                     "b": complex_to_json(witness.b)},
             "restarts_used": report.restarts_used,
             "iterations_total": report.iterations_total,
             "seed": report.seed,
@@ -159,6 +157,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_boundent(args) -> int:
+    _require_at_least("--restarts", args.restarts, 1)
     try:
         basis = load_basis(args.path)
     except BasisFileError as exc:
@@ -176,10 +175,7 @@ def cmd_boundent(args) -> int:
     if report.verdict is Verdict.INCONCLUSIVE:
         return _fail("unextendibility check was inconclusive", EXIT_INCONCLUSIVE)
 
-    try:
-        rho = upb_density_state(basis)
-    except CompleteBasisInput as exc:
-        return _fail(str(exc), EXIT_NOT_UPB)
+    rho = upb_density_state(basis)
     ppt_ok, min_pt = is_ppt(rho)
     range_report = range_criterion_report(rho, restarts=args.restarts, seed=seed)
     payload = {
@@ -198,7 +194,7 @@ def cmd_boundent(args) -> int:
     if args.out:
         density_payload = {
             "dims": [rho.d_a, rho.d_b],
-            "matrix": [[[float(x.real), float(x.imag)] for x in row] for row in rho.matrix],
+            "matrix": complex_to_json(rho.matrix),
         }
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(density_payload, fh, indent=2)
@@ -210,6 +206,7 @@ def cmd_boundent(args) -> int:
 def cmd_wind(args) -> int:
     if (args.path is None) == (args.cartesian is None):
         return _fail("provide a basis file or --cartesian dA dB, not both", EXIT_BAD_INPUT)
+    _require_at_least("--moves", args.moves, 0)
     if args.cartesian is not None:
         basis = cartesian_basis(*args.cartesian)
     else:
@@ -228,6 +225,7 @@ def cmd_wind(args) -> int:
 
 
 def cmd_unwind(args) -> int:
+    _require_at_least("--depth", args.depth, 0)
     try:
         basis = load_basis(args.path)
     except BasisFileError as exc:

@@ -14,10 +14,7 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     unit_norm: float = 1e-12          # |norm - 1| for state vectors
-    hermiticity: float = 1e-10        # max|M - M^dag| accepted by the eigensolver
     orthonormality: float = 1e-10     # max|Gram - I| for basis sets
-    idempotence: float = 1e-10        # max|P^2 - P| for projectors
-    eigen_residual: float = 1e-8      # ||M v - w v|| relative to ||M||
     operator_interval: float = 1e-8   # slack on 0 <= Q <= I for see-saw input
     upb_margin: float = 1e-3          # overlap < 1 - upb_margin certifies numerically
     extendible_margin: float = 1e-8   # overlap >= 1 - extendible_margin flags a witness
@@ -27,7 +24,6 @@ class Tolerances:
     split_inside_residual: float = 1e-10
     split_outside_overlap: float = 1e-20
     set_match: float = 1e-9           # default for phase-insensitive set equality
-    support_amplitude: float = 1e-12  # product amplitude treated as zero below this
 
 
 TOLERANCES = Tolerances()

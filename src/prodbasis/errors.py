@@ -19,10 +19,6 @@ class IndexOutOfRange(ProductBasisError):
     """A support index is repeated or falls outside [0, dim)."""
 
 
-class NotHermitian(ProductBasisError):
-    """Matrix deviates from its conjugate transpose beyond tolerance."""
-
-
 class NonOrthonormalInput(ProductBasisError):
     """Input states fail the orthonormality requirement.
 

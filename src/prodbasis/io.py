@@ -1,6 +1,8 @@
 """Basis file serialization.
 
-Amplitudes are stored as [re, im] pairs of decimal floats; Python's float
+Amplitudes are stored as [re, im] pairs of decimal floats by one codec,
+:func:`complex_to_json` / :func:`complex_from_json`, which also writes the
+winding moves, see-saw witnesses and density matrices of the CLI.  Python's float
 serialization emits the shortest decimal (at most 17 significant digits)
 that parses back to the identical bit pattern, so save/load round-trips are
 exact and the files stay human-diffable.  Key order is fixed, making output
@@ -15,22 +17,49 @@ from pathlib import Path
 import numpy as np
 
 from .basis import Family, ProductBasis, ProductState
-from .errors import BasisFileError
+from .errors import BasisFileError, DimensionMismatch
 
-__all__ = ["FORMAT_VERSION", "basis_to_payload", "basis_from_payload", "save_basis", "load_basis"]
+__all__ = [
+    "FORMAT_VERSION",
+    "complex_to_json",
+    "complex_from_json",
+    "basis_to_payload",
+    "basis_from_payload",
+    "save_basis",
+    "load_basis",
+]
 
 FORMAT_VERSION = 1
 
 
-def _vector_to_json(v: np.ndarray):
-    return [[float(x.real), float(x.imag)] for x in v]
+def complex_to_json(m) -> list:
+    """A complex array of any shape as nested lists ending in [re, im] pairs."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
-def _vector_from_json(pairs, name: str) -> np.ndarray:
+def complex_from_json(value, ndim: int, name: str) -> np.ndarray:
+    """Inverse of :func:`complex_to_json` for an ``ndim``-dimensional array.
+
+    The pairs are read into one float array and viewed as complex, so every
+    bit survives, the sign of a zero included.  Anything but a nonempty,
+    rectangular array of finite numeric [re, im] pairs raises
+    :class:`BasisFileError`.
+    """
     try:
-        return np.array([complex(float(re), float(im)) for re, im in pairs], dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise BasisFileError(f"malformed amplitude list in {name}") from exc
+        pairs = np.array(value)
+    except ValueError as exc:  # ragged, or nested deeper than numpy allows
+        raise BasisFileError(f"{name} is not a rectangular array of [re, im] pairs") from exc
+    # JSON cannot spell an empty array of this shape: [] and [[]] fail the shape test
+    if (pairs.dtype.kind not in "iuf" or pairs.ndim != ndim + 1 or pairs.shape[-1] != 2
+            or not np.all(np.isfinite(pairs))):
+        raise BasisFileError(f"malformed amplitude list in {name}")
+    return pairs.astype(float, copy=False).view(complex)[..., 0]
+
+
+def _is_int_pair(value) -> bool:
+    # JSON integers only: 2.7 and 1e400 (parsed as inf) are floats, true is a bool
+    return isinstance(value, list) and len(value) == 2 and all(type(x) is int for x in value)
 
 
 def basis_to_payload(basis: ProductBasis) -> dict:
@@ -39,8 +68,8 @@ def basis_to_payload(basis: ProductBasis) -> dict:
         cells = None if st.tile_cells is None else sorted([int(c), int(r)] for c, r in st.tile_cells)
         states.append({
             "label": st.label,
-            "a": _vector_to_json(st.a),
-            "b": _vector_to_json(st.b),
+            "a": complex_to_json(st.a),
+            "b": complex_to_json(st.b),
             "tile_cells": cells,
         })
     return {
@@ -59,12 +88,9 @@ def basis_from_payload(payload: dict) -> ProductBasis:
     if version != FORMAT_VERSION:
         raise BasisFileError(f"unsupported format_version {version!r}")
     dims = payload.get("dims")
-    if not (isinstance(dims, list) and len(dims) == 2):
-        raise BasisFileError("dims must be a two-element list")
-    try:
-        d_a, d_b = int(dims[0]), int(dims[1])
-    except (TypeError, ValueError) as exc:
-        raise BasisFileError(f"dims must be integers, got {dims!r}") from exc
+    if not _is_int_pair(dims):
+        raise BasisFileError(f"dims must be two integers, got {dims!r}")
+    d_a, d_b = dims
     try:
         family = Family(payload.get("family", "Custom"))
     except ValueError as exc:
@@ -77,25 +103,23 @@ def basis_from_payload(payload: dict) -> ProductBasis:
         if not isinstance(entry, dict):
             raise BasisFileError(f"state {i} is not an object")
         cells = entry.get("tile_cells")
-        try:
-            tile_cells = None if cells is None else frozenset((int(c), int(r)) for c, r in cells)
-        except (TypeError, ValueError) as exc:
-            raise BasisFileError(f"state {i} tile_cells must be [column, row] integer pairs") from exc
+        if cells is not None and not (isinstance(cells, list) and all(map(_is_int_pair, cells))):
+            raise BasisFileError(f"state {i} tile_cells must be [column, row] integer pairs")
         try:
             states.append(ProductState(
-                _vector_from_json(entry.get("a", ()), f"state {i} side a"),
-                _vector_from_json(entry.get("b", ()), f"state {i} side b"),
+                complex_from_json(entry.get("a"), 1, f"state {i} side a"),
+                complex_from_json(entry.get("b"), 1, f"state {i} side b"),
                 label=str(entry.get("label", "")),
-                tile_cells=tile_cells,
+                tile_cells=None if cells is None else frozenset(map(tuple, cells)),
             ))
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise BasisFileError(f"state {i} is invalid: {exc}") from exc
     provenance = payload.get("provenance") or ()
     if provenance and not isinstance(provenance, list):
         raise BasisFileError("provenance must be a list when present")
     try:
         return ProductBasis(d_a, d_b, tuple(states), family=family, provenance=tuple(provenance))
-    except Exception as exc:
+    except DimensionMismatch as exc:
         raise BasisFileError(f"inconsistent basis file: {exc}") from exc
 
 
@@ -109,6 +133,6 @@ def load_basis(path) -> ProductBasis:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise BasisFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
         raise BasisFileError(f"{path} is not valid JSON: {exc}") from exc
     return basis_from_payload(payload)

@@ -12,16 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import TOLERANCES, Tolerances
-from .errors import DimensionMismatch, NonOrthonormalInput, NotHermitian
+from .errors import DimensionMismatch
 
 __all__ = [
     "basis_vector",
     "dagger",
     "hermitian_part",
     "kron",
-    "projector_from_states",
-    "hermitian_eig",
     "top_eigenvector",
     "partial_transpose",
 ]
@@ -52,45 +49,6 @@ def kron(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if u.ndim != 1 or v.ndim != 1 or u.size < 1 or v.size < 1:
         raise DimensionMismatch("kron needs two nonempty 1-D vectors")
     return np.kron(u, v)
-
-
-def projector_from_states(states, tol: Tolerances = TOLERANCES) -> np.ndarray:
-    """Orthogonal projector sum_i |psi_i><psi_i| over orthonormal states.
-
-    Raises :class:`NonOrthonormalInput` when the Gram matrix of the inputs
-    deviates from the identity by more than ``tol.orthonormality``.
-    """
-    cols = [np.asarray(s, dtype=complex) for s in states]
-    if not cols:
-        raise DimensionMismatch("need at least one state")
-    dim = cols[0].size
-    if any(c.ndim != 1 or c.size != dim for c in cols):
-        raise DimensionMismatch("states must share a common dimension")
-    v = np.column_stack(cols)
-    gram = dagger(v) @ v
-    deviation = float(np.max(np.abs(gram - np.eye(len(cols)))))
-    if deviation > tol.orthonormality:
-        raise NonOrthonormalInput(
-            f"input states are not orthonormal (max|G - I| = {deviation:.3e})",
-            deviation=deviation,
-        )
-    return hermitian_part(v @ dagger(v))
-
-
-def hermitian_eig(m: np.ndarray, tol: Tolerances = TOLERANCES):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and orthonormal
-    eigenvectors in the columns of ``v``.  Deterministic for a fixed input.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch("expected a square matrix")
-    herm_dev = float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
-    if herm_dev > tol.hermiticity:
-        raise NotHermitian(f"max|M - M^dag| = {herm_dev:.3e} exceeds {tol.hermiticity:.1e}")
-    w, v = np.linalg.eigh(hermitian_part(m))
-    return w, v
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:

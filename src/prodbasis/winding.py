@@ -21,8 +21,9 @@ import numpy as np
 
 from .basis import Family, ProductBasis, ProductState
 from .config import TOLERANCES, Tolerances
-from .errors import IncompleteBasis, InvalidSplit, NoValidSplit, WindingInvariantError
+from .errors import BasisFileError, IncompleteBasis, InvalidSplit, NoValidSplit, WindingInvariantError
 from .families import cartesian_basis
+from .io import complex_from_json, complex_to_json
 from .linalg import dagger
 from .sampling import haar_unitary, stream
 from .verify import check_orthonormal
@@ -523,27 +524,29 @@ def random_wound_basis(d_a: int, d_b: int, k_moves: int, seed: int, tol: Toleran
     return wind_basis(cartesian_basis(d_a, d_b), k_moves, seed, tol)
 
 
-def _matrix_to_json(m: np.ndarray):
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-
-
 def move_to_record(move: WindingMove) -> dict:
     """JSON-serializable record of a move (stored in basis provenance)."""
     return {
         "op": "winding_move",
-        "a_basis": _matrix_to_json(move.split.a_basis),
-        "b_basis": _matrix_to_json(move.split.b_basis),
-        "u_a": _matrix_to_json(move.u_a),
-        "u_b": _matrix_to_json(move.u_b),
+        "a_basis": complex_to_json(move.split.a_basis),
+        "b_basis": complex_to_json(move.split.b_basis),
+        "u_a": complex_to_json(move.u_a),
+        "u_b": complex_to_json(move.u_b),
     }
 
 
 def move_from_record(record: dict) -> WindingMove:
+    """Inverse of :func:`move_to_record`.
+
+    A record whose ``op`` is not ``winding_move`` raises ``ValueError``; any
+    other malformed record raises :class:`BasisFileError`.
+    """
+    if not isinstance(record, dict):
+        raise BasisFileError("a winding move record must be an object")
     if record.get("op") != "winding_move":
         raise ValueError(f"not a winding move record: {record.get('op')!r}")
-    split = SubspacePair(_matrix_from_json(record["a_basis"]), _matrix_from_json(record["b_basis"]))
-    return WindingMove(split, _matrix_from_json(record["u_a"]), _matrix_from_json(record["u_b"]))
+    a, b, u_a, u_b = (complex_from_json(record.get(k), 2, k) for k in ("a_basis", "b_basis", "u_a", "u_b"))
+    try:
+        return WindingMove(SubspacePair(a, b), u_a, u_b)
+    except ValueError as exc:
+        raise BasisFileError(f"invalid winding move record: {exc}") from exc

@@ -7,10 +7,17 @@ from prodbasis.basis import ProductBasis, ProductState
 from prodbasis.cli import main
 from prodbasis.errors import BasisFileError, NoTileMetadata
 from prodbasis.families import cartesian_basis, gen_tiles1, gen_tiles2
-from prodbasis.io import basis_from_payload, basis_to_payload, load_basis, save_basis
+from prodbasis.io import (
+    basis_from_payload,
+    basis_to_payload,
+    complex_from_json,
+    complex_to_json,
+    load_basis,
+    save_basis,
+)
 from prodbasis.render import render_tiles
 from prodbasis.sampling import random_unit_vector, stream
-from prodbasis.winding import move_from_record, random_wound_basis
+from prodbasis.winding import move_from_record, move_to_record, random_wound_basis
 
 
 def random_basis_like(n_states, d_a, d_b, seed):
@@ -225,14 +232,20 @@ def test_cli_pb_seed_env(tmp_path, capsys, monkeypatch):
     assert via_env == via_flag
 
 
-def write_cartesian_payload(path, **changes):
+def cartesian_text(**changes) -> str:
+    """A Cartesian 2x3 basis file with top-level fields or state 0's "a" or "tile_cells" replaced."""
     payload = basis_to_payload(cartesian_basis(2, 3))
     for key, value in changes.items():
-        if key == "tile_cells":
-            payload["states"][0]["tile_cells"] = value
+        if key in ("a", "tile_cells"):
+            payload["states"][0][key] = value
         else:
             payload[key] = value
-    path.write_text(json.dumps(payload))
+    # the string "1e400" stands for the bare JSON number, which parses as inf
+    return json.dumps(payload).replace('"1e400"', "1e400")
+
+
+def write_cartesian_payload(path, **changes):
+    path.write_text(cartesian_text(**changes))
     return path
 
 
@@ -257,4 +270,105 @@ def test_cli_rejects_non_integer_pb_seed(tmp_path, capsys, monkeypatch):
     code, stdout, stderr = run_cli(["wind", "--cartesian", "2", "2", "--out", str(tmp_path / "w.json")], capsys)
     assert code == 1 and stdout == ""
     assert stderr == "error: PB_SEED must be an integer, got 'seven'\n"
+    assert not (tmp_path / "w.json").exists()
+
+
+MALFORMED_NUMBERS = {
+    "dims_overflow": {"dims": ["1e400", 2]},
+    "tile_cell_overflow": {"tile_cells": [["1e400", 0]]},
+    "empty_amplitudes": {"a": []},
+    "fractional_dims": {"dims": [2.7, 3]},  # int() would read it as the fixture's 2x3
+}
+
+
+@pytest.mark.parametrize("changes", MALFORMED_NUMBERS.values(), ids=MALFORMED_NUMBERS.keys())
+def test_load_rejects_malformed_numbers(tmp_path, changes):
+    path = write_cartesian_payload(tmp_path / "bad.json", **changes)
+    with pytest.raises(BasisFileError):
+        load_basis(path)
+
+
+def test_codec_round_trip_keeps_signed_zeros():
+    m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.5, 2.0), 1e-300j]])
+    text = json.dumps(complex_to_json(m))
+    assert text == "[[[-0.0, 0.0], [0.0, -0.0]], [[-0.5, 2.0], [0.0, 1e-300]]]"
+    back = complex_from_json(json.loads(text), 2, "m")
+    assert back.shape == (2, 2)
+    assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
+
+    state = ProductState(np.array([complex(-0.0, -0.0), 1.0]), np.array([1.0, complex(0.0, -0.0)]))
+    loaded = basis_from_payload(basis_to_payload(ProductBasis(2, 2, (state,))))[0]
+    assert np.array_equal(loaded.a.view(np.uint64), state.a.view(np.uint64))
+    assert np.array_equal(loaded.b.view(np.uint64), state.b.view(np.uint64))
+
+
+@pytest.mark.parametrize("value", [
+    [], [[]], [[1.0, 0.0], [1.0]], [[1.0, 0.0, 0.0]], [["1", 0.0]], [[None, 0.0]],
+    [[float("inf"), 0.0]], [[10**400, 0.0]], [[[1.0, 0.0]]], 3.0, {"re": 1.0}, None,
+])
+def test_codec_rejects_malformed_vectors(value):
+    with pytest.raises(BasisFileError):
+        complex_from_json(value, 1, "v")
+
+
+def test_move_from_record_rejects_malformed():
+    _, moves = random_wound_basis(2, 3, 1, 4)
+    record = move_to_record(moves[0])
+    assert np.array_equal(move_from_record(record).u_a, moves[0].u_a)
+    for key, value in (("u_a", [[1.0, 0.0]]), ("a_basis", [[[1.0, 0.0]], [1.0]]),
+                       ("u_b", [[["x", 0.0]]]), ("b_basis", [[[2.0, 0.0]]])):
+        with pytest.raises(BasisFileError):
+            move_from_record({**record, key: value})
+    with pytest.raises(BasisFileError):
+        move_from_record({k: v for k, v in record.items() if k != "u_b"})
+    with pytest.raises(BasisFileError):
+        move_from_record([record])
+    with pytest.raises(ValueError, match="not a winding move record"):
+        move_from_record({**record, "op": "swap"})
+
+
+def duplicated_state_text() -> str:
+    st = cartesian_basis(2, 2).states[0]
+    return json.dumps(basis_to_payload(ProductBasis(2, 2, (st, st))))
+
+
+# Every file the table below refers to, by name; the first three are well formed.
+CLI_FILES = {
+    "g2": lambda: json.dumps(basis_to_payload(gen_tiles2(3, 4))),
+    "cart": lambda: cartesian_text(),
+    "wound": lambda: json.dumps(basis_to_payload(random_wound_basis(2, 2, 1, 3)[0])),
+    "not_json": lambda: "{not json",
+    "format_version_99": lambda: json.dumps({"format_version": 99, "dims": [2, 2], "states": []}),
+    "not_unit_norm": lambda: cartesian_text(a=[[0.5, 0.0], [0.0, 0.0]]),
+    "dims_not_integer": lambda: cartesian_text(dims=["x", 3]),
+    "short_tile_cell": lambda: cartesian_text(tile_cells=[[0]]),
+    "duplicated_state": duplicated_state_text,
+    **{name: (lambda changes=changes: cartesian_text(**changes)) for name, changes in MALFORMED_NUMBERS.items()},
+}
+
+# (case, argv, environment); "{tmp}" is the directory holding CLI_FILES
+CLI_MALFORMED = [
+    *((name, ["verify", f"{{tmp}}/{name}.json"], {}) for name in list(CLI_FILES)[3:]),
+    ("missing_file", ["verify", "{tmp}/absent.json"], {}),
+    ("render_without_tiles", ["render", "{tmp}/wound.json"], {}),
+    ("render_short_tile_cell", ["render", "{tmp}/short_tile_cell.json"], {}),
+    ("pb_seed_not_integer", ["wind", "--cartesian", "2", "2", "--out", "{tmp}/w.json"], {"PB_SEED": "seven"}),
+    ("gentiles1_without_n", ["construct", "--family", "gentiles1", "--out", "{tmp}/g.json"], {}),
+    ("wind_file_and_cartesian", ["wind", "{tmp}/cart.json", "--cartesian", "2", "3", "--out", "{tmp}/w.json"], {}),
+    ("verify_restarts_0", ["verify", "{tmp}/g2.json", "--restarts", "0"], {}),
+    ("boundent_restarts_0", ["boundent", "{tmp}/g2.json", "--restarts", "0"], {}),
+    ("wind_moves_negative", ["wind", "--cartesian", "2", "2", "--moves", "-1", "--out", "{tmp}/w.json"], {}),
+    ("unwind_depth_negative", ["unwind", "{tmp}/cart.json", "--depth", "-1"], {}),
+]
+
+
+@pytest.mark.parametrize("argv, env", [case[1:] for case in CLI_MALFORMED], ids=[case[0] for case in CLI_MALFORMED])
+def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, argv, env):
+    for name, text in CLI_FILES.items():
+        (tmp_path / f"{name}.json").write_text(text())
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, stdout, stderr = run_cli([arg.format(tmp=tmp_path) for arg in argv], capsys)
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: ") and "Traceback" not in stderr
     assert not (tmp_path / "w.json").exists()

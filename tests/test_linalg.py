@@ -3,16 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodbasis.errors import DimensionMismatch, NonOrthonormalInput, NotHermitian
-from prodbasis.families import gen_tiles1
-from prodbasis.linalg import (
-    basis_vector,
-    hermitian_eig,
-    kron,
-    partial_transpose,
-    projector_from_states,
-    top_eigenvector,
-)
+from prodbasis.errors import DimensionMismatch
+from prodbasis.linalg import basis_vector, kron, partial_transpose, top_eigenvector
 
 
 def random_vector(rng, dim):
@@ -47,66 +39,6 @@ def test_kron_associative_on_entries(seed):
     rng = np.random.default_rng(seed)
     u, v, w = (random_vector(rng, d) for d in (2, 3, 2))
     assert np.max(np.abs(kron(kron(u, v), w) - kron(u, kron(v, w)))) <= 1e-12
-
-
-def test_projector_rank_one():
-    p = projector_from_states([basis_vector(4, 1)])
-    assert abs(np.trace(p) - 1.0) < 1e-12
-    assert np.max(np.abs(p @ p - p)) < 1e-12
-
-
-def test_projector_full_basis_is_identity():
-    p = projector_from_states([basis_vector(3, k) for k in range(3)])
-    assert np.max(np.abs(p - np.eye(3))) < 1e-12
-
-
-def test_projector_gentiles1_trace():
-    # independent oracle: Gram formed directly from the global vectors
-    basis = gen_tiles1(6)
-    vecs = [st.global_vector() for st in basis]
-    gram = np.array([[np.vdot(x, y) for y in vecs] for x in vecs])
-    assert np.max(np.abs(gram - np.eye(25))) < 1e-10
-    p = projector_from_states(vecs)
-    assert abs(np.trace(p).real - 25.0) <= 1e-9
-
-
-def test_projector_rejects_non_orthonormal():
-    v = basis_vector(2, 0)
-    with pytest.raises(NonOrthonormalInput):
-        projector_from_states([v, v])
-
-
-def test_projector_eigenvalues_within_unit_interval():
-    rng = np.random.default_rng(5)
-    vs = np.linalg.qr(random_vector(rng, 6).reshape(-1, 1) + rng.standard_normal((6, 3)))[0][:, :3]
-    p = projector_from_states([vs[:, i] for i in range(3)])
-    w = np.linalg.eigvalsh(p)
-    assert w[0] >= -1e-8 and w[-1] <= 1 + 1e-8
-    assert np.max(np.abs(p @ p - p)) < 1e-10
-
-
-def test_hermitian_eig_identity_and_diag():
-    w, _ = hermitian_eig(np.eye(3, dtype=complex))
-    assert np.allclose(w, [1, 1, 1])
-    w, _ = hermitian_eig(np.diag([-1.0, 0.0, 2.0]).astype(complex))
-    assert np.allclose(w, [-1, 0, 2])
-
-
-def test_hermitian_eig_reconstruction_and_trace():
-    rng = np.random.default_rng(11)
-    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    m = (m + m.conj().T) / 2
-    w, v = hermitian_eig(m)
-    recon = (v * w) @ v.conj().T
-    scale = np.max(np.abs(m))
-    assert np.max(np.abs(recon - m)) <= 1e-8 * scale
-    assert np.max(np.abs(v.conj().T @ v - np.eye(6))) <= 1e-8
-    assert abs(np.sum(w) - np.trace(m).real) <= 1e-8 * 6
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 def test_top_eigenvector_deterministic_under_degeneracy():

@@ -1,0 +1,48 @@
+"""The public API (``prodbasis.__all__``) and the ``Tolerances`` fields are contracts."""
+
+import dataclasses
+
+import prodbasis
+
+PUBLIC_API = [
+    "BasisFileError", "CompleteBasisInput", "CountMismatch", "DensityMatrix",
+    "DimensionMismatch", "DimensionTooLarge", "Family", "GramDeviations",
+    "GridOracleResult", "IncompleteBasis", "IndexOutOfRange", "InvalidDimension",
+    "InvalidProjector", "InvalidSplit", "NoTileMetadata", "NoValidSplit",
+    "NonMonotoneSeesaw", "NonOrthonormalInput", "ProductBasis", "ProductBasisError",
+    "ProductState", "RangeCriterionReport", "RangeVerdict", "SeesawResult",
+    "SplitClass", "SubspacePair", "TOLERANCES", "Tolerances", "Verdict",
+    "VerificationReport", "WindingInvariantError", "WindingMove", "ZeroState",
+    "apply_winding_move", "basis_set_equal_up_to_phase", "basis_vector",
+    "cartesian_basis", "check_orthonormal", "check_upb", "complement_projector",
+    "cyclic_shift_basis", "enumerate_splits", "fourier_local_state", "gen_tiles1",
+    "gen_tiles2", "gram_matrix", "grid_oracle_max_product_overlap", "inverse_move",
+    "is_cartesian", "is_ppt", "kron", "load_basis", "move_from_record",
+    "move_to_record", "partial_transpose", "random_wound_basis",
+    "range_criterion_report", "render_tiles", "save_basis",
+    "seesaw_max_product_overlap", "swap_shift_basis", "top_eigenvector", "unwind",
+    "upb_density_state", "validate_split", "wind_basis",
+]
+
+TOLERANCE_FIELDS = [
+    "unit_norm", "orthonormality", "operator_interval", "upb_margin",
+    "extendible_margin", "range_cutoff", "ppt", "ray_grouping",
+    "split_inside_residual", "split_outside_overlap", "set_match",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(prodbasis.__all__) == PUBLIC_API
+
+
+def test_public_api_names_resolve():
+    namespace = {}
+    exec("from prodbasis import *", namespace)
+    assert all(name in namespace for name in PUBLIC_API)
+    for removed in ("projector_from_states", "hermitian_eig", "NotHermitian"):
+        assert not hasattr(prodbasis, removed)
+    assert not hasattr(prodbasis.ProductBasis, "with_provenance")
+
+
+def test_tolerance_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(prodbasis.Tolerances)] == TOLERANCE_FIELDS
