@@ -6,6 +6,13 @@ so it cannot be distilled.  This module builds that state and checks both
 halves of the signature numerically: the PPT test via the minimum
 partial-transpose eigenvalue, and the range criterion via the same see-saw
 search used for unextendibility.
+
+For a UPB complement state the two searches are one: the range of
+(I - P_S)/(D - N) is the complement of the span, and "no product state in
+the complement" is what unextendible means.  So one see-saw on the range
+projector gives both the range criterion and the unextendibility verdict
+(``prodbasis boundent`` reads its gate from it through
+:func:`prodbasis.verify.overlap_verdict`).
 """
 
 from __future__ import annotations
@@ -49,11 +56,12 @@ class DensityMatrix:
         dim = self.d_a * self.d_b
         if m.shape != (dim, dim):
             raise DimensionMismatch(f"matrix shape {m.shape} does not match dims ({self.d_a}, {self.d_b})")
-        if float(np.max(np.abs(m - m.conj().T))) > 1e-10:
+        # written so that NaN fails each check
+        if not float(np.max(np.abs(m - m.conj().T))) <= 1e-10:
             raise ValueError("density matrix is not Hermitian within 1e-10")
-        if abs(float(np.trace(m).real) - 1.0) > 1e-10:
+        if not abs(float(np.trace(m).real) - 1.0) <= 1e-10:
             raise ValueError("density matrix trace differs from 1 beyond 1e-10")
-        if float(np.linalg.eigvalsh(hermitian_part(m))[0]) < -1e-10:
+        if not float(np.linalg.eigvalsh(hermitian_part(m))[0]) >= -1e-10:
             raise ValueError("density matrix has an eigenvalue below -1e-10")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -77,15 +85,15 @@ class RangeCriterionReport:
 def upb_density_state(basis: ProductBasis, tol: Tolerances = TOLERANCES) -> DensityMatrix:
     """Uniform mixture over the complement of the basis span.
 
-    rho = (I - P_S) / (dA*dB - N); the spectrum is {0, 1/(D - N)}.  Callers
-    are expected to have certified the basis as numerically unextendible;
-    the construction itself only needs the complement to be nonempty.
+    rho = (I - P_S) / (dA*dB - N); the spectrum is {0, 1/(D - N)}.  The
+    basis is checked for orthonormality first (:class:`NonOrthonormalInput`),
+    then for a nonempty complement (:class:`CompleteBasisInput`).  Whether
+    the basis is unextendible is left to the range criterion on the result.
     """
-    n = len(basis)
-    rank = basis.dim - n
+    q = complement_projector(basis, tol)
+    rank = basis.dim - len(basis)
     if rank == 0:
         raise CompleteBasisInput("basis spans the full space, the complement state is empty")
-    q = complement_projector(basis, tol)
     return DensityMatrix(q / rank, basis.d_a, basis.d_b)
 
 

@@ -28,6 +28,7 @@ from .boundent import is_ppt, range_criterion_report, upb_density_state
 from .config import TOLERANCES
 from .errors import (
     BasisFileError,
+    CompleteBasisInput,
     IncompleteBasis,
     InvalidDimension,
     NonOrthonormalInput,
@@ -37,7 +38,7 @@ from .errors import (
 from .families import cartesian_basis, gen_tiles1, gen_tiles2
 from .io import complex_to_json, load_basis, save_basis
 from .render import render_tiles
-from .verify import Verdict, check_upb
+from .verify import Verdict, check_upb, overlap_verdict
 from .winding import move_to_record, unwind, wind_basis
 
 EXIT_OK = 0
@@ -164,20 +165,27 @@ def cmd_boundent(args) -> int:
         return _fail(str(exc), EXIT_BAD_INPUT)
     seed = _default_seed() if args.seed is None else args.seed
     try:
-        report = check_upb(basis, restarts=args.restarts, seed=seed)
+        rho = upb_density_state(basis)
     except NonOrthonormalInput as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
-    if report.verdict in (Verdict.COMPLETE_BASIS, Verdict.EXTENDIBLE):
+    except ValueError as exc:  # norm errors within tolerance can add up in the trace
+        return _fail(f"complement state is not a valid density matrix: {exc}", EXIT_BAD_INPUT)
+    except CompleteBasisInput:
+        verdict = Verdict.COMPLETE_BASIS
+    else:
+        # The range of the complement state is the complement, so the range
+        # see-saw also decides whether the basis is unextendible.
+        range_report = range_criterion_report(rho, restarts=args.restarts, seed=seed)
+        verdict = overlap_verdict(range_report.max_product_overlap)
+    if verdict in (Verdict.COMPLETE_BASIS, Verdict.EXTENDIBLE):
         return _fail(
-            f"basis verdict is {report.verdict.value}; the complement state needs an unextendible basis",
+            f"basis verdict is {verdict.value}; the complement state needs an unextendible basis",
             EXIT_NOT_UPB,
         )
-    if report.verdict is Verdict.INCONCLUSIVE:
+    if verdict is Verdict.INCONCLUSIVE:
         return _fail("unextendibility check was inconclusive", EXIT_INCONCLUSIVE)
 
-    rho = upb_density_state(basis)
     ppt_ok, min_pt = is_ppt(rho)
-    range_report = range_criterion_report(rho, restarts=args.restarts, seed=seed)
     payload = {
         "dims": [basis.d_a, basis.d_b],
         "states": len(basis),

@@ -85,7 +85,7 @@ def basis_from_payload(payload: dict) -> ProductBasis:
     if not isinstance(payload, dict):
         raise BasisFileError("top-level JSON value must be an object")
     version = payload.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 equal 1
         raise BasisFileError(f"unsupported format_version {version!r}")
     dims = payload.get("dims")
     if not _is_int_pair(dims):
@@ -117,6 +117,9 @@ def basis_from_payload(payload: dict) -> ProductBasis:
     provenance = payload.get("provenance") or ()
     if provenance and not isinstance(provenance, list):
         raise BasisFileError("provenance must be a list when present")
+    for i, entry in enumerate(provenance):
+        if not (isinstance(entry, dict) and isinstance(entry.get("op"), str)):
+            raise BasisFileError(f"provenance entry {i} must be an object with a string \"op\"")
     try:
         return ProductBasis(d_a, d_b, tuple(states), family=family, provenance=tuple(provenance))
     except DimensionMismatch as exc:

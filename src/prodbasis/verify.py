@@ -39,6 +39,7 @@ __all__ = [
     "complement_projector",
     "seesaw_max_product_overlap",
     "grid_oracle_max_product_overlap",
+    "overlap_verdict",
     "check_upb",
     "basis_set_equal_up_to_phase",
 ]
@@ -132,11 +133,12 @@ def _check_operator_interval(q: np.ndarray, d_a: int, d_b: int, slack: float):
     dim = d_a * d_b
     if q.shape != (dim, dim):
         raise DimensionMismatch(f"operator shape {q.shape} does not match dims ({d_a}, {d_b})")
-    if float(np.max(np.abs(q - dagger(q)))) > slack:
+    # written so that NaN fails each check
+    if not float(np.max(np.abs(q - dagger(q)))) <= slack:
         raise InvalidProjector("operator is not Hermitian within tolerance")
     q = hermitian_part(q)
     w, v = np.linalg.eigh(q)
-    if w[0] < -slack or w[-1] > 1.0 + slack:
+    if not (w[0] >= -slack and w[-1] <= 1.0 + slack):
         raise InvalidProjector(f"spectrum [{w[0]:.3e}, {w[-1]:.3e}] outside [0, 1]")
     return q, w, v
 
@@ -295,6 +297,20 @@ def grid_oracle_max_product_overlap(
     return GridOracleResult(value=value, gap_bound=float(lipschitz * max_spacing))
 
 
+def overlap_verdict(value: float, eta: float | None = None, tol: Tolerances = TOLERANCES) -> Verdict:
+    """Unextendibility verdict of a see-saw maximum over the complement.
+
+    ``Extendible`` at ``value >= 1 - tol.extendible_margin``, ``UPB_Numeric``
+    below ``1 - eta`` (default ``tol.upb_margin``), ``Inconclusive`` between.
+    """
+    eta = tol.upb_margin if eta is None else eta
+    if value >= 1.0 - tol.extendible_margin:
+        return Verdict.EXTENDIBLE
+    if value < 1.0 - eta:
+        return Verdict.UPB_NUMERIC
+    return Verdict.INCONCLUSIVE
+
+
 def check_upb(
     basis: ProductBasis,
     restarts: int = 100,
@@ -309,9 +325,9 @@ def check_upb(
     Verdicts: ``CompleteBasis`` when the complement is empty (the see-saw is
     skipped), ``Extendible`` when a product state with overlap >= 1 - 1e-8
     is found in the complement (witness attached), ``UPB_Numeric`` when the
-    best overlap stays below 1 - eta, and ``Inconclusive`` in between.
+    best overlap stays below 1 - eta, and ``Inconclusive`` in between (see
+    :func:`overlap_verdict`).
     """
-    eta = tol.upb_margin if eta is None else eta
     dev = _require_orthonormal(basis, tol.orthonormality)
     span_rank = len(basis)
     complement_dim = basis.dim - span_rank
@@ -336,12 +352,7 @@ def check_upb(
         restarts=restarts, seed=seed, stop_tol=stop_tol,
         max_iterations=max_iterations, tol=tol,
     )
-    if result.value >= 1.0 - tol.extendible_margin:
-        verdict = Verdict.EXTENDIBLE
-    elif result.value < 1.0 - eta:
-        verdict = Verdict.UPB_NUMERIC
-    else:
-        verdict = Verdict.INCONCLUSIVE
+    verdict = overlap_verdict(result.value, eta, tol)
     return VerificationReport(
         gram_max_offdiag=dev.max_offdiag,
         gram_max_diag_error=dev.max_diag_error,

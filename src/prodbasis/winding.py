@@ -61,7 +61,7 @@ def _orthonormal_columns(mat, name: str) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] < 1 or arr.shape[0] < arr.shape[1]:
         raise ValueError(f"{name} must hold 1..dim orthonormal columns")
     gram = dagger(arr) @ arr
-    if float(np.max(np.abs(gram - np.eye(arr.shape[1])))) > _MATRIX_TOL:
+    if not float(np.max(np.abs(gram - np.eye(arr.shape[1])))) <= _MATRIX_TOL:  # NaN fails
         raise ValueError(f"{name} columns are not orthonormal within {_MATRIX_TOL:g}")
     arr.setflags(write=False)
     return arr
@@ -97,7 +97,7 @@ def _unitary(mat, dim: int, name: str) -> np.ndarray:
     arr = np.array(mat, dtype=complex)
     if arr.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim}x{dim}")
-    if float(np.max(np.abs(dagger(arr) @ arr - np.eye(dim)))) > _MATRIX_TOL:
+    if not float(np.max(np.abs(dagger(arr) @ arr - np.eye(dim)))) <= _MATRIX_TOL:  # NaN fails
         raise ValueError(f"{name} is not unitary within {_MATRIX_TOL:g}")
     arr.setflags(write=False)
     return arr

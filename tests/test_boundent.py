@@ -1,6 +1,11 @@
+import json
+import sys
+
 import numpy as np
 import pytest
 
+from prodbasis import boundent, verify
+from prodbasis.basis import ProductBasis, ProductState
 from prodbasis.boundent import (
     DensityMatrix,
     RangeVerdict,
@@ -8,10 +13,12 @@ from prodbasis.boundent import (
     range_criterion_report,
     upb_density_state,
 )
-from prodbasis.errors import CompleteBasisInput
+from prodbasis.cli import main
+from prodbasis.errors import CompleteBasisInput, NonOrthonormalInput
 from prodbasis.families import cartesian_basis, gen_tiles1, gen_tiles2
+from prodbasis.io import complex_to_json, load_basis, save_basis
 from prodbasis.linalg import basis_vector, kron, partial_transpose
-from prodbasis.verify import complement_projector
+from prodbasis.verify import Verdict, check_upb, complement_projector
 
 
 def bell_density():
@@ -37,6 +44,17 @@ def test_density_state_gentiles2_34():
 def test_density_state_rejects_complete_basis():
     with pytest.raises(CompleteBasisInput):
         upb_density_state(cartesian_basis(2, 2))
+
+
+def test_density_state_checks_orthonormality_before_completeness():
+    st = cartesian_basis(2, 2).states
+    with pytest.raises(NonOrthonormalInput):
+        upb_density_state(ProductBasis(2, 2, (st[0], st[0], st[1], st[2])))
+
+
+def test_density_matrix_rejects_nan():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(np.full((4, 4), np.nan, dtype=complex), 2, 2)
 
 
 def test_density_state_commutes_with_complement():
@@ -102,3 +120,125 @@ def test_range_criterion_inconclusive_on_pure_product():
     report = range_criterion_report(rho, restarts=10, seed=0)
     assert report.verdict is RangeVerdict.INCONCLUSIVE
     assert report.max_product_overlap >= 1 - 1e-9
+
+
+def drop_last(basis):
+    return ProductBasis(basis.d_a, basis.d_b, basis.states[:-1], family=basis.family)
+
+
+def non_orthonormal(n_states):
+    """Cartesian 2x2 states with state 0 repeated, ``n_states`` in all."""
+    st = cartesian_basis(2, 2).states
+    return ProductBasis(2, 2, (st[0],) + st[:n_states - 1])
+
+
+BOUNDENT_FILES = {
+    "g1_4": lambda: gen_tiles1(4),
+    "g1_6": lambda: gen_tiles1(6),
+    "g2_3x4": lambda: gen_tiles2(3, 4),
+    "g1_8_minus1": lambda: drop_last(gen_tiles1(8)),       # extendible: exit 5
+    "g2_4x6_minus1": lambda: drop_last(gen_tiles2(4, 6)),  # extendible: exit 5
+    "cart_3x3": lambda: cartesian_basis(3, 3),             # complete: exit 5
+    "non_orthonormal": lambda: non_orthonormal(2),         # exit 1
+    "non_orthonormal_full": lambda: non_orthonormal(4),    # dA*dB states, still exit 1
+}
+
+
+def two_seesaw_boundent(path, seed, out) -> int:
+    """``boundent PATH --seed SEED --out OUT`` as it was run before the pipeline merge.
+
+    ``check_upb`` decides unextendibility with a see-saw on the complement
+    projector, and the range criterion runs a second see-saw on the range of
+    the complement state.
+    """
+    basis = load_basis(path)
+    try:
+        report = check_upb(basis, restarts=100, seed=seed)
+    except NonOrthonormalInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if report.verdict in (Verdict.COMPLETE_BASIS, Verdict.EXTENDIBLE):
+        print(f"error: basis verdict is {report.verdict.value}; "
+              "the complement state needs an unextendible basis", file=sys.stderr)
+        return 5
+    if report.verdict is Verdict.INCONCLUSIVE:
+        print("error: unextendibility check was inconclusive", file=sys.stderr)
+        return 4
+    rho = upb_density_state(basis)
+    ppt_ok, min_pt = is_ppt(rho)
+    range_report = range_criterion_report(rho, restarts=100, seed=seed)
+    payload = {
+        "dims": [basis.d_a, basis.d_b],
+        "states": len(basis),
+        "density": {"trace": 1.0, "rank": basis.dim - len(basis)},
+        "ppt": {"is_ppt": bool(ppt_ok), "min_partial_transpose_eigenvalue": min_pt},
+        "range_criterion": {
+            "verdict": range_report.verdict.value,
+            "range_rank": range_report.range_rank,
+            "max_product_overlap": range_report.max_product_overlap,
+        },
+        "seed": seed,
+    }
+    print(json.dumps(payload, indent=2))
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump({"dims": [rho.d_a, rho.d_b], "matrix": complex_to_json(rho.matrix)}, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote density matrix to {out}", file=sys.stderr)
+    return 0
+
+
+def run_boundent(run, path, seed, out, capsys):
+    code = run(path, seed, out)
+    captured = capsys.readouterr()
+    density = out.read_bytes() if out.exists() else None
+    return code, captured.out, captured.err.replace(str(out), "OUT"), density
+
+
+def cli_boundent(path, seed, out):
+    return main(["boundent", str(path), "--seed", str(seed), "--out", str(out)])
+
+
+@pytest.mark.parametrize("name", BOUNDENT_FILES)
+def test_cli_boundent_matches_two_seesaw_sequence(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    save_basis(BOUNDENT_FILES[name](), path)
+    for seed in range(4):
+        new = run_boundent(cli_boundent, path, seed, tmp_path / f"new{seed}.json", capsys)
+        old = run_boundent(two_seesaw_boundent, path, seed, tmp_path / f"old{seed}.json", capsys)
+        assert new == old
+    expected = {"g1_8_minus1": 5, "g2_4x6_minus1": 5, "cart_3x3": 5,
+                "non_orthonormal": 1, "non_orthonormal_full": 1}.get(name, 0)
+    assert new[0] == expected
+
+
+def test_cli_boundent_rejects_unnormalizable_complement_state(tmp_path, capsys):
+    # 120 states whose norms pass every input check but whose complement
+    # state, of rank 1, misses trace 1 by about 2e-10
+    cart = cartesian_basis(11, 11)
+    states = tuple(ProductState(s.a * (1 + 9e-13), s.b) for s in cart.states[:-1])
+    path = tmp_path / "near_complete.json"
+    save_basis(ProductBasis(11, 11, states), path)
+    assert main(["boundent", str(path), "--restarts", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: complement state is not a valid density matrix: ")
+
+
+def test_cli_boundent_runs_one_gram_and_one_seesaw(tmp_path, capsys, monkeypatch):
+    calls = {"gram": 0, "seesaw": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(verify, "gram_matrix", counted("gram", verify.gram_matrix))
+    seesaw = counted("seesaw", verify.seesaw_max_product_overlap)
+    for module in (verify, boundent):  # boundent imports the see-saw by name
+        monkeypatch.setattr(module, "seesaw_max_product_overlap", seesaw)
+    path = tmp_path / "g2.json"
+    save_basis(gen_tiles2(3, 4), path)
+    assert main(["boundent", str(path), "--restarts", "10", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["range_criterion"]["range_rank"] == 5
+    assert calls == {"gram": 1, "seesaw": 1}

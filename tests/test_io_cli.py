@@ -343,6 +343,11 @@ CLI_FILES = {
     "dims_not_integer": lambda: cartesian_text(dims=["x", 3]),
     "short_tile_cell": lambda: cartesian_text(tile_cells=[[0]]),
     "duplicated_state": duplicated_state_text,
+    "format_version_true": lambda: cartesian_text(format_version=True),
+    "format_version_float": lambda: cartesian_text(format_version=1.0),
+    "provenance_not_objects": lambda: cartesian_text(provenance=[1, "x"]),
+    "provenance_without_op": lambda: cartesian_text(provenance=[{"shift": 1}]),
+    "provenance_op_not_string": lambda: cartesian_text(provenance=[{"op": 3}]),
     **{name: (lambda changes=changes: cartesian_text(**changes)) for name, changes in MALFORMED_NUMBERS.items()},
 }
 

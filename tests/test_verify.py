@@ -20,6 +20,7 @@ from prodbasis.verify import (
     complement_projector,
     gram_matrix,
     grid_oracle_max_product_overlap,
+    overlap_verdict,
     seesaw_max_product_overlap,
 )
 
@@ -110,6 +111,16 @@ def test_seesaw_rejects_bad_operator():
         seesaw_max_product_overlap(np.array([[0, 1], [0, 0]], dtype=complex), 1, 2, restarts=1, seed=0)
 
 
+def test_seesaw_rejects_nan_operator():
+    with pytest.raises(InvalidProjector):
+        seesaw_max_product_overlap(np.full((4, 4), np.nan, dtype=complex), 2, 2, restarts=1, seed=0)
+
+
+def test_grid_oracle_rejects_nan_operator():
+    with pytest.raises(InvalidProjector):
+        grid_oracle_max_product_overlap(np.full((4, 4), np.nan, dtype=complex), 2, 2, resolution=8)
+
+
 def test_grid_oracle_rank_one_product():
     v = kron(basis_vector(2, 0), basis_vector(2, 0))
     q = np.outer(v, v.conj())
@@ -188,6 +199,15 @@ def test_check_upb_builds_one_gram_matrix(monkeypatch):
     report = check_upb(gen_tiles2(3, 4), restarts=5, seed=0)
     assert report.verdict is Verdict.UPB_NUMERIC
     assert len(calls) == 1
+
+
+def test_overlap_verdict_thresholds():
+    assert overlap_verdict(1.0 - 1e-8) is Verdict.EXTENDIBLE
+    assert overlap_verdict(1.0 - 2e-8) is Verdict.INCONCLUSIVE
+    assert overlap_verdict(1.0 - 1e-3) is Verdict.INCONCLUSIVE
+    assert overlap_verdict(0.998) is Verdict.UPB_NUMERIC
+    assert overlap_verdict(0.95, eta=0.1) is Verdict.INCONCLUSIVE
+    assert overlap_verdict(float("nan")) is Verdict.INCONCLUSIVE
 
 
 def test_check_upb_propagates_non_orthonormal():

@@ -115,6 +115,17 @@ def test_apply_rejects_invalid_split():
         apply_winding_move(basis, move)
 
 
+def test_subspace_pair_rejects_nan_columns():
+    with pytest.raises(ValueError, match="not orthonormal"):
+        SubspacePair(np.full((2, 1), np.nan), np.eye(2)[:, :1])
+
+
+def test_winding_move_rejects_nan_unitary():
+    split = axis_split(2, 2, a_cols=[[1, 0]])
+    with pytest.raises(ValueError, match="not unitary"):
+        WindingMove(split, np.eye(1, dtype=complex), np.full((2, 2), np.nan, dtype=complex))
+
+
 def test_inverse_move_involution():
     _, move = wound_pi_over_7()
     double = inverse_move(inverse_move(move))
