@@ -7,9 +7,14 @@ productness survive every move, so repeated winding manufactures complete
 product bases with nontrivial local structure; unwinding searches for a
 move sequence that returns a basis to grid (Cartesian) form.
 
-The unwinder is best effort with certified output: any returned sequence is
-re-applied and checked, and an exhausted search is reported as absence, not
-as a proof that no unwinding exists.
+Both `wind_basis` and the unwinder apply a move to the inside states that
+their split table already classified; `apply_winding_move` validates the
+split itself.  The unwinder searches level by level in path order, so it
+returns the sequence iterative deepening would (smallest by depth, split
+index, move index) while expanding each basis once and storing one level.
+It is best effort with certified output: any returned sequence is
+re-applied, every move validated again, and checked, and an exhausted
+search is reported as absence, not as a proof that no unwinding exists.
 """
 
 from __future__ import annotations
@@ -48,6 +53,9 @@ __all__ = [
 # max|C^dag C - I| for split columns and max|U^dag U - I| for move unitaries;
 # also the |R_ii| rank cut of the QR that spans a ray component
 _MATRIX_TOL = 1e-10
+# an alignment unitary whose diagonal entries all have modulus within this of 1
+# maps each ray onto its own axis, so its move would only change phases
+_PHASE_TOL = 1e-9
 
 
 class SplitClass(Enum):
@@ -196,6 +204,7 @@ def _embed(cols: np.ndarray, u: np.ndarray) -> np.ndarray:
 def apply_winding_move(basis: ProductBasis, move: WindingMove, tol: Tolerances = TOLERANCES) -> ProductBasis:
     """Rotate the inside block of a valid split by u_a (x) u_b.
 
+    The split is validated first (an invalid one raises :class:`InvalidSplit`).
     Outside states are fixed by the support condition.  The output is again
     a complete orthonormal product basis (checked; a failure raises
     :class:`WindingInvariantError`) and the move is appended to the basis
@@ -204,16 +213,24 @@ def apply_winding_move(basis: ProductBasis, move: WindingMove, tol: Tolerances =
     ok, classes = validate_split(basis, move.split, tol)
     if not ok:
         raise InvalidSplit("split does not classify every basis state")
+    return _rotate(basis, move, [cls is SplitClass.INSIDE for cls in classes], tol)
+
+
+def _rotate(basis: ProductBasis, move: WindingMove, inside, tol: Tolerances) -> ProductBasis:
+    """Apply a move to the states marked in ``inside``, a valid split's inside mask.
+
+    The caller vouches for the mask (from :func:`validate_split` or a split
+    table row); the Gram check of the output and the provenance record are
+    kept here.
+    """
     op_a = _embed(move.split.a_basis, move.u_a)
     op_b = _embed(move.split.b_basis, move.u_b)
-    states = []
-    for st, cls in zip(basis, classes):
-        if cls is SplitClass.INSIDE:
-            states.append(ProductState(op_a @ st.a, op_b @ st.b, label=st.label))
-        else:
-            states.append(st)
+    states = tuple(
+        ProductState(op_a @ st.a, op_b @ st.b, label=st.label) if x else st
+        for st, x in zip(basis, inside)
+    )
     out = ProductBasis(
-        basis.d_a, basis.d_b, tuple(states), family=Family.CUSTOM,
+        basis.d_a, basis.d_b, states, family=Family.CUSTOM,
         provenance=basis.provenance + (move_to_record(move),),
     )
     ok_gram, dev = check_orthonormal(out, tol.orthonormality)
@@ -415,7 +432,7 @@ def _alignment_unitary(reps) -> np.ndarray:
 
 
 def _is_phase_diagonal(u: np.ndarray) -> bool:
-    return bool(np.all(np.abs(np.abs(np.diag(u)) - 1.0) < 1e-9))
+    return bool(np.all(np.abs(np.abs(np.diag(u)) - 1.0) < _PHASE_TOL))
 
 
 def _candidate_moves(basis: ProductBasis, split: SubspacePair, inside, tol: Tolerances):
@@ -453,42 +470,59 @@ def _candidate_moves(basis: ProductBasis, split: SubspacePair, inside, tol: Tole
     return moves
 
 
-def _search(basis: ProductBasis, depth: int, tol: Tolerances):
+def _search(basis: ProductBasis, max_depth: int, tol: Tolerances):
+    """Level-order search for the first grid-form node within ``max_depth`` moves.
+
+    Levels are expanded in path order, and each basis is expanded once: one
+    split table, one candidate-move pass per split, and each child built once
+    and tested as it is built.  The first grid-form child found is the one
+    iterative deepening finds, the smallest path by (depth, split index, move
+    index), because every shallower node has already been tested.  Only the
+    level being expanded is stored, never the children of the last level.
+    """
     if is_cartesian(basis, tol.ray_grouping):
         return []
-    if depth == 0:
-        return None
-    table = _split_table(basis, tol)
-    for s in range(len(table)):
-        for move in _candidate_moves(basis, table.split(s), table.inside[s], tol):
-            deeper = _search(apply_winding_move(basis, move, tol), depth - 1, tol)
-            if deeper is not None:
-                return [move] + deeper
+    level = [(basis, [])]
+    for depth in range(max_depth):
+        last = depth == max_depth - 1
+        children = []
+        for node, path in level:
+            table = _split_table(node, tol)
+            for s in range(len(table)):
+                for move in _candidate_moves(node, table.split(s), table.inside[s], tol):
+                    child = _rotate(node, move, table.inside[s], tol)
+                    if is_cartesian(child, tol.ray_grouping):
+                        return path + [move]
+                    if not last:
+                        children.append((child, path + [move]))
+        level = children
     return None
 
 
 def unwind(basis: ProductBasis, max_depth: int, tol: Tolerances = TOLERANCES):
     """Search for a certified move sequence taking the basis to grid form.
 
-    Iterative deepening keeps the result the lexicographically smallest
-    certified sequence by (depth, split index, move index).  Returns the
-    move list, empty for an already-Cartesian basis, or ``None`` when the
-    search is exhausted; absence means "not unwound within this depth",
-    never "not unwindable".  Every returned sequence is independently
-    certified by re-application before being returned; a sequence that
+    A level-order search returns the smallest certified sequence by (depth,
+    split index, move index), as iterative deepening would, but expands each
+    basis it reaches once and holds one level of bases at a time.  Returns
+    the move list, empty for an already-Cartesian basis, or ``None`` when
+    the search is exhausted; absence means "not unwound within this depth",
+    never "not unwindable".  A negative ``max_depth`` raises ``ValueError``.
+    Every returned sequence is independently certified by re-application
+    (each move validated again) before being returned; a sequence that
     fails its replay raises :class:`WindingInvariantError`.
     """
+    if max_depth < 0:
+        raise ValueError("max_depth must be nonnegative")
     _require_complete(basis)
-    for depth in range(max_depth + 1):
-        seq = _search(basis, depth, tol)
-        if seq is not None:
-            replayed = basis
-            for move in seq:
-                replayed = apply_winding_move(replayed, move, tol)
-            if not is_cartesian(replayed, tol.ray_grouping):
-                raise WindingInvariantError("unwinding sequence failed certification")
-            return seq
-    return None
+    seq = _search(basis, max_depth, tol)
+    if seq is not None:
+        replayed = basis
+        for move in seq:
+            replayed = apply_winding_move(replayed, move, tol)
+        if not is_cartesian(replayed, tol.ray_grouping):
+            raise WindingInvariantError("unwinding sequence failed certification")
+    return seq
 
 
 def wind_basis(basis: ProductBasis, k_moves: int, seed: int, tol: Tolerances = TOLERANCES):
@@ -511,10 +545,11 @@ def wind_basis(basis: ProductBasis, k_moves: int, seed: int, tol: Tolerances = T
                 f"no proper split available after {m} moves", moves_applied=tuple(moves)
             )
         rng = stream(seed, m)
-        split = table.split(int(rng.integers(len(table))))
+        s = int(rng.integers(len(table)))
+        split = table.split(s)
         ka, kb = split.dims
         move = WindingMove(split, haar_unitary(rng, ka), haar_unitary(rng, kb))
-        basis = apply_winding_move(basis, move, tol)
+        basis = _rotate(basis, move, table.inside[s], tol)
         moves.append(move)
     return basis, tuple(moves)
 

@@ -268,6 +268,19 @@ def test_gram_check_after_move_raises():
         apply_winding_move(cartesian_basis(2, 2), move, strict)
 
 
+def test_gram_check_after_drawn_move_raises():
+    strict = dataclasses.replace(TOLERANCES, orthonormality=-1.0)
+    with pytest.raises(WindingInvariantError, match="orthonormality"):
+        wind_basis(cartesian_basis(2, 2), 1, 0, strict)
+
+
+def test_gram_check_after_unwinder_move_raises():
+    strict = dataclasses.replace(TOLERANCES, orthonormality=-1.0)
+    wound, _ = wound_pi_over_7()
+    with pytest.raises(WindingInvariantError, match="orthonormality"):
+        unwind(wound, 1, strict)
+
+
 def test_inside_count_check_raises():
     basis = repeated_state_basis()
     with pytest.raises(WindingInvariantError, match="inside states"):
@@ -299,6 +312,8 @@ def test_invariant_checks_survive_optimized_python():
     # python -O strips assert statements; the checks must survive it
     tests = [f"{__file__}::{name}" for name in (
         "test_gram_check_after_move_raises",
+        "test_gram_check_after_drawn_move_raises",
+        "test_gram_check_after_unwinder_move_raises",
         "test_inside_count_check_raises",
         "test_unwinder_replay_check_raises",
         "test_cli_maps_winding_invariant_to_exit_1",
@@ -309,4 +324,4 @@ def test_invariant_checks_survive_optimized_python():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "4 passed" in proc.stdout
+    assert "6 passed" in proc.stdout
