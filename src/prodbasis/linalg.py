@@ -39,7 +39,11 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + dagger(m)) / 2
+    """(m + m^dag) / 2 of an operator, or of each operator in a stack."""
+    h = np.conj(np.swapaxes(m, -1, -2), order="C")   # dagger(m), row-major
+    h += m
+    h /= 2
+    return h
 
 
 def kron(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -51,20 +55,27 @@ def kron(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.kron(u, v)
 
 
+# Modulus above which an entry counts as a vector's leading entry.  Local
+# rather than a Tolerances field: no caller sets it.
+_PHASE_TOL = 1e-12
+
+
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
     """Rotate each vector's global phase so its first non-negligible entry is real positive.
 
     ``v`` is one vector or a stack of them along the last axis; a vector
-    with no entry above 1e-12 in modulus is returned unchanged.
+    with no entry above ``_PHASE_TOL`` in modulus is returned unchanged.
     """
-    mag = np.abs(v)
-    big = mag > 1e-12
-    first = np.argmax(big, axis=-1)[..., None]
-    found = np.any(big, axis=-1, keepdims=True)
-    x = np.take_along_axis(v, first, axis=-1)
-    phase = np.divide(np.take_along_axis(mag, first, axis=-1), x,
-                      out=np.ones_like(x), where=found)
-    return np.where(found, v * phase, v)
+    rows = v.reshape(-1, v.shape[-1])
+    mag = np.abs(rows)
+    lead = np.arange(len(rows)), np.argmax(mag > _PHASE_TOL, axis=-1)
+    lead_mag = mag[lead]
+    found = lead_mag > _PHASE_TOL
+    if found.all():
+        return (rows * (lead_mag / rows[lead])[:, None]).reshape(v.shape)
+    out = rows.copy()
+    out[found] = rows[found] * (lead_mag[found] / rows[lead][found])[:, None]
+    return out.reshape(v.shape)
 
 
 def top_eigenvector(m: np.ndarray, tie_tol: float = 1e-12):

@@ -26,7 +26,7 @@ from .errors import (
     NonOrthonormalInput,
 )
 from .linalg import dagger, hermitian_part, top_eigenvector
-from .sampling import random_unit_vector, stream
+from .sampling import starting_pairs
 
 __all__ = [
     "Verdict",
@@ -195,12 +195,14 @@ def seesaw_max_product_overlap(
     :func:`top_eigenvector` over the restarts still active, and a restart
     leaves the active set once its improvement drops below ``stop_tol``.
 
-    Restarts draw rotation-invariant starting pairs from independent
-    counter-seeded streams, and a restart's trajectory does not depend on
-    which other restarts share its batch.  The witness comes from the
-    lowest-index restart whose value is within 1e-12 of the best, so
-    rounding noise among restarts that reach the same optimum does not pick
-    it, and the outcome does not depend on execution order.
+    Restart ``r`` starts from a rotation-invariant pair drawn from the
+    counter-seeded stream ``stream(seed, r)``.  One bit generator, re-keyed
+    per restart, draws every pair (:func:`~prodbasis.sampling.starting_pairs`),
+    with the same bits as separate streams.  A restart's trajectory does
+    not depend on which other restarts share its batch.  The witness comes
+    from the lowest-index restart whose value is within 1e-12 of the best,
+    so rounding noise among restarts that reach the same optimum does not
+    pick it, and the outcome does not depend on execution order.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -211,12 +213,7 @@ def seesaw_max_product_overlap(
     f_a = f.reshape(d_a, d_b * s.size)                      # rows: A side
     f_b = f.transpose(1, 0, 2).reshape(d_b, d_a * s.size)   # rows: B side
 
-    a = np.empty((restarts, d_a), dtype=complex)
-    b = np.empty((restarts, d_b), dtype=complex)
-    for r in range(restarts):
-        rng = stream(seed, r)
-        a[r] = random_unit_vector(rng, d_a)
-        b[r] = random_unit_vector(rng, d_b)
+    a, b = starting_pairs(seed, restarts, d_a, d_b)
     z = (b.conj()[:, None, :] @ _contract(a, f_a, d_b))[:, 0]
     value = np.sum((z.real ** 2 + z.imag ** 2) * s, axis=-1)
 
@@ -249,11 +246,10 @@ def _bloch_grid(resolution: int) -> np.ndarray:
     """All qubit states (cos(t/2), e^{i p} sin(t/2)) on a (theta, phi) grid."""
     thetas = np.linspace(0.0, np.pi, resolution)
     phis = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-    t, p = np.meshgrid(thetas, phis, indexing="ij")
-    states = np.empty((resolution * resolution, 2), dtype=complex)
-    states[:, 0] = np.cos(t / 2).ravel()
-    states[:, 1] = (np.exp(1j * p) * np.sin(t / 2)).ravel()
-    return states
+    states = np.empty((resolution, resolution, 2), dtype=complex)   # (theta, phi, amplitude)
+    states[:, :, 0] = np.cos(thetas / 2)[:, None]
+    states[:, :, 1] = np.sin(thetas / 2)[:, None] * np.exp(1j * phis)
+    return states.reshape(-1, 2)
 
 
 def grid_oracle_max_product_overlap(
@@ -267,7 +263,10 @@ def grid_oracle_max_product_overlap(
 
     The A side is swept over a discretized Bloch sphere with ``resolution``
     points per angle; for each grid state the B side is maximized exactly as
-    the top eigenvalue of the contracted operator.  Every evaluation is a
+    the top eigenvalue of the contracted operator <a|Q|a>.  That operator is
+    built in two matmuls: one contracts the bra <a| of every grid state
+    with Q, a second, batched over grid states, contracts each state's ket
+    |a> with its own row of the first product.  Every evaluation is a
     feasible product state, so the result is a certified lower bound of the
     true maximum, and it explores no see-saw trajectory.  The reported gap
     bound is a conservative Lipschitz estimate covering the A-side
@@ -278,8 +277,6 @@ def grid_oracle_max_product_overlap(
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     q, w, _ = _check_operator_interval(q, d_a, d_b, tol.operator_interval)
-    q4 = q.reshape(d_a, d_b, d_a, d_b)
-
     if d_a == 1:
         grid = np.ones((1, 1), dtype=complex)
         max_spacing = 0.0
@@ -290,7 +287,10 @@ def grid_oracle_max_product_overlap(
         # half-cell chordal radius: |da/dtheta| = 1/2, |da/dphi| <= 1
         max_spacing = np.sqrt((d_theta / 4) ** 2 + (d_phi / 2) ** 2)
 
-    m_b = np.einsum("ijkl,ni,nk->njl", q4, grid.conj(), grid)
+    # Q's indices (i, j, k, l) reordered to rows i (bra), columns (k, j, l)
+    q_bra = q.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a, -1)
+    bra_q = (grid.conj() @ q_bra).reshape(len(grid), d_a, d_b * d_b)
+    m_b = (grid[:, None, :] @ bra_q).reshape(len(grid), d_b, d_b)
     values = np.linalg.eigvalsh(hermitian_part(m_b))[:, -1]
     value = float(np.max(values))
     lipschitz = 2.0 * float(np.max(np.abs(w)))

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodbasis import linalg
 from prodbasis.errors import DimensionMismatch
-from prodbasis.linalg import basis_vector, kron, partial_transpose, top_eigenvector
+from prodbasis.linalg import basis_vector, dagger, hermitian_part, kron, partial_transpose, top_eigenvector
 
 
 def random_vector(rng, dim):
@@ -78,3 +79,60 @@ def test_partial_transpose_involution_and_trace(seed):
 def test_partial_transpose_dimension_check():
     with pytest.raises(DimensionMismatch):
         partial_transpose(np.eye(5, dtype=complex), 2, 3)
+
+
+def reference_canonical_phase(v):
+    """The take_along_axis formulation the direct indexing replaced."""
+    mag = np.abs(v)
+    big = mag > 1e-12
+    first = np.argmax(big, axis=-1)[..., None]
+    found = np.any(big, axis=-1, keepdims=True)
+    x = np.take_along_axis(v, first, axis=-1)
+    phase = np.divide(np.take_along_axis(mag, first, axis=-1), x, out=np.ones_like(x), where=found)
+    return np.where(found, v * phase, v)
+
+
+def reference_hermitian_part(m):
+    return (m + dagger(m)) / 2
+
+
+def phase_inputs():
+    rng = np.random.default_rng(31)
+    stack = random_vector(rng, (40, 5))
+    stack[3] = 0                                   # all-zero row
+    stack[7] = -0.0                                # all negative zeros
+    stack[11, :2] *= 1e-13                         # leading entries below the cut
+    stack[12, :4] = 1e-13j                         # ... and below it exactly at the front
+    stack[13] *= 1e-14                             # no entry above the cut
+    stack[17, 0] = -0.0 + 0j
+    stack[19, 1:] = 0                              # one large entry, then zeros
+    stack[23, 0] = 1e-12                           # leading entry exactly at the cut
+    return [random_vector(rng, 6), np.zeros(3, dtype=complex), 1e-13 * random_vector(rng, 4),
+            stack, stack[[3, 7, 13]], stack.reshape(8, 5, 5)]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_canonical_phase_matches_reference_bitwise(index):
+    v = phase_inputs()[index]
+    got = linalg._canonical_phase(v)
+    want = reference_canonical_phase(v)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_canonical_phase_tolerance_is_named():
+    assert linalg._PHASE_TOL == 1e-12
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 5), (12, 12), (7, 3, 3), (2, 4, 4)])
+def test_hermitian_part_matches_reference_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    m = random_vector(rng, shape)
+    m[rng.random(shape) < 0.25] = -0.0
+    m[rng.random(shape) < 0.25] = 0.0
+    before = m.copy()
+    got = hermitian_part(m)
+    want = reference_hermitian_part(m)
+    assert got.shape == want.shape and got.flags.c_contiguous == want.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    assert m.tobytes() == before.tobytes()          # the input is left alone

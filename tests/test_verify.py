@@ -3,6 +3,7 @@ import pytest
 
 from prodbasis import verify
 from prodbasis.basis import ProductBasis, ProductState
+from prodbasis.config import TOLERANCES
 from prodbasis.errors import (
     CountMismatch,
     DimensionTooLarge,
@@ -10,7 +11,7 @@ from prodbasis.errors import (
     NonOrthonormalInput,
 )
 from prodbasis.families import cartesian_basis, gen_tiles1, gen_tiles2
-from prodbasis.linalg import basis_vector, kron
+from prodbasis.linalg import basis_vector, dagger, kron
 from prodbasis.sampling import random_unit_vector, stream
 from prodbasis.verify import (
     Verdict,
@@ -148,6 +149,56 @@ def test_grid_oracle_below_seesaw():
         grid = grid_oracle_max_product_overlap(q, 2, 2, resolution=64)
         ss = seesaw_max_product_overlap(q, 2, 2, restarts=40, seed=trial)
         assert grid.value <= ss.value + 1e-6
+
+
+def reference_bloch_grid(resolution):
+    """The meshgrid formulation of the Bloch grid."""
+    t, p = np.meshgrid(np.linspace(0.0, np.pi, resolution),
+                       np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False), indexing="ij")
+    return np.stack([np.cos(t / 2).ravel(), (np.exp(1j * p) * np.sin(t / 2)).ravel()], axis=1)
+
+
+def reference_grid_oracle(q, d_a, d_b, resolution=64):
+    """The three-operand ``einsum`` contraction the two matmuls replaced."""
+    q, w, _ = verify._check_operator_interval(q, d_a, d_b, TOLERANCES.operator_interval)
+    if d_a == 1:
+        grid = np.ones((1, 1), dtype=complex)
+        max_spacing = 0.0
+    else:
+        grid = reference_bloch_grid(resolution)
+        max_spacing = np.sqrt((np.pi / (resolution - 1) / 4) ** 2 + (2.0 * np.pi / resolution / 2) ** 2)
+    m_b = np.einsum("ijkl,ni,nk->njl", q.reshape(d_a, d_b, d_a, d_b), grid.conj(), grid)
+    value = float(np.max(np.linalg.eigvalsh((m_b + dagger(m_b)) / 2)[:, -1]))
+    return value, float(2.0 * float(np.max(np.abs(w))) * max_spacing)
+
+
+def random_projector(rng, dim):
+    rank = int(rng.integers(1, min(dim, 3) + 1))
+    cols = np.linalg.qr(rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank)))[0]
+    return cols @ cols.conj().T
+
+
+def crosscheck_cases():
+    """The benchmark's 32 crosscheck projectors, then a dA = 1 and a dB = 1 case."""
+    cases = [(d_a, d_b, random_projector(stream(4040 + 10 * d_a + d_b, index), d_a * d_b))
+             for d_a, d_b in ((2, 2), (2, 3)) for index in range(16)]
+    cases += [(1, 3, random_projector(stream(4041, 0), 3)), (2, 1, random_projector(stream(4042, 0), 2))]
+    return cases
+
+
+@pytest.mark.parametrize("resolution", [2, 17, 64])
+def test_bloch_grid_matches_meshgrid_reference(resolution):
+    assert verify._bloch_grid(resolution).tobytes() == reference_bloch_grid(resolution).tobytes()
+
+
+def test_grid_oracle_matches_einsum_reference():
+    for d_a, d_b, q in crosscheck_cases():
+        grid = grid_oracle_max_product_overlap(q, d_a, d_b, resolution=64)
+        value, gap_bound = reference_grid_oracle(q, d_a, d_b, resolution=64)
+        assert abs(grid.value - value) <= 1e-12
+        assert grid.gap_bound == gap_bound
+        seesaw = seesaw_max_product_overlap(q, d_a, d_b, restarts=60, seed=0)
+        assert grid.value <= seesaw.value + 1e-6
 
 
 def test_grid_oracle_dimension_guard():
