@@ -1,0 +1,122 @@
+"""Seeded CLI output pinned across commits by SHA-256 digests.
+
+Each case runs ``prodbasis.cli.main`` in-process in a scratch directory and
+hashes its exit code, its stdout and the file it writes, if any.  The corpus
+covers ``construct``, ``verify`` (text and json), ``boundent --out``, ``wind``
+and ``unwind``; later cases read the files that earlier ones wrote.
+
+The digests in ``golden_digests.json`` hold for the numpy version stored next
+to them.  Another numpy may round LAPACK results differently, so the test
+skips there.  A change that is meant to alter seeded output re-records them
+with ``PYTHONPATH=src python tests/test_golden_digests.py`` and says so in
+CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from prodbasis import cli
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden_digests.json"
+
+VERIFY_FILES = ("g1_6", "g2_3x4", "g2_4x6_minus1", "cart_3x3")
+VERIFY_SEEDS = (0, 7)
+WIND_DIMS = ((2, 3), (3, 3), (3, 4))
+WIND_SEEDS = range(4)
+WIND_MOVES = (1, 2)
+
+
+def corpus():
+    """(name, argv, file written or None) in run order."""
+    cases = [
+        ("construct g1_6", ["construct", "--family", "gentiles1", "--n", "6", "--out", "g1_6.json"], "g1_6.json"),
+        ("construct g2_3x4", ["construct", "--family", "gentiles2", "--m", "3", "--n", "4", "--out", "g2_3x4.json"],
+         "g2_3x4.json"),
+        ("construct g2_4x6", ["construct", "--family", "gentiles2", "--m", "4", "--n", "6", "--out", "g2_4x6.json"],
+         "g2_4x6.json"),
+        ("construct cart_3x3", ["construct", "--family", "cartesian", "--m", "3", "--n", "3", "--out", "cart_3x3.json"],
+         "cart_3x3.json"),
+    ]
+    for name in VERIFY_FILES:
+        for fmt in ("text", "json"):
+            for seed in VERIFY_SEEDS:
+                cases.append((f"verify {name} {fmt} seed={seed}",
+                              ["verify", f"{name}.json", "--restarts", "20", "--seed", str(seed), "--format", fmt],
+                              None))
+    for name in ("g1_6", "g2_3x4"):
+        cases.append((f"boundent {name}", ["boundent", f"{name}.json", "--out", f"rho_{name}.json"],
+                      f"rho_{name}.json"))
+    for d_a, d_b in WIND_DIMS:
+        for seed in WIND_SEEDS:
+            for k in WIND_MOVES:
+                out = f"wound_{d_a}x{d_b}_k{k}_s{seed}.json"
+                cases.append((f"wind {d_a}x{d_b} k={k} seed={seed}",
+                              ["wind", "--cartesian", str(d_a), str(d_b), "--moves", str(k),
+                               "--seed", str(seed), "--out", out], out))
+                cases.append((f"unwind {d_a}x{d_b} k={k} seed={seed}", ["unwind", out, "--depth", "2"], None))
+    return cases
+
+
+def _drop_last_state(src: Path, dst: Path) -> None:
+    # prepared from the constructed file, so the input needs no library call
+    payload = json.loads(src.read_text(encoding="utf-8"))
+    payload["states"] = payload["states"][:-1]
+    dst.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def run_corpus(workdir: Path) -> dict:
+    """Digest of every case, run in ``workdir`` (the current directory)."""
+    digests = {}
+    for name, argv, written in corpus():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        h = hashlib.sha256(f"{code}\n".encode())
+        h.update(out.getvalue().encode())
+        if written is not None:
+            h.update(b"\0" + (workdir / written).read_bytes())
+        digests[name] = h.hexdigest()
+        if name == "construct g2_4x6":
+            _drop_last_state(workdir / "g2_4x6.json", workdir / "g2_4x6_minus1.json")
+    return digests
+
+
+def test_seeded_outputs_match_golden_digests(tmp_path, monkeypatch):
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    if golden["numpy"] != np.__version__:
+        pytest.skip(f"digests were recorded with numpy {golden['numpy']}, this is numpy {np.__version__}")
+    monkeypatch.delenv("PB_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    digests = run_corpus(tmp_path)
+    assert list(digests) == list(golden["digests"])
+    changed = [name for name in digests if digests[name] != golden["digests"][name]]
+    assert not changed, f"seeded output changed for {len(changed)} cases: {changed}"
+
+
+def record() -> None:
+    os.environ.pop("PB_SEED", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            digests = run_corpus(Path(tmp))
+        finally:
+            os.chdir(cwd)
+    GOLDEN_PATH.write_text(json.dumps({"numpy": np.__version__, "digests": digests}, indent=2) + "\n",
+                           encoding="utf-8")
+    print(f"recorded {len(digests)} digests with numpy {np.__version__} to {GOLDEN_PATH}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    record()
