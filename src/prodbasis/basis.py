@@ -1,10 +1,14 @@
 """Product states and ordered product bases.
 
-A :class:`ProductState` stores its two local factors explicitly, which keeps
-every state a manifest product even after unitary transformations.  A
-:class:`ProductBasis` is an immutable ordered collection over declared local
-dimensions together with family provenance and a machine-readable log of the
-transformations that produced it.
+A product basis is two factor matrices: column i of A (dA x N) and column i
+of B (dB x N) are the local factors of state i, so every state stays a
+manifest product even after unitary transformations.  A
+:class:`ProductBasis` stores those two arrays once, read-only and checked in
+one vectorised pass, together with per-state labels and tile cells, family
+provenance and a machine-readable log of the transformations that produced
+it.  A :class:`ProductState` is the per-state record: built directly it
+checks its own factors, and ``basis[i]``, iteration and ``basis.states``
+hand out views of the stored columns without checking them again.
 """
 
 from __future__ import annotations
@@ -27,15 +31,25 @@ class Family(str, Enum):
     CUSTOM = "Custom"
 
 
-def _frozen_vector(v, name: str) -> np.ndarray:
-    arr = np.array(v, dtype=complex)
-    if arr.ndim != 1 or arr.size < 1:
-        raise DimensionMismatch(f"{name} must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+def _factor_columns(rows, dim: int, name: str) -> np.ndarray:
+    """Read-only (dim, N) factor matrix whose column i is ``rows[i]``, checked in one pass.
+
+    The columns must be finite and of unit norm.  The matrix is column-major,
+    so each state's factor is contiguous and a column view computes exactly
+    like a standalone vector.
+    """
+    if dim < 1:
+        raise DimensionMismatch("local dimensions must be positive")
+    try:
+        arr = np.array(rows, dtype=complex).reshape(len(rows), dim).T
+    except ValueError:
+        raise DimensionMismatch(f"{name} factors do not all have dimension {dim}") from None
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
-    norm = np.linalg.norm(arr)
-    if abs(norm - 1.0) > TOLERANCES.unit_norm:
-        raise ValueError(f"{name} is not unit norm (|norm - 1| = {abs(norm - 1.0):.3e})")
+    err = np.abs(np.linalg.norm(arr, axis=0) - 1.0)
+    bad = np.flatnonzero(~(err <= TOLERANCES.unit_norm))
+    if bad.size:
+        raise ValueError(f"{name} of state {bad[0]} is not unit norm (|norm - 1| = {err[bad[0]]:.3e})")
     arr.setflags(write=False)
     return arr
 
@@ -54,11 +68,21 @@ class ProductState:
     tile_cells: frozenset[tuple[int, int]] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _frozen_vector(self.a, "a"))
-        object.__setattr__(self, "b", _frozen_vector(self.b, "b"))
+        for name in ("a", "b"):
+            v = np.asarray(getattr(self, name))
+            if v.ndim != 1 or v.size < 1:
+                raise DimensionMismatch(f"{name} must be a nonempty 1-D vector")
+            object.__setattr__(self, name, _factor_columns(v[None], v.size, name)[:, 0])
         if self.tile_cells is not None:
             cells = frozenset((int(c), int(r)) for c, r in self.tile_cells)
             object.__setattr__(self, "tile_cells", cells)
+
+    @classmethod
+    def _view(cls, a, b, label, tile_cells) -> "ProductState":
+        """A state over factors a basis has already checked."""
+        st = object.__new__(cls)
+        st.__dict__.update(a=a, b=b, label=label, tile_cells=tile_cells)
+        return st
 
     @property
     def d_a(self) -> int:
@@ -76,59 +100,89 @@ class ProductState:
         return complex(np.vdot(self.a, other.a) * np.vdot(self.b, other.b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ProductBasis:
     """Ordered set of product states over local dimensions (dA, dB).
 
-    Orthonormality is a property of the intended families, not a structural
-    requirement; it is checked by the verification module so that defective
-    inputs can be diagnosed rather than rejected at construction.
+    Built from states (``ProductBasis(d_a, d_b, states, family=...,
+    provenance=...)``) or, inside the package, straight from the factor
+    matrices.  Orthonormality is a property of the intended families, not a
+    structural requirement; it is checked by the verification module so
+    that defective inputs can be diagnosed rather than rejected at
+    construction.
     """
 
     d_a: int
     d_b: int
-    states: tuple[ProductState, ...]
-    family: Family = Family.CUSTOM
-    provenance: tuple[dict, ...] = field(default_factory=tuple)
+    labels: tuple[str, ...]
+    tile_cells: tuple[frozenset[tuple[int, int]] | None, ...]
+    family: Family
+    provenance: tuple[dict, ...]
+    _a: np.ndarray = field(repr=False)   # (dA, N), read-only
+    _b: np.ndarray = field(repr=False)   # (dB, N), read-only
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "provenance", tuple(self.provenance))
-        if self.d_a < 1 or self.d_b < 1:
-            raise DimensionMismatch("local dimensions must be positive")
-        for st in self.states:
-            if st.d_a != self.d_a or st.d_b != self.d_b:
-                raise DimensionMismatch(
-                    f"state dims ({st.d_a}, {st.d_b}) do not match basis dims ({self.d_a}, {self.d_b})"
-                )
-            if st.tile_cells is not None:
-                for c, r in st.tile_cells:
-                    if not (0 <= c < self.d_a and 0 <= r < self.d_b):
-                        raise DimensionMismatch(f"tile cell ({c}, {r}) outside the {self.d_a}x{self.d_b} grid")
+    def __init__(self, d_a: int, d_b: int, states, family: Family = Family.CUSTOM, provenance=()):
+        states = tuple(states)
+        self._store((d_a, d_b), [st.a for st in states], [st.b for st in states],
+                    [st.label for st in states], [st.tile_cells for st in states], family, provenance)
+
+    @classmethod
+    def _from_rows(cls, dims, a, b, labels, tile_cells, family: Family = Family.CUSTOM, provenance=()):
+        """Basis over ``dims`` whose state i is a[i] (x) b[i]; the factors are copied and checked.
+
+        ``tile_cells`` holds, per state, a frozenset of integer (column, row)
+        pairs or None.
+        """
+        basis = cls.__new__(cls)
+        basis._store(dims, a, b, labels, tile_cells, family, provenance)
+        return basis
+
+    def _store(self, dims, a, b, labels, tile_cells, family, provenance):
+        d_a, d_b = dims
+        a = _factor_columns(a, d_a, "a")
+        b = _factor_columns(b, d_b, "b")
+        if not b.shape[1] == len(labels) == len(tile_cells) == a.shape[1]:
+            raise DimensionMismatch("factors, labels and tile cells disagree on the state count")
+        cells = [cell for support in tile_cells if support is not None for cell in support]
+        if cells:
+            grid = np.array(cells)
+            inside = np.all((grid >= 0) & (grid < (d_a, d_b)), axis=1)
+            if not inside.all():
+                c, r = cells[int(np.argmin(inside))]
+                raise DimensionMismatch(f"tile cell ({c}, {r}) outside the {d_a}x{d_b} grid")
+        for name, value in (("d_a", d_a), ("d_b", d_b), ("labels", tuple(labels)),
+                            ("tile_cells", tuple(tile_cells)), ("family", family),
+                            ("provenance", tuple(provenance)), ("_a", a), ("_b", b)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self._a.shape[1]
 
     def __iter__(self):
-        return iter(self.states)
+        return map(ProductState._view, self._a.T, self._b.T, self.labels, self.tile_cells)
 
     def __getitem__(self, i: int) -> ProductState:
-        return self.states[i]
+        return ProductState._view(self._a[:, i], self._b[:, i], self.labels[i], self.tile_cells[i])
+
+    @property
+    def states(self) -> tuple[ProductState, ...]:
+        return tuple(self)
 
     @property
     def dim(self) -> int:
         return self.d_a * self.d_b
 
     def is_complete(self) -> bool:
-        return len(self.states) == self.dim
+        return len(self) == self.dim
 
     def a_matrix(self) -> np.ndarray:
-        """A-side factors as columns, shape (dA, N)."""
-        return np.column_stack([st.a for st in self.states])
+        """A-side factors as columns, shape (dA, N); the stored read-only array."""
+        return self._a
 
     def b_matrix(self) -> np.ndarray:
-        return np.column_stack([st.b for st in self.states])
+        """B-side factors as columns, shape (dB, N); the stored read-only array."""
+        return self._b
 
     def global_matrix(self) -> np.ndarray:
         """Global product vectors as columns, shape (dA*dB, N)."""
-        return np.column_stack([st.global_vector() for st in self.states])
+        return (self._a[:, None, :] * self._b[None, :, :]).reshape(self.dim, len(self))

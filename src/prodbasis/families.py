@@ -128,18 +128,26 @@ def cartesian_basis(d_a: int, d_b: int) -> ProductBasis:
     """
     if d_a < 1 or d_b < 1:
         raise InvalidDimension(f"cartesian_basis needs positive dims, got ({d_a}, {d_b})")
-    states = tuple(
-        ProductState(basis_vector(d_a, i), basis_vector(d_b, j), label=f"C[{i},{j}]")
-        for i in range(d_a)
-        for j in range(d_b)
+    # state i*dB + j is |i> (x) |j>
+    return ProductBasis._from_rows(
+        (d_a, d_b),
+        np.repeat(np.eye(d_a, dtype=complex), d_b, axis=0),
+        np.tile(np.eye(d_b, dtype=complex), (d_a, 1)),
+        [f"C[{i},{j}]" for i in range(d_a) for j in range(d_b)],
+        [None] * (d_a * d_b),
+        family=Family.CARTESIAN,
     )
-    return ProductBasis(d_a, d_b, states, family=Family.CARTESIAN)
 
 
-def _shift_cells(cells, d_c: int, d_r: int, s_c: int, s_r: int):
-    if cells is None:
-        return None
-    return frozenset(((c + s_c) % d_c, (r + s_r) % d_r) for c, r in cells)
+def _moved_cells(tile_cells, n: int, s_c: int, s_r: int, swap: bool = False):
+    """Each state's cells shifted by (s_c, s_r) mod n, after exchanging column and row if ``swap``."""
+    moved = []
+    for cells in tile_cells:
+        if cells is not None:
+            pairs = ((r, c) for c, r in cells) if swap else cells
+            cells = frozenset(((c + s_c) % n, (r + s_r) % n) for c, r in pairs)
+        moved.append(cells)
+    return moved
 
 
 def cyclic_shift_basis(basis: ProductBasis, s: int) -> ProductBasis:
@@ -152,15 +160,9 @@ def cyclic_shift_basis(basis: ProductBasis, s: int) -> ProductBasis:
         raise DimensionMismatch("cyclic shift needs equal local dimensions")
     n = basis.d_a
     sh = s % n
-    states = tuple(
-        ProductState(
-            np.roll(st.a, sh), np.roll(st.b, sh), label=st.label,
-            tile_cells=_shift_cells(st.tile_cells, n, n, sh, sh),
-        )
-        for st in basis
-    )
-    return ProductBasis(
-        n, n, states, family=basis.family,
+    return ProductBasis._from_rows(
+        (n, n), np.roll(basis.a_matrix().T, sh, axis=1), np.roll(basis.b_matrix().T, sh, axis=1),
+        basis.labels, _moved_cells(basis.tile_cells, n, sh, sh), family=basis.family,
         provenance=basis.provenance + ({"op": "cyclic_shift", "shift": sh},),
     )
 
@@ -182,21 +184,12 @@ def swap_shift_basis(basis: ProductBasis, variant: str = "shift_a") -> ProductBa
     if variant not in ("shift_a", "shift_b"):
         raise ValueError(f"unknown swap-shift variant {variant!r}")
     n = basis.d_a
-    states = []
-    for st in basis:
-        swapped_cells = None if st.tile_cells is None else {(r, c) for c, r in st.tile_cells}
-        if variant == "shift_a":
-            new = ProductState(
-                st.b, np.roll(st.a, 1), label=st.label,
-                tile_cells=_shift_cells(swapped_cells, n, n, 0, 1),
-            )
-        else:
-            new = ProductState(
-                np.roll(st.b, 1), st.a, label=st.label,
-                tile_cells=_shift_cells(swapped_cells, n, n, 1, 0),
-            )
-        states.append(new)
-    return ProductBasis(
-        n, n, tuple(states), family=basis.family,
+    a, b = basis.a_matrix().T, basis.b_matrix().T
+    if variant == "shift_a":
+        a, b, s_c, s_r = b, np.roll(a, 1, axis=1), 0, 1
+    else:
+        a, b, s_c, s_r = np.roll(b, 1, axis=1), a, 1, 0
+    return ProductBasis._from_rows(
+        (n, n), a, b, basis.labels, _moved_cells(basis.tile_cells, n, s_c, s_r, swap=True), family=basis.family,
         provenance=basis.provenance + ({"op": "swap_shift", "variant": variant},),
     )

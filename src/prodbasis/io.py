@@ -2,11 +2,16 @@
 
 Amplitudes are stored as [re, im] pairs of decimal floats by one codec,
 :func:`complex_to_json` / :func:`complex_from_json`, which also writes the
-winding moves, see-saw witnesses and density matrices of the CLI.  Python's float
-serialization emits the shortest decimal (at most 17 significant digits)
-that parses back to the identical bit pattern, so save/load round-trips are
-exact and the files stay human-diffable.  Key order is fixed, making output
-byte-stable for identical inputs.
+winding moves, see-saw witnesses and density matrices of the CLI.  A basis
+file is read and written one side at a time: the "a" lists of all states
+decode with one codec call into the (N, dA) array whose row i is state i's
+A factor, likewise for "b", and the basis checks both arrays in one pass
+(see :mod:`prodbasis.basis`), so a malformed amplitude list is reported
+per side, not per state.  Python's float serialization emits the shortest
+decimal (at most 17 significant digits) that parses back to the identical
+bit pattern, so save/load round-trips are exact and the files stay
+human-diffable.  Key order is fixed, making output byte-stable for
+identical inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import Family, ProductBasis, ProductState
+from .basis import Family, ProductBasis
 from .errors import BasisFileError, DimensionMismatch
 
 __all__ = [
@@ -63,15 +68,12 @@ def _is_int_pair(value) -> bool:
 
 
 def basis_to_payload(basis: ProductBasis) -> dict:
-    states = []
-    for st in basis:
-        cells = None if st.tile_cells is None else sorted([int(c), int(r)] for c, r in st.tile_cells)
-        states.append({
-            "label": st.label,
-            "a": complex_to_json(st.a),
-            "b": complex_to_json(st.b),
-            "tile_cells": cells,
-        })
+    a = complex_to_json(basis.a_matrix().T)
+    b = complex_to_json(basis.b_matrix().T)
+    states = [
+        {"label": label, "a": a_i, "b": b_i, "tile_cells": None if cells is None else sorted(map(list, cells))}
+        for label, a_i, b_i, cells in zip(basis.labels, a, b, basis.tile_cells)
+    ]
     return {
         "format_version": FORMAT_VERSION,
         "dims": [basis.d_a, basis.d_b],
@@ -98,22 +100,18 @@ def basis_from_payload(payload: dict) -> ProductBasis:
     raw_states = payload.get("states")
     if not isinstance(raw_states, list) or not raw_states:
         raise BasisFileError("states must be a nonempty list")
-    states = []
+    labels, cells = [], []
     for i, entry in enumerate(raw_states):
         if not isinstance(entry, dict):
             raise BasisFileError(f"state {i} is not an object")
-        cells = entry.get("tile_cells")
-        if cells is not None and not (isinstance(cells, list) and all(map(_is_int_pair, cells))):
+        support = entry.get("tile_cells")
+        if support is not None and not (isinstance(support, list) and all(map(_is_int_pair, support))):
             raise BasisFileError(f"state {i} tile_cells must be [column, row] integer pairs")
-        try:
-            states.append(ProductState(
-                complex_from_json(entry.get("a"), 1, f"state {i} side a"),
-                complex_from_json(entry.get("b"), 1, f"state {i} side b"),
-                label=str(entry.get("label", "")),
-                tile_cells=None if cells is None else frozenset(map(tuple, cells)),
-            ))
-        except ValueError as exc:
-            raise BasisFileError(f"state {i} is invalid: {exc}") from exc
+        labels.append(str(entry.get("label", "")))
+        cells.append(None if support is None else frozenset(map(tuple, support)))
+    # one codec call per side: row i of each (N, d) array is state i's factor
+    a = complex_from_json([entry.get("a") for entry in raw_states], 2, "side a")
+    b = complex_from_json([entry.get("b") for entry in raw_states], 2, "side b")
     provenance = payload.get("provenance") or ()
     if provenance and not isinstance(provenance, list):
         raise BasisFileError("provenance must be a list when present")
@@ -121,9 +119,11 @@ def basis_from_payload(payload: dict) -> ProductBasis:
         if not (isinstance(entry, dict) and isinstance(entry.get("op"), str)):
             raise BasisFileError(f"provenance entry {i} must be an object with a string \"op\"")
     try:
-        return ProductBasis(d_a, d_b, tuple(states), family=family, provenance=tuple(provenance))
+        return ProductBasis._from_rows((d_a, d_b), a, b, labels, cells, family=family, provenance=provenance)
     except DimensionMismatch as exc:
         raise BasisFileError(f"inconsistent basis file: {exc}") from exc
+    except ValueError as exc:
+        raise BasisFileError(f"invalid amplitudes: {exc}") from exc
 
 
 def save_basis(basis: ProductBasis, path) -> None:

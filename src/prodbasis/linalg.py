@@ -58,6 +58,9 @@ def kron(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 # Modulus above which an entry counts as a vector's leading entry.  Local
 # rather than a Tolerances field: no caller sets it.
 _PHASE_TOL = 1e-12
+# Eigenvalues within this of the largest count as tied for the top
+# eigenvector.  Local for the same reason: no caller ever set another value.
+_TIE_TOL = 1e-12
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -78,10 +81,10 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-def top_eigenvector(m: np.ndarray, tie_tol: float = 1e-12):
+def top_eigenvector(m: np.ndarray):
     """Largest eigenvalue and a deterministically chosen top eigenvector.
 
-    Among eigenvectors whose eigenvalue is within ``tie_tol`` of the maximum,
+    Among eigenvectors whose eigenvalue is within ``_TIE_TOL`` of the maximum,
     the phase-canonical vector with the lexicographically largest real part
     is selected, so degenerate inputs still give a reproducible answer.
 
@@ -89,7 +92,7 @@ def top_eigenvector(m: np.ndarray, tie_tol: float = 1e-12):
     ``n`` operators, which gives ``n`` top eigenvalues and an ``(n, d)``
     array of top eigenvectors.  Each slice of a stacked result is bit for
     bit the result for that slice alone.  Only rows whose top eigenvalue is
-    degenerate within ``tie_tol`` run the candidate loop.
+    degenerate within ``_TIE_TOL`` run the candidate loop.
     """
     m = np.asarray(m, dtype=complex)
     stack = m if m.ndim == 3 else m[None]
@@ -97,8 +100,8 @@ def top_eigenvector(m: np.ndarray, tie_tol: float = 1e-12):
     top = w[:, -1]
     vecs = _canonical_phase(v[:, :, -1])
     if w.shape[1] > 1:
-        for r in np.nonzero(w[:, -2] >= top - tie_tol)[0]:
-            candidates = _canonical_phase(v[r][:, w[r] >= top[r] - tie_tol].T)
+        for r in np.nonzero(w[:, -2] >= top - _TIE_TOL)[0]:
+            candidates = _canonical_phase(v[r][:, w[r] >= top[r] - _TIE_TOL].T)
             keys = [tuple(np.round(vec.real, 12)) for vec in candidates]
             vecs[r] = candidates[max(range(len(keys)), key=keys.__getitem__)]
     if m.ndim == 3:

@@ -16,25 +16,26 @@ _LABEL_WIDTH = 6
 
 
 def render_tiles(basis: ProductBasis) -> str:
-    if any(st.tile_cells is None for st in basis):
+    supports = basis.tile_cells
+    if any(cells is None for cells in supports):
         raise NoTileMetadata("basis states carry no tile-cell metadata")
     full_grid = frozenset((c, r) for c in range(basis.d_a) for r in range(basis.d_b))
-    tiles = [st for st in basis if st.tile_cells != full_grid]
-    stoppers = [st for st in basis if st.tile_cells == full_grid]
+    tiles = [i for i, cells in enumerate(supports) if cells != full_grid]
+    stoppers = [i for i, cells in enumerate(supports) if cells == full_grid]
 
-    short = {}
+    short = {}  # state index -> truncated label
     legend = []
-    for st in tiles:
-        label = st.label or "?"
+    for i in tiles:
+        label = basis.labels[i] or "?"
         trunc = label[:_LABEL_WIDTH]
-        short[id(st)] = trunc
+        short[i] = trunc
         if len(label) > _LABEL_WIDTH:
             legend.append(f"{trunc} = {label}")
 
     cell_text = {}
     for c in range(basis.d_a):
         for r in range(basis.d_b):
-            covering = [short[id(st)] for st in tiles if (c, r) in st.tile_cells]
+            covering = [short[i] for i in tiles if (c, r) in supports[i]]
             cell_text[(c, r)] = " ".join(covering) if covering else "."
 
     widths = [
@@ -49,8 +50,8 @@ def render_tiles(basis: ProductBasis) -> str:
     for r in range(basis.d_b):
         row = "  ".join(cell_text[(c, r)].ljust(widths[c]) for c in range(basis.d_a))
         lines.append(f"B{r:<3} {row}".rstrip())
-    for st in stoppers:
-        lines.append(f"stopper {st.label or '?'} omitted (covers every cell)")
+    for i in stoppers:
+        lines.append(f"stopper {basis.labels[i] or '?'} omitted (covers every cell)")
     if legend:
         lines.append("legend:")
         lines.extend(f"  {entry}" for entry in sorted(set(legend)))

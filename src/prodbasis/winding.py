@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import Family, ProductBasis, ProductState
+from .basis import Family, ProductBasis
 from .config import TOLERANCES, Tolerances
 from .errors import BasisFileError, IncompleteBasis, InvalidSplit, NoValidSplit, WindingInvariantError
 from .families import cartesian_basis
@@ -180,8 +180,8 @@ def validate_split(basis: ProductBasis, split: SubspacePair, tol: Tolerances = T
     :class:`WindingInvariantError`.
     """
     _require_complete(basis)
-    res_a, w_a = _side_measures([split.a_basis], [st.a for st in basis])
-    res_b, w_b = _side_measures([split.b_basis], [st.b for st in basis])
+    res_a, w_a = _side_measures([split.a_basis], basis.a_matrix().T)
+    res_b, w_b = _side_measures([split.b_basis], basis.b_matrix().T)
     inside, outside = _classify(res_a[0], w_a[0], res_b[0], w_b[0], tol)
     ok = bool(np.all(inside | outside))
     if ok:
@@ -223,15 +223,18 @@ def _rotate(basis: ProductBasis, move: WindingMove, inside, tol: Tolerances) -> 
     table row); the Gram check of the output and the provenance record are
     kept here.
     """
-    op_a = _embed(move.split.a_basis, move.u_a)
-    op_b = _embed(move.split.b_basis, move.u_b)
-    states = tuple(
-        ProductState(op_a @ st.a, op_b @ st.b, label=st.label) if x else st
-        for st, x in zip(basis, inside)
-    )
-    out = ProductBasis(
-        basis.d_a, basis.d_b, states, family=Family.CUSTOM,
-        provenance=basis.provenance + (move_to_record(move),),
+    inside = np.asarray(inside, dtype=bool)
+    rows = []
+    for m, cols, u in ((basis.a_matrix(), move.split.a_basis, move.u_a),
+                       (basis.b_matrix(), move.split.b_basis, move.u_b)):
+        side = m.T.copy()
+        # one matmul per state, so each rotated factor is bit for bit op @ v
+        side[inside] = (_embed(cols, u) @ side[inside][:, :, None])[..., 0]
+        rows.append(side)
+    cells = [None if x else support for support, x in zip(basis.tile_cells, inside)]
+    out = ProductBasis._from_rows(
+        (basis.d_a, basis.d_b), *rows, basis.labels, cells,
+        family=Family.CUSTOM, provenance=basis.provenance + (move_to_record(move),),
     )
     ok_gram, dev = check_orthonormal(out, tol.orthonormality)
     if not ok_gram:
@@ -239,81 +242,66 @@ def _rotate(basis: ProductBasis, move: WindingMove, inside, tol: Tolerances) -> 
     return out
 
 
-def _group_rays(vectors, tol: float):
-    """Assign each vector a ray id; representatives in first-occurrence order."""
-    reps: list[np.ndarray] = []
-    ids: list[int] = []
-    for v in vectors:
-        for i, r in enumerate(reps):
-            if abs(np.vdot(r, v)) >= 1.0 - tol:
-                ids.append(i)
-                break
-        else:
-            reps.append(v)
-            ids.append(len(reps) - 1)
-    return ids, reps
+def _ray_graph(vectors, tol: float):
+    """Rays of the rows of ``vectors`` and the components of their non-orthogonality graph.
 
-
-def _mutually_orthogonal(reps, tol: float) -> bool:
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if abs(np.vdot(reps[i], reps[j])) > tol:
-                return False
-    return True
+    Every test reads one modulus matrix |<v_m|v_n>|.  Row n joins the ray of
+    the first representative r with |<v_r|v_n>| >= 1 - tol, or else starts
+    a new ray; two rays are adjacent when their |overlap| exceeds ``tol``.
+    Returns each row's ray id, the representative rows in first-occurrence
+    order, and the components as sorted arrays of ray ids, ordered by their
+    smallest member.  A component of two or more rays holds a non-orthogonal
+    pair, so the rays are mutually orthogonal iff every component is one ray.
+    """
+    v = np.asarray(vectors)
+    mod = np.abs(v.conj() @ v.T)
+    close = (mod >= 1.0 - tol).tolist()
+    reps, ids = [], []
+    for n in range(len(v)):
+        i = next((i for i, r in enumerate(reps) if close[r][n]), len(reps))
+        if i == len(reps):
+            reps.append(n)
+        ids.append(i)
+    # transitive closure of the adjacency by repeated boolean squaring
+    reach = (mod[np.ix_(reps, reps)] > tol) | np.eye(len(reps), dtype=bool)
+    while not np.array_equal(grown := reach @ reach, reach):
+        reach = grown
+    roots = np.flatnonzero(reach.argmax(axis=1) == np.arange(len(reps)))
+    return ids, v[reps], [np.flatnonzero(reach[i]) for i in roots]
 
 
 def is_cartesian(basis: ProductBasis, tol: float = TOLERANCES.ray_grouping) -> bool:
     """True iff the basis is a grid basis in some pair of local bases.
 
     Checks that the distinct A rays number exactly dA and are mutually
-    orthogonal, likewise for B, and that the (A ray, B ray) incidence map
-    covers the dA x dB grid bijectively.  No alignment with the
-    computational axes is required.
+    orthogonal (each its own component of the ray graph), likewise for B,
+    and that the (A ray, B ray) incidence map covers the dA x dB grid
+    bijectively.  No alignment with the computational axes is required.
     """
     _require_complete(basis)
-    a_ids, a_reps = _group_rays([st.a for st in basis], tol)
-    if len(a_reps) != basis.d_a or not _mutually_orthogonal(a_reps, tol):
+    a_ids, a_reps, a_components = _ray_graph(basis.a_matrix().T, tol)
+    if not len(a_reps) == len(a_components) == basis.d_a:
         return False
-    b_ids, b_reps = _group_rays([st.b for st in basis], tol)
-    if len(b_reps) != basis.d_b or not _mutually_orthogonal(b_reps, tol):
+    b_ids, b_reps, b_components = _ray_graph(basis.b_matrix().T, tol)
+    if not len(b_reps) == len(b_components) == basis.d_b:
         return False
     return len(set(zip(a_ids, b_ids))) == basis.dim
 
 
-def _component_subspaces(reps, tol: float):
-    """Orthonormal bases for the connected components of the non-orthogonality graph.
+def _component_subspaces(reps, components):
+    """Orthonormal bases for the components of :func:`_ray_graph`.
 
-    Components are discovered in first-occurrence order; a component whose
-    rays are already mutually orthogonal keeps them as its basis (they make
-    natural alignment targets), otherwise a rank-revealing QR is used.
+    A one-ray component keeps its ray as its basis (a natural alignment
+    target); a larger one is spanned by a rank-revealing QR of its rays.
     """
-    n = len(reps)
-    adj = [[abs(np.vdot(reps[i], reps[j])) > tol for j in range(n)] for i in range(n)]
-    seen = [False] * n
-    components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        queue, members = [start], []
-        seen[start] = True
-        while queue:
-            i = queue.pop(0)
-            members.append(i)
-            for j in range(n):
-                if not seen[j] and adj[i][j]:
-                    seen[j] = True
-                    queue.append(j)
-        members.sort()
-        rays = [reps[i] for i in members]
-        if _mutually_orthogonal(rays, tol):
-            cols = np.column_stack(rays)
-        else:
-            stacked = np.column_stack(rays)
-            q, r = np.linalg.qr(stacked)
-            keep = np.abs(np.diag(r)) > _MATRIX_TOL
-            cols = q[:, keep]
-        components.append(cols)
-    return components
+    subspaces = []
+    for members in components:
+        cols = reps[members].T
+        if len(members) > 1:
+            q, r = np.linalg.qr(cols)
+            cols = q[:, np.abs(np.diag(r)) > _MATRIX_TOL]
+        subspaces.append(cols)
+    return subspaces
 
 
 def _side_candidates(vectors, dim: int, tol: float):
@@ -324,8 +312,8 @@ def _side_candidates(vectors, dim: int, tol: float):
     come in bitmask order over the components.  Their columns are checked
     for orthonormality only when a split on them is built.
     """
-    _, reps = _group_rays(vectors, tol)
-    components = _component_subspaces(reps, tol)
+    _, reps, members = _ray_graph(vectors, tol)
+    components = _component_subspaces(reps, members)
     c = len(components)
     cands = [np.eye(dim, dtype=complex)]
     for mask in range(1, 2**c - 1):
@@ -365,8 +353,8 @@ def _split_table(basis: ProductBasis, tol: Tolerances) -> _SplitTable:
     a-major (a, b); each is proper, as a proper union leaves out a component.
     """
     _require_complete(basis)
-    a_vecs = [st.a for st in basis]
-    b_vecs = [st.b for st in basis]
+    a_vecs = basis.a_matrix().T
+    b_vecs = basis.b_matrix().T
     a_cands = _side_candidates(a_vecs, basis.d_a, tol.ray_grouping)
     b_cands = _side_candidates(b_vecs, basis.d_b, tol.ray_grouping)
     res_a, w_a = _side_measures(a_cands, a_vecs)
@@ -412,7 +400,7 @@ def _alignment_unitary(reps) -> np.ndarray:
     included) to its assigned axis.
     """
     k = len(reps)
-    weight = np.abs(np.column_stack(reps))  # rows: axes, cols: rays
+    weight = np.abs(reps.T)  # rows: axes, cols: rays
     free_axes = set(range(k))
     free_rays = set(range(k))
     assignment = {}
@@ -435,6 +423,20 @@ def _is_phase_diagonal(u: np.ndarray) -> bool:
     return bool(np.all(np.abs(np.abs(np.diag(u)) - 1.0) < _PHASE_TOL))
 
 
+def _grid_alignment(factors, cols, inside, tol: float):
+    """Alignment unitary of one side of a split's inside block, or None off grid form.
+
+    The block's rays on this side are the unit coordinates in ``cols`` of the
+    inside states' factors; grid form is one mutually orthogonal ray per
+    column of ``cols``.
+    """
+    coords = (dagger(cols) @ factors.T[inside][:, :, None])[..., 0]
+    _, reps, components = _ray_graph([v / np.linalg.norm(v) for v in coords], tol)
+    if len(reps) == len(components) == cols.shape[1]:
+        return _alignment_unitary(reps)
+    return None
+
+
 def _candidate_moves(basis: ProductBasis, split: SubspacePair, inside, tol: Tolerances):
     """Grid-restoring moves for the inside block of a split.
 
@@ -445,28 +447,19 @@ def _candidate_moves(basis: ProductBasis, split: SubspacePair, inside, tol: Tole
     of whatever single local rotation wound that side.  Moves that only
     adjust phases are skipped.
     """
-    block = [st for st, x in zip(basis, inside) if x]
     ka, kb = split.dims
-    alphas = [dagger(split.a_basis) @ st.a for st in block]
-    betas = [dagger(split.b_basis) @ st.b for st in block]
-    alphas = [v / np.linalg.norm(v) for v in alphas]
-    betas = [v / np.linalg.norm(v) for v in betas]
-    _, a_reps = _group_rays(alphas, tol.ray_grouping)
-    _, b_reps = _group_rays(betas, tol.ray_grouping)
-    a_grid = len(a_reps) == ka and _mutually_orthogonal(a_reps, tol.ray_grouping)
-    b_grid = len(b_reps) == kb and _mutually_orthogonal(b_reps, tol.ray_grouping)
+    u_a = _grid_alignment(basis.a_matrix(), split.a_basis, inside, tol.ray_grouping)
+    u_b = _grid_alignment(basis.b_matrix(), split.b_basis, inside, tol.ray_grouping)
+    a_moves = u_a is not None and not _is_phase_diagonal(u_a)
+    b_moves = u_b is not None and not _is_phase_diagonal(u_b)
 
     moves = []
-    u_a = _alignment_unitary(a_reps) if a_grid else None
-    u_b = _alignment_unitary(b_reps) if b_grid else None
-    eye_a = np.eye(ka, dtype=complex)
-    eye_b = np.eye(kb, dtype=complex)
-    if a_grid and b_grid and not (_is_phase_diagonal(u_a) and _is_phase_diagonal(u_b)):
+    if u_a is not None and u_b is not None and (a_moves or b_moves):
         moves.append(WindingMove(split, u_a, u_b))
-    if a_grid and not _is_phase_diagonal(u_a):
-        moves.append(WindingMove(split, u_a, eye_b))
-    if b_grid and not _is_phase_diagonal(u_b):
-        moves.append(WindingMove(split, eye_a, u_b))
+    if a_moves:
+        moves.append(WindingMove(split, u_a, np.eye(kb, dtype=complex)))
+    if b_moves:
+        moves.append(WindingMove(split, np.eye(ka, dtype=complex), u_b))
     return moves
 
 

@@ -327,6 +327,13 @@ def test_move_from_record_rejects_malformed():
         move_from_record({**record, "op": "swap"})
 
 
+def cartesian_2x2_text(**changes) -> str:
+    """A Cartesian 2x2 basis file with fields of state 0 replaced."""
+    payload = basis_to_payload(cartesian_basis(2, 2))
+    payload["states"][0].update(changes)
+    return json.dumps(payload)
+
+
 def duplicated_state_text() -> str:
     st = cartesian_basis(2, 2).states[0]
     return json.dumps(basis_to_payload(ProductBasis(2, 2, (st, st))))
@@ -348,6 +355,9 @@ CLI_FILES = {
     "provenance_not_objects": lambda: cartesian_text(provenance=[1, "x"]),
     "provenance_without_op": lambda: cartesian_text(provenance=[{"shift": 1}]),
     "provenance_op_not_string": lambda: cartesian_text(provenance=[{"op": 3}]),
+    "ragged_side_a": lambda: cartesian_2x2_text(a=[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+    "short_side_b": lambda: cartesian_2x2_text(b=[[1.0, 0.0]]),
+    "tile_cell_outside_grid": lambda: cartesian_2x2_text(tile_cells=[[2, 0]]),
     **{name: (lambda changes=changes: cartesian_text(**changes)) for name, changes in MALFORMED_NUMBERS.items()},
 }
 

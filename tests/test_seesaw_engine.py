@@ -194,8 +194,8 @@ def test_decrease_raises(monkeypatch):
     # reports less than the B half step before it
     calls = itertools.count()
 
-    def lowered(m, tie_tol=1e-12):
-        values, vectors = top_eigenvector(m, tie_tol)
+    def lowered(m):
+        values, vectors = top_eigenvector(m)
         return (values - 1e-6 if next(calls) % 2 == 0 else values), vectors
 
     monkeypatch.setattr(verify, "top_eigenvector", lowered)
