@@ -141,15 +141,12 @@ class ProductBasis:
         d_a, d_b = dims
         a = _factor_columns(a, d_a, "a")
         b = _factor_columns(b, d_b, "b")
-        if not b.shape[1] == len(labels) == len(tile_cells) == a.shape[1]:
-            raise DimensionMismatch("factors, labels and tile cells disagree on the state count")
         cells = [cell for support in tile_cells if support is not None for cell in support]
-        if cells:
-            grid = np.array(cells)
-            inside = np.all((grid >= 0) & (grid < (d_a, d_b)), axis=1)
-            if not inside.all():
-                c, r = cells[int(np.argmin(inside))]
-                raise DimensionMismatch(f"tile cell ({c}, {r}) outside the {d_a}x{d_b} grid")
+        grid = np.array(cells).reshape(-1, 2)  # object dtype for ints beyond int64
+        outside = np.flatnonzero(np.any((grid < 0) | (grid >= (d_a, d_b)), axis=1))
+        if outside.size:
+            c, r = cells[outside[0]]
+            raise DimensionMismatch(f"tile cell ({c}, {r}) outside the {d_a}x{d_b} grid")
         for name, value in (("d_a", d_a), ("d_b", d_b), ("labels", tuple(labels)),
                             ("tile_cells", tuple(tile_cells)), ("family", family),
                             ("provenance", tuple(provenance)), ("_a", a), ("_b", b)):

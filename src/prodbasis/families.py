@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import Family, ProductBasis, ProductState
+from .basis import Family, ProductBasis
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidDimension
 from .linalg import basis_vector
 
@@ -56,31 +56,31 @@ def gen_tiles1(n: int) -> ProductBasis:
         raise InvalidDimension(f"gen_tiles1 requires even n >= 4, got n={n}")
     omega = np.exp(4j * np.pi / n)
     half = n // 2
-    states = []
+    states = []  # (a, b, label, tile cells) per state
     for m in range(1, half):
         for k in range(n):
             support = tuple((j + k + 1) % n for j in range(half))
-            states.append(ProductState(
+            states.append((
                 basis_vector(n, k),
                 fourier_local_state(n, support, m, omega),
-                label=f"V[{m},{k}]",
-                tile_cells=frozenset((k, r) for r in support),
+                f"V[{m},{k}]",
+                frozenset((k, r) for r in support),
             ))
     for m in range(1, half):
         for k in range(n):
             support = tuple((j + k) % n for j in range(half))
-            states.append(ProductState(
+            states.append((
                 fourier_local_state(n, support, m, omega),
                 basis_vector(n, k),
-                label=f"H[{m},{k}]",
-                tile_cells=frozenset((c, k) for c in support),
+                f"H[{m},{k}]",
+                frozenset((c, k) for c in support),
             ))
     uniform = fourier_local_state(n, range(n), 0, 1.0)
-    states.append(ProductState(
-        uniform, uniform, label="F",
-        tile_cells=frozenset((c, r) for c in range(n) for r in range(n)),
+    states.append((
+        uniform, uniform, "F",
+        frozenset((c, r) for c in range(n) for r in range(n)),
     ))
-    return ProductBasis(n, n, tuple(states), family=Family.GENTILES1)
+    return ProductBasis._from_rows((n, n), *zip(*states), family=Family.GENTILES1)
 
 
 def gen_tiles2(m: int, n: int) -> ProductBasis:
@@ -94,31 +94,31 @@ def gen_tiles2(m: int, n: int) -> ProductBasis:
     """
     if m < 3 or n <= 3 or n < m:
         raise InvalidDimension(f"gen_tiles2 requires n > 3, m >= 3 and n >= m, got m={m}, n={n}")
-    states = []
+    states = []  # (a, b, label, tile cells) per state
     for j in range(m):
-        states.append(ProductState(
+        states.append((
             fourier_local_state(m, (j, (j + 1) % m), 1, -1.0),
             basis_vector(n, j),
-            label=f"S[{j}]",
-            tile_cells=frozenset({(j, j), ((j + 1) % m, j)}),
+            f"S[{j}]",
+            frozenset({(j, j), ((j + 1) % m, j)}),
         ))
     omega = np.exp(2j * np.pi / (n - 2))
     for j in range(m):
         support = tuple((i + j + 1) % m for i in range(m - 2)) + tuple(i + 2 for i in range(m - 2, n - 2))
         for k in range(1, n - 2):
-            states.append(ProductState(
+            states.append((
                 basis_vector(m, j),
                 fourier_local_state(n, support, k, omega),
-                label=f"L[{j},{k}]",
-                tile_cells=frozenset((j, r) for r in support),
+                f"L[{j},{k}]",
+                frozenset((j, r) for r in support),
             ))
-    states.append(ProductState(
+    states.append((
         fourier_local_state(m, range(m), 0, 1.0),
         fourier_local_state(n, range(n), 0, 1.0),
-        label="F",
-        tile_cells=frozenset((c, r) for c in range(m) for r in range(n)),
+        "F",
+        frozenset((c, r) for c in range(m) for r in range(n)),
     ))
-    return ProductBasis(m, n, tuple(states), family=Family.GENTILES2)
+    return ProductBasis._from_rows((m, n), *zip(*states), family=Family.GENTILES2)
 
 
 def cartesian_basis(d_a: int, d_b: int) -> ProductBasis:
@@ -139,15 +139,10 @@ def cartesian_basis(d_a: int, d_b: int) -> ProductBasis:
     )
 
 
-def _moved_cells(tile_cells, n: int, s_c: int, s_r: int, swap: bool = False):
-    """Each state's cells shifted by (s_c, s_r) mod n, after exchanging column and row if ``swap``."""
-    moved = []
-    for cells in tile_cells:
-        if cells is not None:
-            pairs = ((r, c) for c, r in cells) if swap else cells
-            cells = frozenset(((c + s_c) % n, (r + s_r) % n) for c, r in pairs)
-        moved.append(cells)
-    return moved
+def _moved_cells(tile_cells, n: int, s_c: int, s_r: int):
+    """Each state's cells shifted by (s_c, s_r) mod n."""
+    return [None if cells is None else frozenset(((c + s_c) % n, (r + s_r) % n) for c, r in cells)
+            for cells in tile_cells]
 
 
 def cyclic_shift_basis(basis: ProductBasis, s: int) -> ProductBasis:
@@ -185,11 +180,12 @@ def swap_shift_basis(basis: ProductBasis, variant: str = "shift_a") -> ProductBa
         raise ValueError(f"unknown swap-shift variant {variant!r}")
     n = basis.d_a
     a, b = basis.a_matrix().T, basis.b_matrix().T
+    swapped = [None if cells is None else {(r, c) for c, r in cells} for cells in basis.tile_cells]
     if variant == "shift_a":
         a, b, s_c, s_r = b, np.roll(a, 1, axis=1), 0, 1
     else:
         a, b, s_c, s_r = np.roll(b, 1, axis=1), a, 1, 0
     return ProductBasis._from_rows(
-        (n, n), a, b, basis.labels, _moved_cells(basis.tile_cells, n, s_c, s_r, swap=True), family=basis.family,
+        (n, n), a, b, basis.labels, _moved_cells(swapped, n, s_c, s_r), family=basis.family,
         provenance=basis.provenance + ({"op": "swap_shift", "variant": variant},),
     )

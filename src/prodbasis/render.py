@@ -16,12 +16,11 @@ _LABEL_WIDTH = 6
 
 
 def render_tiles(basis: ProductBasis) -> str:
-    supports = basis.tile_cells
-    if any(cells is None for cells in supports):
+    if any(cells is None for cells in basis.tile_cells):
         raise NoTileMetadata("basis states carry no tile-cell metadata")
     full_grid = frozenset((c, r) for c in range(basis.d_a) for r in range(basis.d_b))
-    tiles = [i for i, cells in enumerate(supports) if cells != full_grid]
-    stoppers = [i for i, cells in enumerate(supports) if cells == full_grid]
+    tiles = [i for i, cells in enumerate(basis.tile_cells) if cells != full_grid]
+    stoppers = [i for i, cells in enumerate(basis.tile_cells) if cells == full_grid]
 
     short = {}  # state index -> truncated label
     legend = []
@@ -35,7 +34,7 @@ def render_tiles(basis: ProductBasis) -> str:
     cell_text = {}
     for c in range(basis.d_a):
         for r in range(basis.d_b):
-            covering = [short[i] for i in tiles if (c, r) in supports[i]]
+            covering = [short[i] for i in tiles if (c, r) in basis.tile_cells[i]]
             cell_text[(c, r)] = " ".join(covering) if covering else "."
 
     widths = [

@@ -242,16 +242,14 @@ def _rotate(basis: ProductBasis, move: WindingMove, inside, tol: Tolerances) -> 
     return out
 
 
-def _ray_graph(vectors, tol: float):
-    """Rays of the rows of ``vectors`` and the components of their non-orthogonality graph.
+def _rays(vectors, tol: float):
+    """Rays of the rows of ``vectors`` and which pairs of rays are non-orthogonal.
 
     Every test reads one modulus matrix |<v_m|v_n>|.  Row n joins the ray of
     the first representative r with |<v_r|v_n>| >= 1 - tol, or else starts
-    a new ray; two rays are adjacent when their |overlap| exceeds ``tol``.
-    Returns each row's ray id, the representative rows in first-occurrence
-    order, and the components as sorted arrays of ray ids, ordered by their
-    smallest member.  A component of two or more rays holds a non-orthogonal
-    pair, so the rays are mutually orthogonal iff every component is one ray.
+    a new ray.  Returns each row's ray id, the representative rows in
+    first-occurrence order, and the adjacency of the ray graph: True where
+    two distinct rays have |overlap| > tol.
     """
     v = np.asarray(vectors)
     mod = np.abs(v.conj() @ v.T)
@@ -262,12 +260,27 @@ def _ray_graph(vectors, tol: float):
         if i == len(reps):
             reps.append(n)
         ids.append(i)
-    # transitive closure of the adjacency by repeated boolean squaring
-    reach = (mod[np.ix_(reps, reps)] > tol) | np.eye(len(reps), dtype=bool)
+    adjacent = (mod[reps][:, reps] > tol) & ~np.eye(len(reps), dtype=bool)
+    return ids, v[reps], adjacent
+
+
+def _is_grid(reps, adjacent, dim: int) -> bool:
+    """``dim`` mutually orthogonal rays: every component of the ray graph is a single ray.
+
+    A component of two or more rays holds a non-orthogonal pair, so this is
+    the same predicate as "no two rays adjacent".
+    """
+    return len(reps) == dim and not adjacent.any()
+
+
+def _components(adjacent):
+    """Components of the ray graph as sorted arrays of ray ids, ordered by their smallest member."""
+    # transitive closure by repeated boolean squaring
+    reach = adjacent | np.eye(len(adjacent), dtype=bool)
     while not np.array_equal(grown := reach @ reach, reach):
         reach = grown
-    roots = np.flatnonzero(reach.argmax(axis=1) == np.arange(len(reps)))
-    return ids, v[reps], [np.flatnonzero(reach[i]) for i in roots]
+    roots = np.flatnonzero(reach.argmax(axis=1) == np.arange(len(reach)))
+    return [np.flatnonzero(reach[i]) for i in roots]
 
 
 def is_cartesian(basis: ProductBasis, tol: float = TOLERANCES.ray_grouping) -> bool:
@@ -279,17 +292,17 @@ def is_cartesian(basis: ProductBasis, tol: float = TOLERANCES.ray_grouping) -> b
     bijectively.  No alignment with the computational axes is required.
     """
     _require_complete(basis)
-    a_ids, a_reps, a_components = _ray_graph(basis.a_matrix().T, tol)
-    if not len(a_reps) == len(a_components) == basis.d_a:
+    a_ids, a_reps, a_adjacent = _rays(basis.a_matrix().T, tol)
+    if not _is_grid(a_reps, a_adjacent, basis.d_a):
         return False
-    b_ids, b_reps, b_components = _ray_graph(basis.b_matrix().T, tol)
-    if not len(b_reps) == len(b_components) == basis.d_b:
+    b_ids, b_reps, b_adjacent = _rays(basis.b_matrix().T, tol)
+    if not _is_grid(b_reps, b_adjacent, basis.d_b):
         return False
     return len(set(zip(a_ids, b_ids))) == basis.dim
 
 
 def _component_subspaces(reps, components):
-    """Orthonormal bases for the components of :func:`_ray_graph`.
+    """Orthonormal bases for ray-graph components (see :func:`_components`).
 
     A one-ray component keeps its ray as its basis (a natural alignment
     target); a larger one is spanned by a rank-revealing QR of its rays.
@@ -312,8 +325,8 @@ def _side_candidates(vectors, dim: int, tol: float):
     come in bitmask order over the components.  Their columns are checked
     for orthonormality only when a split on them is built.
     """
-    _, reps, members = _ray_graph(vectors, tol)
-    components = _component_subspaces(reps, members)
+    _, reps, adjacent = _rays(vectors, tol)
+    components = _component_subspaces(reps, _components(adjacent))
     c = len(components)
     cands = [np.eye(dim, dtype=complex)]
     for mask in range(1, 2**c - 1):
@@ -431,10 +444,10 @@ def _grid_alignment(factors, cols, inside, tol: float):
     column of ``cols``.
     """
     coords = (dagger(cols) @ factors.T[inside][:, :, None])[..., 0]
-    _, reps, components = _ray_graph([v / np.linalg.norm(v) for v in coords], tol)
-    if len(reps) == len(components) == cols.shape[1]:
-        return _alignment_unitary(reps)
-    return None
+    # one norm per vector: a norm along an axis sums in another order
+    norms = np.array([np.linalg.norm(v) for v in coords])
+    _, reps, adjacent = _rays(coords / norms[:, None], tol)
+    return _alignment_unitary(reps) if _is_grid(reps, adjacent, cols.shape[1]) else None
 
 
 def _candidate_moves(basis: ProductBasis, split: SubspacePair, inside, tol: Tolerances):

@@ -276,6 +276,7 @@ def test_cli_rejects_non_integer_pb_seed(tmp_path, capsys, monkeypatch):
 MALFORMED_NUMBERS = {
     "dims_overflow": {"dims": ["1e400", 2]},
     "tile_cell_overflow": {"tile_cells": [["1e400", 0]]},
+    "tile_cell_beyond_int64": {"tile_cells": [[2**64, 0]]},
     "empty_amplitudes": {"a": []},
     "fractional_dims": {"dims": [2.7, 3]},  # int() would read it as the fixture's 2x3
 }

@@ -10,7 +10,8 @@ from prodbasis.winding import (
     SubspacePair,
     WindingMove,
     _component_subspaces,
-    _ray_graph,
+    _components,
+    _rays,
     _side_candidates,
     _side_measures,
     apply_winding_move,
@@ -51,10 +52,10 @@ def union_candidates(components):
 
 def reference_splits(basis, tol=TOLERANCES):
     """Every union pair built, validated state by state and deduplicated by projector."""
-    _, a_reps, a_members = _ray_graph([st.a for st in basis], tol.ray_grouping)
-    _, b_reps, b_members = _ray_graph([st.b for st in basis], tol.ray_grouping)
-    a_cands = union_candidates(_component_subspaces(a_reps, a_members))
-    b_cands = union_candidates(_component_subspaces(b_reps, b_members))
+    _, a_reps, a_adjacent = _rays([st.a for st in basis], tol.ray_grouping)
+    _, b_reps, b_adjacent = _rays([st.b for st in basis], tol.ray_grouping)
+    a_cands = union_candidates(_component_subspaces(a_reps, _components(a_adjacent)))
+    b_cands = union_candidates(_component_subspaces(b_reps, _components(b_adjacent)))
     full_a = np.eye(basis.d_a, dtype=complex)
     full_b = np.eye(basis.d_b, dtype=complex)
     pairs = [(a, full_b) for a in a_cands]
