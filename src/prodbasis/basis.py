@@ -84,17 +84,6 @@ class ProductState:
         st.__dict__.update(a=a, b=b, label=label, tile_cells=tile_cells)
         return st
 
-    @property
-    def d_a(self) -> int:
-        return self.a.size
-
-    @property
-    def d_b(self) -> int:
-        return self.b.size
-
-    def global_vector(self) -> np.ndarray:
-        return np.kron(self.a, self.b)
-
     def overlap(self, other: "ProductState") -> complex:
         """Global overlap <self|other> = <a|a'><b|b'>."""
         return complex(np.vdot(self.a, other.a) * np.vdot(self.b, other.b))

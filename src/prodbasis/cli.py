@@ -14,13 +14,16 @@ outcomes:
 
 The default for every --seed flag is the PB_SEED environment variable when
 set, else 0; identical seeds and inputs produce byte-identical reports.
+
+:func:`main` builds the argument parser on its first call and reuses it, so
+an in-process caller pays for it once per process.  Each call dispatches to
+the module's ``cmd_<command>`` function as bound at that call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -36,7 +39,7 @@ from .errors import (
     ProductBasisError,
 )
 from .families import cartesian_basis, gen_tiles1, gen_tiles2
-from .io import complex_to_json, load_basis, save_basis
+from .io import complex_to_json, json_text, load_basis, save_basis, write_json
 from .render import render_tiles
 from .verify import Verdict, check_upb, overlap_verdict
 from .winding import move_to_record, unwind, wind_basis
@@ -130,7 +133,7 @@ def cmd_verify(args) -> int:
         "config": {"restarts": args.restarts, "seed": seed, "eta": args.eta, "tol": args.tol},
     }
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         b, r = payload["basis"], payload["report"]
         print(f"dims: {b['dims'][0]} {b['dims'][1]}")
@@ -198,15 +201,9 @@ def cmd_boundent(args) -> int:
         },
         "seed": seed,
     }
-    print(json.dumps(payload, indent=2))
+    print(json_text(payload))
     if args.out:
-        density_payload = {
-            "dims": [rho.d_a, rho.d_b],
-            "matrix": complex_to_json(rho.matrix),
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(density_payload, fh, indent=2)
-            fh.write("\n")
+        write_json({"dims": [rho.d_a, rho.d_b], "matrix": complex_to_json(rho.matrix)}, args.out)
         print(f"wrote density matrix to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -250,7 +247,7 @@ def cmd_unwind(args) -> int:
         "depth_used": len(sequence),
         "certified": True,
     }
-    print(json.dumps(payload, indent=2))
+    print(json_text(payload))
     return EXIT_OK
 
 
@@ -266,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="B-side dimension (both sides for gentiles1)")
     p.add_argument("--m", type=int, help="A-side dimension (gentiles2, cartesian)")
     p.add_argument("--out", help="output path (default derived from family and dims)")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="orthonormality, rank and unextendibility report")
     p.add_argument("path")
@@ -275,18 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10, help="orthonormality tolerance")
     p.add_argument("--eta", type=float, default=1e-3, help="unextendibility margin")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="ASCII tile diagram of a basis file")
     p.add_argument("path")
-    p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("boundent", help="complement density state, PPT and range criterion")
     p.add_argument("path")
     p.add_argument("--restarts", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="write the density matrix to this path")
-    p.set_defaults(func=cmd_boundent)
 
     p = sub.add_parser("wind", help="apply random winding moves to a complete basis")
     p.add_argument("path", nargs="?", help="input basis file (complete product basis)")
@@ -295,20 +288,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moves", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_wind)
 
     p = sub.add_parser("unwind", help="search for a certified unwinding sequence")
     p.add_argument("path")
     p.add_argument("--depth", type=int, default=2)
-    p.set_defaults(func=cmd_unwind)
 
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ProductBasisError as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
 

@@ -12,11 +12,21 @@ decimal (at most 17 significant digits) that parses back to the identical
 bit pattern, so save/load round-trips are exact and the files stay
 human-diffable.  Key order is fixed, making output byte-stable for
 identical inputs.
+
+Every JSON document the package writes (basis files, the ``boundent --out``
+density file and the JSON reports on stdout) goes through one writer,
+:func:`json_text`, which returns exactly the text of
+``json.dumps(obj, indent=2)``.  It emits scalars through the primitives
+``json`` uses (``float.__repr__``, ``int.__repr__`` and
+``encode_basestring_ascii``), but it writes an ``[re, im]`` pair of finite
+floats, the bulk of every file, from one fixed template instead of running
+``json``'s pure-Python indenting encoder item by item.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +42,8 @@ __all__ = [
     "basis_from_payload",
     "save_basis",
     "load_basis",
+    "json_text",
+    "write_json",
 ]
 
 FORMAT_VERSION = 1
@@ -126,9 +138,112 @@ def basis_from_payload(payload: dict) -> ProductBasis:
         raise BasisFileError(f"invalid amplitudes: {exc}") from exc
 
 
+_INFINITY = float("inf")
+
+
+def _float_text(x) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    # json's coercions of non-string keys, in json's order
+    if isinstance(key, str):
+        pass
+    elif isinstance(key, float):
+        key = _float_text(key)
+    elif key is True:
+        key = "true"
+    elif key is False:
+        key = "false"
+    elif key is None:
+        key = "null"
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _write(value, level: int, out) -> None:
+    # json's type tests, in json's order
+    if isinstance(value, str):
+        out(encode_basestring_ascii(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, float):
+        out(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        _write_list(value, level, out)
+    elif isinstance(value, dict):
+        _write_dict(value, level, out)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_list(items, level: int, out) -> None:
+    if not items:
+        out("[]")
+        return
+    inner = "\n" + "  " * (level + 1)
+    # "%r" is float.__repr__ for an exact float; a finite repr has no "n",
+    # so nan and inf fall through to the general path
+    pair = f"[{inner}  %r,{inner}  %r{inner}]"
+    sep = "[" + inner
+    for item in items:
+        out(sep)
+        sep = "," + inner
+        if type(item) is list and len(item) == 2 and type(item[0]) is float and type(item[1]) is float:
+            text = pair % (item[0], item[1])
+            if "n" not in text:
+                out(text)
+                continue
+        _write(item, level + 1, out)
+    out("\n" + "  " * level + "]")
+
+
+def _write_dict(mapping, level: int, out) -> None:
+    if not mapping:
+        out("{}")
+        return
+    inner = "\n" + "  " * (level + 1)
+    sep = "{" + inner
+    for key, value in mapping.items():
+        out(sep + _key_text(key) + ": ")
+        sep = "," + inner
+        _write(value, level + 1, out)
+    out("\n" + "  " * level + "}")
+
+
+def json_text(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2)`` for an acyclic JSON tree.
+
+    Tuples encode as lists; a value that ``json.dumps`` rejects (a numpy
+    integer or bool, a set) raises the same :class:`TypeError`.
+    """
+    parts = []
+    _write(obj, 0, parts.append)
+    return "".join(parts)
+
+
+def write_json(obj, path) -> None:
+    """Write :func:`json_text` of ``obj`` and a trailing newline to ``path``."""
+    Path(path).write_text(json_text(obj) + "\n", encoding="utf-8")
+
+
 def save_basis(basis: ProductBasis, path) -> None:
-    text = json.dumps(basis_to_payload(basis), indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_json(basis_to_payload(basis), path)
 
 
 def load_basis(path) -> ProductBasis:

@@ -50,6 +50,11 @@ __all__ = [
 ]
 
 
+# The two constants below are module-local rather than Tolerances fields
+# because no caller sets them: no function takes them as an argument, the CLI
+# has no flag for them, and every test and workload runs with these values.
+# A threshold moves into Tolerances only once a caller needs to set it.
+#
 # max|C^dag C - I| for split columns and max|U^dag U - I| for move unitaries;
 # also the |R_ii| rank cut of the QR that spans a ray component
 _MATRIX_TOL = 1e-10

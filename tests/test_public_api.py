@@ -42,6 +42,8 @@ def test_public_api_names_resolve():
     for removed in ("projector_from_states", "hermitian_eig", "NotHermitian"):
         assert not hasattr(prodbasis, removed)
     assert not hasattr(prodbasis.ProductBasis, "with_provenance")
+    for removed in ("global_vector", "d_a", "d_b"):
+        assert not hasattr(prodbasis.ProductState, removed)
 
 
 def test_tolerance_fields_are_pinned():
