@@ -5,7 +5,7 @@ range contains no product state) yet positive under partial transposition,
 so it cannot be distilled.  This module builds that state and checks both
 halves of the signature numerically: the PPT test via the minimum
 partial-transpose eigenvalue, and the range criterion via the same see-saw
-search used for unextendibility.
+engine used for unextendibility.
 
 For a UPB complement state the two searches are one: the range of
 (I - P_S)/(D - N) is the complement of the span, and "no product state in
@@ -13,11 +13,16 @@ the complement" is what unextendible means.  So one see-saw on the range
 projector gives both the range criterion and the unextendibility verdict
 (``prodbasis boundent`` reads its gate from it through
 :func:`prodbasis.verify.overlap_verdict`).
+
+A job decomposes the state once: :class:`DensityMatrix` checks its spectrum
+with ``eigh`` and keeps the eigenpairs, and the range criterion hands the
+range eigenvectors straight to the see-saw as the factor of the range
+projector.  The partial transpose has a spectrum of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -26,7 +31,7 @@ from .basis import ProductBasis, ProductState
 from .config import TOLERANCES, Tolerances
 from .errors import CompleteBasisInput, DimensionMismatch, ZeroState
 from .linalg import hermitian_part, partial_transpose
-from .verify import complement_projector, seesaw_max_product_overlap
+from .verify import _seesaw, complement_projector
 
 __all__ = [
     "DensityMatrix",
@@ -45,11 +50,16 @@ class RangeVerdict(str, Enum):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Normalized density operator on C^dA (x) C^dB."""
+    """Normalized density operator on C^dA (x) C^dB.
+
+    Validation decomposes the Hermitian part once; its eigenpairs ``(w, v)``
+    are kept, read-only, in ``_spectrum`` for the range criterion.
+    """
 
     matrix: np.ndarray
     d_a: int
     d_b: int
+    _spectrum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -61,10 +71,13 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         if not abs(float(np.trace(m).real) - 1.0) <= 1e-10:
             raise ValueError("density matrix trace differs from 1 beyond 1e-10")
-        if not float(np.linalg.eigvalsh(hermitian_part(m))[0]) >= -1e-10:
+        w, v = np.linalg.eigh(hermitian_part(m))
+        if not float(w[0]) >= -1e-10:
             raise ValueError("density matrix has an eigenvalue below -1e-10")
-        m.setflags(write=False)
+        for array in (m, w, v):
+            array.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_spectrum", (w, v))
 
     @property
     def dim(self) -> int:
@@ -85,16 +98,17 @@ class RangeCriterionReport:
 def upb_density_state(basis: ProductBasis, tol: Tolerances = TOLERANCES) -> DensityMatrix:
     """Uniform mixture over the complement of the basis span.
 
-    rho = (I - P_S) / (dA*dB - N); the spectrum is {0, 1/(D - N)}.  The
+    rho = (I - P_S) / tr(I - P_S); the spectrum is {0, 1/(D - N)} up to the
+    Gram deviation.  Dividing by the measured trace, not the rank D - N,
+    gives trace 1 to rounding however the admitted norm errors add up.  The
     basis is checked for orthonormality first (:class:`NonOrthonormalInput`),
     then for a nonempty complement (:class:`CompleteBasisInput`).  Whether
     the basis is unextendible is left to the range criterion on the result.
     """
     q = complement_projector(basis, tol)
-    rank = basis.dim - len(basis)
-    if rank == 0:
+    if basis.dim == len(basis):
         raise CompleteBasisInput("basis spans the full space, the complement state is empty")
-    return DensityMatrix(q / rank, basis.d_a, basis.d_b)
+    return DensityMatrix(q / np.trace(q).real, basis.d_a, basis.d_b)
 
 
 def is_ppt(rho: DensityMatrix, tol: float = TOLERANCES.ppt):
@@ -115,23 +129,21 @@ def range_criterion_report(
 ) -> RangeCriterionReport:
     """Search the range of rho for product states.
 
-    The range projector collects eigenvectors with eigenvalue above
-    ``tol.range_cutoff``; the see-saw then maximizes the product overlap
-    with it.  A maximum below 1 - eta means the range holds no product
+    The range is spanned by the eigenvectors of rho, from the decomposition
+    that validated it, with eigenvalue above ``tol.range_cutoff``.  Those
+    orthonormal columns V factor the range projector V V^dag, so the see-saw
+    maximizes the product overlap with it without forming or decomposing
+    it again.  A maximum below 1 - eta means the range holds no product
     state numerically, which is the entanglement half of the signature.
     """
     eta = tol.upb_margin if eta is None else eta
-    w, v = np.linalg.eigh(hermitian_part(np.asarray(rho.matrix, dtype=complex)))
+    w, v = rho._spectrum
     keep = w > tol.range_cutoff
     if not np.any(keep):
         raise ZeroState("density matrix has no eigenvalue above the range cutoff")
     cols = v[:, keep]
-    r = hermitian_part(cols @ cols.conj().T)
-    result = seesaw_max_product_overlap(
-        r, rho.d_a, rho.d_b,
-        restarts=restarts, seed=seed, stop_tol=stop_tol,
-        max_iterations=max_iterations, tol=tol,
-    )
+    result = _seesaw(cols, np.ones(cols.shape[1]), rho.d_a, rho.d_b,
+                     restarts, seed, stop_tol, max_iterations)
     verdict = RangeVerdict.ENTANGLED if result.value < 1.0 - eta else RangeVerdict.INCONCLUSIVE
     return RangeCriterionReport(
         range_rank=int(np.count_nonzero(keep)),

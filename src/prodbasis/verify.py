@@ -204,12 +204,21 @@ def seesaw_max_product_overlap(
     so rounding noise among restarts that reach the same optimum does not
     pick it, and the outcome does not depend on execution order.
     """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
     _, w, v = _check_operator_interval(q, d_a, d_b, tol.operator_interval)
     keep = np.abs(w) > w.size * np.finfo(float).eps * np.max(np.abs(w))
-    s = w[keep]
-    f = v[:, keep].reshape(d_a, d_b, s.size)
+    return _seesaw(v[:, keep], w[keep], d_a, d_b, restarts, seed, stop_tol, max_iterations)
+
+
+def _seesaw(f, s, d_a, d_b, restarts, seed, stop_tol, max_iterations) -> SeesawResult:
+    """The see-saw on Q = F diag(s) F^dag, for a factor ``f`` of shape (dA*dB, k).
+
+    :func:`seesaw_max_product_overlap` checks Q and factors it; the range
+    criterion passes the range eigenvectors of its state with s = 1, a
+    projector by construction.
+    """
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+    f = f.reshape(d_a, d_b, s.size)
     f_a = f.reshape(d_a, d_b * s.size)                      # rows: A side
     f_b = f.transpose(1, 0, 2).reshape(d_b, d_a * s.size)   # rows: B side
 

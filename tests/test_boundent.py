@@ -211,17 +211,78 @@ def test_cli_boundent_matches_two_seesaw_sequence(tmp_path, capsys, name):
     assert new[0] == expected
 
 
-def test_cli_boundent_rejects_unnormalizable_complement_state(tmp_path, capsys):
-    # 120 states whose norms pass every input check but whose complement
-    # state, of rank 1, misses trace 1 by about 2e-10
+def near_complete_11x11():
+    """120 states whose norms pass every input check but whose complement,
+    of rank 1, has trace 1 - 2e-10: dividing by the rank misses trace 1."""
     cart = cartesian_basis(11, 11)
-    states = tuple(ProductState(s.a * (1 + 9e-13), s.b) for s in cart.states[:-1])
+    return ProductBasis(11, 11, tuple(ProductState(s.a * (1 + 9e-13), s.b) for s in cart.states[:-1]))
+
+
+def test_density_state_has_trace_one_for_accumulated_norm_errors():
+    basis = near_complete_11x11()
+    assert abs(np.trace(complement_projector(basis)).real - 1.0) > 1e-10
+    rho = upb_density_state(basis)
+    assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-12
+
+
+def test_cli_boundent_rejects_unnormalizable_complement_state(tmp_path, capsys):
+    # the rank-1 complement of the near-complete set is the product state
+    # |10>|10>, so the set is extendible (exit 5), not a malformed state
     path = tmp_path / "near_complete.json"
-    save_basis(ProductBasis(11, 11, states), path)
+    save_basis(near_complete_11x11(), path)
+    assert main(["boundent", str(path), "--restarts", "5"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: basis verdict is Extendible; "
+                            "the complement state needs an unextendible basis\n")
+
+
+def test_cli_boundent_rejects_complement_state_with_negative_eigenvalue(tmp_path, capsys):
+    # Cartesian 3x3 minus |2>|2>, with A factors whose pairwise overlaps of
+    # 9e-11 pass the orthonormality check; on each B block they add up to a
+    # complement eigenvalue of about -1.8e-10
+    delta = 4.5e-11
+    a = np.eye(3, dtype=complex) + delta * (np.ones((3, 3)) - np.eye(3))
+    a /= np.linalg.norm(a, axis=0)
+    states = tuple(ProductState(a[:, i], basis_vector(3, j)) for i in range(3) for j in range(3))[:-1]
+    path = tmp_path / "tilted.json"
+    save_basis(ProductBasis(3, 3, states), path)
     assert main(["boundent", str(path), "--restarts", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: complement state is not a valid density matrix: ")
+    assert captured.err == ("error: complement state is not a valid density matrix: "
+                            "density matrix has an eigenvalue below -1e-10\n")
+
+
+def test_range_criterion_and_seesaw_need_a_restart():
+    rho = upb_density_state(gen_tiles2(3, 4))
+    with pytest.raises(ValueError, match="at least one restart"):
+        range_criterion_report(rho, restarts=0)
+    with pytest.raises(ValueError, match="at least one restart"):
+        verify.seesaw_max_product_overlap(complement_projector(gen_tiles2(3, 4)), 3, 4, restarts=0)
+
+
+def test_cli_boundent_decomposes_the_state_once(tmp_path, capsys, monkeypatch):
+    # one eigh of rho (validation, range cut and see-saw factor) and one
+    # eigvalsh of its partial transpose; the see-saw's stacked 3-D solves
+    # are not counted
+    dim = 12
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(m, *args, **kwargs):
+            if np.shape(m) == (dim, dim):
+                calls.append(name)
+            return fn(m, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    path = tmp_path / "g2.json"
+    save_basis(gen_tiles2(3, 4), path)
+    assert main(["boundent", str(path), "--restarts", "10", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["ppt"]["is_ppt"] is True
+    assert sorted(calls) == ["eigh", "eigvalsh"]
 
 
 def test_cli_boundent_runs_one_gram_and_one_seesaw(tmp_path, capsys, monkeypatch):
@@ -234,9 +295,9 @@ def test_cli_boundent_runs_one_gram_and_one_seesaw(tmp_path, capsys, monkeypatch
         return wrapper
 
     monkeypatch.setattr(verify, "gram_matrix", counted("gram", verify.gram_matrix))
-    seesaw = counted("seesaw", verify.seesaw_max_product_overlap)
-    for module in (verify, boundent):  # boundent imports the see-saw by name
-        monkeypatch.setattr(module, "seesaw_max_product_overlap", seesaw)
+    seesaw = counted("seesaw", verify._seesaw)
+    for module in (verify, boundent):  # boundent imports the see-saw engine by name
+        monkeypatch.setattr(module, "_seesaw", seesaw)
     path = tmp_path / "g2.json"
     save_basis(gen_tiles2(3, 4), path)
     assert main(["boundent", str(path), "--restarts", "10", "--seed", "0"]) == 0

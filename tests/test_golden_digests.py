@@ -8,8 +8,8 @@ and ``unwind``; later cases read the files that earlier ones wrote.
 The digests in ``golden_digests.json`` hold for the numpy version stored next
 to them.  Another numpy may round LAPACK results differently, so the test
 skips there.  A change that is meant to alter seeded output re-records them
-with ``PYTHONPATH=src python tests/test_golden_digests.py`` and says so in
-CHANGES.md.
+with ``PYTHONPATH=src python tests/test_golden_digests.py``, which names the
+cases whose digest changed on stderr, and says so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ def test_seeded_outputs_match_golden_digests(tmp_path, monkeypatch):
 
 
 def record() -> None:
+    """Re-record every digest and name on stderr the cases whose digest changed."""
+    old = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["digests"] if GOLDEN_PATH.exists() else {}
     os.environ.pop("PB_SEED", None)
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
@@ -116,6 +118,8 @@ def record() -> None:
     GOLDEN_PATH.write_text(json.dumps({"numpy": np.__version__, "digests": digests}, indent=2) + "\n",
                            encoding="utf-8")
     print(f"recorded {len(digests)} digests with numpy {np.__version__} to {GOLDEN_PATH}", file=sys.stderr)
+    changed = [name for name in digests if old.get(name) != digests[name]]
+    print(f"{len(changed)} changed: {', '.join(changed) or 'none'}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -366,6 +366,10 @@ CLI_FILES = {
 CLI_MALFORMED = [
     *((name, ["verify", f"{{tmp}}/{name}.json"], {}) for name in list(CLI_FILES)[3:]),
     ("missing_file", ["verify", "{tmp}/absent.json"], {}),
+    *((f"{command}_{name}", [command, f"{{tmp}}/{name}.json", *extra], {})
+      for command, extra in (("boundent", []), ("wind", ["--out", "{tmp}/w.json"]), ("unwind", []))
+      for name in ("not_json", "missing_file")),  # no file is written for missing_file
+    ("boundent_duplicated_state", ["boundent", "{tmp}/duplicated_state.json"], {}),
     ("render_without_tiles", ["render", "{tmp}/wound.json"], {}),
     ("render_short_tile_cell", ["render", "{tmp}/short_tile_cell.json"], {}),
     ("pb_seed_not_integer", ["wind", "--cartesian", "2", "2", "--out", "{tmp}/w.json"], {"PB_SEED": "seven"}),
