@@ -25,7 +25,7 @@ def test_kron_dimension_law():
     assert kron(u, v).size == 6
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
 @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**31 - 1))
 def test_kron_norm_multiplicative(da, db, seed):
     rng = np.random.default_rng(seed)
@@ -34,7 +34,7 @@ def test_kron_norm_multiplicative(da, db, seed):
     assert abs(np.linalg.norm(kron(u, v)) - np.linalg.norm(u) * np.linalg.norm(v)) <= 1e-12
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_kron_associative_on_entries(seed):
     rng = np.random.default_rng(seed)
@@ -66,7 +66,7 @@ def test_partial_transpose_bell_eigenvalues():
     assert np.allclose(w, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_partial_transpose_involution_and_trace(seed):
     rng = np.random.default_rng(seed)

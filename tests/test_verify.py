@@ -6,12 +6,13 @@ from prodbasis.basis import ProductBasis, ProductState
 from prodbasis.config import TOLERANCES
 from prodbasis.errors import (
     CountMismatch,
+    DimensionMismatch,
     DimensionTooLarge,
     InvalidProjector,
     NonOrthonormalInput,
 )
 from prodbasis.families import cartesian_basis, gen_tiles1, gen_tiles2
-from prodbasis.linalg import basis_vector, dagger, kron
+from prodbasis.linalg import basis_vector, dagger, hermitian_part, kron
 from prodbasis.sampling import random_unit_vector, stream
 from prodbasis.verify import (
     Verdict,
@@ -112,6 +113,15 @@ def test_seesaw_rejects_bad_operator():
         seesaw_max_product_overlap(np.array([[0, 1], [0, 0]], dtype=complex), 1, 2, restarts=1, seed=0)
 
 
+@pytest.mark.parametrize("d_a,d_b,dim", [(0, 3, 0), (2, 0, 0), (-1, -1, 1)])
+def test_nonpositive_dimensions_rejected(d_a, d_b, dim):
+    q = np.zeros((dim, dim))
+    with pytest.raises(DimensionMismatch):
+        seesaw_max_product_overlap(q, d_a, d_b, restarts=1, seed=0)
+    with pytest.raises(DimensionMismatch):
+        grid_oracle_max_product_overlap(q, d_a, d_b, resolution=8)
+
+
 def test_seesaw_rejects_nan_operator():
     with pytest.raises(InvalidProjector):
         seesaw_max_product_overlap(np.full((4, 4), np.nan, dtype=complex), 2, 2, restarts=1, seed=0)
@@ -199,6 +209,100 @@ def test_grid_oracle_matches_einsum_reference():
         assert grid.gap_bound == gap_bound
         seesaw = seesaw_max_product_overlap(q, d_a, d_b, restarts=60, seed=0)
         assert grid.value <= seesaw.value + 1e-6
+
+
+def full_grid_oracle(q, d_a, d_b, resolution):
+    """The sweep that solves every grid state, as the oracle did before pruning."""
+    q, w, _ = verify._check_operator_interval(q, d_a, d_b, TOLERANCES.operator_interval)
+    if d_a == 1:
+        grid = np.ones((1, 1), dtype=complex)
+        max_spacing = 0.0
+    else:
+        grid = verify._bloch_grid(resolution)
+        max_spacing = np.sqrt((np.pi / (resolution - 1) / 4) ** 2 + (2.0 * np.pi / resolution / 2) ** 2)
+    q_bra = q.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a, -1)
+    bra_q = (grid.conj() @ q_bra).reshape(len(grid), d_a, d_b * d_b)
+    m_b = (grid[:, None, :] @ bra_q).reshape(len(grid), d_b, d_b)
+    value = float(np.max(np.linalg.eigvalsh(hermitian_part(m_b))[:, -1]))
+    return value, float(2.0 * float(np.max(np.abs(w))) * max_spacing)
+
+
+def random_operator(rng, dim):
+    """A random 0 <= Q <= I with spectrum drawn uniformly from [0, 1]: no projector."""
+    u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    return (u * rng.uniform(0.0, 1.0, dim)) @ u.conj().T
+
+
+def flat_projector(rng):
+    """A rank-3 projector on 2x2: every grid state's <a|Q|a> has top eigenvalue 1."""
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    return np.eye(4) - np.outer(psi, psi.conj())
+
+
+def adversarial_cases():
+    """Operators where pruning is flat, degenerate, at a pole or at a dimension edge."""
+    rng = np.random.default_rng(2027)
+    dims = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
+    cases = [(d_a, d_b, np.zeros((d_a * d_b,) * 2, dtype=complex)) for d_a, d_b in dims]
+    cases += [(d_a, d_b, 0.5 * np.eye(d_a * d_b, dtype=complex)) for d_a, d_b in dims]
+    cases += [(2, 2, flat_projector(rng)) for _ in range(3)]
+    for d_b in (2, 3):
+        pole = kron(basis_vector(2, 0), random_unit_vector(rng, d_b))   # a = |0>, theta = 0
+        cases.append((2, d_b, np.outer(pole, pole.conj())))
+    cases += [(d_a, d_b, random_operator(rng, d_a * d_b)) for d_a, d_b in dims for _ in range(3)]
+    return cases
+
+
+@pytest.mark.parametrize("resolution", [2, 17, 64])
+def test_grid_oracle_bitwise_equals_full_sweep(resolution):
+    for d_a, d_b, q in crosscheck_cases() + adversarial_cases():
+        grid = grid_oracle_max_product_overlap(q, d_a, d_b, resolution=resolution)
+        value, gap_bound = full_grid_oracle(q, d_a, d_b, resolution)
+        assert grid.value == value
+        assert grid.gap_bound == gap_bound
+
+
+def test_top_eigenvalue_bound_covers_solved_values():
+    # near-scalar operators drive the bound's trace-norm difference into cancellation
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3):
+        for scale in (0.0, 1e-17, 1e-15, 1e-12, 1e-8, 1e-3, 1.0):
+            noise = rng.standard_normal((500, d, d)) + 1j * rng.standard_normal((500, d, d))
+            m = rng.uniform(0.0, 1.0, (500, 1, 1)) * np.eye(d) + scale * noise
+            bound = verify._top_eigenvalue_bound(m)
+            assert np.all(bound >= verify._top_eigenvalues(m) - verify._GRID_VALUE_SLACK)
+
+
+def eigvalsh_rows(monkeypatch):
+    """Record the number of operators in each ``np.linalg.eigvalsh`` call."""
+    rows = []
+    solve = np.linalg.eigvalsh
+
+    def counted(m):
+        rows.append(len(m))
+        return solve(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return rows
+
+
+# operators a full sweep solves over the 32 benchmark projectors at resolution 64
+FULL_SWEEP_ROWS = 32 * 64 * 64
+
+
+def test_grid_oracle_solves_under_half_the_grid(monkeypatch):
+    rows = eigvalsh_rows(monkeypatch)
+    for d_a, d_b, q in crosscheck_cases()[:32]:
+        grid_oracle_max_product_overlap(q, d_a, d_b, resolution=64)
+    assert sum(rows) < FULL_SWEEP_ROWS // 2
+
+
+def test_grid_oracle_solves_every_state_of_a_flat_operator(monkeypatch):
+    rows = eigvalsh_rows(monkeypatch)
+    res = grid_oracle_max_product_overlap(flat_projector(np.random.default_rng(3)), 2, 2, resolution=64)
+    assert abs(res.value - 1.0) <= 1e-12
+    assert max(rows) == 64 * 64
 
 
 def test_grid_oracle_dimension_guard():
