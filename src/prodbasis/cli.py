@@ -5,7 +5,7 @@ outcomes:
 
   0  success (verify: complete basis or numerically unextendible)
   1  malformed or inconsistent input (bad file, non-orthonormal basis,
-     missing tile metadata, a count flag out of range)
+     missing tile metadata, a count or tolerance flag out of range)
   2  construction parameters violate a family's dimension bounds
   3  verify found an extendible basis (product witness in the complement)
   4  inconclusive outcome (verify margin band, unwinder exhausted)
@@ -91,6 +91,10 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_at_least("--restarts", args.restarts, 1)
+    if not 0.0 < args.eta < 1.0:  # NaN fails
+        raise ProductBasisError(f"--eta must be a finite number strictly between 0 and 1, got {args.eta}")
+    if not 0.0 <= args.tol < float("inf"):  # NaN fails
+        raise ProductBasisError(f"--tol must be a finite number >= 0, got {args.tol}")
     basis = load_basis(args.path)
     seed = _default_seed() if args.seed is None else args.seed
     tolerances = dataclasses.replace(TOLERANCES, orthonormality=args.tol)
@@ -190,7 +194,10 @@ def cmd_wind(args) -> int:
         return _fail("provide a basis file or --cartesian dA dB, not both", EXIT_BAD_INPUT)
     _require_at_least("--moves", args.moves, 0)
     if args.cartesian is not None:
-        basis = cartesian_basis(*args.cartesian)
+        try:
+            basis = cartesian_basis(*args.cartesian)
+        except InvalidDimension as exc:
+            return _fail(str(exc), EXIT_INVALID_DIMENSION)
     else:
         basis = load_basis(args.path)
     seed = _default_seed() if args.seed is None else args.seed

@@ -55,6 +55,19 @@ def kron(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.kron(u, v)
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each vector along the last axis of ``v``.
+
+    ``np.linalg.norm`` of a complex 1-D vector is ``sqrt(re.re + im.im)``,
+    two ``ddot`` calls; ``np.vecdot`` issues the same ``ddot`` per row, so
+    each entry is bit for bit the norm of that row alone.  That holds for
+    rows with a positive stride: ``np.linalg.norm`` sums a reversed view in
+    memory order.
+    """
+    re, im = v.real, v.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
 # Modulus above which an entry counts as a vector's leading entry.  Local
 # rather than a Tolerances field: no caller sets it.
 _PHASE_TOL = 1e-12

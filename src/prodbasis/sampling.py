@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import _row_norms
+
 __all__ = ["stream", "random_unit_vector", "starting_pairs", "haar_unitary"]
 
 
@@ -47,13 +49,6 @@ def _restart_streams(seed: int, count: int):
         yield rng
 
 
-def _normalize_rows(v: np.ndarray) -> np.ndarray:
-    """Each row over its norm, summed as ``np.linalg.norm`` sums a complex vector."""
-    re, im = v.real, v.imag
-    sq = [re[r].dot(re[r]) + im[r].dot(im[r]) for r in range(len(v))]
-    return v / np.sqrt(sq)[:, None]
-
-
 def starting_pairs(seed: int, count: int, d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
     """Random unit pairs ``(a, b)`` of shapes ``(count, d_a)`` and ``(count, d_b)``.
 
@@ -68,7 +63,7 @@ def starting_pairs(seed: int, count: int, d_a: int, d_b: int) -> tuple[np.ndarra
         rng.standard_normal(out=x[r])
     a = x[:, :d_a] + 1j * x[:, d_a:2 * d_a]
     b = x[:, 2 * d_a:2 * d_a + d_b] + 1j * x[:, 2 * d_a + d_b:]
-    return _normalize_rows(a), _normalize_rows(b)
+    return a / _row_norms(a)[:, None], b / _row_norms(b)[:, None]
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

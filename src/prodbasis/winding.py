@@ -29,7 +29,7 @@ from .config import TOLERANCES, Tolerances
 from .errors import BasisFileError, IncompleteBasis, InvalidSplit, NoValidSplit, WindingInvariantError
 from .families import cartesian_basis
 from .io import complex_from_json, complex_to_json
-from .linalg import dagger
+from .linalg import _row_norms, dagger
 from .sampling import haar_unitary, stream
 from .verify import check_orthonormal
 
@@ -144,17 +144,14 @@ def _side_measures(cands, vectors):
     """Projection residuals and weights of every local factor on every candidate.
 
     ``res[c, n] = ||v_n - P_c v_n||`` and ``w[c, n] = Re <v_n|P_c v_n>`` with
-    ``P_c = C_c C_c^dag``, one matrix-vector product per (candidate, vector).
+    ``P_c = C_c C_c^dag``.  The stacked calls run one ``gemv`` and one dot
+    product per (candidate, vector), the kernels of ``P_c @ v_n`` and
+    ``np.vdot``, so each entry is bit for bit that pair's own value.
     """
-    res = np.empty((len(cands), len(vectors)))
-    w = np.empty_like(res)
-    for c, cols in enumerate(cands):
-        p = cols @ dagger(cols)
-        for n, v in enumerate(vectors):
-            pv = p @ v
-            res[c, n] = np.linalg.norm(v - pv)
-            w[c, n] = np.real(np.vdot(v, pv))
-    return res, w
+    vectors = np.asarray(vectors)
+    p = np.stack([cols @ dagger(cols) for cols in cands])
+    pv = (p[:, None] @ vectors[None, :, :, None])[..., 0]
+    return _row_norms(vectors - pv), np.vecdot(vectors, pv).real
 
 
 def _classify(res_a, w_a, res_b, w_b, tol: Tolerances):
@@ -449,9 +446,7 @@ def _grid_alignment(factors, cols, inside, tol: float):
     column of ``cols``.
     """
     coords = (dagger(cols) @ factors.T[inside][:, :, None])[..., 0]
-    # one norm per vector: a norm along an axis sums in another order
-    norms = np.array([np.linalg.norm(v) for v in coords])
-    _, reps, adjacent = _rays(coords / norms[:, None], tol)
+    _, reps, adjacent = _rays(coords / _row_norms(coords)[:, None], tol)
     return _alignment_unitary(reps) if _is_grid(reps, adjacent, cols.shape[1]) else None
 
 

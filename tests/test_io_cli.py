@@ -123,6 +123,27 @@ def test_cli_construct_rejects_bad_dims(tmp_path, capsys):
     assert "even n >= 4" in stderr
 
 
+def test_cli_wind_rejects_bad_cartesian_dims(tmp_path, capsys):
+    # the same dimension bounds as construct --family cartesian, so the same exit code
+    out = tmp_path / "w.json"
+    code, stdout, stderr = run_cli(["wind", "--cartesian", "0", "3", "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert stderr == "error: cartesian_basis needs positive dims, got (0, 3)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--eta", "2"), ("--eta", "nan"), ("--eta", "0"), ("--eta", "1"), ("--eta", "-0.5"), ("--eta", "inf"),
+    ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+])
+def test_cli_verify_rejects_meaningless_margins(tmp_path, capsys, flag, value):
+    path = tmp_path / "g2.json"
+    save_basis(gen_tiles2(3, 4), path)
+    code, stdout, stderr = run_cli(["verify", str(path), flag, value], capsys)
+    assert code == 1 and stdout == ""
+    assert stderr.startswith(f"error: {flag} must be a finite number")
+
+
 def test_cli_verify_complete_and_extendible(tmp_path, capsys):
     cart = tmp_path / "cart.json"
     run_cli(["construct", "--family", "cartesian", "--m", "3", "--n", "3", "--out", str(cart)], capsys)

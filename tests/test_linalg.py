@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from prodbasis import linalg
 from prodbasis.errors import DimensionMismatch
+from prodbasis.families import cartesian_basis, gen_tiles1, gen_tiles2
 from prodbasis.linalg import basis_vector, dagger, hermitian_part, kron, partial_transpose, top_eigenvector
 
 
@@ -136,3 +137,31 @@ def test_hermitian_part_matches_reference_bitwise(shape):
     assert got.shape == want.shape and got.flags.c_contiguous == want.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
     assert m.tobytes() == before.tobytes()          # the input is left alone
+
+
+def row_norm_inputs(d):
+    """Row stacks of dimension ``d``: contiguous, Fortran-ordered, every other row, every other entry."""
+    rng = np.random.default_rng(d)
+    out = []
+    for n in (1, 5, 100):
+        v = random_vector(rng, (n, d))
+        v[n // 2] = 0                              # a zero row
+        v[-1] *= 1e-160                            # squares below the normal range
+        out += [v, np.asfortranarray(v), v[::2], v[:, ::2]]
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 34))
+def test_row_norms_match_per_row_norm_bitwise(d):
+    for v in row_norm_inputs(d):
+        want = np.array([np.linalg.norm(x) for x in v])
+        got = linalg._row_norms(v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("basis", [cartesian_basis(4, 4), gen_tiles1(6), gen_tiles2(4, 6)], ids=["cart_4x4", "g1_6", "g2_4x6"])
+def test_row_norms_of_basis_factor_rows_bitwise(basis):
+    # a_matrix().T is a transposed view: each row is a strided factor
+    for v in (basis.a_matrix().T, basis.b_matrix().T):
+        want = np.array([np.linalg.norm(x) for x in v])
+        assert linalg._row_norms(v).tobytes() == want.tobytes()

@@ -5,6 +5,7 @@ import pytest
 
 from prodbasis.config import TOLERANCES
 from prodbasis.families import cartesian_basis
+from prodbasis.linalg import dagger
 from prodbasis.sampling import haar_unitary, stream
 from prodbasis.winding import (
     SubspacePair,
@@ -14,9 +15,11 @@ from prodbasis.winding import (
     _rays,
     _side_candidates,
     _side_measures,
+    _split_table,
     apply_winding_move,
     enumerate_splits,
     random_wound_basis,
+    unwind,
 )
 
 # Wound bases whose union pairs are not all valid (basis dims, wind seed, moves
@@ -145,3 +148,74 @@ def test_no_two_splits_share_projectors():
             for qa, qb in projectors[:i]:
                 # distinct unions of orthogonal components differ by an entry near 1/d or more
                 assert max(np.max(np.abs(pa - qa)), np.max(np.abs(pb - qb))) >= 0.5 / max(basis.d_a, basis.d_b)
+
+
+def reference_side_measures(cands, vectors):
+    """The per-(candidate, vector) loop the stacked measures replaced."""
+    res = np.empty((len(cands), len(vectors)))
+    w = np.empty_like(res)
+    for c, cols in enumerate(cands):
+        p = cols @ dagger(cols)
+        for n, v in enumerate(vectors):
+            pv = p @ v
+            res[c, n] = np.linalg.norm(v - pv)
+            w[c, n] = np.real(np.vdot(v, pv))
+    return res, w
+
+
+# (dims, moves) of the wound fixtures that the wind_unwind benchmark unwinds
+UNWIND_FIXTURES = (((2, 3), 1), ((2, 4), 1), ((3, 3), 1), ((3, 3), 2), ((3, 4), 2))
+
+MEASURE_BASES = {
+    "unwind_fixtures": lambda: [random_wound_basis(*dims, moves, seed)[0]
+                                for dims, moves in UNWIND_FIXTURES for seed in range(8)],
+    "rejecting": lambda: [random_wound_basis(*dims, moves, seed)[0] for dims, seed, moves in REJECTING],
+    "cartesian": lambda: [cartesian_basis(d_a, d_b) for d_a in range(2, 7) for d_b in range(2, 7)],
+}
+
+
+def assert_same_measures(got, want):
+    for x, y in zip(got, want, strict=True):
+        assert x.shape == y.shape and x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("group", MEASURE_BASES)
+def test_side_measures_match_per_pair_loop_bitwise(group):
+    for basis in MEASURE_BASES[group]():
+        for vectors, dim in ((basis.a_matrix().T, basis.d_a), (basis.b_matrix().T, basis.d_b)):
+            cands = _side_candidates(vectors, dim, TOLERANCES.ray_grouping)
+            assert_same_measures(_side_measures(cands, vectors), reference_side_measures(cands, vectors))
+            # validate_split measures a single candidate
+            assert_same_measures(_side_measures(cands[-1:], vectors), reference_side_measures(cands[-1:], vectors))
+
+
+def test_side_measures_accept_lists():
+    basis, _ = random_wound_basis(3, 3, 2, 1)
+    vectors = [st.b for st in basis]
+    cands = _side_candidates(vectors, basis.d_b, TOLERANCES.ray_grouping)
+    assert_same_measures(_side_measures(cands, vectors), reference_side_measures(cands, vectors))
+
+
+def test_split_table_and_unwinder_make_no_per_vector_norm_or_vdot_calls(monkeypatch):
+    cart = cartesian_basis(4, 4)
+    wound, _ = random_wound_basis(3, 4, 2, 0)
+    norm_kwargs, vdot_calls = [], []
+    norm, vdot = np.linalg.norm, np.vdot
+
+    def counting_norm(*args, **kwargs):
+        norm_kwargs.append(kwargs)
+        return norm(*args, **kwargs)
+
+    def counting_vdot(*args):
+        vdot_calls.append(1)
+        return vdot(*args)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    monkeypatch.setattr(np, "vdot", counting_vdot)
+    _split_table(cart, TOLERANCES)        # a per-pair loop makes 480 of each here
+    assert norm_kwargs == [] and vdot_calls == []
+    unwind(wound, 2)
+    assert vdot_calls == []
+    # the only norms left are the column checks of each built basis
+    assert all("axis" in kwargs for kwargs in norm_kwargs)
