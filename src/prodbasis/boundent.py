@@ -122,9 +122,7 @@ def range_criterion_report(
     rho: DensityMatrix,
     restarts: int = 100,
     seed: int = 0,
-    stop_tol: float = 1e-12,
-    max_iterations: int = 10_000,
-    eta: float | None = None,
+    *,
     tol: Tolerances = TOLERANCES,
 ) -> RangeCriterionReport:
     """Search the range of rho for product states.
@@ -133,18 +131,18 @@ def range_criterion_report(
     that validated it, with eigenvalue above ``tol.range_cutoff``.  Those
     orthonormal columns V factor the range projector V V^dag, so the see-saw
     maximizes the product overlap with it without forming or decomposing
-    it again.  A maximum below 1 - eta means the range holds no product
-    state numerically, which is the entanglement half of the signature.
+    it again, with the same fixed stop rule and iteration cap as
+    :func:`~prodbasis.verify.seesaw_max_product_overlap`.  A maximum below
+    1 - ``tol.upb_margin`` means the range holds no product state
+    numerically, which is the entanglement half of the signature.
     """
-    eta = tol.upb_margin if eta is None else eta
     w, v = rho._spectrum
     keep = w > tol.range_cutoff
     if not np.any(keep):
         raise ZeroState("density matrix has no eigenvalue above the range cutoff")
     cols = v[:, keep]
-    result = _seesaw(cols, np.ones(cols.shape[1]), rho.d_a, rho.d_b,
-                     restarts, seed, stop_tol, max_iterations)
-    verdict = RangeVerdict.ENTANGLED if result.value < 1.0 - eta else RangeVerdict.INCONCLUSIVE
+    result = _seesaw(cols, np.ones(cols.shape[1]), rho.d_a, rho.d_b, restarts, seed)
+    verdict = RangeVerdict.ENTANGLED if result.value < 1.0 - tol.upb_margin else RangeVerdict.INCONCLUSIVE
     return RangeCriterionReport(
         range_rank=int(np.count_nonzero(keep)),
         max_product_overlap=result.value,

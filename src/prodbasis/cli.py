@@ -97,8 +97,8 @@ def cmd_verify(args) -> int:
         raise ProductBasisError(f"--tol must be a finite number >= 0, got {args.tol}")
     basis = load_basis(args.path)
     seed = _default_seed() if args.seed is None else args.seed
-    tolerances = dataclasses.replace(TOLERANCES, orthonormality=args.tol)
-    report = check_upb(basis, restarts=args.restarts, seed=seed, eta=args.eta, tol=tolerances)
+    tolerances = dataclasses.replace(TOLERANCES, orthonormality=args.tol, upb_margin=args.eta)
+    report = check_upb(basis, restarts=args.restarts, seed=seed, tol=tolerances)
 
     witness = report.witness_state
     payload = {
@@ -246,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--restarts", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-10, help="orthonormality tolerance")
-    p.add_argument("--eta", type=float, default=1e-3, help="unextendibility margin")
+    p.add_argument("--tol", type=float, default=TOLERANCES.orthonormality, help="orthonormality tolerance")
+    p.add_argument("--eta", type=float, default=TOLERANCES.upb_margin, help="unextendibility margin")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("render", help="ASCII tile diagram of a basis file")

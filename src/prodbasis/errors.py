@@ -80,11 +80,11 @@ class NoValidSplit(ProductBasisError):
 class WindingInvariantError(ProductBasisError):
     """A winding invariant failed.
 
-    Raised when a move leaves a non-orthonormal basis, when a valid split's
-    inside block does not hold dim H_A' * dim H_B' states, or when an
-    unwinding sequence fails its replay.  On an orthonormal complete basis
-    each holds by construction, so this signals a non-orthonormal input or a
-    numerical fault.
+    Raised when a move leaves a non-orthonormal basis or a factor off unit
+    norm, when a valid split's inside block does not hold dim H_A' * dim H_B'
+    states, or when an unwinding sequence fails its replay.  On an
+    orthonormal complete basis each holds by construction, so this signals a
+    non-orthonormal input or a numerical fault.
     """
 
 

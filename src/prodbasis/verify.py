@@ -153,6 +153,11 @@ def _check_operator_interval(q: np.ndarray, d_a: int, d_b: int, slack: float):
 # Rounding slack of the see-saw: how far a half step may lower the objective,
 # and how close to the best value a restart must be to supply the witness.
 _SEESAW_SLACK = 1e-12
+# A restart stops once one iteration improves it by less than _SEESAW_STOP,
+# or after _SEESAW_MAX_ITERATIONS iterations.  Both are local because no
+# caller sets them; the certification margin is Tolerances.upb_margin.
+_SEESAW_STOP = 1e-12
+_SEESAW_MAX_ITERATIONS = 10_000
 
 
 def _contract(x: np.ndarray, f_x: np.ndarray, d_out: int) -> np.ndarray:
@@ -183,8 +188,7 @@ def seesaw_max_product_overlap(
     d_b: int,
     restarts: int = 100,
     seed: int = 0,
-    stop_tol: float = 1e-12,
-    max_iterations: int = 10_000,
+    *,
     tol: Tolerances = TOLERANCES,
 ) -> SeesawResult:
     """Maximize <a (x) b|Q|a (x) b> by alternating top-eigenvector steps.
@@ -200,7 +204,9 @@ def seesaw_max_product_overlap(
     with X of size dA x k or dB x k.  All restarts advance together: each
     half step is one stacked contraction and one stacked
     :func:`top_eigenvector` over the restarts still active, and a restart
-    leaves the active set once its improvement drops below ``stop_tol``.
+    leaves the active set once one iteration improves it by less than
+    1e-12 (``_SEESAW_STOP``), or after 10 000 iterations
+    (``_SEESAW_MAX_ITERATIONS``).
 
     Restart ``r`` starts from a rotation-invariant pair drawn from the
     counter-seeded stream ``stream(seed, r)``.  One bit generator, re-keyed
@@ -213,10 +219,10 @@ def seesaw_max_product_overlap(
     """
     _, w, v = _check_operator_interval(q, d_a, d_b, tol.operator_interval)
     keep = np.abs(w) > w.size * np.finfo(float).eps * np.max(np.abs(w))
-    return _seesaw(v[:, keep], w[keep], d_a, d_b, restarts, seed, stop_tol, max_iterations)
+    return _seesaw(v[:, keep], w[keep], d_a, d_b, restarts, seed)
 
 
-def _seesaw(f, s, d_a, d_b, restarts, seed, stop_tol, max_iterations) -> SeesawResult:
+def _seesaw(f, s, d_a, d_b, restarts, seed) -> SeesawResult:
     """The see-saw on Q = F diag(s) F^dag, for a factor ``f`` of shape (dA*dB, k).
 
     :func:`seesaw_max_product_overlap` checks Q and factors it; the range
@@ -235,7 +241,7 @@ def _seesaw(f, s, d_a, d_b, restarts, seed, stop_tol, max_iterations) -> SeesawR
 
     active = np.arange(restarts)
     iterations_total = 0
-    for _ in range(max_iterations):
+    for _ in range(_SEESAW_MAX_ITERATIONS):
         half, a_new = top_eigenvector(_half_step_operators(b[active], f_b, s, d_a))
         _require_ascent(half, value[active])
         new_value, b_new = top_eigenvector(_half_step_operators(a_new, f_a, s, d_b))
@@ -245,7 +251,7 @@ def _seesaw(f, s, d_a, d_b, restarts, seed, stop_tol, max_iterations) -> SeesawR
         b[active] = b_new
         improvement = new_value - value[active]
         value[active] = new_value
-        active = active[~(improvement < stop_tol)]
+        active = active[~(improvement < _SEESAW_STOP)]
         if active.size == 0:
             break
 
@@ -356,16 +362,15 @@ def grid_oracle_max_product_overlap(
     return GridOracleResult(value=value, gap_bound=float(lipschitz * max_spacing))
 
 
-def overlap_verdict(value: float, eta: float | None = None, tol: Tolerances = TOLERANCES) -> Verdict:
+def overlap_verdict(value: float, *, tol: Tolerances = TOLERANCES) -> Verdict:
     """Unextendibility verdict of a see-saw maximum over the complement.
 
     ``Extendible`` at ``value >= 1 - tol.extendible_margin``, ``UPB_Numeric``
-    below ``1 - eta`` (default ``tol.upb_margin``), ``Inconclusive`` between.
+    below ``1 - tol.upb_margin``, ``Inconclusive`` between.
     """
-    eta = tol.upb_margin if eta is None else eta
     if value >= 1.0 - tol.extendible_margin:
         return Verdict.EXTENDIBLE
-    if value < 1.0 - eta:
+    if value < 1.0 - tol.upb_margin:
         return Verdict.UPB_NUMERIC
     return Verdict.INCONCLUSIVE
 
@@ -374,54 +379,41 @@ def check_upb(
     basis: ProductBasis,
     restarts: int = 100,
     seed: int = 0,
-    stop_tol: float = 1e-12,
-    max_iterations: int = 10_000,
-    eta: float | None = None,
+    *,
     tol: Tolerances = TOLERANCES,
 ) -> VerificationReport:
     """Full verification pipeline: orthonormality, rank, complement, see-saw.
 
     Verdicts: ``CompleteBasis`` when the complement is empty (the see-saw is
-    skipped), ``Extendible`` when a product state with overlap >= 1 - 1e-8
-    is found in the complement (witness attached), ``UPB_Numeric`` when the
-    best overlap stays below 1 - eta, and ``Inconclusive`` in between (see
-    :func:`overlap_verdict`).
+    skipped), ``Extendible`` when a product state with overlap >= 1 -
+    ``tol.extendible_margin`` is found in the complement (witness attached),
+    ``UPB_Numeric`` when the best overlap stays below 1 - ``tol.upb_margin``,
+    and ``Inconclusive`` in between (see :func:`overlap_verdict`).  The
+    see-saw runs :func:`seesaw_max_product_overlap` with its fixed stop rule
+    and iteration cap.
     """
     dev = _require_orthonormal(basis, tol.orthonormality)
     span_rank = len(basis)
     complement_dim = basis.dim - span_rank
 
     if complement_dim == 0:
-        return VerificationReport(
-            gram_max_offdiag=dev.max_offdiag,
-            gram_max_diag_error=dev.max_diag_error,
-            span_rank=span_rank,
-            complement_dim=0,
-            max_product_overlap=0.0,
-            witness_state=None,
-            verdict=Verdict.COMPLETE_BASIS,
-            restarts_used=0,
-            iterations_total=0,
-            seed=seed,
-        )
-
-    q = _complement_of_checked(basis)
-    result = seesaw_max_product_overlap(
-        q, basis.d_a, basis.d_b,
-        restarts=restarts, seed=seed, stop_tol=stop_tol,
-        max_iterations=max_iterations, tol=tol,
-    )
-    verdict = overlap_verdict(result.value, eta, tol)
+        value, witness, verdict, restarts_used, iterations = 0.0, None, Verdict.COMPLETE_BASIS, 0, 0
+    else:
+        q = _complement_of_checked(basis)
+        result = seesaw_max_product_overlap(q, basis.d_a, basis.d_b, restarts, seed, tol=tol)
+        value, witness = result.value, result.witness
+        verdict = overlap_verdict(value, tol=tol)
+        restarts_used, iterations = result.restarts_used, result.iterations_total
     return VerificationReport(
         gram_max_offdiag=dev.max_offdiag,
         gram_max_diag_error=dev.max_diag_error,
         span_rank=span_rank,
         complement_dim=complement_dim,
-        max_product_overlap=result.value,
-        witness_state=result.witness,
+        max_product_overlap=value,
+        witness_state=witness,
         verdict=verdict,
-        restarts_used=result.restarts_used,
-        iterations_total=result.iterations_total,
+        restarts_used=restarts_used,
+        iterations_total=iterations,
         seed=seed,
     )
 

@@ -223,7 +223,8 @@ def _rotate(basis: ProductBasis, move: WindingMove, inside, tol: Tolerances) -> 
 
     The caller vouches for the mask (from :func:`validate_split` or a split
     table row); the Gram check of the output and the provenance record are
-    kept here.
+    kept here.  A rotated factor that rounding drift takes off unit norm
+    raises :class:`WindingInvariantError`; the factors are not renormalised.
     """
     inside = np.asarray(inside, dtype=bool)
     rows = []
@@ -234,10 +235,13 @@ def _rotate(basis: ProductBasis, move: WindingMove, inside, tol: Tolerances) -> 
         side[inside] = (_embed(cols, u) @ side[inside][:, :, None])[..., 0]
         rows.append(side)
     cells = [None if x else support for support, x in zip(basis.tile_cells, inside)]
-    out = ProductBasis._from_rows(
-        (basis.d_a, basis.d_b), *rows, basis.labels, cells,
-        family=Family.CUSTOM, provenance=basis.provenance + (move_to_record(move),),
-    )
+    try:
+        out = ProductBasis._from_rows(
+            (basis.d_a, basis.d_b), *rows, basis.labels, cells,
+            family=Family.CUSTOM, provenance=basis.provenance + (move_to_record(move),),
+        )
+    except ValueError as exc:
+        raise WindingInvariantError(f"winding move broke the unit-norm check: {exc}") from None
     ok_gram, dev = check_orthonormal(out, tol.orthonormality)
     if not ok_gram:
         raise WindingInvariantError(f"winding move broke orthonormality (deviation {max(dev):.3e})")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -14,6 +15,7 @@ from prodbasis.boundent import (
     upb_density_state,
 )
 from prodbasis.cli import main
+from prodbasis.config import TOLERANCES
 from prodbasis.errors import CompleteBasisInput, NonOrthonormalInput
 from prodbasis.families import cartesian_basis, gen_tiles1, gen_tiles2
 from prodbasis.io import complex_to_json, load_basis, save_basis
@@ -102,6 +104,16 @@ def test_range_criterion_on_upb_state():
     assert report.verdict is RangeVerdict.ENTANGLED
     assert report.range_rank == 11
     assert report.max_product_overlap < 1 - 1e-3
+
+
+def test_range_criterion_reads_upb_margin():
+    # the range maximum of g1(6) with 20 restarts, seed 0 lies between 1 - 0.05 and 1 - 1e-3
+    rho = upb_density_state(gen_tiles1(6))
+    wide = dataclasses.replace(TOLERANCES, upb_margin=0.05)
+    assert range_criterion_report(rho, restarts=20, seed=0).verdict is RangeVerdict.ENTANGLED
+    report = range_criterion_report(rho, restarts=20, seed=0, tol=wide)
+    assert report.verdict is RangeVerdict.INCONCLUSIVE
+    assert 1 - 0.05 <= report.max_product_overlap < 1 - 1e-3
 
 
 def test_range_criterion_inconclusive_on_separable_mixture():

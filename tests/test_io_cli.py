@@ -132,6 +132,34 @@ def test_cli_wind_rejects_bad_cartesian_dims(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_wind_rounding_drift_is_an_error_line(tmp_path, capsys):
+    # sixteen seeded moves on 2x2 take a rotated factor just past the unit-norm tolerance
+    out = tmp_path / "w.json"
+    code, stdout, stderr = run_cli(["wind", "--cartesian", "2", "2", "--moves", "16", "--seed", "0",
+                                    "--out", str(out)], capsys)
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: winding move broke the unit-norm check")
+    assert stderr.count("\n") == 1 and "Traceback" not in stderr
+    assert not out.exists()
+
+
+def test_cli_verify_eta_sets_the_upb_margin(tmp_path, capsys):
+    # g1(6) with 20 restarts, seed 0 reaches 0.978491148793759: below 1 - 1e-3, not below 1 - 0.05
+    path = tmp_path / "g1.json"
+    save_basis(gen_tiles1(6), path)
+    args = ["verify", str(path), "--restarts", "20", "--seed", "0"]
+    code, stdout, _ = run_cli(args, capsys)
+    assert code == 0
+    assert "max_product_overlap: 0.978491148793759\n" in stdout
+    assert stdout.endswith("verdict: UPB_Numeric\n")
+    code, stdout, _ = run_cli(args + ["--eta", "0.05"], capsys)
+    assert code == 4
+    assert "max_product_overlap: 0.978491148793759\n" in stdout
+    assert stdout.endswith("verdict: Inconclusive\n")
+    code, stdout, _ = run_cli(args + ["--eta", "0.05", "--format", "json"], capsys)
+    assert json.loads(stdout)["config"]["eta"] == 0.05
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--eta", "2"), ("--eta", "nan"), ("--eta", "0"), ("--eta", "1"), ("--eta", "-0.5"), ("--eta", "inf"),
     ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),

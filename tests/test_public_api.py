@@ -1,6 +1,8 @@
-"""The public API (``prodbasis.__all__``) and the ``Tolerances`` fields are contracts."""
+"""The public API (``prodbasis.__all__``), the ``Tolerances`` fields and the
+settable values of the certification entry points are contracts."""
 
 import dataclasses
+import inspect
 
 import prodbasis
 
@@ -48,3 +50,21 @@ def test_public_api_names_resolve():
 
 def test_tolerance_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(prodbasis.Tolerances)] == TOLERANCE_FIELDS
+
+
+# Each entry point's parameters, with the keyword-only ones marked by "*".
+# The see-saw's stop rule and iteration cap are constants of ``verify`` and
+# the unextendibility margin is ``tol.upb_margin``, so none is a parameter.
+CERTIFICATION_SIGNATURES = {
+    prodbasis.check_upb: ["basis", "restarts", "seed", "*tol"],
+    prodbasis.seesaw_max_product_overlap: ["q", "d_a", "d_b", "restarts", "seed", "*tol"],
+    prodbasis.range_criterion_report: ["rho", "restarts", "seed", "*tol"],
+    prodbasis.verify.overlap_verdict: ["value", "*tol"],
+}
+
+
+def test_certification_signatures_are_pinned():
+    for func, expected in CERTIFICATION_SIGNATURES.items():
+        params = inspect.signature(func).parameters.values()
+        got = ["*" * (p.kind is p.KEYWORD_ONLY) + p.name for p in params]
+        assert got == expected, func.__name__

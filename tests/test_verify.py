@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -361,7 +363,7 @@ def test_overlap_verdict_thresholds():
     assert overlap_verdict(1.0 - 2e-8) is Verdict.INCONCLUSIVE
     assert overlap_verdict(1.0 - 1e-3) is Verdict.INCONCLUSIVE
     assert overlap_verdict(0.998) is Verdict.UPB_NUMERIC
-    assert overlap_verdict(0.95, eta=0.1) is Verdict.INCONCLUSIVE
+    assert overlap_verdict(0.95, tol=dataclasses.replace(TOLERANCES, upb_margin=0.1)) is Verdict.INCONCLUSIVE
     assert overlap_verdict(float("nan")) is Verdict.INCONCLUSIVE
 
 

@@ -281,6 +281,12 @@ def test_gram_check_after_unwinder_move_raises():
         unwind(wound, 1, strict)
 
 
+def test_unit_norm_drift_after_many_moves_raises():
+    # the sixteenth seeded move takes a rotated factor 1.976e-12 off unit norm
+    with pytest.raises(WindingInvariantError, match="unit norm"):
+        random_wound_basis(2, 2, 16, 0)
+
+
 def test_inside_count_check_raises():
     basis = repeated_state_basis()
     with pytest.raises(WindingInvariantError, match="inside states"):
