@@ -29,7 +29,7 @@ import numpy as np
 
 from .basis import ProductBasis, ProductState
 from .config import TOLERANCES, Tolerances
-from .errors import CompleteBasisInput, DimensionMismatch, ZeroState
+from .errors import CompleteBasisInput, DimensionMismatch, InvalidProjector, ZeroState
 from .linalg import hermitian_part, partial_transpose
 from .verify import _seesaw, complement_projector
 
@@ -102,13 +102,18 @@ def upb_density_state(basis: ProductBasis, tol: Tolerances = TOLERANCES) -> Dens
     Gram deviation.  Dividing by the measured trace, not the rank D - N,
     gives trace 1 to rounding however the admitted norm errors add up.  The
     basis is checked for orthonormality first (:class:`NonOrthonormalInput`),
-    then for a nonempty complement (:class:`CompleteBasisInput`).  Whether
-    the basis is unextendible is left to the range criterion on the result.
+    then for a nonempty complement (:class:`CompleteBasisInput`); Gram
+    deviations within tolerance that add up to an invalid state raise
+    :class:`InvalidProjector`.  Whether the basis is unextendible is left to
+    the range criterion on the result.
     """
     q = complement_projector(basis, tol)
     if basis.dim == len(basis):
         raise CompleteBasisInput("basis spans the full space, the complement state is empty")
-    return DensityMatrix(q / np.trace(q).real, basis.d_a, basis.d_b)
+    try:
+        return DensityMatrix(q / np.trace(q).real, basis.d_a, basis.d_b)
+    except ValueError as exc:
+        raise InvalidProjector(f"complement state is not a valid density matrix: {exc}") from None
 
 
 def is_ppt(rho: DensityMatrix, tol: float = TOLERANCES.ppt):

@@ -5,12 +5,17 @@ outcomes:
 
   0  success (verify: complete basis or numerically unextendible)
   1  malformed or inconsistent input (bad file, non-orthonormal basis,
-     missing tile metadata, a count or tolerance flag out of range)
-  2  construction parameters violate a family's dimension bounds
+     missing tile metadata, a count or tolerance flag out of range, an
+     unwritable --out path)
+  2  construction parameters violate a family's dimension bounds, or
+     argparse rejects the command line (usage error)
   3  verify found an extendible basis (product witness in the complement)
   4  inconclusive outcome (verify margin band, unwinder exhausted)
   5  bound-entanglement analysis on a complete or extendible basis
   6  operation requires a complete product basis
+
+Commands raise :class:`~prodbasis.errors.ProductBasisError` for bad input;
+:func:`main` alone maps the error class to its exit code (``_EXIT_CODES``).
 
 The default for every --seed flag is the PB_SEED environment variable when
 set, else 0; identical seeds and inputs produce byte-identical reports.
@@ -44,6 +49,13 @@ EXIT_INCONCLUSIVE = 4
 EXIT_NOT_UPB = 5
 EXIT_INCOMPLETE = 6
 
+# The exit code of each error class a command raises, most specific first.
+_EXIT_CODES = (
+    (InvalidDimension, EXIT_INVALID_DIMENSION),
+    (IncompleteBasis, EXIT_INCOMPLETE),
+    (ProductBasisError, EXIT_BAD_INPUT),
+)
+
 
 def _default_seed() -> int:
     raw = os.environ.get("PB_SEED", "0")
@@ -65,24 +77,17 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
 
 def cmd_construct(args) -> int:
     family = args.family
-    try:
-        if family == "gentiles1":
-            if args.n is None:
-                return _fail("--n is required for gentiles1", EXIT_BAD_INPUT)
-            basis = gen_tiles1(args.n)
-            default_name = f"gentiles1_{args.n}.json"
-        elif family == "gentiles2":
-            if args.m is None or args.n is None:
-                return _fail("--m and --n are required for gentiles2", EXIT_BAD_INPUT)
-            basis = gen_tiles2(args.m, args.n)
-            default_name = f"gentiles2_{args.m}x{args.n}.json"
-        else:
-            if args.m is None or args.n is None:
-                return _fail("--m and --n are required for cartesian", EXIT_BAD_INPUT)
-            basis = cartesian_basis(args.m, args.n)
-            default_name = f"cartesian_{args.m}x{args.n}.json"
-    except InvalidDimension as exc:
-        return _fail(str(exc), EXIT_INVALID_DIMENSION)
+    if family == "gentiles1":
+        if args.n is None:
+            raise ProductBasisError("--n is required for gentiles1")
+        basis = gen_tiles1(args.n)
+        default_name = f"gentiles1_{args.n}.json"
+    else:
+        if args.m is None or args.n is None:
+            raise ProductBasisError(f"--m and --n are required for {family}")
+        build = gen_tiles2 if family == "gentiles2" else cartesian_basis
+        basis = build(args.m, args.n)
+        default_name = f"{family}_{args.m}x{args.n}.json"
     out = args.out or default_name
     save_basis(basis, out)
     print(f"wrote {len(basis)} states on {basis.d_a}x{basis.d_b} to {out}")
@@ -152,8 +157,6 @@ def cmd_boundent(args) -> int:
     seed = _default_seed() if args.seed is None else args.seed
     try:
         rho = upb_density_state(basis)
-    except ValueError as exc:  # Gram deviations within tolerance can add up to a negative eigenvalue
-        return _fail(f"complement state is not a valid density matrix: {exc}", EXIT_BAD_INPUT)
     except CompleteBasisInput:
         verdict = Verdict.COMPLETE_BASIS
     else:
@@ -182,29 +185,21 @@ def cmd_boundent(args) -> int:
         },
         "seed": seed,
     }
+    if args.out:  # before the report, so a failed write leaves stdout empty
+        write_json({"dims": [rho.d_a, rho.d_b], "matrix": complex_to_json(rho.matrix)}, args.out)
     print(json_text(payload))
     if args.out:
-        write_json({"dims": [rho.d_a, rho.d_b], "matrix": complex_to_json(rho.matrix)}, args.out)
         print(f"wrote density matrix to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_wind(args) -> int:
     if (args.path is None) == (args.cartesian is None):
-        return _fail("provide a basis file or --cartesian dA dB, not both", EXIT_BAD_INPUT)
+        raise ProductBasisError("provide a basis file or --cartesian dA dB, not both")
     _require_at_least("--moves", args.moves, 0)
-    if args.cartesian is not None:
-        try:
-            basis = cartesian_basis(*args.cartesian)
-        except InvalidDimension as exc:
-            return _fail(str(exc), EXIT_INVALID_DIMENSION)
-    else:
-        basis = load_basis(args.path)
+    basis = load_basis(args.path) if args.cartesian is None else cartesian_basis(*args.cartesian)
     seed = _default_seed() if args.seed is None else args.seed
-    try:
-        wound, moves = wind_basis(basis, args.moves, seed)
-    except IncompleteBasis as exc:
-        return _fail(str(exc), EXIT_INCOMPLETE)
+    wound, moves = wind_basis(basis, args.moves, seed)
     save_basis(wound, args.out)
     print(f"applied {len(moves)} winding moves (seed {seed}); wrote {args.out}")
     return EXIT_OK
@@ -213,10 +208,7 @@ def cmd_wind(args) -> int:
 def cmd_unwind(args) -> int:
     _require_at_least("--depth", args.depth, 0)
     basis = load_basis(args.path)
-    try:
-        sequence = unwind(basis, args.depth)
-    except IncompleteBasis as exc:
-        return _fail(str(exc), EXIT_INCOMPLETE)
+    sequence = unwind(basis, args.depth)
     if sequence is None:
         print(f"not unwound within depth {args.depth}")
         return EXIT_INCONCLUSIVE
@@ -285,7 +277,7 @@ def main(argv=None) -> int:
     try:
         return globals()[f"cmd_{args.command}"](args)
     except ProductBasisError as exc:
-        return _fail(str(exc), EXIT_BAD_INPUT)
+        return _fail(str(exc), next(code for cls, code in _EXIT_CODES if isinstance(exc, cls)))
 
 
 if __name__ == "__main__":

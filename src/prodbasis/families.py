@@ -162,30 +162,20 @@ def cyclic_shift_basis(basis: ProductBasis, s: int) -> ProductBasis:
     )
 
 
-def swap_shift_basis(basis: ProductBasis, variant: str = "shift_a") -> ProductBasis:
+def swap_shift_basis(basis: ProductBasis) -> ProductBasis:
     """Interchange the A and B sides combined with a cyclic shift by one.
 
-    Requires dA = dB.  Two readings of "swap with a shift of 1" exist:
-
-    - ``"shift_a"``: (a, b) -> (b, shift(a)); the outgoing A factor is
-      shifted as it becomes the new B side.  This is the convention under
-      which the first tile family is exactly invariant, so it is the default.
-    - ``"shift_b"``: (a, b) -> (shift(b), a).
-
-    The chosen variant is recorded in the basis provenance.
+    Requires dA = dB.  The map is (a, b) -> (b, shift(a)): the outgoing A
+    factor is shifted as it becomes the new B side, the convention under
+    which the first tile family is exactly invariant.  The provenance
+    records it as variant ``"shift_a"``.
     """
     if basis.d_a != basis.d_b:
         raise DimensionMismatch("swap-shift needs equal local dimensions")
-    if variant not in ("shift_a", "shift_b"):
-        raise ValueError(f"unknown swap-shift variant {variant!r}")
     n = basis.d_a
-    a, b = basis.a_matrix().T, basis.b_matrix().T
     swapped = [None if cells is None else {(r, c) for c, r in cells} for cells in basis.tile_cells]
-    if variant == "shift_a":
-        a, b, s_c, s_r = b, np.roll(a, 1, axis=1), 0, 1
-    else:
-        a, b, s_c, s_r = np.roll(b, 1, axis=1), a, 1, 0
     return ProductBasis._from_rows(
-        (n, n), a, b, basis.labels, _moved_cells(swapped, n, s_c, s_r), family=basis.family,
-        provenance=basis.provenance + ({"op": "swap_shift", "variant": variant},),
+        (n, n), basis.b_matrix().T, np.roll(basis.a_matrix().T, 1, axis=1), basis.labels,
+        _moved_cells(swapped, n, 0, 1), family=basis.family,
+        provenance=basis.provenance + ({"op": "swap_shift", "variant": "shift_a"},),
     )

@@ -238,8 +238,14 @@ def json_text(obj) -> str:
 
 
 def write_json(obj, path) -> None:
-    """Write :func:`json_text` of ``obj`` and a trailing newline to ``path``."""
-    Path(path).write_text(json_text(obj) + "\n", encoding="utf-8")
+    """Write :func:`json_text` of ``obj`` and a trailing newline to ``path``.
+
+    A path that cannot be written raises :class:`BasisFileError`.
+    """
+    try:
+        Path(path).write_text(json_text(obj) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise BasisFileError(f"cannot write {path}: {exc}") from exc
 
 
 def save_basis(basis: ProductBasis, path) -> None:

@@ -17,8 +17,8 @@ FAMILIES = {
     "g2_4x6": lambda: gen_tiles2(4, 6),
     "g2_5x8": lambda: gen_tiles2(5, 8),
     "cyclic_g1_6": lambda: cyclic_shift_basis(gen_tiles1(6), 2),
-    "swap_a_g1_4": lambda: swap_shift_basis(gen_tiles1(4), "shift_a"),
-    "swap_b_g2_4x4": lambda: swap_shift_basis(gen_tiles2(4, 4), "shift_b"),
+    "swap_a_g1_4": lambda: swap_shift_basis(gen_tiles1(4)),
+    "swap_b_g2_4x4": lambda: swap_shift_basis(gen_tiles2(4, 4)),
     **{f"cart_{m}x{n}": (lambda m=m, n=n: cartesian_basis(m, n)) for m in (2, 3, 4) for n in (2, 3, 4)},
     **{f"wound_{m}x{n}_k{k}": (lambda m=m, n=n, k=k: random_wound_basis(m, n, k, 5)[0])
        for m, n in ((2, 3), (3, 3), (3, 4)) for k in (1, 2)},

@@ -16,7 +16,7 @@ from prodbasis.boundent import (
 )
 from prodbasis.cli import main
 from prodbasis.config import TOLERANCES
-from prodbasis.errors import CompleteBasisInput, NonOrthonormalInput
+from prodbasis.errors import CompleteBasisInput, InvalidProjector, NonOrthonormalInput
 from prodbasis.families import cartesian_basis, gen_tiles1, gen_tiles2
 from prodbasis.io import complex_to_json, load_basis, save_basis
 from prodbasis.linalg import basis_vector, kron, partial_transpose
@@ -257,8 +257,11 @@ def test_cli_boundent_rejects_complement_state_with_negative_eigenvalue(tmp_path
     a = np.eye(3, dtype=complex) + delta * (np.ones((3, 3)) - np.eye(3))
     a /= np.linalg.norm(a, axis=0)
     states = tuple(ProductState(a[:, i], basis_vector(3, j)) for i in range(3) for j in range(3))[:-1]
+    tilted = ProductBasis(3, 3, states)
+    with pytest.raises(InvalidProjector, match="eigenvalue below -1e-10"):
+        upb_density_state(tilted)
     path = tmp_path / "tilted.json"
-    save_basis(ProductBasis(3, 3, states), path)
+    save_basis(tilted, path)
     assert main(["boundent", str(path), "--restarts", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

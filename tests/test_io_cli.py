@@ -3,9 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from prodbasis import cli
 from prodbasis.basis import ProductBasis, ProductState
 from prodbasis.cli import main
-from prodbasis.errors import BasisFileError, NoTileMetadata
+from prodbasis.errors import (
+    BasisFileError,
+    IncompleteBasis,
+    InvalidDimension,
+    NoTileMetadata,
+    ProductBasisError,
+    WindingInvariantError,
+)
 from prodbasis.families import cartesian_basis, gen_tiles1, gen_tiles2
 from prodbasis.io import (
     basis_from_payload,
@@ -423,6 +431,12 @@ CLI_MALFORMED = [
     ("render_short_tile_cell", ["render", "{tmp}/short_tile_cell.json"], {}),
     ("pb_seed_not_integer", ["wind", "--cartesian", "2", "2", "--out", "{tmp}/w.json"], {"PB_SEED": "seven"}),
     ("gentiles1_without_n", ["construct", "--family", "gentiles1", "--out", "{tmp}/g.json"], {}),
+    ("gentiles2_without_m", ["construct", "--family", "gentiles2", "--n", "4", "--out", "{tmp}/g.json"], {}),
+    ("cartesian_without_m", ["construct", "--family", "cartesian", "--n", "4", "--out", "{tmp}/g.json"], {}),
+    ("construct_out_unwritable",
+     ["construct", "--family", "cartesian", "--m", "2", "--n", "2", "--out", "{tmp}/absent/x.json"], {}),
+    ("wind_out_directory", ["wind", "--cartesian", "2", "2", "--out", "{tmp}"], {}),
+    ("boundent_out_unwritable", ["boundent", "{tmp}/g2.json", "--out", "{tmp}/absent/rho.json"], {}),
     ("wind_file_and_cartesian", ["wind", "{tmp}/cart.json", "--cartesian", "2", "3", "--out", "{tmp}/w.json"], {}),
     ("verify_restarts_0", ["verify", "{tmp}/g2.json", "--restarts", "0"], {}),
     ("boundent_restarts_0", ["boundent", "{tmp}/g2.json", "--restarts", "0"], {}),
@@ -431,13 +445,46 @@ CLI_MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("argv, env", [case[1:] for case in CLI_MALFORMED], ids=[case[0] for case in CLI_MALFORMED])
-def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, argv, env):
+# How the one stderr line of a CLI_MALFORMED case starts, where a test pins more than "error: "
+CLI_MALFORMED_STDERR = {
+    "gentiles1_without_n": "error: --n is required for gentiles1\n",
+    "gentiles2_without_m": "error: --m and --n are required for gentiles2\n",
+    "cartesian_without_m": "error: --m and --n are required for cartesian\n",
+    "construct_out_unwritable": "error: cannot write {tmp}/absent/x.json: ",
+    "wind_out_directory": "error: cannot write {tmp}: ",
+    "boundent_out_unwritable": "error: cannot write {tmp}/absent/rho.json: ",
+}
+
+
+@pytest.mark.parametrize("case, argv, env", CLI_MALFORMED, ids=[case[0] for case in CLI_MALFORMED])
+def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case, argv, env):
     for name, text in CLI_FILES.items():
         (tmp_path / f"{name}.json").write_text(text())
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     code, stdout, stderr = run_cli([arg.format(tmp=tmp_path) for arg in argv], capsys)
     assert code == 1 and stdout == ""
-    assert stderr.startswith("error: ") and "Traceback" not in stderr
+    assert stderr.startswith(CLI_MALFORMED_STDERR.get(case, "error: ").format(tmp=tmp_path))
+    assert stderr.count("\n") == 1 and "Traceback" not in stderr
     assert not (tmp_path / "w.json").exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (InvalidDimension, 2), (IncompleteBasis, 6), (WindingInvariantError, 1),
+    (BasisFileError, 1), (ProductBasisError, 1),
+])
+def test_main_maps_error_class_to_exit_code(capsys, monkeypatch, error, code):
+    def fail(args):
+        raise error(f"{error.__name__} raised")
+
+    monkeypatch.setattr(cli, "cmd_render", fail)
+    assert run_cli(["render", "any.json"], capsys) == (code, "", f"error: {error.__name__} raised\n")
+
+
+def test_main_lets_other_errors_propagate(monkeypatch):
+    def fail(args):
+        raise RuntimeError("not an input error")
+
+    monkeypatch.setattr(cli, "cmd_render", fail)
+    with pytest.raises(RuntimeError, match="not an input error"):
+        main(["render", "any.json"])

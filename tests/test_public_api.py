@@ -63,6 +63,10 @@ CERTIFICATION_SIGNATURES = {
 }
 
 
+def test_swap_shift_has_one_convention():
+    assert list(inspect.signature(prodbasis.swap_shift_basis).parameters) == ["basis"]
+
+
 def test_certification_signatures_are_pinned():
     for func, expected in CERTIFICATION_SIGNATURES.items():
         params = inspect.signature(func).parameters.values()
