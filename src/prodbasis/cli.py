@@ -80,6 +80,8 @@ def cmd_construct(args) -> int:
     if family == "gentiles1":
         if args.n is None:
             raise ProductBasisError("--n is required for gentiles1")
+        if args.m is not None:
+            raise ProductBasisError("--m is not used by gentiles1")
         basis = gen_tiles1(args.n)
         default_name = f"gentiles1_{args.n}.json"
     else:

@@ -5,11 +5,15 @@ numerical unextendibility test: a seeded see-saw maximization of the product
 overlap with the complement, which advances every restart together through
 one factorization of the operator, cross-checked at small dimensions by a
 brute-force grid oracle that never iterates the see-saw path.  The oracle
-bounds each grid state's top eigenvalue by its trace and Frobenius norm
-(Wolkowicz-Styan) and solves only the states whose bound reaches the best
-solved value within a rounding slack; since the eigensolver treats each
-operator of a stack on its own, its maximum is bit-identical to solving
-every grid state.
+prunes in two stages.  It bounds each grid state's top eigenvalue by its
+trace and Frobenius norm (Wolkowicz-Styan) and keeps the states whose bound
+reaches the best solved value within a rounding slack.  For dB = 3, where
+that bound is loose, it then solves the kept state with the largest
+closed-form (Smith) eigenvalue estimate and drops every state whose
+mu I - H, mu the best solved value less the slack, is certified positive
+definite by its characteristic polynomial's coefficients with a rounding
+error bound.  Since the eigensolver treats each operator of a stack on its
+own, the maximum is bit-identical to solving every grid state.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ class SeesawResult:
     witness: ProductState
     restarts_used: int
     iterations_total: int
+    capped_restarts: int    # restarts still improving at _SEESAW_MAX_ITERATIONS
 
 
 @dataclass(frozen=True)
@@ -206,7 +211,8 @@ def seesaw_max_product_overlap(
     :func:`top_eigenvector` over the restarts still active, and a restart
     leaves the active set once one iteration improves it by less than
     1e-12 (``_SEESAW_STOP``), or after 10 000 iterations
-    (``_SEESAW_MAX_ITERATIONS``).
+    (``_SEESAW_MAX_ITERATIONS``); ``capped_restarts`` counts the restarts
+    the cap stopped.
 
     Restart ``r`` starts from a rotation-invariant pair drawn from the
     counter-seeded stream ``stream(seed, r)``.  One bit generator, re-keyed
@@ -261,6 +267,7 @@ def _seesaw(f, s, d_a, d_b, restarts, seed) -> SeesawResult:
         witness=ProductState(a[best], b[best], label="witness"),
         restarts_used=restarts,
         iterations_total=iterations_total,
+        capped_restarts=int(active.size),
     )
 
 
@@ -289,6 +296,24 @@ def _bloch_grid(resolution: int) -> np.ndarray:
 # more than _GRID_VALUE_SLACK below a solved value cannot hold the maximum.
 _GRID_FRO_SLACK = 8 * np.finfo(float).eps
 _GRID_VALUE_SLACK = 1e-12
+#
+# For dB = 3 the oracle then drops a state only when A = mu I - H is
+# certified positive definite, so that lambda_max(H) < mu.  A Hermitian A is
+# positive definite iff the coefficients c1 = tr A, c2 = the sum of its 2x2
+# principal minors and c3 = det A of its characteristic polynomial are all
+# positive.  Written in the real and imaginary parts of the entries, each
+# c_k is a sum of real monomials, and _certified_below evaluates each
+# monomial with at most 7 roundings: one for each factor a_i = mu - h_ii,
+# the products, and the sums that follow (c3's a0 a1 a2 takes 3 + 2 + 2).
+# So the computed c_k errs by at most gamma_7 S_k, where S_k is the sum of
+# the monomials' moduli and gamma_7 = 7u / (1 - 7u).  The computed S_k,
+# with at most 8 roundings per monomial, is at least (1 - gamma_8) S_k, so
+# c_k > _GRID_PD_SLACK * S_k (over twice gamma_7 / (1 - gamma_8)) proves
+# c_k > 0.  Entries and mu are at most 1 + operator_interval in modulus,
+# so no step overflows, and the absolute errors of gradual underflow, a few
+# dozen units of 2^-1075 per coefficient, stay below _GRID_PD_FLOOR.
+_GRID_PD_SLACK = 8 * np.finfo(float).eps
+_GRID_PD_FLOOR = np.finfo(float).tiny
 
 
 def _top_eigenvalue_bound(m: np.ndarray) -> np.ndarray:
@@ -301,9 +326,72 @@ def _top_eigenvalue_bound(m: np.ndarray) -> np.ndarray:
     return trace / d + np.sqrt(spread)
 
 
-def _top_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of the Hermitian part of each operator in a stack."""
-    return np.linalg.eigvalsh(hermitian_part(m))[:, -1]
+def _top_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of each Hermitian operator in a stack."""
+    return np.linalg.eigvalsh(h)[:, -1]
+
+
+# upper triangle of a 3x3 operator: (0, 1), (0, 2), (1, 2)
+_UPPER3 = ((0, 0, 1), (1, 2, 2))
+
+
+def _entries3(h: np.ndarray):
+    """The real quantities of a stack of 3x3 Hermitian operators that its cubic invariants need.
+
+    Returns the diagonal ``d`` (n, 3); the squared moduli ``n`` (n, 3) of
+    h01, h02 and h12; ``t`` = Re(h01 h12 h20), formed in real arithmetic
+    from 4 real monomials; and ``l1`` (n, 3), the |re| + |im| of h01, h02
+    and h12, whose product bounds the sum of those monomials' moduli.
+    """
+    d = h.real[:, (0, 1, 2), (0, 1, 2)]
+    re = h.real[:, _UPPER3[0], _UPPER3[1]]
+    im = h.imag[:, _UPPER3[0], _UPPER3[1]]
+    n = re * re + im * im
+    (r01, r02, r12), (i01, i02, i12) = re.T, im.T
+    p_re = r01 * r12 - i01 * i12          # h01 h12
+    p_im = r01 * i12 + i01 * r12
+    t = p_re * r02 + p_im * i02           # Re(h01 h12 conj(h02))
+    return d, n, t, np.abs(re) + np.abs(im)
+
+
+def _smith_top_eigenvalue(d: np.ndarray, n: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of each 3x3 Hermitian operator by Smith's closed form.
+
+    O. K. Smith, Commun. ACM 4, 168 (1961): with q = tr H / 3 and
+    p = ||H - qI||_F / sqrt(6), the eigenvalues are
+    q + 2p cos((arccos(r) + 2 pi k) / 3) for r = det(H - qI) / (2 p^3).
+    An estimate without an error bound: it only picks a state to solve.
+    """
+    q = d.sum(axis=1) / 3
+    e = d - q[:, None]
+    p = np.sqrt((np.sum(e * e, axis=1) + 2 * n.sum(axis=1)) / 6)
+    det = e.prod(axis=1) + 2 * t - np.sum(e * n[:, ::-1], axis=1)
+    two_p3 = 2 * p ** 3
+    r = np.divide(det, two_p3, out=np.zeros_like(det), where=two_p3 > 0)
+    return q + 2 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3)
+
+
+def _certified_below(d, n, t, l1, mu: float) -> np.ndarray:
+    """True where mu I - H is certified positive definite, so lambda_max(H) < mu.
+
+    Each of the coefficients c1, c2, c3 of the characteristic polynomial of
+    A = mu I - H must exceed its rounding-error bound (see _GRID_PD_SLACK);
+    a False says nothing.
+    """
+    a = mu - d
+    pairs = a[:, _UPPER3[0]] * a[:, _UPPER3[1]]
+    opposite = a * n[:, ::-1]             # a0 |h12|^2, a1 |h02|^2, a2 |h01|^2
+    triple = a.prod(axis=1)
+    n_sum = n.sum(axis=1)
+    c1 = a.sum(axis=1)
+    c2 = pairs.sum(axis=1) - n_sum
+    c3 = triple - 2 * t - opposite.sum(axis=1)
+    s1 = np.abs(a).sum(axis=1)
+    s2 = np.abs(pairs).sum(axis=1) + n_sum
+    s3 = np.abs(triple) + 2 * l1.prod(axis=1) + np.abs(opposite).sum(axis=1)
+    return ((c1 > _GRID_PD_SLACK * s1 + _GRID_PD_FLOOR)
+            & (c2 > _GRID_PD_SLACK * s2 + _GRID_PD_FLOOR)
+            & (c3 > _GRID_PD_SLACK * s3 + _GRID_PD_FLOOR))
 
 
 def grid_oracle_max_product_overlap(
@@ -326,15 +414,22 @@ def grid_oracle_max_product_overlap(
     bound is a conservative Lipschitz estimate covering the A-side
     discretization.
 
-    Only grid states that can hold the maximum reach the eigensolver.  Each
-    operator's top eigenvalue is bounded by the Wolkowicz-Styan bound
+    Only grid states that can hold the maximum reach the eigensolver, after
+    two stages of pruning.  First, each operator's top eigenvalue is
+    bounded by the Wolkowicz-Styan bound
     t/d + sqrt((d-1)/d * (||M||_F^2 - t^2/d)) from its real trace t and
     Frobenius norm, which is exact for dB <= 2.  The state with the largest
-    bound is solved first; then only states whose bound reaches that value,
-    less a rounding slack of 1e-12 (plus 16 dB u ||M||_F^2 inside the
-    square root), are solved.  No pruned state can reach the maximum, and
-    eigvalsh solves each operator of a stack on its own, so the value is
-    the same float as a sweep that solves every grid state.
+    bound is solved, and only states whose bound reaches that value, less a
+    rounding slack of 1e-12 (plus 16 dB u ||M||_F^2 inside the square
+    root), are kept.  Second, for dB = 3, where the bound is loose, the
+    kept state with the largest eigenvalue estimate by Smith's closed form
+    is solved too, and a kept state is dropped when mu I - H is certified
+    positive definite, for H its Hermitian part and mu the best solved value
+    less 1e-12: each coefficient of the characteristic polynomial of
+    mu I - H must exceed its rounding-error bound.  No pruned state can
+    reach the maximum, and eigvalsh solves each operator of a stack on its
+    own, so the value is the same float as a sweep that solves every grid
+    state.
     """
     if d_a > 2 or d_b > 3:
         raise DimensionTooLarge(f"grid oracle supports dA <= 2 and dB <= 3, got ({d_a}, {d_b})")
@@ -356,8 +451,13 @@ def grid_oracle_max_product_overlap(
     bra_q = (grid.conj() @ q_bra).reshape(len(grid), d_a, d_b * d_b)
     m_b = (grid[:, None, :] @ bra_q).reshape(len(grid), d_b, d_b)
     bound = _top_eigenvalue_bound(m_b)
-    best = _top_eigenvalues(m_b[[np.argmax(bound)]])[0]
-    value = float(np.max(_top_eigenvalues(m_b[bound >= best - _GRID_VALUE_SLACK])))
+    best = _top_eigenvalues(hermitian_part(m_b[[np.argmax(bound)]]))[0]
+    h = hermitian_part(m_b[bound >= best - _GRID_VALUE_SLACK])
+    if d_b == 3:
+        d, n, t, l1 = _entries3(h)
+        best = max(best, _top_eigenvalues(h[[np.argmax(_smith_top_eigenvalue(d, n, t))]])[0])
+        h = h[~_certified_below(d, n, t, l1, best - _GRID_VALUE_SLACK)]
+    value = float(np.max(_top_eigenvalues(h)))
     lipschitz = 2.0 * float(np.max(np.abs(w)))
     return GridOracleResult(value=value, gap_bound=float(lipschitz * max_spacing))
 

@@ -96,3 +96,10 @@ def test_cached_parser_sees_patched_module_attributes(tmp_path, monkeypatch, cap
 def test_parser_is_not_built_at_import():
     code = "import prodbasis.cli as cli; assert cli._parser is None"
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
+
+
+def test_construct_gentiles1_rejects_m(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["construct", "--family", "gentiles1", "--n", "4", "--m", "7", "--out", "g.json"]) == 1
+    assert capsys.readouterr().err == "error: --m is not used by gentiles1\n"
+    assert not (tmp_path / "g.json").exists()

@@ -122,6 +122,16 @@ def test_engine_matches_reference_loop_on_tiles(make):
     assert abs(res.iterations_total - iterations) <= 1
 
 
+def test_capped_restarts_counts_restarts_stopped_by_the_cap(monkeypatch):
+    q = complement_projector(gen_tiles1(6))
+    res = seesaw_max_product_overlap(q, 6, 6, restarts=20, seed=0)
+    assert res.capped_restarts == 0
+    monkeypatch.setattr(verify, "_SEESAW_MAX_ITERATIONS", 1)
+    capped = seesaw_max_product_overlap(q, 6, 6, restarts=20, seed=0)
+    assert capped.iterations_total == 20
+    assert 0 < capped.capped_restarts <= 20
+
+
 def _degenerate_stack(dim):
     rng = stream(17, dim)
     u = haar_unitary(rng, dim)

@@ -235,11 +235,17 @@ def random_operator(rng, dim):
     return (u * rng.uniform(0.0, 1.0, dim)) @ u.conj().T
 
 
-def flat_projector(rng):
-    """A rank-3 projector on 2x2: every grid state's <a|Q|a> has top eigenvalue 1."""
-    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+def flat_projector(rng, dim=4):
+    """I - |psi><psi|: every grid state's <a|Q|a> has top eigenvalue 1, degenerate for dim = 6."""
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     psi /= np.linalg.norm(psi)
-    return np.eye(4) - np.outer(psi, psi.conj())
+    return np.eye(dim) - np.outer(psi, psi.conj())
+
+
+def rounded_spectrum_operator(rng, dim):
+    """A random 0 <= Q <= I with its spectrum rounded to one decimal, so eigenvalues tie."""
+    u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    return (u * np.round(rng.uniform(0.0, 1.0, dim), 1)) @ u.conj().T
 
 
 def adversarial_cases():
@@ -253,6 +259,11 @@ def adversarial_cases():
         pole = kron(basis_vector(2, 0), random_unit_vector(rng, d_b))   # a = |0>, theta = 0
         cases.append((2, d_b, np.outer(pole, pole.conj())))
     cases += [(d_a, d_b, random_operator(rng, d_a * d_b)) for d_a, d_b in dims for _ in range(3)]
+    cases += [(2, 3, flat_projector(rng, 6)) for _ in range(2)]
+    for _ in range(2):
+        product = kron(random_unit_vector(rng, 2), random_unit_vector(rng, 3))
+        cases.append((2, 3, np.outer(product, product.conj())))
+    cases += [(2, 3, rounded_spectrum_operator(rng, 6)) for _ in range(4)]
     return cases
 
 
@@ -273,7 +284,37 @@ def test_top_eigenvalue_bound_covers_solved_values():
             noise = rng.standard_normal((500, d, d)) + 1j * rng.standard_normal((500, d, d))
             m = rng.uniform(0.0, 1.0, (500, 1, 1)) * np.eye(d) + scale * noise
             bound = verify._top_eigenvalue_bound(m)
-            assert np.all(bound >= verify._top_eigenvalues(m) - verify._GRID_VALUE_SLACK)
+            assert np.all(bound >= verify._top_eigenvalues(hermitian_part(m)) - verify._GRID_VALUE_SLACK)
+
+
+def hermitian3_stacks(rng, count=300):
+    """Near-scalar, near-degenerate and tiny-scale stacks of 3x3 Hermitian operators."""
+    def noise():
+        return rng.standard_normal((count, 3, 3)) + 1j * rng.standard_normal((count, 3, 3))
+
+    u = np.linalg.qr(noise())[0]
+    stacks = [rng.uniform(0.0, 1.0, (count, 1, 1)) * np.eye(3) + scale * noise()
+              for scale in (0.0, 1e-17, 1e-15, 1e-12, 1e-8, 1e-3, 1.0)]
+    top = rng.uniform(0.0, 1.0, (count, 1))
+    for gap in (0.0, 1e-16, 1e-13, 1e-8):
+        spectrum = np.concatenate([top, top - gap, top * rng.uniform(0.0, 1.0, (count, 1))], axis=1)
+        stacks.append((u * spectrum[:, None, :]) @ dagger(u))
+    stacks += [scale * noise() for scale in (1e-150, 1e-300, 1e-320)]
+    return [hermitian_part(m) for m in stacks]
+
+
+def test_certified_below_keeps_every_state_at_or_above_mu():
+    rng = np.random.default_rng(12)
+    for h in hermitian3_stacks(rng):
+        top = verify._top_eigenvalues(h)
+        d, n, t, l1 = verify._entries3(h)
+        scale = np.max(np.abs(h), axis=(1, 2))
+        for mu in (top - verify._GRID_VALUE_SLACK, top - 1e-14, top - 1e-12 * scale,
+                   np.full_like(top, np.max(top) - verify._GRID_VALUE_SLACK)):
+            certified = verify._certified_below(d, n, t, l1, mu[:, None])
+            assert not np.any(certified & (top >= mu))
+        # sound is not enough: a clear gap is certified
+        assert np.all(verify._certified_below(d, n, t, l1, top[:, None] + 1e-3))
 
 
 def eigvalsh_rows(monkeypatch):
@@ -298,6 +339,14 @@ def test_grid_oracle_solves_under_half_the_grid(monkeypatch):
     for d_a, d_b, q in crosscheck_cases()[:32]:
         grid_oracle_max_product_overlap(q, d_a, d_b, resolution=64)
     assert sum(rows) < FULL_SWEEP_ROWS // 2
+
+
+def test_grid_oracle_solves_few_states_on_2x3(monkeypatch):
+    rows = eigvalsh_rows(monkeypatch)
+    for d_a, d_b, q in crosscheck_cases()[16:32]:
+        assert (d_a, d_b) == (2, 3)
+        grid_oracle_max_product_overlap(q, d_a, d_b, resolution=64)
+    assert sum(rows) <= 64
 
 
 def test_grid_oracle_solves_every_state_of_a_flat_operator(monkeypatch):
