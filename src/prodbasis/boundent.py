@@ -93,6 +93,7 @@ class RangeCriterionReport:
     restarts_used: int
     iterations_total: int
     seed: int
+    capped_restarts: int    # see verify.SeesawResult
 
 
 def upb_density_state(basis: ProductBasis, tol: Tolerances = TOLERANCES) -> DensityMatrix:
@@ -156,4 +157,5 @@ def range_criterion_report(
         restarts_used=result.restarts_used,
         iterations_total=result.iterations_total,
         seed=seed,
+        capped_restarts=result.capped_restarts,
     )

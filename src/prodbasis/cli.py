@@ -70,6 +70,11 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _warn_capped(capped: int, restarts: int) -> None:
+    if capped:
+        print(f"warning: {capped} of {restarts} see-saw restarts stopped at the iteration cap", file=sys.stderr)
+
+
 def _require_at_least(flag: str, value: int, least: int) -> None:
     if value < least:
         raise ProductBasisError(f"{flag} must be at least {least}, got {value}")
@@ -106,6 +111,7 @@ def cmd_verify(args) -> int:
     seed = _default_seed() if args.seed is None else args.seed
     tolerances = dataclasses.replace(TOLERANCES, orthonormality=args.tol, upb_margin=args.eta)
     report = check_upb(basis, restarts=args.restarts, seed=seed, tol=tolerances)
+    _warn_capped(report.capped_restarts, report.restarts_used)
 
     witness = report.witness_state
     payload = {
@@ -165,6 +171,7 @@ def cmd_boundent(args) -> int:
         # The range of the complement state is the complement, so the range
         # see-saw also decides whether the basis is unextendible.
         range_report = range_criterion_report(rho, restarts=args.restarts, seed=seed)
+        _warn_capped(range_report.capped_restarts, range_report.restarts_used)
         verdict = overlap_verdict(range_report.max_product_overlap)
     if verdict in (Verdict.COMPLETE_BASIS, Verdict.EXTENDIBLE):
         return _fail(

@@ -93,6 +93,7 @@ class VerificationReport:
     restarts_used: int
     iterations_total: int
     seed: int
+    capped_restarts: int    # see SeesawResult; 0 when the see-saw is skipped
 
 
 def gram_matrix(basis: ProductBasis) -> np.ndarray:
@@ -497,13 +498,13 @@ def check_upb(
     complement_dim = basis.dim - span_rank
 
     if complement_dim == 0:
-        value, witness, verdict, restarts_used, iterations = 0.0, None, Verdict.COMPLETE_BASIS, 0, 0
+        value, witness, verdict, restarts_used, iterations, capped = 0.0, None, Verdict.COMPLETE_BASIS, 0, 0, 0
     else:
         q = _complement_of_checked(basis)
         result = seesaw_max_product_overlap(q, basis.d_a, basis.d_b, restarts, seed, tol=tol)
         value, witness = result.value, result.witness
         verdict = overlap_verdict(value, tol=tol)
-        restarts_used, iterations = result.restarts_used, result.iterations_total
+        restarts_used, iterations, capped = result.restarts_used, result.iterations_total, result.capped_restarts
     return VerificationReport(
         gram_max_offdiag=dev.max_offdiag,
         gram_max_diag_error=dev.max_diag_error,
@@ -515,6 +516,7 @@ def check_upb(
         restarts_used=restarts_used,
         iterations_total=iterations,
         seed=seed,
+        capped_restarts=capped,
     )
 
 

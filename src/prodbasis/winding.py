@@ -9,9 +9,12 @@ move sequence that returns a basis to grid (Cartesian) form.
 
 Both `wind_basis` and the unwinder apply a move to the inside states that
 their split table already classified; `apply_winding_move` validates the
-split itself.  The unwinder searches level by level in path order, so it
-returns the sequence iterative deepening would (smallest by depth, split
-index, move index) while expanding each basis once and storing one level.
+split itself.  `wind_basis` builds a subspace pair only for the split it
+draws, and the unwinder only for each split that yields a move; its search
+nodes carry no provenance, as it returns the move path alone.  The unwinder
+searches level by level in path order, so it returns the sequence iterative
+deepening would (smallest by depth, split index, move index) while
+expanding each basis once and storing one level.
 It is best effort with certified output: any returned sequence is
 re-applied, every move validated again, and checked, and an exhausted
 search is reported as absence, not as a proof that no unwinding exists.
@@ -215,16 +218,19 @@ def apply_winding_move(basis: ProductBasis, move: WindingMove, tol: Tolerances =
     ok, classes = validate_split(basis, move.split, tol)
     if not ok:
         raise InvalidSplit("split does not classify every basis state")
-    return _rotate(basis, move, [cls is SplitClass.INSIDE for cls in classes], tol)
+    inside = [cls is SplitClass.INSIDE for cls in classes]
+    return _rotate(basis, move, inside, basis.provenance + (move_to_record(move),), tol)
 
 
-def _rotate(basis: ProductBasis, move: WindingMove, inside, tol: Tolerances) -> ProductBasis:
+def _rotate(basis: ProductBasis, move: WindingMove, inside, provenance, tol: Tolerances) -> ProductBasis:
     """Apply a move to the states marked in ``inside``, a valid split's inside mask.
 
     The caller vouches for the mask (from :func:`validate_split` or a split
-    table row); the Gram check of the output and the provenance record are
-    kept here.  A rotated factor that rounding drift takes off unit norm
-    raises :class:`WindingInvariantError`; the factors are not renormalised.
+    table row) and passes the provenance the result carries: the input's
+    plus the move's record for a basis that is returned, none for a search
+    node.  The Gram check of the output is kept here.  A rotated factor that
+    rounding drift takes off unit norm raises :class:`WindingInvariantError`;
+    the factors are not renormalised.
     """
     inside = np.asarray(inside, dtype=bool)
     rows = []
@@ -238,7 +244,7 @@ def _rotate(basis: ProductBasis, move: WindingMove, inside, tol: Tolerances) -> 
     try:
         out = ProductBasis._from_rows(
             (basis.d_a, basis.d_b), *rows, basis.labels, cells,
-            family=Family.CUSTOM, provenance=basis.provenance + (move_to_record(move),),
+            family=Family.CUSTOM, provenance=provenance,
         )
     except ValueError as exc:
         raise WindingInvariantError(f"winding move broke the unit-norm check: {exc}") from None
@@ -262,8 +268,11 @@ def _rays(vectors, tol: float):
     close = (mod >= 1.0 - tol).tolist()
     reps, ids = [], []
     for n in range(len(v)):
-        i = next((i for i, r in enumerate(reps) if close[r][n]), len(reps))
-        if i == len(reps):
+        for i, r in enumerate(reps):
+            if close[r][n]:
+                break
+        else:
+            i = len(reps)
             reps.append(n)
         ids.append(i)
     adjacent = (mod[reps][:, reps] > tol) & ~np.eye(len(reps), dtype=bool)
@@ -420,21 +429,17 @@ def _alignment_unitary(reps) -> np.ndarray:
     """
     k = len(reps)
     weight = np.abs(reps.T)  # rows: axes, cols: rays
-    free_axes = set(range(k))
-    free_rays = set(range(k))
-    assignment = {}
-    order = sorted(
-        ((i, j) for i in range(k) for j in range(k)),
-        key=lambda ij: (-weight[ij], ij),
-    )
-    for i, j in order:
-        if i in free_axes and j in free_rays:
-            assignment[j] = i
-            free_axes.discard(i)
-            free_rays.discard(j)
+    # (axis, ray) pairs by descending weight, ties in (axis, ray) order: a
+    # stable sort of the row-major flat indices
+    order = np.argsort(-weight, axis=None, kind="stable").tolist()
+    free_axes = [True] * k
+    free_rays = [True] * k
     u = np.zeros((k, k), dtype=complex)
-    for j, i in assignment.items():
-        u[i, :] = reps[j].conj()
+    for flat in order:
+        i, j = divmod(flat, k)
+        if free_axes[i] and free_rays[j]:
+            u[i, :] = reps[j].conj()
+            free_axes[i] = free_rays[j] = False
     return u
 
 
@@ -454,24 +459,31 @@ def _grid_alignment(factors, cols, inside, tol: float):
     return _alignment_unitary(reps) if _is_grid(reps, adjacent, cols.shape[1]) else None
 
 
-def _candidate_moves(basis: ProductBasis, split: SubspacePair, inside, tol: Tolerances):
-    """Grid-restoring moves for the inside block of a split.
+def _candidate_moves(basis: ProductBasis, table: _SplitTable, s: int, tol: Tolerances):
+    """Grid-restoring moves for the inside block of split ``s`` of ``table``.
 
     The inside block is itself a complete product basis of the split
     subspace.  When its local ray structure is one move away from grid form
     (a full set of mutually orthogonal rays on a side), the unitary mapping
     those rays onto the split's own basis is a candidate; it is the inverse
     of whatever single local rotation wound that side.  Moves that only
-    adjust phases are skipped.
+    adjust phases are skipped.  The alignments read the split's columns
+    from the table; the :class:`SubspacePair` and the moves, each validated
+    as it is built, are built only when some move is left.
     """
-    ka, kb = split.dims
-    u_a = _grid_alignment(basis.a_matrix(), split.a_basis, inside, tol.ray_grouping)
-    u_b = _grid_alignment(basis.b_matrix(), split.b_basis, inside, tol.ray_grouping)
+    a_cols, b_cols = table.a_cands[table.a_index[s]], table.b_cands[table.b_index[s]]
+    inside = table.inside[s]
+    u_a = _grid_alignment(basis.a_matrix(), a_cols, inside, tol.ray_grouping)
+    u_b = _grid_alignment(basis.b_matrix(), b_cols, inside, tol.ray_grouping)
     a_moves = u_a is not None and not _is_phase_diagonal(u_a)
     b_moves = u_b is not None and not _is_phase_diagonal(u_b)
+    if not (a_moves or b_moves):
+        return []
 
+    split = table.split(s)
+    ka, kb = split.dims
     moves = []
-    if u_a is not None and u_b is not None and (a_moves or b_moves):
+    if u_a is not None and u_b is not None:
         moves.append(WindingMove(split, u_a, u_b))
     if a_moves:
         moves.append(WindingMove(split, u_a, np.eye(kb, dtype=complex)))
@@ -489,6 +501,8 @@ def _search(basis: ProductBasis, max_depth: int, tol: Tolerances):
     iterative deepening finds, the smallest path by (depth, split index, move
     index), because every shallower node has already been tested.  Only the
     level being expanded is stored, never the children of the last level.
+    Nodes carry no provenance: the search returns the move path, and
+    :func:`unwind` replays it through :func:`apply_winding_move`.
     """
     if is_cartesian(basis, tol.ray_grouping):
         return []
@@ -499,8 +513,8 @@ def _search(basis: ProductBasis, max_depth: int, tol: Tolerances):
         for node, path in level:
             table = _split_table(node, tol)
             for s in range(len(table)):
-                for move in _candidate_moves(node, table.split(s), table.inside[s], tol):
-                    child = _rotate(node, move, table.inside[s], tol)
+                for move in _candidate_moves(node, table, s, tol):
+                    child = _rotate(node, move, table.inside[s], (), tol)
                     if is_cartesian(child, tol.ray_grouping):
                         return path + [move]
                     if not last:
@@ -559,7 +573,7 @@ def wind_basis(basis: ProductBasis, k_moves: int, seed: int, tol: Tolerances = T
         split = table.split(s)
         ka, kb = split.dims
         move = WindingMove(split, haar_unitary(rng, ka), haar_unitary(rng, kb))
-        basis = _rotate(basis, move, table.inside[s], tol)
+        basis = _rotate(basis, move, table.inside[s], basis.provenance + (move_to_record(move),), tol)
         moves.append(move)
     return basis, tuple(moves)
 

@@ -7,18 +7,28 @@ and ``unwind``; later cases read the files that earlier ones wrote.
 
 The digests in ``golden_digests.json`` hold for the numpy version stored next
 to them.  Another numpy may round LAPACK results differently, so the test
-skips there.  A change that is meant to alter seeded output re-records them
-with ``PYTHONPATH=src python tests/test_golden_digests.py``, which names the
-cases whose digest changed on stderr, and says so in CHANGES.md.
+skips there.  The trailing digits of some outputs also depend on the OpenBLAS
+kernel that numpy's bundled library picks for the CPU (``SkylakeX`` with
+AVX-512, ``Haswell`` with AVX2, ...), so one digest set is stored per kernel
+and the test checks the set of the kernel it runs on; it skips, naming the
+kernel, when none was recorded for it.
+
+A change that is meant to alter seeded output re-records them with
+``PYTHONPATH=src python tests/test_golden_digests.py``.  That runs the corpus
+in one subprocess per ``OPENBLAS_CORETYPE`` in ``CORETYPES`` and names on
+stderr the kernels it recorded, the cases whose digest changed, and how many
+cases differ from the first kernel's set.  Say so in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -35,6 +45,24 @@ VERIFY_SEEDS = (0, 7)
 WIND_DIMS = ((2, 3), (3, 3), (3, 4))
 WIND_SEEDS = range(4)
 WIND_MOVES = (1, 2)
+
+# OPENBLAS_CORETYPE values that record() runs the corpus under.  OpenBLAS
+# falls back to a kernel the CPU supports when it cannot run the one asked
+# for, and some names share a kernel (``Zen`` runs ``Haswell``), so the sets
+# are keyed by the kernel name the library reports, not by the name asked.
+CORETYPES = ("SkylakeX", "Haswell", "Zen", "Sandybridge", "Nehalem", "Prescott")
+
+
+def blas_core() -> str | None:
+    """Kernel name of numpy's bundled OpenBLAS (``SkylakeX``, ...), or None if it is not found."""
+    for lib in sorted(Path(np.__file__).resolve().parent.parent.glob("numpy.libs/libscipy_openblas64_*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
 
 
 def corpus():
@@ -96,17 +124,21 @@ def test_seeded_outputs_match_golden_digests(tmp_path, monkeypatch):
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     if golden["numpy"] != np.__version__:
         pytest.skip(f"digests were recorded with numpy {golden['numpy']}, this is numpy {np.__version__}")
+    core = blas_core()
+    if core not in golden["cores"]:
+        pytest.skip(f"no digests were recorded for the BLAS kernel {core or '(not found)'}; "
+                    f"recorded: {', '.join(golden['cores'])}")
+    expected = golden["cores"][core]
     monkeypatch.delenv("PB_SEED", raising=False)
     monkeypatch.chdir(tmp_path)
     digests = run_corpus(tmp_path)
-    assert list(digests) == list(golden["digests"])
-    changed = [name for name in digests if digests[name] != golden["digests"][name]]
-    assert not changed, f"seeded output changed for {len(changed)} cases: {changed}"
+    assert list(digests) == list(expected)
+    changed = [name for name in digests if digests[name] != expected[name]]
+    assert not changed, f"seeded output changed on {core} for {len(changed)} cases: {changed}"
 
 
-def record() -> None:
-    """Re-record every digest and name on stderr the cases whose digest changed."""
-    old = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["digests"] if GOLDEN_PATH.exists() else {}
+def _core_digests() -> dict:
+    """This process's kernel name and the corpus digests, run in a temporary directory."""
     os.environ.pop("PB_SEED", None)
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
@@ -115,12 +147,43 @@ def record() -> None:
             digests = run_corpus(Path(tmp))
         finally:
             os.chdir(cwd)
-    GOLDEN_PATH.write_text(json.dumps({"numpy": np.__version__, "digests": digests}, indent=2) + "\n",
+    return {"core": blas_core(), "digests": digests}
+
+
+def record() -> None:
+    """Re-record the digest set of every kernel reached through ``CORETYPES``.
+
+    Names on stderr the kernels recorded, the cases whose digest changed and
+    how many cases differ from the first kernel's set.
+    """
+    old = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")).get("cores", {}) if GOLDEN_PATH.exists() else {}
+    cores = {}
+    for coretype in CORETYPES:
+        run = subprocess.run([sys.executable, __file__, "--core-digests"], check=True, capture_output=True,
+                             text=True, env={**os.environ, "OPENBLAS_CORETYPE": coretype})
+        result = json.loads(run.stdout)
+        core, digests = result["core"], result["digests"]
+        if core is None:
+            raise RuntimeError("numpy's bundled OpenBLAS was not found; digests are keyed by its kernel")
+        if cores.setdefault(core, digests) != digests:
+            raise RuntimeError(f"OPENBLAS_CORETYPE={coretype} ran {core} and gave other digests than before")
+        print(f"OPENBLAS_CORETYPE={coretype} runs {core}", file=sys.stderr)
+    GOLDEN_PATH.write_text(json.dumps({"numpy": np.__version__, "cores": cores}, indent=2) + "\n",
                            encoding="utf-8")
-    print(f"recorded {len(digests)} digests with numpy {np.__version__} to {GOLDEN_PATH}", file=sys.stderr)
-    changed = [name for name in digests if old.get(name) != digests[name]]
-    print(f"{len(changed)} changed: {', '.join(changed) or 'none'}", file=sys.stderr)
+    print(f"recorded {len(cores)} digest sets with numpy {np.__version__} to {GOLDEN_PATH}", file=sys.stderr)
+    first = next(iter(cores.values()))
+    for core, digests in cores.items():
+        differ = sum(digests[name] != first[name] for name in digests)
+        if core in old:
+            changed = [name for name in digests if old[core].get(name) != digests[name]]
+            news = f"{len(changed)} changed: {', '.join(changed) or 'none'}"
+        else:
+            news = "a new set"
+        print(f"{core}: {differ} of {len(digests)} differ from {next(iter(cores))}; {news}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    record()
+    if sys.argv[1:] == ["--core-digests"]:
+        print(json.dumps(_core_digests()))
+    else:
+        record()

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from prodbasis import cli
+from prodbasis import cli, verify
 from prodbasis.basis import ProductBasis, ProductState
+from prodbasis.boundent import range_criterion_report, upb_density_state
 from prodbasis.cli import main
 from prodbasis.errors import (
     BasisFileError,
@@ -240,6 +241,36 @@ def test_cli_boundent(tmp_path, capsys):
     run_cli(["construct", "--family", "cartesian", "--m", "2", "--n", "2", "--out", str(cart)], capsys)
     code, _, stderr = run_cli(["boundent", str(cart)], capsys)
     assert code == 5
+
+
+@pytest.mark.parametrize("command", ["verify", "boundent"])
+def test_cli_warns_on_stderr_when_restarts_hit_the_iteration_cap(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "g1.json"
+    save_basis(gen_tiles1(4), path)
+    argv = [command, str(path), "--restarts", "20", "--seed", "3"]
+    monkeypatch.setattr(verify, "_SEESAW_MAX_ITERATIONS", 1)
+    if command == "verify":
+        capped = verify.check_upb(gen_tiles1(4), restarts=20, seed=3).capped_restarts
+    else:
+        rho = upb_density_state(gen_tiles1(4))
+        capped = range_criterion_report(rho, restarts=20, seed=3).capped_restarts
+    assert capped > 0
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert stderr.splitlines()[0] == f"warning: {capped} of 20 see-saw restarts stopped at the iteration cap"
+    assert "warning" not in stdout
+    # the warning goes to stderr only: stdout and the exit code are those of
+    # the same capped run with the warning suppressed
+    monkeypatch.setattr(cli, "_warn_capped", lambda capped, restarts: None)
+    assert run_cli(argv, capsys)[:2] == (code, stdout)
+
+
+@pytest.mark.parametrize("command", ["verify", "boundent"])
+def test_cli_uncapped_run_prints_no_warning(tmp_path, capsys, command):
+    path = tmp_path / "g1.json"
+    save_basis(gen_tiles1(4), path)
+    code, stdout, stderr = run_cli([command, str(path), "--restarts", "20", "--seed", "3"], capsys)
+    assert code == 0 and stdout
+    assert stderr == ""
 
 
 def test_cli_wind_unwind_round_trip(tmp_path, capsys):

@@ -10,10 +10,13 @@ from prodbasis.families import cartesian_basis
 from prodbasis.sampling import haar_unitary, stream
 from prodbasis.winding import (
     WindingMove,
+    _alignment_unitary,
     _candidate_moves,
+    _rays,
     _split_table,
     apply_winding_move,
     is_cartesian,
+    move_to_record,
     random_wound_basis,
     unwind,
     wind_basis,
@@ -49,7 +52,7 @@ def reference_search(basis, depth, tol):
         return None
     table = _split_table(basis, tol)
     for s in range(len(table)):
-        for move in _candidate_moves(basis, table.split(s), table.inside[s], tol):
+        for move in _candidate_moves(basis, table, s, tol):
             deeper = reference_search(apply_winding_move(basis, move, tol), depth - 1, tol)
             if deeper is not None:
                 return [move] + deeper
@@ -142,7 +145,7 @@ def children(basis, tol=TOLERANCES):
     return [
         apply_winding_move(basis, move, tol)
         for s in range(len(table))
-        for move in _candidate_moves(basis, table.split(s), table.inside[s], tol)
+        for move in _candidate_moves(basis, table, s, tol)
     ]
 
 
@@ -165,6 +168,142 @@ def test_unwind_expands_each_basis_once(monkeypatch, dims, k, seed, tables, test
     assert len(table_calls) == tables
     assert len(validate_calls) == 0
     assert len(cartesian_calls) == tested
+
+
+# (dims, wind seed, tables, candidate-move passes, rotations, grid tests,
+# subspace pairs built) of exhausted 2-move fixtures searched to depth 2
+EXHAUSTED = [
+    ((3, 4), 10, 4, 52, 33, 34, 19),
+    ((3, 4), 0, 3, 15, 2, 3, 1),
+    ((3, 3), 0, 3, 13, 2, 3, 1),
+]
+
+
+@pytest.mark.parametrize("dims, seed, tables, passes, rotations, tested, pairs", EXHAUSTED)
+def test_unwind_builds_only_what_it_keeps(monkeypatch, dims, seed, tables, passes, rotations, tested, pairs):
+    basis, _ = random_wound_basis(*dims, 2, seed)
+    calls = {name: count_calls(monkeypatch, name) for name in (
+        "_split_table", "_candidate_moves", "_rotate", "is_cartesian", "move_to_record", "SubspacePair")}
+    assert unwind(basis, 2) is None
+    counts = {name: len(c) for name, c in calls.items()}
+    # every table, pass, rotation and grid test is still made; search nodes
+    # record no provenance (one record per rotation before), and a pair is
+    # built only for a pass that yields a move (one per pass before)
+    assert counts == {"_split_table": tables, "_candidate_moves": passes, "_rotate": rotations,
+                      "is_cartesian": tested, "move_to_record": 0, "SubspacePair": pairs}
+
+
+def test_search_nodes_carry_no_provenance_but_results_do(monkeypatch):
+    basis, _ = random_wound_basis(3, 3, 2, 2)
+    nodes = count_calls(monkeypatch, "is_cartesian")
+    seq = unwind(basis, 2)
+    # the root, every search child as it is built, then the replayed result
+    searched, replayed = nodes[1:-1], nodes[-1]
+    assert searched and all(node.provenance == () for node in searched)
+    assert replayed.provenance == basis.provenance + tuple(map(move_to_record, seq))
+
+
+def reference_rays(vectors, tol):
+    """The generator scan that ``_rays`` replaced."""
+    v = np.asarray(vectors)
+    mod = np.abs(v.conj() @ v.T)
+    close = (mod >= 1.0 - tol).tolist()
+    reps, ids = [], []
+    for n in range(len(v)):
+        i = next((i for i, r in enumerate(reps) if close[r][n]), len(reps))
+        if i == len(reps):
+            reps.append(n)
+        ids.append(i)
+    adjacent = (mod[reps][:, reps] > tol) & ~np.eye(len(reps), dtype=bool)
+    return ids, v[reps], adjacent
+
+
+def reference_alignment_unitary(reps):
+    """The tuple-key greedy assignment that ``_alignment_unitary`` replaced."""
+    k = len(reps)
+    weight = np.abs(reps.T)
+    free_axes = set(range(k))
+    free_rays = set(range(k))
+    assignment = {}
+    for i, j in sorted(((i, j) for i in range(k) for j in range(k)), key=lambda ij: (-weight[ij], ij)):
+        if i in free_axes and j in free_rays:
+            assignment[j] = i
+            free_axes.discard(i)
+            free_rays.discard(j)
+    u = np.zeros((k, k), dtype=complex)
+    for j, i in assignment.items():
+        u[i, :] = reps[j].conj()
+    return u
+
+
+THRESHOLD = 1.0 - TOLERANCES.ray_grouping
+
+
+def near_axis_rows(rng, k):
+    """Rows whose largest entry has modulus exactly THRESHOLD or one ulp off it, in random places."""
+    rows = []
+    for n in range(k):
+        c = rng.choice([np.nextafter(THRESHOLD, 0.0), THRESHOLD, np.nextafter(THRESHOLD, 2.0)])
+        row = np.zeros(k, dtype=complex)
+        row[n] = c
+        row[(n + 1) % k] = np.sqrt(1.0 - c * c) * np.exp(2j * np.pi * rng.random())
+        rows.append(row)
+    return np.array(rows)[rng.permutation(k)]
+
+
+def ray_inputs(rng):
+    """Random, tied (entries rounded to 2 decimals) and threshold-adjacent row sets."""
+    for _ in range(60):
+        d = int(rng.integers(2, 5))
+        base = haar_unitary(rng, d)
+        # repeated rays (phase multiples), which the scan must join
+        picks = rng.integers(d, size=int(rng.integers(d, 3 * d)))
+        yield base[picks] * np.exp(2j * np.pi * rng.random(len(picks)))[:, None]
+        tied = np.round(base.real, 2) + 1j * np.round(base.imag, 2)
+        yield tied[picks] / np.linalg.norm(tied[picks], axis=1)[:, None]
+        # rows against the unit axes at |overlap| = THRESHOLD +- 1 ulp
+        near = near_axis_rows(rng, d)
+        yield np.concatenate([np.eye(d, dtype=complex), near, near[::-1]])[rng.permutation(3 * d)]
+
+
+def alignment_inputs(rng):
+    """Random, tied (moduli rounded to 1 or 2 decimals), threshold-adjacent and permuted-axis ray sets."""
+    for _ in range(60):
+        k = int(rng.integers(1, 6))
+        u = haar_unitary(rng, k)
+        yield u
+        phases = np.exp(2j * np.pi * rng.random((k, k)))
+        yield np.round(np.abs(u), 2) * phases
+        yield np.round(np.abs(u), 1) * phases
+        yield near_axis_rows(rng, k)
+        yield np.eye(k)[rng.permutation(k)] * phases
+
+
+def test_rays_match_generator_scan_bit_for_bit():
+    rng = np.random.default_rng(20)
+    repeats = set()
+    for v in ray_inputs(rng):
+        ids, reps, adjacent = _rays(v, TOLERANCES.ray_grouping)
+        ref_ids, ref_reps, ref_adjacent = reference_rays(v, TOLERANCES.ray_grouping)
+        assert ids == ref_ids
+        assert reps.tobytes() == ref_reps.tobytes() and np.array_equal(adjacent, ref_adjacent)
+        repeats.add(len(reps) < len(v))
+    # sets with and without repeated rays
+    assert repeats == {True, False}
+
+
+def test_threshold_adjacent_rows_fall_on_both_sides():
+    # the near-axis rows of ray_inputs really straddle the join threshold
+    for c, join in ((np.nextafter(THRESHOLD, 0.0), False), (THRESHOLD, True), (np.nextafter(THRESHOLD, 2.0), True)):
+        v = np.array([[1.0, 0.0], [c, np.sqrt(1.0 - c * c)]], dtype=complex)
+        ids, _, _ = _rays(v, TOLERANCES.ray_grouping)
+        assert (ids == [0, 0]) is join
+
+
+def test_alignment_unitary_matches_tuple_key_sort_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for reps in alignment_inputs(rng):
+        assert _alignment_unitary(reps).tobytes() == reference_alignment_unitary(reps).tobytes()
 
 
 def test_unwind_validates_only_in_replay(monkeypatch):
