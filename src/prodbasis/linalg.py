@@ -83,12 +83,16 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     with no entry above ``_PHASE_TOL`` in modulus is returned unchanged.
     """
     rows = v.reshape(-1, v.shape[-1])
+    lead_val = rows[:, 0]
+    lead_mag = np.abs(lead_val)
+    # fast path: the first entry leads in every row (NaN fails this test,
+    # an empty stack passes it)
+    if lead_mag.min(initial=np.inf) > _PHASE_TOL:
+        return (rows * (lead_mag / lead_val)[:, None]).reshape(v.shape)
     mag = np.abs(rows)
     lead = np.arange(len(rows)), np.argmax(mag > _PHASE_TOL, axis=-1)
     lead_mag = mag[lead]
     found = lead_mag > _PHASE_TOL
-    if found.all():
-        return (rows * (lead_mag / rows[lead])[:, None]).reshape(v.shape)
     out = rows.copy()
     out[found] = rows[found] * (lead_mag[found] / rows[lead][found])[:, None]
     return out.reshape(v.shape)
@@ -113,7 +117,7 @@ def top_eigenvector(m: np.ndarray):
     top = w[:, -1]
     vecs = _canonical_phase(v[:, :, -1])
     if w.shape[1] > 1:
-        for r in np.nonzero(w[:, -2] >= top - _TIE_TOL)[0]:
+        for r in (w[:, -2] >= top - _TIE_TOL).nonzero()[0]:
             candidates = _canonical_phase(v[r][:, w[r] >= top[r] - _TIE_TOL].T)
             keys = [tuple(np.round(vec.real, 12)) for vec in candidates]
             vecs[r] = candidates[max(range(len(keys)), key=keys.__getitem__)]

@@ -182,10 +182,15 @@ def _half_step_operators(x: np.ndarray, f_x: np.ndarray, s: np.ndarray, d_out: i
     return (y * s) @ dagger(y)
 
 
-def _require_ascent(new: np.ndarray, old: np.ndarray) -> None:
-    drop = old - new
-    if np.any(drop > _SEESAW_SLACK):
-        raise NonMonotoneSeesaw(f"see-saw objective decreased by {float(np.max(drop)):.3e}")
+def _require_ascent(before: np.ndarray, half: np.ndarray, after: np.ndarray) -> None:
+    """Raise :class:`NonMonotoneSeesaw` if a half step of the pass lowered a row beyond the slack.
+
+    ``fmax`` skips NaN, so a row fails exactly when one of its two drops
+    exceeds the slack, and the message names the largest such drop.
+    """
+    worst = np.fmax.reduce(np.fmax(before - half, half - after))
+    if worst > _SEESAW_SLACK:
+        raise NonMonotoneSeesaw(f"see-saw objective decreased by {float(worst):.3e}")
 
 
 def seesaw_max_product_overlap(
@@ -202,7 +207,8 @@ def seesaw_max_product_overlap(
     With ``b`` fixed, the optimal ``a`` is the top eigenvector of the
     contracted dA x dA operator, and symmetrically for ``b``; each half step
     is an exact partial maximization, so the objective never decreases
-    (checked: a drop beyond 1e-12 raises :class:`NonMonotoneSeesaw`).
+    (checked once per pass, over both half steps: a drop beyond 1e-12
+    raises :class:`NonMonotoneSeesaw`, naming the largest drop).
 
     Q is factored once, from the eigendecomposition that checks its
     spectrum, as F diag(s) F^dag over the eigenpairs above the numerical
@@ -213,7 +219,8 @@ def seesaw_max_product_overlap(
     leaves the active set once one iteration improves it by less than
     1e-12 (``_SEESAW_STOP``), or after 10 000 iterations
     (``_SEESAW_MAX_ITERATIONS``); ``capped_restarts`` counts the restarts
-    the cap stopped.
+    the cap stopped.  The active restarts' vectors and values live in
+    compact working arrays, so a stopped restart is never solved again.
 
     Restart ``r`` starts from a rotation-invariant pair drawn from the
     counter-seeded stream ``stream(seed, r)``.  One bit generator, re-keyed
@@ -235,6 +242,15 @@ def _seesaw(f, s, d_a, d_b, restarts, seed) -> SeesawResult:
     :func:`seesaw_max_product_overlap` checks Q and factors it; the range
     criterion passes the range eigenvectors of its state with s = 1, a
     projector by construction.
+
+    Row ``i`` of the working arrays ``a_w``, ``b_w`` and ``value_w`` is
+    restart ``rows[i]``.  A pass solves every working row, checks the
+    ascent of both half steps in one test, and compacts the arrays only
+    when some restart stops; the stopped rows are first written back to
+    ``a``, ``b`` and ``value``.  The rows still active at the iteration
+    cap are written back after the loop.  Each row goes through the same
+    arithmetic as it would alone, so the result does not depend on when
+    the arrays are compacted.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -246,21 +262,24 @@ def _seesaw(f, s, d_a, d_b, restarts, seed) -> SeesawResult:
     z = (b.conj()[:, None, :] @ _contract(a, f_a, d_b))[:, 0]
     value = np.sum((z.real ** 2 + z.imag ** 2) * s, axis=-1)
 
-    active = np.arange(restarts)
+    rows = np.arange(restarts)
+    a_w, b_w, value_w = a, b, value
     iterations_total = 0
     for _ in range(_SEESAW_MAX_ITERATIONS):
-        half, a_new = top_eigenvector(_half_step_operators(b[active], f_b, s, d_a))
-        _require_ascent(half, value[active])
-        new_value, b_new = top_eigenvector(_half_step_operators(a_new, f_a, s, d_b))
-        _require_ascent(new_value, half)
-        iterations_total += active.size
-        a[active] = a_new
-        b[active] = b_new
-        improvement = new_value - value[active]
-        value[active] = new_value
-        active = active[~(improvement < _SEESAW_STOP)]
-        if active.size == 0:
-            break
+        half, a_w = top_eigenvector(_half_step_operators(b_w, f_b, s, d_a))
+        new_value, b_w = top_eigenvector(_half_step_operators(a_w, f_a, s, d_b))
+        _require_ascent(value_w, half, new_value)
+        iterations_total += rows.size
+        stopped = new_value - value_w < _SEESAW_STOP     # a NaN improvement stops nothing
+        value_w = new_value
+        if stopped.any():
+            done = rows[stopped]
+            a[done], b[done], value[done] = a_w[stopped], b_w[stopped], value_w[stopped]
+            going = ~stopped
+            rows, a_w, b_w, value_w = rows[going], a_w[going], b_w[going], value_w[going]
+            if rows.size == 0:
+                break
+    a[rows], b[rows], value[rows] = a_w, b_w, value_w
 
     best = int(np.argmax(value >= np.max(value) - _SEESAW_SLACK))
     return SeesawResult(
@@ -268,7 +287,7 @@ def _seesaw(f, s, d_a, d_b, restarts, seed) -> SeesawResult:
         witness=ProductState(a[best], b[best], label="witness"),
         restarts_used=restarts,
         iterations_total=iterations_total,
-        capped_restarts=int(active.size),
+        capped_restarts=int(rows.size),
     )
 
 

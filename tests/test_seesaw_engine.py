@@ -1,4 +1,10 @@
-"""The batched see-saw engine against a one-restart-at-a-time reference loop."""
+"""The batched see-saw engine against reference loops.
+
+Two references: a one-restart-at-a-time loop over the dense operator, which
+pins values and witnesses up to rounding, and the batched loop that gathered
+and scattered the active rows on every pass, kept verbatim with its
+``top_eigenvector``, which pins the compact-active-set engine bit for bit.
+"""
 
 import itertools
 import os
@@ -12,12 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodbasis import verify
+from prodbasis.basis import ProductState
+from prodbasis.boundent import range_criterion_report, upb_density_state
 from prodbasis.config import TOLERANCES
 from prodbasis.errors import NonMonotoneSeesaw
 from prodbasis.families import gen_tiles1, gen_tiles2
-from prodbasis.linalg import top_eigenvector
-from prodbasis.sampling import haar_unitary, random_unit_vector, stream
-from prodbasis.verify import complement_projector, seesaw_max_product_overlap
+from prodbasis.linalg import dagger, hermitian_part, top_eigenvector
+from prodbasis.sampling import haar_unitary, random_unit_vector, starting_pairs, stream
+from prodbasis.verify import SeesawResult, complement_projector, seesaw_max_product_overlap
 
 TIE_TOL = 1e-12
 ROOT = Path(__file__).resolve().parents[1]
@@ -199,14 +207,226 @@ def test_witness_prefix_consistency(make, dims, seed):
         assert np.array_equal(res.witness.b, full.witness.b)
 
 
-def test_decrease_raises(monkeypatch):
-    # lower the A half steps by 1e-6: once the see-saw settles, each of them
-    # reports less than the B half step before it
+# --- the gather-and-scatter engine, kept verbatim as the bit-for-bit reference
+
+_PHASE_TOL = 1e-12
+_SEESAW_SLACK = 1e-12
+_SEESAW_STOP = 1e-12
+
+
+def reference_canonical_phase(v):
+    rows = v.reshape(-1, v.shape[-1])
+    mag = np.abs(rows)
+    lead = np.arange(len(rows)), np.argmax(mag > _PHASE_TOL, axis=-1)
+    lead_mag = mag[lead]
+    found = lead_mag > _PHASE_TOL
+    if found.all():
+        return (rows * (lead_mag / rows[lead])[:, None]).reshape(v.shape)
+    out = rows.copy()
+    out[found] = rows[found] * (lead_mag[found] / rows[lead][found])[:, None]
+    return out.reshape(v.shape)
+
+
+def reference_top_eigenvector(m):
+    m = np.asarray(m, dtype=complex)
+    stack = m if m.ndim == 3 else m[None]
+    w, v = np.linalg.eigh(hermitian_part(stack))
+    top = w[:, -1]
+    vecs = reference_canonical_phase(v[:, :, -1])
+    if w.shape[1] > 1:
+        for r in np.nonzero(w[:, -2] >= top - TIE_TOL)[0]:
+            candidates = reference_canonical_phase(v[r][:, w[r] >= top[r] - TIE_TOL].T)
+            keys = [tuple(np.round(vec.real, 12)) for vec in candidates]
+            vecs[r] = candidates[max(range(len(keys)), key=keys.__getitem__)]
+    if m.ndim == 3:
+        return top, vecs
+    return float(top[0]), vecs[0]
+
+
+def _reference_contract(x, f_x, d_out):
+    return (x.conj()[:, None, :] @ f_x).reshape(len(x), d_out, -1)
+
+
+def _reference_half_step_operators(x, f_x, s, d_out):
+    y = _reference_contract(x, f_x, d_out)
+    return (y * s) @ dagger(y)
+
+
+def _reference_require_ascent(new, old):
+    drop = old - new
+    if np.any(drop > _SEESAW_SLACK):
+        raise NonMonotoneSeesaw(f"see-saw objective decreased by {float(np.max(drop)):.3e}")
+
+
+def reference_engine(f, s, d_a, d_b, restarts, seed, max_iterations=10_000):
+    """``verify._seesaw`` as it gathered ``b[active]`` and scattered three arrays every pass."""
+    f = f.reshape(d_a, d_b, s.size)
+    f_a = f.reshape(d_a, d_b * s.size)
+    f_b = f.transpose(1, 0, 2).reshape(d_b, d_a * s.size)
+
+    a, b = starting_pairs(seed, restarts, d_a, d_b)
+    z = (b.conj()[:, None, :] @ _reference_contract(a, f_a, d_b))[:, 0]
+    value = np.sum((z.real ** 2 + z.imag ** 2) * s, axis=-1)
+
+    active = np.arange(restarts)
+    iterations_total = 0
+    for _ in range(max_iterations):
+        half, a_new = reference_top_eigenvector(_reference_half_step_operators(b[active], f_b, s, d_a))
+        _reference_require_ascent(half, value[active])
+        new_value, b_new = reference_top_eigenvector(_reference_half_step_operators(a_new, f_a, s, d_b))
+        _reference_require_ascent(new_value, half)
+        iterations_total += active.size
+        a[active] = a_new
+        b[active] = b_new
+        improvement = new_value - value[active]
+        value[active] = new_value
+        active = active[~(improvement < _SEESAW_STOP)]
+        if active.size == 0:
+            break
+
+    best = int(np.argmax(value >= np.max(value) - _SEESAW_SLACK))
+    return SeesawResult(
+        value=float(value[best]),
+        witness=ProductState(a[best], b[best], label="witness"),
+        restarts_used=restarts,
+        iterations_total=iterations_total,
+        capped_restarts=int(active.size),
+    )
+
+
+def verify_factor(q, d_a, d_b):
+    """The factor ``seesaw_max_product_overlap`` passes to the engine."""
+    _, w, v = verify._check_operator_interval(q, d_a, d_b, TOLERANCES.operator_interval)
+    keep = np.abs(w) > w.size * np.finfo(float).eps * np.max(np.abs(w))
+    return v[:, keep], w[keep]
+
+
+def range_factor(rho):
+    """The factor ``range_criterion_report`` passes to the engine."""
+    w, v = rho._spectrum
+    cols = v[:, w > TOLERANCES.range_cutoff]
+    return cols, np.ones(cols.shape[1])
+
+
+def assert_same_run(got, want):
+    assert got.value == want.value
+    assert got.witness.a.tobytes() == want.witness.a.tobytes()
+    assert got.witness.b.tobytes() == want.witness.b.tobytes()
+    assert got.iterations_total == want.iterations_total
+    assert got.capped_restarts == want.capped_restarts
+
+
+def random_projector(d_a, d_b, index):
+    """Random rank 1-3 projector on d_a x d_b, from its own seeded stream."""
+    rng = stream(4040 + 10 * d_a + d_b, index)
+    dim = d_a * d_b
+    rank = int(rng.integers(1, 4))
+    cols = np.linalg.qr(rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank)))[0]
+    return cols @ cols.conj().T
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_engine_is_bit_identical_on_random_projectors(dims):
+    for index in range(8):
+        q = random_projector(*dims, index)
+        f, s = verify_factor(q, *dims)
+        for seed in (0, 1):
+            got = seesaw_max_product_overlap(q, *dims, restarts=60, seed=seed)
+            assert_same_run(got, reference_engine(f, s, *dims, 60, seed))
+
+
+TILES = {
+    "g1_4": lambda: gen_tiles1(4),
+    "g1_6": lambda: gen_tiles1(6),
+    "g2_3x4": lambda: gen_tiles2(3, 4),
+    "g2_4x6": lambda: gen_tiles2(4, 6),
+}
+
+
+@pytest.mark.parametrize("name", TILES)
+def test_engine_is_bit_identical_on_tile_factors(name):
+    basis = TILES[name]()
+    d_a, d_b = basis.d_a, basis.d_b
+    q = complement_projector(basis)
+    rho = upb_density_state(basis)
+    for seed in (0, 3):
+        got = seesaw_max_product_overlap(q, d_a, d_b, restarts=30, seed=seed)
+        assert_same_run(got, reference_engine(*verify_factor(q, d_a, d_b), d_a, d_b, 30, seed))
+        report = range_criterion_report(rho, restarts=30, seed=seed)
+        want = reference_engine(*range_factor(rho), d_a, d_b, 30, seed)
+        assert report.max_product_overlap == want.value
+        assert report.witness.a.tobytes() == want.witness.a.tobytes()
+        assert report.witness.b.tobytes() == want.witness.b.tobytes()
+        assert (report.iterations_total, report.capped_restarts) == (want.iterations_total, want.capped_restarts)
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+def test_engine_is_bit_identical_at_the_iteration_cap(monkeypatch, cap):
+    monkeypatch.setattr(verify, "_SEESAW_MAX_ITERATIONS", cap)
+    cases = [(complement_projector(gen_tiles1(6)), 6, 6), (complement_projector(gen_tiles2(3, 4)), 3, 4),
+             (random_projector(2, 3, 5), 2, 3)]
+    for q, d_a, d_b in cases:
+        got = seesaw_max_product_overlap(q, d_a, d_b, restarts=20, seed=2)
+        assert got.capped_restarts > 0
+        assert_same_run(got, reference_engine(*verify_factor(q, d_a, d_b), d_a, d_b, 20, 2, cap))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6])
+def test_top_eigenvector_is_bit_identical(dim):
+    rng = stream(29, dim)
+    m = rng.standard_normal((50, dim, dim)) + 1j * rng.standard_normal((50, dim, dim))
+    stacks = [m] if dim == 1 else [m, _degenerate_stack(dim)]
+    for stack in stacks:
+        values, vectors = top_eigenvector(stack)
+        want_values, want_vectors = reference_top_eigenvector(stack)
+        assert values.tobytes() == want_values.tobytes()
+        assert vectors.tobytes() == want_vectors.tobytes()
+
+
+@pytest.mark.parametrize("name", ["g1_4", "g2_3x4"])
+def test_eigensolver_rows_are_two_per_iteration(monkeypatch, name):
+    # no stopped restart reaches the eigensolver again
+    rows = []
+
+    def counted(m):
+        rows.append(len(m))
+        return top_eigenvector(m)
+
+    monkeypatch.setattr(verify, "top_eigenvector", counted)
+    basis = TILES[name]()
+    q = complement_projector(basis)
+    res = seesaw_max_product_overlap(q, basis.d_a, basis.d_b, restarts=40, seed=1)
+    want = reference_engine(*verify_factor(q, basis.d_a, basis.d_b), basis.d_a, basis.d_b, 40, 1)
+    assert res.iterations_total == want.iterations_total
+    assert sum(rows) == 2 * res.iterations_total
+    rows.clear()
+    report = range_criterion_report(upb_density_state(basis), restarts=40, seed=1)
+    assert sum(rows) == 2 * report.iterations_total
+    rows.clear()
+    monkeypatch.setattr(verify, "_SEESAW_MAX_ITERATIONS", 2)
+    capped = seesaw_max_product_overlap(q, basis.d_a, basis.d_b, restarts=40, seed=1)
+    assert sum(rows) == 2 * capped.iterations_total
+
+
+def test_ascent_check_reports_the_largest_drop_of_either_half_step():
+    before = np.array([1.0, 1.0, np.nan])
+    with pytest.raises(NonMonotoneSeesaw, match="by 5.000e-01"):
+        verify._require_ascent(before, np.array([0.5, 1.0, 0.9]), np.array([0.6, 0.9, 0.9]))
+    # a NaN drop on one side does not hide the other side's drop
+    with pytest.raises(NonMonotoneSeesaw, match="by 3.000e-01"):
+        verify._require_ascent(before, np.array([1.0, 1.0, 1.0]), np.array([1.0, 1.0, 0.7]))
+    verify._require_ascent(before, np.array([1.0, 1.0 - 1e-13, np.nan]), np.array([1.0, 1.0, np.nan]))
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["A", "B"])
+def test_decrease_raises(monkeypatch, side):
+    # lower the A (even) or the B (odd) half steps by 1e-6: once the see-saw
+    # settles, each lowered step reports less than the half step before it
     calls = itertools.count()
 
     def lowered(m):
         values, vectors = top_eigenvector(m)
-        return (values - 1e-6 if next(calls) % 2 == 0 else values), vectors
+        return (values - 1e-6 if next(calls) % 2 == side else values), vectors
 
     monkeypatch.setattr(verify, "top_eigenvector", lowered)
     q = complement_projector(gen_tiles2(3, 4))
@@ -223,4 +443,4 @@ def test_decrease_raises_under_optimized_python():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "1 passed" in proc.stdout
+    assert "2 passed" in proc.stdout
