@@ -6,7 +6,8 @@ outcomes:
   0  success (verify: complete basis or numerically unextendible)
   1  malformed or inconsistent input (bad file, non-orthonormal basis,
      missing tile metadata, a count or tolerance flag out of range, an
-     unwritable --out path)
+     unwritable --out path), or a request too large to allocate (such as
+     a --restarts count whose starting points do not fit in memory)
   2  construction parameters violate a family's dimension bounds, or
      argparse rejects the command line (usage error)
   3  verify found an extendible basis (product witness in the complement)
@@ -15,7 +16,8 @@ outcomes:
   6  operation requires a complete product basis
 
 Commands raise :class:`~prodbasis.errors.ProductBasisError` for bad input;
-:func:`main` alone maps the error class to its exit code (``_EXIT_CODES``).
+:func:`main` alone maps the error class to its exit code (``_EXIT_CODES``),
+and maps ``MemoryError`` to exit 1.
 
 The default for every --seed flag is the PB_SEED environment variable when
 set, else 0; identical seeds and inputs produce byte-identical reports.
@@ -287,6 +289,8 @@ def main(argv=None) -> int:
         return globals()[f"cmd_{args.command}"](args)
     except ProductBasisError as exc:
         return _fail(str(exc), next(code for cls, code in _EXIT_CODES if isinstance(exc, cls)))
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}" if str(exc) else "out of memory", EXIT_BAD_INPUT)
 
 
 if __name__ == "__main__":

@@ -471,6 +471,9 @@ CLI_MALFORMED = [
     ("wind_file_and_cartesian", ["wind", "{tmp}/cart.json", "--cartesian", "2", "3", "--out", "{tmp}/w.json"], {}),
     ("verify_restarts_0", ["verify", "{tmp}/g2.json", "--restarts", "0"], {}),
     ("boundent_restarts_0", ["boundent", "{tmp}/g2.json", "--restarts", "0"], {}),
+    # numpy refuses the starting points' allocation without making it
+    ("verify_restarts_too_large", ["verify", "{tmp}/g2.json", "--restarts", "100000000000000"], {}),
+    ("boundent_restarts_too_large", ["boundent", "{tmp}/g2.json", "--restarts", "100000000000000"], {}),
     ("wind_moves_negative", ["wind", "--cartesian", "2", "2", "--moves", "-1", "--out", "{tmp}/w.json"], {}),
     ("unwind_depth_negative", ["unwind", "{tmp}/cart.json", "--depth", "-1"], {}),
 ]
@@ -484,6 +487,8 @@ CLI_MALFORMED_STDERR = {
     "construct_out_unwritable": "error: cannot write {tmp}/absent/x.json: ",
     "wind_out_directory": "error: cannot write {tmp}: ",
     "boundent_out_unwritable": "error: cannot write {tmp}/absent/rho.json: ",
+    "verify_restarts_too_large": "error: out of memory: Unable to allocate ",
+    "boundent_restarts_too_large": "error: out of memory: Unable to allocate ",
 }
 
 
@@ -510,6 +515,14 @@ def test_main_maps_error_class_to_exit_code(capsys, monkeypatch, error, code):
 
     monkeypatch.setattr(cli, "cmd_render", fail)
     assert run_cli(["render", "any.json"], capsys) == (code, "", f"error: {error.__name__} raised\n")
+
+
+def test_main_maps_memory_error_to_exit_1(capsys, monkeypatch):
+    def fail(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_render", fail)
+    assert run_cli(["render", "any.json"], capsys) == (1, "", "error: out of memory\n")
 
 
 def test_main_lets_other_errors_propagate(monkeypatch):

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import LinAlgError
 
 from prodbasis import linalg
 from prodbasis.errors import DimensionMismatch
@@ -49,6 +52,41 @@ def test_top_eigenvector_deterministic_under_degeneracy():
     val2, vec2 = top_eigenvector(m)
     assert val1 == val2 == 1.0
     assert np.array_equal(vec1, vec2)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3,), (), (2, 2, 3), (1, 2, 2, 2), (4, 0, 0)], ids=str)
+def test_top_eigenvector_rejects_other_shapes(shape):
+    with pytest.raises(DimensionMismatch):
+        top_eigenvector(np.ones(shape, dtype=complex))
+
+
+def test_top_eigenvector_of_an_empty_stack_is_empty():
+    values, vectors = top_eigenvector(np.zeros((0, 3, 3), dtype=complex))
+    assert values.shape == (0,) and values.dtype == float
+    assert vectors.shape == (0, 3) and vectors.dtype == complex
+
+
+def nonfinite_inputs():
+    stack = random_vector(np.random.default_rng(5), (6, 2, 2))
+    stack[4, 1, 0] = np.nan                        # one bad operator among good ones
+    return {
+        "nan": np.full((2, 2), np.nan, dtype=complex),
+        "inf_entry": np.array([[np.inf, 0], [0, 1]], dtype=complex),
+        "inf_imaginary_diagonal": np.array([[1, 0], [0, 1j * np.inf]]),
+        "entry_sum_overflows": np.full((2, 2), 1.5e308, dtype=complex),
+        "nan_1x1": np.array([[np.nan]], dtype=complex),
+        # a finite input whose top eigenvalue, 2.67e308, overflows; its vector is finite
+        "overflow": np.full((3, 3), 0.89e308, dtype=complex),
+        "nan_in_a_stack": stack,
+    }
+
+
+@pytest.mark.parametrize("name", list(nonfinite_inputs()))
+def test_top_eigenvector_raises_on_a_nonfinite_eigenpair(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LinAlgError):
+            top_eigenvector(nonfinite_inputs()[name])
 
 
 def test_partial_transpose_product_operator():

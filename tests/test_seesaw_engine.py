@@ -154,7 +154,7 @@ def _degenerate_stack(dim):
     ])
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+@pytest.mark.parametrize("dim", [2, 3, 4, 6, 10, 12])
 def test_stacked_top_eigenvector_matches_each_slice(dim):
     stack = _degenerate_stack(dim)
     values, vectors = top_eigenvector(stack)
@@ -371,7 +371,7 @@ def test_engine_is_bit_identical_at_the_iteration_cap(monkeypatch, cap):
         assert_same_run(got, reference_engine(*verify_factor(q, d_a, d_b), d_a, d_b, 20, 2, cap))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 10, 12])
 def test_top_eigenvector_is_bit_identical(dim):
     rng = stream(29, dim)
     m = rng.standard_normal((50, dim, dim)) + 1j * rng.standard_normal((50, dim, dim))
