@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import ProductBasis, ProductState
-from .config import TOLERANCES, Tolerances
+from .config import TOLERANCES
 from .errors import CompleteBasisInput, DimensionMismatch, InvalidProjector, ZeroState
 from .linalg import hermitian_part, partial_transpose
 from .verify import _seesaw, complement_projector
@@ -96,7 +96,7 @@ class RangeCriterionReport:
     capped_restarts: int    # see verify.SeesawResult
 
 
-def upb_density_state(basis: ProductBasis, tol: Tolerances = TOLERANCES) -> DensityMatrix:
+def upb_density_state(basis: ProductBasis) -> DensityMatrix:
     """Uniform mixture over the complement of the basis span.
 
     rho = (I - P_S) / tr(I - P_S); the spectrum is {0, 1/(D - N)} up to the
@@ -108,7 +108,7 @@ def upb_density_state(basis: ProductBasis, tol: Tolerances = TOLERANCES) -> Dens
     :class:`InvalidProjector`.  Whether the basis is unextendible is left to
     the range criterion on the result.
     """
-    q = complement_projector(basis, tol)
+    q = complement_projector(basis)
     if basis.dim == len(basis):
         raise CompleteBasisInput("basis spans the full space, the complement state is empty")
     try:
@@ -117,38 +117,36 @@ def upb_density_state(basis: ProductBasis, tol: Tolerances = TOLERANCES) -> Dens
         raise InvalidProjector(f"complement state is not a valid density matrix: {exc}") from None
 
 
-def is_ppt(rho: DensityMatrix, tol: float = TOLERANCES.ppt):
-    """PPT test: (bool, min partial-transpose eigenvalue)."""
+def is_ppt(rho: DensityMatrix):
+    """PPT test: (min partial-transpose eigenvalue >= -``TOLERANCES.ppt``, that eigenvalue)."""
     pt = partial_transpose(rho.matrix, rho.d_a, rho.d_b)
     w_min = float(np.linalg.eigvalsh(hermitian_part(pt))[0])
-    return w_min >= -tol, w_min
+    return w_min >= -TOLERANCES.ppt, w_min
 
 
 def range_criterion_report(
     rho: DensityMatrix,
     restarts: int = 100,
     seed: int = 0,
-    *,
-    tol: Tolerances = TOLERANCES,
 ) -> RangeCriterionReport:
     """Search the range of rho for product states.
 
     The range is spanned by the eigenvectors of rho, from the decomposition
-    that validated it, with eigenvalue above ``tol.range_cutoff``.  Those
+    that validated it, with eigenvalue above ``TOLERANCES.range_cutoff``.  Those
     orthonormal columns V factor the range projector V V^dag, so the see-saw
     maximizes the product overlap with it without forming or decomposing
     it again, with the same fixed stop rule and iteration cap as
     :func:`~prodbasis.verify.seesaw_max_product_overlap`.  A maximum below
-    1 - ``tol.upb_margin`` means the range holds no product state
+    1 - ``TOLERANCES.upb_margin`` means the range holds no product state
     numerically, which is the entanglement half of the signature.
     """
     w, v = rho._spectrum
-    keep = w > tol.range_cutoff
+    keep = w > TOLERANCES.range_cutoff
     if not np.any(keep):
         raise ZeroState("density matrix has no eigenvalue above the range cutoff")
     cols = v[:, keep]
     result = _seesaw(cols, np.ones(cols.shape[1]), rho.d_a, rho.d_b, restarts, seed)
-    verdict = RangeVerdict.ENTANGLED if result.value < 1.0 - tol.upb_margin else RangeVerdict.INCONCLUSIVE
+    verdict = RangeVerdict.ENTANGLED if result.value < 1.0 - TOLERANCES.upb_margin else RangeVerdict.INCONCLUSIVE
     return RangeCriterionReport(
         range_rank=int(np.count_nonzero(keep)),
         max_product_overlap=result.value,

@@ -1,9 +1,13 @@
 """Central record of the numeric tolerances used across the package.
 
 The tile constructions are algebraically exact; fixed tolerances are what
-make their properties checkable in floating point.  Every module pulls its
-thresholds from :data:`TOLERANCES` (or an explicit override) so that a
-report produced with one configuration is reproducible.
+make their properties checkable in floating point.  Every module reads its
+thresholds from :data:`TOLERANCES` when a function is called, so a report
+produced with one configuration is reproducible.  Only ``verify --tol/--eta``
+sets thresholds for a run, so only its path takes them as an argument,
+defaulting to :data:`TOLERANCES`: ``verify.check_upb`` forwards its record
+to ``seesaw_max_product_overlap``, ``overlap_verdict`` and (as
+``tol.orthonormality``) ``check_orthonormal``.
 """
 
 from __future__ import annotations

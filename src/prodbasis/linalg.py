@@ -94,12 +94,6 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     with no entry above ``_PHASE_TOL`` in modulus is returned unchanged.
     """
     rows = v.reshape(-1, v.shape[-1])
-    lead_val = rows[:, 0]
-    lead_mag = np.abs(lead_val)
-    # fast path: the first entry leads in every row (NaN fails this test,
-    # an empty stack passes it)
-    if lead_mag.min(initial=np.inf) > _PHASE_TOL:
-        return (rows * (lead_mag / lead_val)[:, None]).reshape(v.shape)
     mag = np.abs(rows)
     lead = np.arange(len(rows)), np.argmax(mag > _PHASE_TOL, axis=-1)
     lead_mag = mag[lead]
@@ -147,9 +141,10 @@ def top_eigenvector(m: np.ndarray):
         # top - top is 0 for a finite top eigenvalue, raises for an infinite
         # one (inf - inf is invalid) and is NaN for a NaN one
         lead_mag = np.abs(lead) + (top - top)
-    # _canonical_phase's fast path: the first entry leads in every row.  NaN
-    # fails the test, so a row with a NaN lead entry or top eigenvalue takes
-    # the general branch, which checks the eigenpairs.
+    # Fast path: the first entry leads in every row, and |v_0| / v_0 gives
+    # the bits of _canonical_phase.  NaN fails the test, so a row with a NaN
+    # lead entry or top eigenvalue takes the general branch, which checks
+    # the eigenpairs.
     if lead_mag.min(initial=np.inf) > _PHASE_TOL:
         vecs = v[:, :, -1] * (lead_mag / lead)[:, None]
     else:

@@ -105,8 +105,9 @@ def gram_matrix(basis: ProductBasis) -> np.ndarray:
     return (dagger(a) @ a) * (dagger(b) @ b)
 
 
-def check_orthonormal(basis: ProductBasis, tol: float = TOLERANCES.orthonormality):
+def check_orthonormal(basis: ProductBasis, tol: float | None = None):
     """True iff max|Gram - I| <= tol; the deviations are returned either way."""
+    tol = TOLERANCES.orthonormality if tol is None else tol
     g = gram_matrix(basis)
     off = g - np.diag(np.diag(g))
     dev = GramDeviations(
@@ -132,9 +133,9 @@ def _complement_of_checked(basis: ProductBasis) -> np.ndarray:
     return hermitian_part(np.eye(basis.dim, dtype=complex) - v @ dagger(v))
 
 
-def complement_projector(basis: ProductBasis, tol: Tolerances = TOLERANCES) -> np.ndarray:
+def complement_projector(basis: ProductBasis) -> np.ndarray:
     """Projector onto the orthogonal complement of the basis span."""
-    _require_orthonormal(basis, tol.orthonormality)
+    _require_orthonormal(basis, TOLERANCES.orthonormality)
     return _complement_of_checked(basis)
 
 
@@ -200,7 +201,7 @@ def seesaw_max_product_overlap(
     restarts: int = 100,
     seed: int = 0,
     *,
-    tol: Tolerances = TOLERANCES,
+    tol: Tolerances | None = None,
 ) -> SeesawResult:
     """Maximize <a (x) b|Q|a (x) b> by alternating top-eigenvector steps.
 
@@ -231,6 +232,7 @@ def seesaw_max_product_overlap(
     so rounding noise among restarts that reach the same optimum does not
     pick it, and the outcome does not depend on execution order.
     """
+    tol = TOLERANCES if tol is None else tol
     _, w, v = _check_operator_interval(q, d_a, d_b, tol.operator_interval)
     keep = np.abs(w) > w.size * np.finfo(float).eps * np.max(np.abs(w))
     return _seesaw(v[:, keep], w[keep], d_a, d_b, restarts, seed)
@@ -419,7 +421,6 @@ def grid_oracle_max_product_overlap(
     d_a: int,
     d_b: int,
     resolution: int = 64,
-    tol: Tolerances = TOLERANCES,
 ) -> GridOracleResult:
     """Brute-force lower bound on the product overlap for small dimensions.
 
@@ -455,7 +456,7 @@ def grid_oracle_max_product_overlap(
         raise DimensionTooLarge(f"grid oracle supports dA <= 2 and dB <= 3, got ({d_a}, {d_b})")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    q, w, _ = _check_operator_interval(q, d_a, d_b, tol.operator_interval)
+    q, w, _ = _check_operator_interval(q, d_a, d_b, TOLERANCES.operator_interval)
     if d_a == 1:
         grid = np.ones((1, 1), dtype=complex)
         max_spacing = 0.0
@@ -482,12 +483,13 @@ def grid_oracle_max_product_overlap(
     return GridOracleResult(value=value, gap_bound=float(lipschitz * max_spacing))
 
 
-def overlap_verdict(value: float, *, tol: Tolerances = TOLERANCES) -> Verdict:
+def overlap_verdict(value: float, *, tol: Tolerances | None = None) -> Verdict:
     """Unextendibility verdict of a see-saw maximum over the complement.
 
     ``Extendible`` at ``value >= 1 - tol.extendible_margin``, ``UPB_Numeric``
     below ``1 - tol.upb_margin``, ``Inconclusive`` between.
     """
+    tol = TOLERANCES if tol is None else tol
     if value >= 1.0 - tol.extendible_margin:
         return Verdict.EXTENDIBLE
     if value < 1.0 - tol.upb_margin:
@@ -500,7 +502,7 @@ def check_upb(
     restarts: int = 100,
     seed: int = 0,
     *,
-    tol: Tolerances = TOLERANCES,
+    tol: Tolerances | None = None,
 ) -> VerificationReport:
     """Full verification pipeline: orthonormality, rank, complement, see-saw.
 
@@ -512,6 +514,7 @@ def check_upb(
     see-saw runs :func:`seesaw_max_product_overlap` with its fixed stop rule
     and iteration cap.
     """
+    tol = TOLERANCES if tol is None else tol
     dev = _require_orthonormal(basis, tol.orthonormality)
     span_rank = len(basis)
     complement_dim = basis.dim - span_rank
@@ -539,17 +542,13 @@ def check_upb(
     )
 
 
-def basis_set_equal_up_to_phase(
-    b1: ProductBasis,
-    b2: ProductBasis,
-    tol: float = TOLERANCES.set_match,
-):
+def basis_set_equal_up_to_phase(b1: ProductBasis, b2: ProductBasis):
     """Phase-insensitive set equality of two bases.
 
     Returns ``(True, perm)`` when a permutation pairs every state of ``b1``
-    with a state of ``b2`` at |overlap| >= 1 - tol; the greedy row argmax is
-    exact here because orthonormal sets admit at most one near-unit match
-    per state.  Returns ``(False, None)`` otherwise.
+    with a state of ``b2`` at |overlap| >= 1 - ``TOLERANCES.set_match``; the
+    greedy row argmax is exact here because orthonormal sets admit at most
+    one near-unit match per state.  Returns ``(False, None)`` otherwise.
     """
     if (b1.d_a, b1.d_b) != (b2.d_a, b2.d_b):
         raise DimensionMismatch("bases live on different local dimensions")
@@ -559,7 +558,7 @@ def basis_set_equal_up_to_phase(
     b_cross = dagger(b1.b_matrix()) @ b2.b_matrix()
     overlap = np.abs(a_cross * b_cross)
     perm = overlap.argmax(axis=1)
-    matched = all(overlap[i, perm[i]] >= 1.0 - tol for i in range(len(b1)))
+    matched = all(overlap[i, perm[i]] >= 1.0 - TOLERANCES.set_match for i in range(len(b1)))
     if matched and len(set(int(p) for p in perm)) == len(b1):
         return True, tuple(int(p) for p in perm)
     return False, None

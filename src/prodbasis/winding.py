@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import Family, ProductBasis
-from .config import TOLERANCES, Tolerances
+from .config import TOLERANCES
 from .errors import BasisFileError, IncompleteBasis, InvalidSplit, NoValidSplit, WindingInvariantError
 from .families import cartesian_basis
 from .io import complex_from_json, complex_to_json
@@ -53,10 +53,7 @@ __all__ = [
 ]
 
 
-# The two constants below are module-local rather than Tolerances fields
-# because no caller sets them: no function takes them as an argument, the CLI
-# has no flag for them, and every test and workload runs with these values.
-# A threshold moves into Tolerances only once a caller needs to set it.
+# Module-local rather than Tolerances fields: no caller sets them.
 #
 # max|C^dag C - I| for split columns and max|U^dag U - I| for move unitaries;
 # also the |R_ii| rank cut of the QR that spans a ray component
@@ -157,11 +154,11 @@ def _side_measures(cands, vectors):
     return _row_norms(vectors - pv), np.vecdot(vectors, pv).real
 
 
-def _classify(res_a, w_a, res_b, w_b, tol: Tolerances):
+def _classify(res_a, w_a, res_b, w_b):
     """INSIDE and OUTSIDE masks (see :func:`validate_split`); operands broadcast."""
-    cut = tol.split_inside_residual
+    cut = TOLERANCES.split_inside_residual
     inside = (res_a <= cut) & (res_b <= cut)
-    outside = ~inside & (w_a * w_b <= tol.split_outside_overlap)
+    outside = ~inside & (w_a * w_b <= TOLERANCES.split_outside_overlap)
     return inside, outside
 
 
@@ -173,21 +170,22 @@ def _check_inside_count(n_inside, ka, kb):
         raise WindingInvariantError(f"valid ({a}, {b}) split holds {n} inside states, not {a * b}")
 
 
-def validate_split(basis: ProductBasis, split: SubspacePair, tol: Tolerances = TOLERANCES):
+def validate_split(basis: ProductBasis, split: SubspacePair):
     """Classify every state of a complete basis against a subspace pair.
 
     A state is INSIDE when both factors lie in their subspaces (projection
-    residual <= tol) and OUTSIDE when the product of the two projection
-    weights vanishes, which for product states is membership in the
-    orthogonal complement of H_A' (x) H_B'.  The split is valid iff every
-    state is classified; completeness then forces the inside count to be
-    dim H_A' * dim H_B', and a valid split that breaks it raises
+    residual <= ``TOLERANCES.split_inside_residual``) and OUTSIDE when the
+    product of the two projection weights vanishes (at most
+    ``TOLERANCES.split_outside_overlap``), which for product states is
+    membership in the orthogonal complement of H_A' (x) H_B'.  The split is
+    valid iff every state is classified; completeness then forces the inside
+    count to be dim H_A' * dim H_B', and a valid split that breaks it raises
     :class:`WindingInvariantError`.
     """
     _require_complete(basis)
     res_a, w_a = _side_measures([split.a_basis], basis.a_matrix().T)
     res_b, w_b = _side_measures([split.b_basis], basis.b_matrix().T)
-    inside, outside = _classify(res_a[0], w_a[0], res_b[0], w_b[0], tol)
+    inside, outside = _classify(res_a[0], w_a[0], res_b[0], w_b[0])
     ok = bool(np.all(inside | outside))
     if ok:
         ka, kb = split.dims
@@ -206,7 +204,7 @@ def _embed(cols: np.ndarray, u: np.ndarray) -> np.ndarray:
     return cols @ u @ dagger(cols) + np.eye(dim, dtype=complex) - p
 
 
-def apply_winding_move(basis: ProductBasis, move: WindingMove, tol: Tolerances = TOLERANCES) -> ProductBasis:
+def apply_winding_move(basis: ProductBasis, move: WindingMove) -> ProductBasis:
     """Rotate the inside block of a valid split by u_a (x) u_b.
 
     The split is validated first (an invalid one raises :class:`InvalidSplit`).
@@ -215,22 +213,22 @@ def apply_winding_move(basis: ProductBasis, move: WindingMove, tol: Tolerances =
     :class:`WindingInvariantError`) and the move is appended to the basis
     provenance.
     """
-    ok, classes = validate_split(basis, move.split, tol)
+    ok, classes = validate_split(basis, move.split)
     if not ok:
         raise InvalidSplit("split does not classify every basis state")
     inside = [cls is SplitClass.INSIDE for cls in classes]
-    return _rotate(basis, move, inside, basis.provenance + (move_to_record(move),), tol)
+    return _rotate(basis, move, inside, basis.provenance + (move_to_record(move),))
 
 
-def _rotate(basis: ProductBasis, move: WindingMove, inside, provenance, tol: Tolerances) -> ProductBasis:
+def _rotate(basis: ProductBasis, move: WindingMove, inside, provenance) -> ProductBasis:
     """Apply a move to the states marked in ``inside``, a valid split's inside mask.
 
     The caller vouches for the mask (from :func:`validate_split` or a split
     table row) and passes the provenance the result carries: the input's
     plus the move's record for a basis that is returned, none for a search
-    node.  The Gram check of the output is kept here.  A rotated factor that
-    rounding drift takes off unit norm raises :class:`WindingInvariantError`;
-    the factors are not renormalised.
+    node.  The Gram check of the output (``TOLERANCES.orthonormality``) is
+    kept here.  A rotated factor that rounding drift takes off unit norm
+    raises :class:`WindingInvariantError`; the factors are not renormalised.
     """
     inside = np.asarray(inside, dtype=bool)
     rows = []
@@ -248,7 +246,7 @@ def _rotate(basis: ProductBasis, move: WindingMove, inside, provenance, tol: Tol
         )
     except ValueError as exc:
         raise WindingInvariantError(f"winding move broke the unit-norm check: {exc}") from None
-    ok_gram, dev = check_orthonormal(out, tol.orthonormality)
+    ok_gram, dev = check_orthonormal(out, TOLERANCES.orthonormality)
     if not ok_gram:
         raise WindingInvariantError(f"winding move broke orthonormality (deviation {max(dev):.3e})")
     return out
@@ -298,19 +296,20 @@ def _components(adjacent):
     return [np.flatnonzero(reach[i]) for i in roots]
 
 
-def is_cartesian(basis: ProductBasis, tol: float = TOLERANCES.ray_grouping) -> bool:
+def is_cartesian(basis: ProductBasis) -> bool:
     """True iff the basis is a grid basis in some pair of local bases.
 
     Checks that the distinct A rays number exactly dA and are mutually
     orthogonal (each its own component of the ray graph), likewise for B,
     and that the (A ray, B ray) incidence map covers the dA x dB grid
     bijectively.  No alignment with the computational axes is required.
+    Rays are grouped within ``TOLERANCES.ray_grouping`` (see :func:`_rays`).
     """
     _require_complete(basis)
-    a_ids, a_reps, a_adjacent = _rays(basis.a_matrix().T, tol)
+    a_ids, a_reps, a_adjacent = _rays(basis.a_matrix().T, TOLERANCES.ray_grouping)
     if not _is_grid(a_reps, a_adjacent, basis.d_a):
         return False
-    b_ids, b_reps, b_adjacent = _rays(basis.b_matrix().T, tol)
+    b_ids, b_reps, b_adjacent = _rays(basis.b_matrix().T, TOLERANCES.ray_grouping)
     if not _is_grid(b_reps, b_adjacent, basis.d_b):
         return False
     return len(set(zip(a_ids, b_ids))) == basis.dim
@@ -332,7 +331,7 @@ def _component_subspaces(reps, components):
     return subspaces
 
 
-def _side_candidates(vectors, dim: int, tol: float):
+def _side_candidates(vectors, dim: int):
     """Column bases for one side: the full space, then every proper union of components.
 
     Components of the non-orthogonality graph of the side's rays are
@@ -340,7 +339,7 @@ def _side_candidates(vectors, dim: int, tol: float):
     come in bitmask order over the components.  Their columns are checked
     for orthonormality only when a split on them is built.
     """
-    _, reps, adjacent = _rays(vectors, tol)
+    _, reps, adjacent = _rays(vectors, TOLERANCES.ray_grouping)
     components = _component_subspaces(reps, _components(adjacent))
     c = len(components)
     cands = [np.eye(dim, dtype=complex)]
@@ -372,7 +371,7 @@ class _SplitTable:
         return SubspacePair(self.a_cands[self.a_index[s]], self.b_cands[self.b_index[s]])
 
 
-def _split_table(basis: ProductBasis, tol: Tolerances) -> _SplitTable:
+def _split_table(basis: ProductBasis) -> _SplitTable:
     """Classify every candidate pair of a complete basis in one broadcast.
 
     Residuals and weights are computed once per side and candidate, with the
@@ -383,8 +382,8 @@ def _split_table(basis: ProductBasis, tol: Tolerances) -> _SplitTable:
     _require_complete(basis)
     a_vecs = basis.a_matrix().T
     b_vecs = basis.b_matrix().T
-    a_cands = _side_candidates(a_vecs, basis.d_a, tol.ray_grouping)
-    b_cands = _side_candidates(b_vecs, basis.d_b, tol.ray_grouping)
+    a_cands = _side_candidates(a_vecs, basis.d_a)
+    b_cands = _side_candidates(b_vecs, basis.d_b)
     res_a, w_a = _side_measures(a_cands, a_vecs)
     res_b, w_b = _side_measures(b_cands, b_vecs)
 
@@ -393,7 +392,7 @@ def _split_table(basis: ProductBasis, tol: Tolerances) -> _SplitTable:
     b_proper = np.arange(1, nb + 1)
     a_index = np.concatenate([a_proper, np.zeros(nb, dtype=int), np.repeat(a_proper, nb)])
     b_index = np.concatenate([np.zeros(na, dtype=int), b_proper, np.tile(b_proper, na)])
-    inside, outside = _classify(res_a[a_index], w_a[a_index], res_b[b_index], w_b[b_index], tol)
+    inside, outside = _classify(res_a[a_index], w_a[a_index], res_b[b_index], w_b[b_index])
 
     valid = np.all(inside | outside, axis=1)
     a_index, b_index, inside = a_index[valid], b_index[valid], inside[valid]
@@ -403,7 +402,7 @@ def _split_table(basis: ProductBasis, tol: Tolerances) -> _SplitTable:
     return _SplitTable(a_cands, b_cands, a_index, b_index, inside)
 
 
-def enumerate_splits(basis: ProductBasis, tol: Tolerances = TOLERANCES) -> tuple[SubspacePair, ...]:
+def enumerate_splits(basis: ProductBasis) -> tuple[SubspacePair, ...]:
     """All proper splits visible in the ray structure of a complete basis.
 
     Candidate subspaces are the full space and the spans of proper unions of
@@ -413,10 +412,10 @@ def enumerate_splits(basis: ProductBasis, tol: Tolerances = TOLERANCES) -> tuple
     :func:`validate_split`).  Distinct unions of mutually orthogonal
     components span distinct subspaces, so no two splits coincide.  Union
     pairs can still fail: component rays are orthogonal only to within
-    ``tol.ray_grouping``, and a leak above ``tol.split_outside_overlap``
-    leaves a state unclassified.
+    ``TOLERANCES.ray_grouping``, and a leak above
+    ``TOLERANCES.split_outside_overlap`` leaves a state unclassified.
     """
-    table = _split_table(basis, tol)
+    table = _split_table(basis)
     return tuple(table.split(s) for s in range(len(table)))
 
 
@@ -447,7 +446,7 @@ def _is_phase_diagonal(u: np.ndarray) -> bool:
     return bool(np.all(np.abs(np.abs(np.diag(u)) - 1.0) < _PHASE_TOL))
 
 
-def _grid_alignment(factors, cols, inside, tol: float):
+def _grid_alignment(factors, cols, inside):
     """Alignment unitary of one side of a split's inside block, or None off grid form.
 
     The block's rays on this side are the unit coordinates in ``cols`` of the
@@ -455,11 +454,11 @@ def _grid_alignment(factors, cols, inside, tol: float):
     column of ``cols``.
     """
     coords = (dagger(cols) @ factors.T[inside][:, :, None])[..., 0]
-    _, reps, adjacent = _rays(coords / _row_norms(coords)[:, None], tol)
+    _, reps, adjacent = _rays(coords / _row_norms(coords)[:, None], TOLERANCES.ray_grouping)
     return _alignment_unitary(reps) if _is_grid(reps, adjacent, cols.shape[1]) else None
 
 
-def _candidate_moves(basis: ProductBasis, table: _SplitTable, s: int, tol: Tolerances):
+def _candidate_moves(basis: ProductBasis, table: _SplitTable, s: int):
     """Grid-restoring moves for the inside block of split ``s`` of ``table``.
 
     The inside block is itself a complete product basis of the split
@@ -473,8 +472,8 @@ def _candidate_moves(basis: ProductBasis, table: _SplitTable, s: int, tol: Toler
     """
     a_cols, b_cols = table.a_cands[table.a_index[s]], table.b_cands[table.b_index[s]]
     inside = table.inside[s]
-    u_a = _grid_alignment(basis.a_matrix(), a_cols, inside, tol.ray_grouping)
-    u_b = _grid_alignment(basis.b_matrix(), b_cols, inside, tol.ray_grouping)
+    u_a = _grid_alignment(basis.a_matrix(), a_cols, inside)
+    u_b = _grid_alignment(basis.b_matrix(), b_cols, inside)
     a_moves = u_a is not None and not _is_phase_diagonal(u_a)
     b_moves = u_b is not None and not _is_phase_diagonal(u_b)
     if not (a_moves or b_moves):
@@ -492,7 +491,7 @@ def _candidate_moves(basis: ProductBasis, table: _SplitTable, s: int, tol: Toler
     return moves
 
 
-def _search(basis: ProductBasis, max_depth: int, tol: Tolerances):
+def _search(basis: ProductBasis, max_depth: int):
     """Level-order search for the first grid-form node within ``max_depth`` moves.
 
     Levels are expanded in path order, and each basis is expanded once: one
@@ -500,22 +499,25 @@ def _search(basis: ProductBasis, max_depth: int, tol: Tolerances):
     and tested as it is built.  The first grid-form child found is the one
     iterative deepening finds, the smallest path by (depth, split index, move
     index), because every shallower node has already been tested.  Only the
-    level being expanded is stored, never the children of the last level.
+    level being expanded is stored, never the children of the last level,
+    and a level without children ends the search whatever ``max_depth`` is.
     Nodes carry no provenance: the search returns the move path, and
     :func:`unwind` replays it through :func:`apply_winding_move`.
     """
-    if is_cartesian(basis, tol.ray_grouping):
+    if is_cartesian(basis):
         return []
     level = [(basis, [])]
     for depth in range(max_depth):
+        if not level:
+            break
         last = depth == max_depth - 1
         children = []
         for node, path in level:
-            table = _split_table(node, tol)
+            table = _split_table(node)
             for s in range(len(table)):
-                for move in _candidate_moves(node, table, s, tol):
-                    child = _rotate(node, move, table.inside[s], (), tol)
-                    if is_cartesian(child, tol.ray_grouping):
+                for move in _candidate_moves(node, table, s):
+                    child = _rotate(node, move, table.inside[s], ())
+                    if is_cartesian(child):
                         return path + [move]
                     if not last:
                         children.append((child, path + [move]))
@@ -523,7 +525,7 @@ def _search(basis: ProductBasis, max_depth: int, tol: Tolerances):
     return None
 
 
-def unwind(basis: ProductBasis, max_depth: int, tol: Tolerances = TOLERANCES):
+def unwind(basis: ProductBasis, max_depth: int):
     """Search for a certified move sequence taking the basis to grid form.
 
     A level-order search returns the smallest certified sequence by (depth,
@@ -539,17 +541,17 @@ def unwind(basis: ProductBasis, max_depth: int, tol: Tolerances = TOLERANCES):
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
     _require_complete(basis)
-    seq = _search(basis, max_depth, tol)
+    seq = _search(basis, max_depth)
     if seq is not None:
         replayed = basis
         for move in seq:
-            replayed = apply_winding_move(replayed, move, tol)
-        if not is_cartesian(replayed, tol.ray_grouping):
+            replayed = apply_winding_move(replayed, move)
+        if not is_cartesian(replayed):
             raise WindingInvariantError("unwinding sequence failed certification")
     return seq
 
 
-def wind_basis(basis: ProductBasis, k_moves: int, seed: int, tol: Tolerances = TOLERANCES):
+def wind_basis(basis: ProductBasis, k_moves: int, seed: int):
     """Apply ``k_moves`` random winding moves to a complete product basis.
 
     Each move samples a split uniformly from the currently available ones
@@ -563,7 +565,7 @@ def wind_basis(basis: ProductBasis, k_moves: int, seed: int, tol: Tolerances = T
     _require_complete(basis)
     moves: list[WindingMove] = []
     for m in range(k_moves):
-        table = _split_table(basis, tol)
+        table = _split_table(basis)
         if not len(table):
             raise NoValidSplit(
                 f"no proper split available after {m} moves", moves_applied=tuple(moves)
@@ -573,14 +575,14 @@ def wind_basis(basis: ProductBasis, k_moves: int, seed: int, tol: Tolerances = T
         split = table.split(s)
         ka, kb = split.dims
         move = WindingMove(split, haar_unitary(rng, ka), haar_unitary(rng, kb))
-        basis = _rotate(basis, move, table.inside[s], basis.provenance + (move_to_record(move),), tol)
+        basis = _rotate(basis, move, table.inside[s], basis.provenance + (move_to_record(move),))
         moves.append(move)
     return basis, tuple(moves)
 
 
-def random_wound_basis(d_a: int, d_b: int, k_moves: int, seed: int, tol: Tolerances = TOLERANCES):
+def random_wound_basis(d_a: int, d_b: int, k_moves: int, seed: int):
     """Wound test fixture: ``k_moves`` random moves applied to the Cartesian basis."""
-    return wind_basis(cartesian_basis(d_a, d_b), k_moves, seed, tol)
+    return wind_basis(cartesian_basis(d_a, d_b), k_moves, seed)
 
 
 def move_to_record(move: WindingMove) -> dict:

@@ -59,7 +59,7 @@ def test_criterion_2_cyclic_shift_invariance():
     for n in (4, 6, 8):
         basis = gen_tiles1(n)
         for s in range(n):
-            ok, _ = basis_set_equal_up_to_phase(basis, cyclic_shift_basis(basis, s), tol=1e-9)
+            ok, _ = basis_set_equal_up_to_phase(basis, cyclic_shift_basis(basis, s))
             assert ok, f"shift {s} broke set equality for n={n}"
     print("\ncriterion 2 (cyclic shift set-invariance): PASS")
 
@@ -113,7 +113,7 @@ def test_criterion_5_bound_entanglement_signature():
     for name, make in UPB_INSTANCES:
         basis = make()
         rho = upb_density_state(basis)
-        ppt_ok, min_pt = is_ppt(rho, tol=1e-10)
+        ppt_ok, min_pt = is_ppt(rho)
         assert ppt_ok, (name, min_pt)
         report = range_criterion_report(rho, restarts=200, seed=77)
         assert report.verdict is RangeVerdict.ENTANGLED, name

@@ -88,7 +88,7 @@ def test_is_ppt_maximally_entangled():
 @pytest.mark.parametrize("make", [lambda: gen_tiles1(4), lambda: gen_tiles2(3, 4)])
 def test_upb_complement_state_is_ppt(make):
     rho = upb_density_state(make())
-    ok, w_min = is_ppt(rho, tol=1e-10)
+    ok, w_min = is_ppt(rho)
     assert ok, w_min
 
 
@@ -106,12 +106,12 @@ def test_range_criterion_on_upb_state():
     assert report.max_product_overlap < 1 - 1e-3
 
 
-def test_range_criterion_reads_upb_margin():
+def test_range_criterion_reads_upb_margin(monkeypatch):
     # the range maximum of g1(6) with 20 restarts, seed 0 lies between 1 - 0.05 and 1 - 1e-3
     rho = upb_density_state(gen_tiles1(6))
-    wide = dataclasses.replace(TOLERANCES, upb_margin=0.05)
     assert range_criterion_report(rho, restarts=20, seed=0).verdict is RangeVerdict.ENTANGLED
-    report = range_criterion_report(rho, restarts=20, seed=0, tol=wide)
+    monkeypatch.setattr(boundent, "TOLERANCES", dataclasses.replace(TOLERANCES, upb_margin=0.05))
+    report = range_criterion_report(rho, restarts=20, seed=0)
     assert report.verdict is RangeVerdict.INCONCLUSIVE
     assert 1 - 0.05 <= report.max_product_overlap < 1 - 1e-3
 

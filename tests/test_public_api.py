@@ -58,17 +58,51 @@ def test_tolerance_fields_are_pinned():
 CERTIFICATION_SIGNATURES = {
     prodbasis.check_upb: ["basis", "restarts", "seed", "*tol"],
     prodbasis.seesaw_max_product_overlap: ["q", "d_a", "d_b", "restarts", "seed", "*tol"],
-    prodbasis.range_criterion_report: ["rho", "restarts", "seed", "*tol"],
+    prodbasis.range_criterion_report: ["rho", "restarts", "seed"],
     prodbasis.verify.overlap_verdict: ["value", "*tol"],
 }
+
+# Every public function that reads a threshold.  Only the four that the
+# ``verify --tol/--eta`` path sets take one; the rest read ``TOLERANCES`` of
+# their module when called.
+THRESHOLD_SIGNATURES = {
+    **CERTIFICATION_SIGNATURES,
+    prodbasis.check_orthonormal: ["basis", "tol"],
+    prodbasis.complement_projector: ["basis"],
+    prodbasis.grid_oracle_max_product_overlap: ["q", "d_a", "d_b", "resolution"],
+    prodbasis.basis_set_equal_up_to_phase: ["b1", "b2"],
+    prodbasis.upb_density_state: ["basis"],
+    prodbasis.is_ppt: ["rho"],
+    prodbasis.validate_split: ["basis", "split"],
+    prodbasis.apply_winding_move: ["basis", "move"],
+    prodbasis.is_cartesian: ["basis"],
+    prodbasis.enumerate_splits: ["basis"],
+    prodbasis.unwind: ["basis", "max_depth"],
+    prodbasis.wind_basis: ["basis", "k_moves", "seed"],
+    prodbasis.random_wound_basis: ["d_a", "d_b", "k_moves", "seed"],
+}
+TAKE_TOLERANCE = {"check_upb", "seesaw_max_product_overlap", "overlap_verdict", "check_orthonormal"}
 
 
 def test_swap_shift_has_one_convention():
     assert list(inspect.signature(prodbasis.swap_shift_basis).parameters) == ["basis"]
 
 
+def signature_names(func):
+    params = inspect.signature(func).parameters.values()
+    return ["*" * (p.kind is p.KEYWORD_ONLY) + p.name for p in params]
+
+
 def test_certification_signatures_are_pinned():
     for func, expected in CERTIFICATION_SIGNATURES.items():
-        params = inspect.signature(func).parameters.values()
-        got = ["*" * (p.kind is p.KEYWORD_ONLY) + p.name for p in params]
-        assert got == expected, func.__name__
+        assert signature_names(func) == expected, func.__name__
+
+
+def test_threshold_signatures_are_pinned():
+    assert len(THRESHOLD_SIGNATURES) == 17
+    for func, expected in THRESHOLD_SIGNATURES.items():
+        assert signature_names(func) == expected, func.__name__
+    # no other public function takes a threshold either
+    public = [getattr(prodbasis, name) for name in prodbasis.__all__]
+    funcs = [f for f in public if inspect.isfunction(f)] + [prodbasis.verify.overlap_verdict]
+    assert {f.__name__ for f in funcs if "tol" in inspect.signature(f).parameters} == TAKE_TOLERANCE

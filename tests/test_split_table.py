@@ -132,7 +132,7 @@ def test_numerically_rejected_union_pairs(dims, seed, moves):
     assert_same_splits(splits, want)
     # the rejected pairs leak no more than the component rays' own orthogonality allows
     vectors = [st.b for st in basis]
-    cands = _side_candidates(vectors, basis.d_b, TOLERANCES.ray_grouping)
+    cands = _side_candidates(vectors, basis.d_b)
     res, w = _side_measures(cands, vectors)
     leaks = w[res > TOLERANCES.split_inside_residual]
     assert TOLERANCES.split_outside_overlap < leaks.max() <= TOLERANCES.ray_grouping**2
@@ -184,7 +184,7 @@ def assert_same_measures(got, want):
 def test_side_measures_match_per_pair_loop_bitwise(group):
     for basis in MEASURE_BASES[group]():
         for vectors, dim in ((basis.a_matrix().T, basis.d_a), (basis.b_matrix().T, basis.d_b)):
-            cands = _side_candidates(vectors, dim, TOLERANCES.ray_grouping)
+            cands = _side_candidates(vectors, dim)
             assert_same_measures(_side_measures(cands, vectors), reference_side_measures(cands, vectors))
             # validate_split measures a single candidate
             assert_same_measures(_side_measures(cands[-1:], vectors), reference_side_measures(cands[-1:], vectors))
@@ -193,7 +193,7 @@ def test_side_measures_match_per_pair_loop_bitwise(group):
 def test_side_measures_accept_lists():
     basis, _ = random_wound_basis(3, 3, 2, 1)
     vectors = [st.b for st in basis]
-    cands = _side_candidates(vectors, basis.d_b, TOLERANCES.ray_grouping)
+    cands = _side_candidates(vectors, basis.d_b)
     assert_same_measures(_side_measures(cands, vectors), reference_side_measures(cands, vectors))
 
 
@@ -213,7 +213,7 @@ def test_split_table_and_unwinder_make_no_per_vector_norm_or_vdot_calls(monkeypa
 
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     monkeypatch.setattr(np, "vdot", counting_vdot)
-    _split_table(cart, TOLERANCES)        # a per-pair loop makes 480 of each here
+    _split_table(cart)  # a per-pair loop makes 480 of each here
     assert norm_kwargs == [] and vdot_calls == []
     unwind(wound, 2)
     assert vdot_calls == []

@@ -1,12 +1,16 @@
 """The level-order unwinder and table-driven winding against the paths they replaced."""
 
+import time
+
 import numpy as np
 import pytest
 
 from prodbasis import winding
+from prodbasis.cli import main
 from prodbasis.config import TOLERANCES
 from prodbasis.errors import NoValidSplit
 from prodbasis.families import cartesian_basis
+from prodbasis.io import save_basis
 from prodbasis.sampling import haar_unitary, stream
 from prodbasis.winding import (
     WindingMove,
@@ -28,46 +32,46 @@ MOVES = (1, 2, 3)
 DEPTHS = (1, 2, 3)
 
 
-def reference_wind(basis, k_moves, seed, tol=TOLERANCES):
+def reference_wind(basis, k_moves, seed):
     """Random winding with every move validated by ``apply_winding_move``."""
     moves = []
     for m in range(k_moves):
-        table = _split_table(basis, tol)
+        table = _split_table(basis)
         if not len(table):
             raise NoValidSplit(f"no proper split available after {m} moves", moves_applied=tuple(moves))
         rng = stream(seed, m)
         split = table.split(int(rng.integers(len(table))))
         ka, kb = split.dims
         move = WindingMove(split, haar_unitary(rng, ka), haar_unitary(rng, kb))
-        basis = apply_winding_move(basis, move, tol)
+        basis = apply_winding_move(basis, move)
         moves.append(move)
     return basis, tuple(moves)
 
 
-def reference_search(basis, depth, tol):
+def reference_search(basis, depth):
     """Depth-limited search from the root, every child built by ``apply_winding_move``."""
-    if is_cartesian(basis, tol.ray_grouping):
+    if is_cartesian(basis):
         return []
     if depth == 0:
         return None
-    table = _split_table(basis, tol)
+    table = _split_table(basis)
     for s in range(len(table)):
-        for move in _candidate_moves(basis, table, s, tol):
-            deeper = reference_search(apply_winding_move(basis, move, tol), depth - 1, tol)
+        for move in _candidate_moves(basis, table, s):
+            deeper = reference_search(apply_winding_move(basis, move), depth - 1)
             if deeper is not None:
                 return [move] + deeper
     return None
 
 
-def reference_unwind(basis, max_depth, tol=TOLERANCES):
+def reference_unwind(basis, max_depth):
     """Iterative deepening with the replay certification."""
     for depth in range(max_depth + 1):
-        seq = reference_search(basis, depth, tol)
+        seq = reference_search(basis, depth)
         if seq is not None:
             replayed = basis
             for move in seq:
-                replayed = apply_winding_move(replayed, move, tol)
-            assert is_cartesian(replayed, tol.ray_grouping)
+                replayed = apply_winding_move(replayed, move)
+            assert is_cartesian(replayed)
             return seq
     return None
 
@@ -140,12 +144,12 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def children(basis, tol=TOLERANCES):
-    table = _split_table(basis, tol)
+def children(basis):
+    table = _split_table(basis)
     return [
-        apply_winding_move(basis, move, tol)
+        apply_winding_move(basis, move)
         for s in range(len(table))
-        for move in _candidate_moves(basis, table, s, tol)
+        for move in _candidate_moves(basis, table, s)
     ]
 
 
@@ -329,3 +333,29 @@ def test_search_stops_at_first_solution(monkeypatch):
     unwind(basis, 3)
     # the solution is a child of the root, so only the root is expanded
     assert len(table_calls) == 1
+
+
+# the search from this fixture has no node left to expand after depth 2
+EXHAUSTED_BY_DEPTH_2 = (3, 4, 2, 0)
+HUGE_DEPTH = 10**12
+
+
+def test_exhausted_search_stops_whatever_the_depth(monkeypatch):
+    basis, _ = random_wound_basis(*EXHAUSTED_BY_DEPTH_2)
+    table_calls = count_calls(monkeypatch, "_split_table")
+    assert unwind(basis, 2) is None
+    tables = len(table_calls)
+    start = time.perf_counter()
+    assert unwind(basis, HUGE_DEPTH) is None
+    assert time.perf_counter() - start < 1.0
+    assert len(table_calls) == 2 * tables
+
+
+def test_cli_unwind_huge_depth_exits_4_promptly(tmp_path, capsys):
+    path = tmp_path / "wound.json"
+    save_basis(random_wound_basis(*EXHAUSTED_BY_DEPTH_2)[0], path)
+    start = time.perf_counter()
+    code = main(["unwind", str(path), "--depth", str(HUGE_DEPTH)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert capsys.readouterr().out == f"not unwound within depth {HUGE_DEPTH}\n"

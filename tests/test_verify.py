@@ -54,7 +54,7 @@ def test_gram_matrix_single_state():
 
 
 def test_check_orthonormal():
-    ok, _ = check_orthonormal(gen_tiles2(3, 4), tol=1e-10)
+    ok, _ = check_orthonormal(gen_tiles2(3, 4))
     assert ok
     ok, _ = check_orthonormal(cartesian_basis(2, 2))
     assert ok
@@ -414,6 +414,16 @@ def test_overlap_verdict_thresholds():
     assert overlap_verdict(0.998) is Verdict.UPB_NUMERIC
     assert overlap_verdict(0.95, tol=dataclasses.replace(TOLERANCES, upb_margin=0.1)) is Verdict.INCONCLUSIVE
     assert overlap_verdict(float("nan")) is Verdict.INCONCLUSIVE
+
+
+def test_default_tolerances_are_read_at_call_time(monkeypatch):
+    basis = gen_tiles2(3, 4)
+    monkeypatch.setattr(verify, "TOLERANCES", dataclasses.replace(TOLERANCES, upb_margin=0.1, orthonormality=-1.0))
+    assert overlap_verdict(0.95) is Verdict.INCONCLUSIVE
+    assert not check_orthonormal(basis)[0]
+    for entry in (complement_projector, check_upb):
+        with pytest.raises(NonOrthonormalInput):
+            entry(basis)
 
 
 def test_check_upb_propagates_non_orthonormal():

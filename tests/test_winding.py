@@ -90,7 +90,7 @@ def test_apply_identity_move():
 
 def test_apply_preserves_gram_and_records_move():
     wound, move = wound_pi_over_7()
-    ok, _ = check_orthonormal(wound, tol=1e-10)
+    ok, _ = check_orthonormal(wound)
     assert ok
     assert wound.provenance[-1]["op"] == "winding_move"
     # four distinct B rays in dimension two: no longer a grid basis
@@ -261,24 +261,29 @@ def repeated_state_basis():
     return ProductBasis(2, 2, tuple(ProductState(a, b) for a, b in pairs))
 
 
-def test_gram_check_after_move_raises():
-    strict = dataclasses.replace(TOLERANCES, orthonormality=-1.0)
+def strict_orthonormality(monkeypatch):
+    """Make every Gram check of ``winding`` fail: no deviation is <= -1."""
+    monkeypatch.setattr(winding, "TOLERANCES", dataclasses.replace(TOLERANCES, orthonormality=-1.0))
+
+
+def test_gram_check_after_move_raises(monkeypatch):
     _, move = wound_pi_over_7()
+    strict_orthonormality(monkeypatch)
     with pytest.raises(WindingInvariantError, match="orthonormality"):
-        apply_winding_move(cartesian_basis(2, 2), move, strict)
+        apply_winding_move(cartesian_basis(2, 2), move)
 
 
-def test_gram_check_after_drawn_move_raises():
-    strict = dataclasses.replace(TOLERANCES, orthonormality=-1.0)
+def test_gram_check_after_drawn_move_raises(monkeypatch):
+    strict_orthonormality(monkeypatch)
     with pytest.raises(WindingInvariantError, match="orthonormality"):
-        wind_basis(cartesian_basis(2, 2), 1, 0, strict)
+        wind_basis(cartesian_basis(2, 2), 1, 0)
 
 
-def test_gram_check_after_unwinder_move_raises():
-    strict = dataclasses.replace(TOLERANCES, orthonormality=-1.0)
+def test_gram_check_after_unwinder_move_raises(monkeypatch):
     wound, _ = wound_pi_over_7()
+    strict_orthonormality(monkeypatch)
     with pytest.raises(WindingInvariantError, match="orthonormality"):
-        unwind(wound, 1, strict)
+        unwind(wound, 1)
 
 
 def test_unit_norm_drift_after_many_moves_raises():
@@ -300,7 +305,7 @@ def test_inside_count_check_raises():
 def test_unwinder_replay_check_raises(monkeypatch):
     wound, _ = wound_pi_over_7()
     # a search that claims the wound basis is already Cartesian
-    monkeypatch.setattr(winding, "_search", lambda basis, depth, tol: [])
+    monkeypatch.setattr(winding, "_search", lambda basis, depth: [])
     with pytest.raises(WindingInvariantError, match="certification"):
         unwind(wound, 1)
 
