@@ -10,9 +10,9 @@ engine used for unextendibility.
 For a UPB complement state the two searches are one: the range of
 (I - P_S)/(D - N) is the complement of the span, and "no product state in
 the complement" is what unextendible means.  So one see-saw on the range
-projector gives both the range criterion and the unextendibility verdict
-(``prodbasis boundent`` reads its gate from it through
-:func:`prodbasis.verify.overlap_verdict`).
+projector gives both the range criterion and the unextendibility verdict,
+and both read it through :func:`prodbasis.verify.overlap_verdict`: the
+range label is ``entangled`` exactly when that verdict is ``UPB_Numeric``.
 
 A job decomposes the state once: :class:`DensityMatrix` checks its spectrum
 with ``eigh`` and keeps the eigenpairs, and the range criterion hands the
@@ -31,7 +31,7 @@ from .basis import ProductBasis, ProductState
 from .config import TOLERANCES
 from .errors import CompleteBasisInput, DimensionMismatch, InvalidProjector, ZeroState
 from .linalg import hermitian_part, partial_transpose
-from .verify import _seesaw, complement_projector
+from .verify import Verdict, _seesaw, complement_projector, overlap_verdict
 
 __all__ = [
     "DensityMatrix",
@@ -41,6 +41,9 @@ __all__ = [
     "is_ppt",
     "range_criterion_report",
 ]
+
+
+_STATE_TOL = 1e-10  # DensityMatrix checks; module-local, as no caller sets it
 
 
 class RangeVerdict(str, Enum):
@@ -67,13 +70,13 @@ class DensityMatrix:
         if m.shape != (dim, dim):
             raise DimensionMismatch(f"matrix shape {m.shape} does not match dims ({self.d_a}, {self.d_b})")
         # written so that NaN fails each check
-        if not float(np.max(np.abs(m - m.conj().T))) <= 1e-10:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        if not abs(float(np.trace(m).real) - 1.0) <= 1e-10:
-            raise ValueError("density matrix trace differs from 1 beyond 1e-10")
+        if not float(np.max(np.abs(m - m.conj().T))) <= _STATE_TOL:
+            raise ValueError(f"density matrix is not Hermitian within {_STATE_TOL:g}")
+        if not abs(float(np.trace(m).real) - 1.0) <= _STATE_TOL:
+            raise ValueError(f"density matrix trace differs from 1 beyond {_STATE_TOL:g}")
         w, v = np.linalg.eigh(hermitian_part(m))
-        if not float(w[0]) >= -1e-10:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
+        if not float(w[0]) >= -_STATE_TOL:
+            raise ValueError(f"density matrix has an eigenvalue below -{_STATE_TOL:g}")
         for array in (m, w, v):
             array.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -136,9 +139,9 @@ def range_criterion_report(
     orthonormal columns V factor the range projector V V^dag, so the see-saw
     maximizes the product overlap with it without forming or decomposing
     it again, with the same fixed stop rule and iteration cap as
-    :func:`~prodbasis.verify.seesaw_max_product_overlap`.  A maximum below
-    1 - ``TOLERANCES.upb_margin`` means the range holds no product state
-    numerically, which is the entanglement half of the signature.
+    :func:`~prodbasis.verify.seesaw_max_product_overlap`.  ``ENTANGLED``, the
+    entanglement half of the signature, is :func:`~prodbasis.verify.overlap_verdict`'s
+    ``UPB_Numeric``: no product state in the range numerically.
     """
     w, v = rho._spectrum
     keep = w > TOLERANCES.range_cutoff
@@ -146,12 +149,12 @@ def range_criterion_report(
         raise ZeroState("density matrix has no eigenvalue above the range cutoff")
     cols = v[:, keep]
     result = _seesaw(cols, np.ones(cols.shape[1]), rho.d_a, rho.d_b, restarts, seed)
-    verdict = RangeVerdict.ENTANGLED if result.value < 1.0 - TOLERANCES.upb_margin else RangeVerdict.INCONCLUSIVE
+    entangled = overlap_verdict(result.value, tol=TOLERANCES) is Verdict.UPB_NUMERIC
     return RangeCriterionReport(
         range_rank=int(np.count_nonzero(keep)),
         max_product_overlap=result.value,
         witness=result.witness,
-        verdict=verdict,
+        verdict=RangeVerdict.ENTANGLED if entangled else RangeVerdict.INCONCLUSIVE,
         restarts_used=result.restarts_used,
         iterations_total=result.iterations_total,
         seed=seed,

@@ -5,9 +5,10 @@ outcomes:
 
   0  success (verify: complete basis or numerically unextendible)
   1  malformed or inconsistent input (bad file, non-orthonormal basis,
-     missing tile metadata, a count or tolerance flag out of range, an
-     unwritable --out path), or a request too large to allocate (such as
-     a --restarts count whose starting points do not fit in memory)
+     the one given to wind or unwind included, missing tile metadata, a
+     count or tolerance flag out of range, an unwritable --out path), or a
+     request too large to allocate (such as a --restarts count whose
+     starting points do not fit in memory)
   2  construction parameters violate a family's dimension bounds, or
      argparse rejects the command line (usage error)
   3  verify found an extendible basis (product witness in the complement)

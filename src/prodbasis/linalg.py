@@ -50,8 +50,8 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^dag) / 2 of an operator, or of each operator in a stack."""
-    h = np.conj(np.swapaxes(m, -1, -2), order="C")   # dagger(m), row-major
+    """(m + m^dag) / 2 of an operator, or of each operator in a stack; ``m`` is an ndarray."""
+    h = np.conj(m.swapaxes(-1, -2), order="C")   # dagger(m), row-major
     h += m
     h /= 2
     return h
@@ -132,10 +132,7 @@ def top_eigenvector(m: np.ndarray):
     # np.linalg.eigh's errstate.  Inside it, the NaN that an infinite entry
     # or top eigenvalue makes raises LinAlgError, not a RuntimeWarning.
     with np.errstate(call=_eigh_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        h = np.conj(stack.swapaxes(-1, -2), order="C")   # hermitian_part(stack)
-        h += stack
-        h /= 2
-        w, v = _eigh_lo(h, signature="D->dD")
+        w, v = _eigh_lo(hermitian_part(stack), signature="D->dD")
         top = w[:, -1]
         lead = v[:, 0, -1]
         # top - top is 0 for a finite top eigenvalue, raises for an infinite

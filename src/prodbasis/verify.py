@@ -117,7 +117,7 @@ def check_orthonormal(basis: ProductBasis, tol: float | None = None):
     return max(dev.max_offdiag, dev.max_diag_error) <= tol, dev
 
 
-def _require_orthonormal(basis: ProductBasis, tol: float) -> GramDeviations:
+def _require_orthonormal(basis: ProductBasis, tol: float | None = None) -> GramDeviations:
     ok, dev = check_orthonormal(basis, tol)
     if not ok:
         raise NonOrthonormalInput(
@@ -135,7 +135,7 @@ def _complement_of_checked(basis: ProductBasis) -> np.ndarray:
 
 def complement_projector(basis: ProductBasis) -> np.ndarray:
     """Projector onto the orthogonal complement of the basis span."""
-    _require_orthonormal(basis, TOLERANCES.orthonormality)
+    _require_orthonormal(basis)
     return _complement_of_checked(basis)
 
 

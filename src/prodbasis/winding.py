@@ -7,9 +7,13 @@ productness survive every move, so repeated winding manufactures complete
 product bases with nontrivial local structure; unwinding searches for a
 move sequence that returns a basis to grid (Cartesian) form.
 
-Both `wind_basis` and the unwinder apply a move to the inside states that
-their split table already classified; `apply_winding_move` validates the
-split itself.  `wind_basis` builds a subspace pair only for the split it
+One classifier sorts the states against subspace pairs: the split table
+runs it over every candidate pair, and `validate_split` is one row of that
+table.  `wind_basis`, `unwind` and `enumerate_splits` check completeness
+once at entry (the first two orthonormality too), not in the split table
+of every search node.  Both `wind_basis` and the unwinder apply a move to
+the inside states that their split table already classified;
+`apply_winding_move` validates the split itself.  `wind_basis` builds a subspace pair only for the split it
 draws, and the unwinder only for each split that yields a move; its search
 nodes carry no provenance, as it returns the move path alone.  The unwinder
 searches level by level in path order, so it returns the sequence iterative
@@ -34,7 +38,7 @@ from .families import cartesian_basis
 from .io import complex_from_json, complex_to_json
 from .linalg import _row_norms, dagger
 from .sampling import haar_unitary, stream
-from .verify import check_orthonormal
+from .verify import _require_orthonormal, check_orthonormal
 
 __all__ = [
     "SplitClass",
@@ -154,20 +158,28 @@ def _side_measures(cands, vectors):
     return _row_norms(vectors - pv), np.vecdot(vectors, pv).real
 
 
-def _classify(res_a, w_a, res_b, w_b):
-    """INSIDE and OUTSIDE masks (see :func:`validate_split`); operands broadcast."""
+def _classify_pairs(basis: ProductBasis, a_cands, b_cands, a_index, b_index):
+    """``(valid, inside, outside)`` masks of the pairs ``a_cands[a_index[s]]`` (x) ``b_cands[b_index[s]]``.
+
+    The rule is :func:`validate_split`'s, and so is the inside-count check;
+    each candidate is measured once.
+    """
+    res_a, w_a = _side_measures(a_cands, basis.a_matrix().T)
+    res_b, w_b = _side_measures(b_cands, basis.b_matrix().T)
+    res_a, w_a, res_b, w_b = res_a[a_index], w_a[a_index], res_b[b_index], w_b[b_index]
     cut = TOLERANCES.split_inside_residual
     inside = (res_a <= cut) & (res_b <= cut)
     outside = ~inside & (w_a * w_b <= TOLERANCES.split_outside_overlap)
-    return inside, outside
-
-
-def _check_inside_count(n_inside, ka, kb):
-    """Completeness forces the inside block of each valid split to hold ka * kb states."""
-    bad = np.flatnonzero(n_inside != ka * kb)
+    valid = np.all(inside | outside, axis=1)
+    # completeness forces the inside block of each valid split to hold ka * kb states
+    ka = np.array([cols.shape[1] for cols in a_cands])[a_index]
+    kb = np.array([cols.shape[1] for cols in b_cands])[b_index]
+    n_inside = inside.sum(axis=1)
+    bad = np.flatnonzero(valid & (n_inside != ka * kb))
     if bad.size:
         n, a, b = n_inside[bad[0]], ka[bad[0]], kb[bad[0]]
         raise WindingInvariantError(f"valid ({a}, {b}) split holds {n} inside states, not {a * b}")
+    return valid, inside, outside
 
 
 def validate_split(basis: ProductBasis, split: SubspacePair):
@@ -180,21 +192,16 @@ def validate_split(basis: ProductBasis, split: SubspacePair):
     membership in the orthogonal complement of H_A' (x) H_B'.  The split is
     valid iff every state is classified; completeness then forces the inside
     count to be dim H_A' * dim H_B', and a valid split that breaks it raises
-    :class:`WindingInvariantError`.
+    :class:`WindingInvariantError`.  This is one row of the split table:
+    both run :func:`_classify_pairs`.
     """
     _require_complete(basis)
-    res_a, w_a = _side_measures([split.a_basis], basis.a_matrix().T)
-    res_b, w_b = _side_measures([split.b_basis], basis.b_matrix().T)
-    inside, outside = _classify(res_a[0], w_a[0], res_b[0], w_b[0])
-    ok = bool(np.all(inside | outside))
-    if ok:
-        ka, kb = split.dims
-        _check_inside_count(np.array([inside.sum()]), np.array([ka]), np.array([kb]))
+    valid, inside, outside = _classify_pairs(basis, [split.a_basis], [split.b_basis], [0], [0])
     classes = tuple(
         SplitClass.INSIDE if i else SplitClass.OUTSIDE if o else SplitClass.UNCLASSIFIED
-        for i, o in zip(inside, outside)
+        for i, o in zip(inside[0], outside[0])
     )
-    return ok, classes
+    return bool(valid[0]), classes
 
 
 def _embed(cols: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -252,15 +259,16 @@ def _rotate(basis: ProductBasis, move: WindingMove, inside, provenance) -> Produ
     return out
 
 
-def _rays(vectors, tol: float):
+def _rays(vectors):
     """Rays of the rows of ``vectors`` and which pairs of rays are non-orthogonal.
 
     Every test reads one modulus matrix |<v_m|v_n>|.  Row n joins the ray of
     the first representative r with |<v_r|v_n>| >= 1 - tol, or else starts
     a new ray.  Returns each row's ray id, the representative rows in
     first-occurrence order, and the adjacency of the ray graph: True where
-    two distinct rays have |overlap| > tol.
+    two distinct rays have |overlap| > tol, ``TOLERANCES.ray_grouping``.
     """
+    tol = TOLERANCES.ray_grouping
     v = np.asarray(vectors)
     mod = np.abs(v.conj() @ v.T)
     close = (mod >= 1.0 - tol).tolist()
@@ -306,10 +314,10 @@ def is_cartesian(basis: ProductBasis) -> bool:
     Rays are grouped within ``TOLERANCES.ray_grouping`` (see :func:`_rays`).
     """
     _require_complete(basis)
-    a_ids, a_reps, a_adjacent = _rays(basis.a_matrix().T, TOLERANCES.ray_grouping)
+    a_ids, a_reps, a_adjacent = _rays(basis.a_matrix().T)
     if not _is_grid(a_reps, a_adjacent, basis.d_a):
         return False
-    b_ids, b_reps, b_adjacent = _rays(basis.b_matrix().T, TOLERANCES.ray_grouping)
+    b_ids, b_reps, b_adjacent = _rays(basis.b_matrix().T)
     if not _is_grid(b_reps, b_adjacent, basis.d_b):
         return False
     return len(set(zip(a_ids, b_ids))) == basis.dim
@@ -339,7 +347,7 @@ def _side_candidates(vectors, dim: int):
     come in bitmask order over the components.  Their columns are checked
     for orthonormality only when a split on them is built.
     """
-    _, reps, adjacent = _rays(vectors, TOLERANCES.ray_grouping)
+    _, reps, adjacent = _rays(vectors)
     components = _component_subspaces(reps, _components(adjacent))
     c = len(components)
     cands = [np.eye(dim, dtype=complex)]
@@ -374,32 +382,20 @@ class _SplitTable:
 def _split_table(basis: ProductBasis) -> _SplitTable:
     """Classify every candidate pair of a complete basis in one broadcast.
 
-    Residuals and weights are computed once per side and candidate, with the
-    arithmetic of :func:`validate_split`, so every verdict is the one that
-    function gives the pair.  Pairs run (a, full B), then (full A, b), then
-    a-major (a, b); each is proper, as a proper union leaves out a component.
+    :func:`_classify_pairs` gives each pair the verdict :func:`validate_split`
+    gives it.  Pairs run (a, full B), then (full A, b), then a-major (a, b);
+    each is proper, as a proper union leaves out a component.  The caller
+    has checked completeness.
     """
-    _require_complete(basis)
-    a_vecs = basis.a_matrix().T
-    b_vecs = basis.b_matrix().T
-    a_cands = _side_candidates(a_vecs, basis.d_a)
-    b_cands = _side_candidates(b_vecs, basis.d_b)
-    res_a, w_a = _side_measures(a_cands, a_vecs)
-    res_b, w_b = _side_measures(b_cands, b_vecs)
-
+    a_cands = _side_candidates(basis.a_matrix().T, basis.d_a)
+    b_cands = _side_candidates(basis.b_matrix().T, basis.d_b)
     na, nb = len(a_cands) - 1, len(b_cands) - 1
     a_proper = np.arange(1, na + 1)
     b_proper = np.arange(1, nb + 1)
     a_index = np.concatenate([a_proper, np.zeros(nb, dtype=int), np.repeat(a_proper, nb)])
     b_index = np.concatenate([np.zeros(na, dtype=int), b_proper, np.tile(b_proper, na)])
-    inside, outside = _classify(res_a[a_index], w_a[a_index], res_b[b_index], w_b[b_index])
-
-    valid = np.all(inside | outside, axis=1)
-    a_index, b_index, inside = a_index[valid], b_index[valid], inside[valid]
-    ka = np.array([cols.shape[1] for cols in a_cands])[a_index]
-    kb = np.array([cols.shape[1] for cols in b_cands])[b_index]
-    _check_inside_count(inside.sum(axis=1), ka, kb)
-    return _SplitTable(a_cands, b_cands, a_index, b_index, inside)
+    valid, inside, _ = _classify_pairs(basis, a_cands, b_cands, a_index, b_index)
+    return _SplitTable(a_cands, b_cands, a_index[valid], b_index[valid], inside[valid])
 
 
 def enumerate_splits(basis: ProductBasis) -> tuple[SubspacePair, ...]:
@@ -415,6 +411,7 @@ def enumerate_splits(basis: ProductBasis) -> tuple[SubspacePair, ...]:
     ``TOLERANCES.ray_grouping``, and a leak above
     ``TOLERANCES.split_outside_overlap`` leaves a state unclassified.
     """
+    _require_complete(basis)
     table = _split_table(basis)
     return tuple(table.split(s) for s in range(len(table)))
 
@@ -454,7 +451,7 @@ def _grid_alignment(factors, cols, inside):
     column of ``cols``.
     """
     coords = (dagger(cols) @ factors.T[inside][:, :, None])[..., 0]
-    _, reps, adjacent = _rays(coords / _row_norms(coords)[:, None], TOLERANCES.ray_grouping)
+    _, reps, adjacent = _rays(coords / _row_norms(coords)[:, None])
     return _alignment_unitary(reps) if _is_grid(reps, adjacent, cols.shape[1]) else None
 
 
@@ -533,7 +530,9 @@ def unwind(basis: ProductBasis, max_depth: int):
     basis it reaches once and holds one level of bases at a time.  Returns
     the move list, empty for an already-Cartesian basis, or ``None`` when
     the search is exhausted; absence means "not unwound within this depth",
-    never "not unwindable".  A negative ``max_depth`` raises ``ValueError``.
+    never "not unwindable".  A negative ``max_depth`` raises ``ValueError``,
+    an incomplete input :class:`IncompleteBasis` and a non-orthonormal one
+    :class:`NonOrthonormalInput`.
     Every returned sequence is independently certified by re-application
     (each move validated again) before being returned; a sequence that
     fails its replay raises :class:`WindingInvariantError`.
@@ -541,6 +540,7 @@ def unwind(basis: ProductBasis, max_depth: int):
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
     _require_complete(basis)
+    _require_orthonormal(basis)
     seq = _search(basis, max_depth)
     if seq is not None:
         replayed = basis
@@ -558,11 +558,14 @@ def wind_basis(basis: ProductBasis, k_moves: int, seed: int):
     and Haar-random subspace unitaries, all from a stream keyed by
     (seed, move index).  Returns the wound basis together with the exact
     move list; raises :class:`NoValidSplit` (carrying the moves applied so
-    far) if the split enumeration ever comes up empty.
+    far) if the split enumeration ever comes up empty.  An incomplete input
+    raises :class:`IncompleteBasis`, a non-orthonormal one
+    :class:`NonOrthonormalInput`.
     """
     if k_moves < 0:
         raise ValueError("k_moves must be nonnegative")
     _require_complete(basis)
+    _require_orthonormal(basis)
     moves: list[WindingMove] = []
     for m in range(k_moves):
         table = _split_table(basis)

@@ -8,6 +8,7 @@ from prodbasis.families import cartesian_basis
 from prodbasis.linalg import dagger
 from prodbasis.sampling import haar_unitary, stream
 from prodbasis.winding import (
+    SplitClass,
     SubspacePair,
     WindingMove,
     _component_subspaces,
@@ -20,6 +21,7 @@ from prodbasis.winding import (
     enumerate_splits,
     random_wound_basis,
     unwind,
+    validate_split,
 )
 
 # Wound bases whose union pairs are not all valid (basis dims, wind seed, moves
@@ -53,10 +55,10 @@ def union_candidates(components):
     return out
 
 
-def reference_splits(basis, tol=TOLERANCES):
+def reference_splits(basis):
     """Every union pair built, validated state by state and deduplicated by projector."""
-    _, a_reps, a_adjacent = _rays([st.a for st in basis], tol.ray_grouping)
-    _, b_reps, b_adjacent = _rays([st.b for st in basis], tol.ray_grouping)
+    _, a_reps, a_adjacent = _rays([st.a for st in basis])
+    _, b_reps, b_adjacent = _rays([st.b for st in basis])
     a_cands = union_candidates(_component_subspaces(a_reps, _components(a_adjacent)))
     b_cands = union_candidates(_component_subspaces(b_reps, _components(b_adjacent)))
     full_a = np.eye(basis.d_a, dtype=complex)
@@ -68,7 +70,7 @@ def reference_splits(basis, tol=TOLERANCES):
     splits, kept_a, kept_b = [], [], []
     for a_cols, b_cols in pairs:
         split = SubspacePair(a_cols, b_cols)
-        if not split.is_proper_for(basis.d_a, basis.d_b) or not reference_validate(basis, split, tol):
+        if not split.is_proper_for(basis.d_a, basis.d_b) or not reference_validate(basis, split, TOLERANCES):
             continue
         p_a, p_b = split.a_projector(), split.b_projector()
         # duplicate: some kept split has both projectors within 1e-10
@@ -219,3 +221,15 @@ def test_split_table_and_unwinder_make_no_per_vector_norm_or_vdot_calls(monkeypa
     assert vdot_calls == []
     # the only norms left are the column checks of each built basis
     assert all("axis" in kwargs for kwargs in norm_kwargs)
+
+
+@pytest.mark.parametrize("dims,moves", [((2, 3), 1), ((3, 3), 2), ((3, 4), 2)])
+def test_validate_split_is_one_row_of_the_table(dims, moves):
+    for seed in range(8):
+        basis, _ = random_wound_basis(*dims, moves, seed)
+        table = _split_table(basis)
+        assert len(table)
+        for s in range(len(table)):
+            ok, classes = validate_split(basis, table.split(s))
+            assert ok
+            assert np.array_equal([cls is SplitClass.INSIDE for cls in classes], table.inside[s])

@@ -287,7 +287,7 @@ def test_rays_match_generator_scan_bit_for_bit():
     rng = np.random.default_rng(20)
     repeats = set()
     for v in ray_inputs(rng):
-        ids, reps, adjacent = _rays(v, TOLERANCES.ray_grouping)
+        ids, reps, adjacent = _rays(v)
         ref_ids, ref_reps, ref_adjacent = reference_rays(v, TOLERANCES.ray_grouping)
         assert ids == ref_ids
         assert reps.tobytes() == ref_reps.tobytes() and np.array_equal(adjacent, ref_adjacent)
@@ -300,7 +300,7 @@ def test_threshold_adjacent_rows_fall_on_both_sides():
     # the near-axis rows of ray_inputs really straddle the join threshold
     for c, join in ((np.nextafter(THRESHOLD, 0.0), False), (THRESHOLD, True), (np.nextafter(THRESHOLD, 2.0), True)):
         v = np.array([[1.0, 0.0], [c, np.sqrt(1.0 - c * c)]], dtype=complex)
-        ids, _, _ = _rays(v, TOLERANCES.ray_grouping)
+        ids, _, _ = _rays(v)
         assert (ids == [0, 0]) is join
 
 

@@ -10,7 +10,7 @@ import pytest
 from prodbasis import cli, winding
 from prodbasis.basis import ProductBasis, ProductState
 from prodbasis.config import TOLERANCES
-from prodbasis.errors import IncompleteBasis, InvalidSplit, WindingInvariantError
+from prodbasis.errors import IncompleteBasis, InvalidSplit, NonOrthonormalInput, WindingInvariantError
 from prodbasis.families import cartesian_basis, gen_tiles1
 from prodbasis.io import save_basis
 from prodbasis.sampling import haar_unitary, stream
@@ -298,7 +298,8 @@ def test_inside_count_check_raises():
         validate_split(basis, axis_split(2, 2, a_cols=[[1, 0]]))
     with pytest.raises(WindingInvariantError, match="inside states"):
         enumerate_splits(basis)
-    with pytest.raises(WindingInvariantError, match="inside states"):
+    # the winding entry points reject the repeated states before any split is drawn
+    with pytest.raises(NonOrthonormalInput, match="not orthonormal"):
         wind_basis(basis, 1, 0)
 
 
@@ -311,12 +312,41 @@ def test_unwinder_replay_check_raises(monkeypatch):
 
 
 def test_cli_maps_winding_invariant_to_exit_1(tmp_path, capsys):
-    path = tmp_path / "repeated.json"
-    save_basis(repeated_state_basis(), path)
-    code = cli.main(["wind", str(path), "--out", str(tmp_path / "w.json")])
+    # the sixteenth seeded move breaks the unit-norm check (see above)
+    code = cli.main(["wind", "--cartesian", "2", "2", "--moves", "16", "--seed", "0",
+                     "--out", str(tmp_path / "w.json")])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err.startswith("error: valid (")
+    assert captured.err.startswith("error: winding move broke the unit-norm check")
+
+
+def random_product_basis():
+    """Four random product states on 2x2: complete by count, not orthonormal."""
+    rng = np.random.default_rng(7)
+    factors = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+    factors /= np.linalg.norm(factors, axis=-1, keepdims=True)
+    return ProductBasis(2, 2, tuple(ProductState(a, b) for a, b in factors))
+
+
+def plus_state_basis():
+    """{|0>|0>, |1>|0>, |0>|1>, |+>|1>}: complete by count, <0 1|+ 1> = 1/sqrt(2)."""
+    e0, e1 = np.eye(2, dtype=complex)
+    plus = (e0 + e1) / np.sqrt(2)
+    pairs = [(e0, e0), (e1, e0), (e0, e1), (plus, e1)]
+    return ProductBasis(2, 2, tuple(ProductState(a, b) for a, b in pairs))
+
+
+@pytest.mark.parametrize("command", ["wind", "unwind"])
+@pytest.mark.parametrize("fixture", [random_product_basis, plus_state_basis])
+def test_cli_winding_rejects_non_orthonormal_input(tmp_path, capsys, command, fixture):
+    path = tmp_path / "basis.json"
+    save_basis(fixture(), path)
+    argv = [command, str(path)] + (["--out", str(tmp_path / "w.json")] if command == "wind" else [])
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: basis is not orthonormal (max deviation ")
+    assert not (tmp_path / "w.json").exists()
 
 
 def test_invariant_checks_survive_optimized_python():
