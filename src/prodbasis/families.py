@@ -1,10 +1,12 @@
 """Constructors for the tile product-basis families and their symmetries.
 
 Both tile families live on a dA x dB grid whose columns index the A side and
-whose rows index the B side.  States are built from a single generator,
-:func:`fourier_local_state`, which places root-of-unity phases on an ordered
-support; all outputs are normalized to unit norm so the families are
-orthonormal sets, not merely orthogonal ones.
+whose rows index the B side.  Each is a list of rows ``(label, a_support,
+a_m, b_support, b_m, omega)`` through one builder: a row is the state
+``fourier_local_state(dA, a_support, a_m, omega) (x) fourier_local_state(dB,
+b_support, b_m, omega)`` on the tile ``a_support x b_support``.  A one-cell
+side ``((k,), 0)`` is |k>; the stopper is ``("F", range(dA), 0, range(dB), 0,
+1.0)``.  All states have unit norm, so the families are orthonormal sets.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import numpy as np
 
 from .basis import Family, ProductBasis
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidDimension
-from .linalg import basis_vector
 
 __all__ = [
     "fourier_local_state",
@@ -28,9 +29,11 @@ __all__ = [
 def fourier_local_state(dim: int, support, m: int, omega: complex) -> np.ndarray:
     """Unit vector with amplitude omega^(j*m)/sqrt(s) at support[j], zero elsewhere.
 
-    The support is an ordered list of ``s`` distinct indices in [0, dim).
+    The support is an ordered list of ``s`` distinct integer indices in [0, dim).
     """
-    idx = [int(s) for s in support]
+    idx = list(support)
+    if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in idx):
+        raise IndexOutOfRange(f"support indices must be integers, got {idx}")
     if len(set(idx)) != len(idx):
         raise IndexOutOfRange(f"support indices must be distinct, got {idx}")
     if any(s < 0 or s >= dim for s in idx):
@@ -43,10 +46,23 @@ def fourier_local_state(dim: int, support, m: int, omega: complex) -> np.ndarray
     return v / np.sqrt(len(idx))
 
 
+def _tile_basis(dims, rows, family: Family) -> ProductBasis:
+    """One state per row ``(label, a_support, a_m, b_support, b_m, omega)``, in row order."""
+    d_a, d_b = dims
+    return ProductBasis._from_rows(
+        dims,
+        [fourier_local_state(d_a, sa, ma, w) for _, sa, ma, _, _, w in rows],
+        [fourier_local_state(d_b, sb, mb, w) for _, _, _, sb, mb, w in rows],
+        [row[0] for row in rows],
+        [frozenset((c, r) for c in sa for r in sb) for _, sa, _, sb, _, _ in rows],
+        family=family,
+    )
+
+
 def gen_tiles1(n: int) -> ProductBasis:
     """First tile family on C^n (x) C^n for even n >= 4; (n-1)^2 states.
 
-    Vertical states |k> (x) |w_{m,k+1}|, horizontal states |w_{m,k}> (x) |k>
+    Vertical states |k> (x) |w_{m,k+1}>, horizontal states |w_{m,k}> (x) |k>
     and one uniform stopper, where |w_{m,k}> puts phases omega^(jm) with
     omega = exp(4*pi*i/n) on the indices k..k+n/2-1 (mod n).  A vertical
     state occupies column k, rows k+1..k+n/2 (mod n); a horizontal state row
@@ -56,31 +72,12 @@ def gen_tiles1(n: int) -> ProductBasis:
         raise InvalidDimension(f"gen_tiles1 requires even n >= 4, got n={n}")
     omega = np.exp(4j * np.pi / n)
     half = n // 2
-    states = []  # (a, b, label, tile cells) per state
-    for m in range(1, half):
-        for k in range(n):
-            support = tuple((j + k + 1) % n for j in range(half))
-            states.append((
-                basis_vector(n, k),
-                fourier_local_state(n, support, m, omega),
-                f"V[{m},{k}]",
-                frozenset((k, r) for r in support),
-            ))
-    for m in range(1, half):
-        for k in range(n):
-            support = tuple((j + k) % n for j in range(half))
-            states.append((
-                fourier_local_state(n, support, m, omega),
-                basis_vector(n, k),
-                f"H[{m},{k}]",
-                frozenset((c, k) for c in support),
-            ))
-    uniform = fourier_local_state(n, range(n), 0, 1.0)
-    states.append((
-        uniform, uniform, "F",
-        frozenset((c, r) for c in range(n) for r in range(n)),
-    ))
-    return ProductBasis._from_rows((n, n), *zip(*states), family=Family.GENTILES1)
+    rows = [(f"V[{m},{k}]", (k,), 0, [(k + 1 + j) % n for j in range(half)], m, omega)
+            for m in range(1, half) for k in range(n)]
+    rows += [(f"H[{m},{k}]", [(k + j) % n for j in range(half)], m, (k,), 0, omega)
+             for m in range(1, half) for k in range(n)]
+    rows.append(("F", range(n), 0, range(n), 0, 1.0))
+    return _tile_basis((n, n), rows, Family.GENTILES1)
 
 
 def gen_tiles2(m: int, n: int) -> ProductBasis:
@@ -94,31 +91,12 @@ def gen_tiles2(m: int, n: int) -> ProductBasis:
     """
     if m < 3 or n <= 3 or n < m:
         raise InvalidDimension(f"gen_tiles2 requires n > 3, m >= 3 and n >= m, got m={m}, n={n}")
-    states = []  # (a, b, label, tile cells) per state
-    for j in range(m):
-        states.append((
-            fourier_local_state(m, (j, (j + 1) % m), 1, -1.0),
-            basis_vector(n, j),
-            f"S[{j}]",
-            frozenset({(j, j), ((j + 1) % m, j)}),
-        ))
     omega = np.exp(2j * np.pi / (n - 2))
-    for j in range(m):
-        support = tuple((i + j + 1) % m for i in range(m - 2)) + tuple(i + 2 for i in range(m - 2, n - 2))
-        for k in range(1, n - 2):
-            states.append((
-                basis_vector(m, j),
-                fourier_local_state(n, support, k, omega),
-                f"L[{j},{k}]",
-                frozenset((j, r) for r in support),
-            ))
-    states.append((
-        fourier_local_state(m, range(m), 0, 1.0),
-        fourier_local_state(n, range(n), 0, 1.0),
-        "F",
-        frozenset((c, r) for c in range(m) for r in range(n)),
-    ))
-    return ProductBasis._from_rows((m, n), *zip(*states), family=Family.GENTILES2)
+    rows = [(f"S[{j}]", (j, (j + 1) % m), 1, (j,), 0, -1.0) for j in range(m)]
+    long_support = [[(i + j + 1) % m for i in range(m - 2)] + list(range(m, n)) for j in range(m)]
+    rows += [(f"L[{j},{k}]", (j,), 0, long_support[j], k, omega) for j in range(m) for k in range(1, n - 2)]
+    rows.append(("F", range(m), 0, range(n), 0, 1.0))
+    return _tile_basis((m, n), rows, Family.GENTILES2)
 
 
 def cartesian_basis(d_a: int, d_b: int) -> ProductBasis:

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from prodbasis.basis import Family, ProductBasis
 from prodbasis.errors import DimensionMismatch, IndexOutOfRange, InvalidDimension
 from prodbasis.families import (
     cartesian_basis,
@@ -10,7 +13,9 @@ from prodbasis.families import (
     gen_tiles2,
     swap_shift_basis,
 )
+from prodbasis.linalg import basis_vector
 from prodbasis.verify import basis_set_equal_up_to_phase, gram_matrix
+from test_winding import domino_basis
 
 
 def brute_force_set_equal(b1, b2, tol=1e-9):
@@ -105,6 +110,11 @@ def test_fourier_local_state_rejects_bad_support():
         fourier_local_state(4, (1, 1), 0, 1.0)
     with pytest.raises(IndexOutOfRange):
         fourier_local_state(4, (1, 4), 0, 1.0)
+    # non-integer indices are rejected, not truncated or read as 0/1
+    with pytest.raises(IndexOutOfRange):
+        fourier_local_state(4, (0.5, 1.7), 1, -1.0)
+    with pytest.raises(IndexOutOfRange):
+        fourier_local_state(4, (True, 2), 1, -1.0)
 
 
 @pytest.mark.parametrize("make", [
@@ -112,11 +122,105 @@ def test_fourier_local_state_rejects_bad_support():
     lambda: gen_tiles1(6),
     lambda: gen_tiles2(3, 4),
     lambda: gen_tiles2(4, 6),
+    lambda: gen_tiles1(8),
+    lambda: gen_tiles2(5, 8),
+    domino_basis,
 ])
 def test_tile_cells_match_amplitude_support(make):
     basis = make()
     for st in basis:
         assert st.tile_cells == support_cells(st)
+
+
+def reference_gen_tiles1(n):
+    """Reference first tile family from explicit per-state loops, apart from the tile-row builder."""
+    omega = np.exp(4j * np.pi / n)
+    half = n // 2
+    states = []  # (a, b, label, tile cells) per state
+    for m in range(1, half):
+        for k in range(n):
+            support = tuple((j + k + 1) % n for j in range(half))
+            states.append((
+                basis_vector(n, k),
+                fourier_local_state(n, support, m, omega),
+                f"V[{m},{k}]",
+                frozenset((k, r) for r in support),
+            ))
+    for m in range(1, half):
+        for k in range(n):
+            support = tuple((j + k) % n for j in range(half))
+            states.append((
+                fourier_local_state(n, support, m, omega),
+                basis_vector(n, k),
+                f"H[{m},{k}]",
+                frozenset((c, k) for c in support),
+            ))
+    uniform = fourier_local_state(n, range(n), 0, 1.0)
+    states.append((
+        uniform, uniform, "F",
+        frozenset((c, r) for c in range(n) for r in range(n)),
+    ))
+    return ProductBasis._from_rows((n, n), *zip(*states), family=Family.GENTILES1)
+
+
+def reference_gen_tiles2(m, n):
+    """Reference second tile family from explicit per-state loops, apart from the tile-row builder."""
+    states = []  # (a, b, label, tile cells) per state
+    for j in range(m):
+        states.append((
+            fourier_local_state(m, (j, (j + 1) % m), 1, -1.0),
+            basis_vector(n, j),
+            f"S[{j}]",
+            frozenset({(j, j), ((j + 1) % m, j)}),
+        ))
+    omega = np.exp(2j * np.pi / (n - 2))
+    for j in range(m):
+        support = tuple((i + j + 1) % m for i in range(m - 2)) + tuple(i + 2 for i in range(m - 2, n - 2))
+        for k in range(1, n - 2):
+            states.append((
+                basis_vector(m, j),
+                fourier_local_state(n, support, k, omega),
+                f"L[{j},{k}]",
+                frozenset((j, r) for r in support),
+            ))
+    states.append((
+        fourier_local_state(m, range(m), 0, 1.0),
+        fourier_local_state(n, range(n), 0, 1.0),
+        "F",
+        frozenset((c, r) for c in range(m) for r in range(n)),
+    ))
+    return ProductBasis._from_rows((m, n), *zip(*states), family=Family.GENTILES2)
+
+
+def test_tile_rows_reproduce_reference_bits():
+    pairs = [(gen_tiles1(n), reference_gen_tiles1(n)) for n in range(4, 21, 2)]
+    pairs += [(gen_tiles2(m, n), reference_gen_tiles2(m, n))
+              for m in range(3, 9) for n in range(max(m, 4), 21)]
+    for built, ref in pairs:
+        assert built.a_matrix().tobytes() == ref.a_matrix().tobytes()
+        assert built.b_matrix().tobytes() == ref.b_matrix().tobytes()
+        assert built.labels == ref.labels
+        assert built.tile_cells == ref.tile_cells
+        assert built.family == ref.family
+
+
+@pytest.mark.parametrize("make,missing",
+                         [(lambda n=n: gen_tiles1(n), 1) for n in range(4, 13, 2)]
+                         + [(lambda m=m, n=n: gen_tiles2(m, n), 1)
+                            for m in range(3, 7) for n in range(max(m, 4), 11)]
+                         + [(domino_basis, 0)])
+def test_tiles_partition_the_grid(make, missing):
+    # The tiles other than the whole-grid stopper partition the grid.  A tile
+    # family leaves one state out of each tile (a tile of s cells carries
+    # s - 1 states) and adds one stopper; the complete domino basis does neither.
+    basis = make()
+    grid = frozenset((c, r) for c in range(basis.d_a) for r in range(basis.d_b))
+    per_tile = Counter(basis.tile_cells)
+    stoppers = per_tile.pop(grid, 0)
+    assert sum(len(tile) for tile in per_tile) == len(grid)
+    assert frozenset().union(*per_tile) == grid
+    assert all(k == len(tile) - missing for tile, k in per_tile.items())
+    assert stoppers == missing
 
 
 def test_cartesian_carries_no_tile_metadata():

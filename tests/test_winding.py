@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from prodbasis import cli, winding
-from prodbasis.basis import ProductBasis, ProductState
+from prodbasis.basis import Family, ProductBasis, ProductState
 from prodbasis.config import TOLERANCES
 from prodbasis.errors import IncompleteBasis, InvalidSplit, NonOrthonormalInput, WindingInvariantError
-from prodbasis.families import cartesian_basis, gen_tiles1
+from prodbasis.families import _tile_basis, cartesian_basis, gen_tiles1
 from prodbasis.io import save_basis
 from prodbasis.sampling import haar_unitary, stream
 from prodbasis.verify import check_orthonormal
@@ -170,18 +170,17 @@ def test_enumerate_splits_wound_basis():
 
 
 def domino_basis():
-    """Complete 3x3 product basis whose ray graphs are connected on both sides."""
-    e = [np.eye(3, dtype=complex)[:, i] for i in range(3)]
-    plus = lambda i, j: (e[i] + e[j]) / np.sqrt(2)
-    minus = lambda i, j: (e[i] - e[j]) / np.sqrt(2)
-    pairs = [
-        (e[1], e[1]),
-        (e[0], plus(0, 1)), (e[0], minus(0, 1)),
-        (e[2], plus(1, 2)), (e[2], minus(1, 2)),
-        (plus(1, 2), e[0]), (minus(1, 2), e[0]),
-        (plus(0, 1), e[2]), (minus(0, 1), e[2]),
-    ]
-    return ProductBasis(3, 3, tuple(ProductState(a, b) for a, b in pairs))
+    """Complete 3x3 product basis whose ray graphs are connected on both sides.
+
+    The centre cell and four two-cell dominoes around it, each domino
+    carrying the sum and the difference of its two cells (Bennett et al.,
+    PRA 59, 1070 (1999)).
+    """
+    dominoes = [((0,), (0, 1)), ((2,), (1, 2)), ((1, 2), (0,)), ((0, 1), (2,))]
+    # a one-cell side is uniform at any frequency, so f can go on both sides
+    rows = [("C", (1,), 0, (1,), 0, -1.0)]
+    rows += [(f"D[{t},{f}]", a, f, b, f, -1.0) for t, (a, b) in enumerate(dominoes) for f in (0, 1)]
+    return _tile_basis((3, 3), rows, Family.CUSTOM)
 
 
 def test_enumerate_splits_fully_connected_graphs():
