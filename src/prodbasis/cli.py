@@ -134,6 +134,7 @@ def cmd_verify(args) -> int:
                                                      "b": complex_to_json(witness.b)},
             "restarts_used": report.restarts_used,
             "iterations_total": report.iterations_total,
+            "capped_restarts": report.capped_restarts,   # json only; the text report leaves it out
             "seed": report.seed,
         },
         "config": {"restarts": args.restarts, "seed": seed, "eta": args.eta, "tol": args.tol},
@@ -194,6 +195,7 @@ def cmd_boundent(args) -> int:
             "verdict": range_report.verdict.value,
             "range_rank": range_report.range_rank,
             "max_product_overlap": range_report.max_product_overlap,
+            "capped_restarts": range_report.capped_restarts,
         },
         "seed": seed,
     }

@@ -16,7 +16,7 @@ class InvalidDimension(ProductBasisError):
 
 
 class IndexOutOfRange(ProductBasisError):
-    """A support index is repeated or falls outside [0, dim)."""
+    """A support index is repeated or falls outside [0, dim), or an index or frequency is not an integer."""
 
 
 class NonOrthonormalInput(ProductBasisError):
@@ -37,8 +37,9 @@ class InvalidProjector(ProductBasisError):
 class NonMonotoneSeesaw(ProductBasisError):
     """A see-saw half step lowered the objective beyond rounding slack.
 
-    Each half step is an exact partial maximization, so this signals a
-    broken contraction or eigensolver, not a property of the input.
+    Each half step takes power steps on a positive semidefinite operator,
+    which never lower the objective, so this signals a broken contraction
+    or power step, not a property of the input.
     """
 
 

@@ -26,13 +26,23 @@ __all__ = [
 ]
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def fourier_local_state(dim: int, support, m: int, omega: complex) -> np.ndarray:
     """Unit vector with amplitude omega^(j*m)/sqrt(s) at support[j], zero elsewhere.
 
     The support is an ordered list of ``s`` distinct integer indices in [0, dim).
+    A ``dim`` that is not a positive integer raises :class:`InvalidDimension`,
+    a frequency ``m`` that is not an integer :class:`IndexOutOfRange`.
     """
+    if not _is_integer(dim) or dim < 1:
+        raise InvalidDimension(f"dim must be a positive integer, got {dim!r}")
+    if not _is_integer(m):
+        raise IndexOutOfRange(f"frequency must be an integer, got {m!r}")
     idx = list(support)
-    if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in idx):
+    if not all(_is_integer(s) for s in idx):
         raise IndexOutOfRange(f"support indices must be integers, got {idx}")
     if len(set(idx)) != len(idx):
         raise IndexOutOfRange(f"support indices must be distinct, got {idx}")

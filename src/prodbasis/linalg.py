@@ -8,20 +8,16 @@ stack.  The functions here are thin wrappers over numpy/LAPACK routines;
 ``kron``, ``partial_transpose`` and ``top_eigenvector`` check the shapes
 they are given.  All are pure and safe to invoke concurrently.
 
-``top_eigenvector`` is the one place that calls LAPACK directly.  It calls
-``eigh_lo`` from numpy's private ``numpy.linalg._umath_linalg``, the
-generalized ufunc (LAPACK ``zheevd``) that ``np.linalg.eigh`` dispatches
-to, under the ``errstate`` that ``np.linalg.eigh`` sets, so the bits are
-the same and non-convergence still raises ``LinAlgError``.  The see-saw
-solves two small stacks per pass, and on 2x2 and 2x3 operators the Python
-of ``np.linalg.eigh`` around that call cost about 5% of each solve.
+``top_eigenvector`` solves with ``np.linalg.eigh`` (LAPACK ``zheevd``).  The
+see-saw does not call it: it takes power steps on its contracted operators
+(:mod:`prodbasis.verify`), and borrows only ``_row_norms`` and
+``_canonical_phase`` from here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
 from .errors import DimensionMismatch
 
@@ -103,10 +99,6 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-def _eigh_failed(err, flag):
-    raise LinAlgError("Eigenvalues did not converge or are not finite")
-
-
 def top_eigenvector(m: np.ndarray):
     """Largest eigenvalue and a deterministically chosen top eigenvector.
 
@@ -129,26 +121,13 @@ def top_eigenvector(m: np.ndarray):
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise DimensionMismatch(f"top_eigenvector needs a (d, d) operator or an (n, d, d) stack with d >= 1, got shape {m.shape}")
     stack = m if m.ndim == 3 else m[None]
-    # np.linalg.eigh's errstate.  Inside it, the NaN that an infinite entry
-    # or top eigenvalue makes raises LinAlgError, not a RuntimeWarning.
-    with np.errstate(call=_eigh_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        w, v = _eigh_lo(hermitian_part(stack), signature="D->dD")
-        top = w[:, -1]
-        lead = v[:, 0, -1]
-        # top - top is 0 for a finite top eigenvalue, raises for an infinite
-        # one (inf - inf is invalid) and is NaN for a NaN one
-        lead_mag = np.abs(lead) + (top - top)
-    # Fast path: the first entry leads in every row, and |v_0| / v_0 gives
-    # the bits of _canonical_phase.  NaN fails the test, so a row with a NaN
-    # lead entry or top eigenvalue takes the general branch, which checks
-    # the eigenpairs.
-    if lead_mag.min(initial=np.inf) > _PHASE_TOL:
-        vecs = v[:, :, -1] * (lead_mag / lead)[:, None]
-    else:
-        vecs = v[:, :, -1]
-        if not (np.isfinite(top).all() and np.isfinite(vecs).all()):
-            raise LinAlgError("top eigenpair is not finite")
-        vecs = _canonical_phase(vecs)
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite part fails the check below
+        h = hermitian_part(stack)
+    w, v = np.linalg.eigh(h)
+    top = w[:, -1]
+    if not (np.isfinite(top).all() and np.isfinite(v[:, :, -1]).all()):
+        raise LinAlgError("top eigenpair is not finite")
+    vecs = _canonical_phase(v[:, :, -1])
     if w.shape[1] > 1:
         for r in (w[:, -2] >= top - _TIE_TOL).nonzero()[0]:
             candidates = _canonical_phase(v[r][:, w[r] >= top[r] - _TIE_TOL].T)

@@ -3,7 +3,8 @@
 Covers orthonormality and rank checks, the complement projector, and the
 numerical unextendibility test: a seeded see-saw maximization of the product
 overlap with the complement, which advances every restart together through
-one factorization of the operator, cross-checked at small dimensions by a
+one factorization of the operator by power steps, with no eigensolver in
+the loop, cross-checked at small dimensions by a
 brute-force grid oracle that never iterates the see-saw path.  The oracle
 prunes in two stages.  It bounds each grid state's top eigenvalue by its
 trace and Frobenius norm (Wolkowicz-Styan) and keeps the states whose bound
@@ -34,7 +35,7 @@ from .errors import (
     NonMonotoneSeesaw,
     NonOrthonormalInput,
 )
-from .linalg import dagger, hermitian_part, top_eigenvector
+from .linalg import _canonical_phase, _row_norms, dagger, hermitian_part
 from .sampling import starting_pairs
 
 __all__ = [
@@ -165,6 +166,11 @@ _SEESAW_SLACK = 1e-12
 # caller sets them; the certification margin is Tolerances.upb_margin.
 _SEESAW_STOP = 1e-12
 _SEESAW_MAX_ITERATIONS = 10_000
+# Power steps per half step, local for the same reason.  More steps mean
+# fewer iterations but more matmuls in each; of 2, 4 and 8, 4 was fastest
+# over both see-saw benchmark workloads (2 lost on the tile families, 8 on
+# the 2 x 2 and 2 x 3 operators).
+_POWER_STEPS = 4
 
 
 def _contract(x: np.ndarray, f_x: np.ndarray, d_out: int) -> np.ndarray:
@@ -181,6 +187,21 @@ def _half_step_operators(x: np.ndarray, f_x: np.ndarray, s: np.ndarray, d_out: i
     """Stack of <x|Q|x> = X diag(s) X^dag over the other side, one per row of ``x``."""
     y = _contract(x, f_x, d_out)
     return (y * s) @ dagger(y)
+
+
+def _power_steps(m: np.ndarray, x: np.ndarray):
+    """``_POWER_STEPS`` steps x <- Mx/||Mx|| on each row, then the values <x|M|x>.
+
+    ``m`` is a stack of positive semidefinite operators and ``x`` the unit
+    vectors they act on, one per row, so no step lowers <x|M|x>.  A row
+    with ||Mx|| = 0 keeps its vector, and its value is 0.  Each step is one
+    batched matmul, so a row's result does not depend on the other rows.
+    """
+    for _ in range(_POWER_STEPS):
+        y = (m @ x[:, :, None])[:, :, 0]
+        norm = _row_norms(y)[:, None]
+        x = np.divide(y, norm, out=x.copy(), where=norm > 0)
+    return np.vecdot(x, (m @ x[:, :, None])[:, :, 0]).real, x
 
 
 def _require_ascent(before: np.ndarray, half: np.ndarray, after: np.ndarray) -> None:
@@ -203,25 +224,32 @@ def seesaw_max_product_overlap(
     *,
     tol: Tolerances | None = None,
 ) -> SeesawResult:
-    """Maximize <a (x) b|Q|a (x) b> by alternating top-eigenvector steps.
+    """Maximize <a (x) b|Q|a (x) b> by alternating power steps.
 
-    With ``b`` fixed, the optimal ``a`` is the top eigenvector of the
-    contracted dA x dA operator, and symmetrically for ``b``; each half step
-    is an exact partial maximization, so the objective never decreases
-    (checked once per pass, over both half steps: a drop beyond 1e-12
-    raises :class:`NonMonotoneSeesaw`, naming the largest drop).
+    With ``b`` fixed, the objective is <a|M|a> for the contracted dA x dA
+    operator M = <b|Q|b>, which is positive semidefinite, and symmetrically
+    for ``a``.  Each half step takes 4 power steps a <- Ma/||Ma||
+    (``_POWER_STEPS``) from the restart's current vector, and its value is
+    the final Rayleigh quotient <a|M|a>.  A power step on a positive
+    semidefinite operator never lowers the Rayleigh quotient, so the
+    objective never decreases (checked once per pass, over both half steps:
+    a drop beyond 1e-12 raises :class:`NonMonotoneSeesaw`, naming the
+    largest drop), and the stationary points are those of exact partial
+    maximization: the higher-order power method of De Lathauwer, De Moor
+    and Vandewalle, SIAM J. Matrix Anal. Appl. 21, 1324 (2000).  A row
+    with Ma = 0 keeps its vector, with value 0.  No eigensolver runs.
 
     Q is factored once, from the eigendecomposition that checks its
     spectrum, as F diag(s) F^dag over the eigenpairs above the numerical
     rank cut D*eps*max|w|; each contracted operator is then X diag(s) X^dag
     with X of size dA x k or dB x k.  All restarts advance together: each
-    half step is one stacked contraction and one stacked
-    :func:`top_eigenvector` over the restarts still active, and a restart
-    leaves the active set once one iteration improves it by less than
-    1e-12 (``_SEESAW_STOP``), or after 10 000 iterations
+    half step is one stacked contraction and one batched matmul per power
+    step over the restarts still active, and a restart leaves the active
+    set once one iteration improves it by less than 1e-12
+    (``_SEESAW_STOP``), or after 10 000 iterations
     (``_SEESAW_MAX_ITERATIONS``); ``capped_restarts`` counts the restarts
     the cap stopped.  The active restarts' vectors and values live in
-    compact working arrays, so a stopped restart is never solved again.
+    compact working arrays, so a stopped restart is never stepped again.
 
     Restart ``r`` starts from a rotation-invariant pair drawn from the
     counter-seeded stream ``stream(seed, r)``.  One bit generator, re-keyed
@@ -230,7 +258,9 @@ def seesaw_max_product_overlap(
     not depend on which other restarts share its batch.  The witness comes
     from the lowest-index restart whose value is within 1e-12 of the best,
     so rounding noise among restarts that reach the same optimum does not
-    pick it, and the outcome does not depend on execution order.
+    pick it, and the outcome does not depend on execution order.  Its two
+    factors get a canonical global phase: the first entry above 1e-12 in
+    modulus is real and positive.
     """
     tol = TOLERANCES if tol is None else tol
     _, w, v = _check_operator_interval(q, d_a, d_b, tol.operator_interval)
@@ -246,7 +276,7 @@ def _seesaw(f, s, d_a, d_b, restarts, seed) -> SeesawResult:
     projector by construction.
 
     Row ``i`` of the working arrays ``a_w``, ``b_w`` and ``value_w`` is
-    restart ``rows[i]``.  A pass solves every working row, checks the
+    restart ``rows[i]``.  A pass steps every working row, checks the
     ascent of both half steps in one test, and compacts the arrays only
     when some restart stops; the stopped rows are first written back to
     ``a``, ``b`` and ``value``.  The rows still active at the iteration
@@ -268,8 +298,8 @@ def _seesaw(f, s, d_a, d_b, restarts, seed) -> SeesawResult:
     a_w, b_w, value_w = a, b, value
     iterations_total = 0
     for _ in range(_SEESAW_MAX_ITERATIONS):
-        half, a_w = top_eigenvector(_half_step_operators(b_w, f_b, s, d_a))
-        new_value, b_w = top_eigenvector(_half_step_operators(a_w, f_a, s, d_b))
+        half, a_w = _power_steps(_half_step_operators(b_w, f_b, s, d_a), a_w)
+        new_value, b_w = _power_steps(_half_step_operators(a_w, f_a, s, d_b), b_w)
         _require_ascent(value_w, half, new_value)
         iterations_total += rows.size
         stopped = new_value - value_w < _SEESAW_STOP     # a NaN improvement stops nothing
@@ -286,7 +316,7 @@ def _seesaw(f, s, d_a, d_b, restarts, seed) -> SeesawResult:
     best = int(np.argmax(value >= np.max(value) - _SEESAW_SLACK))
     return SeesawResult(
         value=float(value[best]),
-        witness=ProductState(a[best], b[best], label="witness"),
+        witness=ProductState(_canonical_phase(a[best]), _canonical_phase(b[best]), label="witness"),
         restarts_used=restarts,
         iterations_total=iterations_total,
         capped_restarts=int(rows.size),

@@ -188,6 +188,7 @@ def two_seesaw_boundent(path, seed, out) -> int:
             "verdict": range_report.verdict.value,
             "range_rank": range_report.range_rank,
             "max_product_overlap": range_report.max_product_overlap,
+            "capped_restarts": range_report.capped_restarts,
         },
         "seed": seed,
     }

@@ -117,6 +117,25 @@ def test_fourier_local_state_rejects_bad_support():
         fourier_local_state(4, (True, 2), 1, -1.0)
 
 
+@pytest.mark.parametrize("m", [0.5, 1.0, True, "1", None, 1 + 0j])
+def test_fourier_local_state_rejects_a_non_integer_frequency(m):
+    # 0.5 used to give a half-power phase, none of the s Fourier vectors
+    with pytest.raises(IndexOutOfRange, match="frequency must be an integer"):
+        fourier_local_state(4, (0, 1), m, -1.0)
+
+
+@pytest.mark.parametrize("dim", [2.5, 4.0, True, 0, -3, "4", None])
+def test_fourier_local_state_rejects_a_bad_dimension(dim):
+    # 2.5 used to leak numpy's bare TypeError
+    with pytest.raises(InvalidDimension, match="dim must be a positive integer"):
+        fourier_local_state(dim, (0, 1), 1, -1.0)
+
+
+def test_fourier_local_state_takes_numpy_integers():
+    v = fourier_local_state(np.int64(4), (np.int64(1), 2), np.int32(1), -1.0)
+    assert v.tobytes() == fourier_local_state(4, (1, 2), 1, -1.0).tobytes()
+
+
 @pytest.mark.parametrize("make", [
     lambda: gen_tiles1(4),
     lambda: gen_tiles1(6),

@@ -153,17 +153,17 @@ def test_cli_wind_rounding_drift_is_an_error_line(tmp_path, capsys):
 
 
 def test_cli_verify_eta_sets_the_upb_margin(tmp_path, capsys):
-    # g1(6) with 20 restarts, seed 0 reaches 0.978491148793759: below 1 - 1e-3, not below 1 - 0.05
+    # g1(6) with 20 restarts, seed 0 reaches 0.9784911487937616: below 1 - 1e-3, not below 1 - 0.05
     path = tmp_path / "g1.json"
     save_basis(gen_tiles1(6), path)
     args = ["verify", str(path), "--restarts", "20", "--seed", "0"]
     code, stdout, _ = run_cli(args, capsys)
     assert code == 0
-    assert "max_product_overlap: 0.978491148793759\n" in stdout
+    assert "max_product_overlap: 0.9784911487937616\n" in stdout
     assert stdout.endswith("verdict: UPB_Numeric\n")
     code, stdout, _ = run_cli(args + ["--eta", "0.05"], capsys)
     assert code == 4
-    assert "max_product_overlap: 0.978491148793759\n" in stdout
+    assert "max_product_overlap: 0.9784911487937616\n" in stdout
     assert stdout.endswith("verdict: Inconclusive\n")
     code, stdout, _ = run_cli(args + ["--eta", "0.05", "--format", "json"], capsys)
     assert json.loads(stdout)["config"]["eta"] == 0.05
@@ -243,6 +243,13 @@ def test_cli_boundent(tmp_path, capsys):
     assert code == 5
 
 
+def json_capped_restarts(argv, capsys):
+    """``capped_restarts`` of the JSON report of a verify or boundent run."""
+    if argv[0] == "verify":
+        return json.loads(run_cli(argv + ["--format", "json"], capsys)[1])["report"]["capped_restarts"]
+    return json.loads(run_cli(argv, capsys)[1])["range_criterion"]["capped_restarts"]
+
+
 @pytest.mark.parametrize("command", ["verify", "boundent"])
 def test_cli_warns_on_stderr_when_restarts_hit_the_iteration_cap(tmp_path, capsys, monkeypatch, command):
     path = tmp_path / "g1.json"
@@ -262,15 +269,20 @@ def test_cli_warns_on_stderr_when_restarts_hit_the_iteration_cap(tmp_path, capsy
     # the same capped run with the warning suppressed
     monkeypatch.setattr(cli, "_warn_capped", lambda capped, restarts: None)
     assert run_cli(argv, capsys)[:2] == (code, stdout)
+    # the JSON reports carry the count; the text report of verify does not
+    assert json_capped_restarts(argv, capsys) == capped
+    assert "capped" not in stdout or command == "boundent"
 
 
 @pytest.mark.parametrize("command", ["verify", "boundent"])
 def test_cli_uncapped_run_prints_no_warning(tmp_path, capsys, command):
     path = tmp_path / "g1.json"
     save_basis(gen_tiles1(4), path)
-    code, stdout, stderr = run_cli([command, str(path), "--restarts", "20", "--seed", "3"], capsys)
+    argv = [command, str(path), "--restarts", "20", "--seed", "3"]
+    code, stdout, stderr = run_cli(argv, capsys)
     assert code == 0 and stdout
     assert stderr == ""
+    assert json_capped_restarts(argv, capsys) == 0
 
 
 def test_cli_wind_unwind_round_trip(tmp_path, capsys):

@@ -1,15 +1,16 @@
-"""The batched see-saw engine against reference loops.
+"""The batched power-step see-saw engine against reference loops.
 
-Two references: a one-restart-at-a-time loop over the dense operator, which
-pins values and witnesses up to rounding, and the batched loop that gathered
-and scattered the active rows on every pass, kept verbatim with its
-``top_eigenvector``, which pins the compact-active-set engine bit for bit.
+Two references: a one-restart-at-a-time loop over the dense operator that
+solves each half step with ``top_eigenvector``, which pins values and
+witnesses up to rounding, and a one-restart-at-a-time power-step loop on
+the factor of the operator, which pins the batched engine bit for bit.
 """
 
 import itertools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodbasis import verify
+from prodbasis import cli, verify
 from prodbasis.basis import ProductState
 from prodbasis.boundent import range_criterion_report, upb_density_state
 from prodbasis.config import TOLERANCES
 from prodbasis.errors import NonMonotoneSeesaw
 from prodbasis.families import gen_tiles1, gen_tiles2
+from prodbasis.io import save_basis
 from prodbasis.linalg import dagger, hermitian_part, top_eigenvector
-from prodbasis.sampling import haar_unitary, random_unit_vector, starting_pairs, stream
+from prodbasis.sampling import haar_unitary, random_unit_vector, stream
 from prodbasis.verify import SeesawResult, complement_projector, seesaw_max_product_overlap
 
 TIE_TOL = 1e-12
@@ -123,11 +125,12 @@ def test_engine_matches_reference_loop(case):
 def test_engine_matches_reference_loop_on_tiles(make):
     basis = make()
     q = complement_projector(basis)
-    value, a, b, iterations, _ = reference_seesaw(q, basis.d_a, basis.d_b, restarts=30, seed=5)
+    value, a, b, _, _ = reference_seesaw(q, basis.d_a, basis.d_b, restarts=30, seed=5)
     res = seesaw_max_product_overlap(q, basis.d_a, basis.d_b, restarts=30, seed=5)
     assert abs(res.value - value) <= 1e-12
     assert abs(np.vdot(a, res.witness.a) * np.vdot(b, res.witness.b)) ** 2 >= 1.0 - 1e-9
-    assert abs(res.iterations_total - iterations) <= 1
+    want = reference_power_seesaw(*verify_factor(q, basis.d_a, basis.d_b), basis.d_a, basis.d_b, 30, 5)
+    assert res.iterations_total == want.iterations_total
 
 
 def test_capped_restarts_counts_restarts_stopped_by_the_cap(monkeypatch):
@@ -184,8 +187,15 @@ def test_half_step_operators_are_row_independent(d_x, d_out, k):
     s = rng.uniform(0.1, 1.0, k)
     x = rng.standard_normal((40, d_x)) + 1j * rng.standard_normal((40, d_x))
     batch = verify._half_step_operators(x, f_x, s, d_out)
+    v = rng.standard_normal((40, d_out)) + 1j * rng.standard_normal((40, d_out))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    values, vectors = verify._power_steps(batch, v)
     for i in range(len(x)):
         assert np.array_equal(verify._half_step_operators(x[i:i + 1], f_x, s, d_out)[0], batch[i])
+        value, vector = verify._power_steps(batch[i:i + 1], v[i:i + 1])
+        want_value, want_vector = reference_power_steps(batch[i], v[i])
+        assert value[0] == values[i] == want_value
+        assert vector[0].tobytes() == vectors[i].tobytes() == want_vector.tobytes()
 
 
 @pytest.mark.parametrize("make,dims,seed", [
@@ -207,11 +217,12 @@ def test_witness_prefix_consistency(make, dims, seed):
         assert np.array_equal(res.witness.b, full.witness.b)
 
 
-# --- the gather-and-scatter engine, kept verbatim as the bit-for-bit reference
+# --- the power-step see-saw, one restart at a time, as the bit-for-bit reference
 
 _PHASE_TOL = 1e-12
 _SEESAW_SLACK = 1e-12
 _SEESAW_STOP = 1e-12
+_POWER_STEPS = 4
 
 
 def reference_canonical_phase(v):
@@ -243,54 +254,55 @@ def reference_top_eigenvector(m):
     return float(top[0]), vecs[0]
 
 
-def _reference_contract(x, f_x, d_out):
-    return (x.conj()[:, None, :] @ f_x).reshape(len(x), d_out, -1)
+def reference_power_steps(m, x):
+    """Power steps x <- Mx/|Mx| on one 2-D operator, then <x|M|x>; x stays where Mx = 0."""
+    for _ in range(_POWER_STEPS):
+        y = m @ x
+        norm = np.linalg.norm(y)
+        if norm > 0:
+            x = y / norm
+    return np.vdot(x, m @ x).real, x
 
 
-def _reference_half_step_operators(x, f_x, s, d_out):
-    y = _reference_contract(x, f_x, d_out)
-    return (y * s) @ dagger(y)
-
-
-def _reference_require_ascent(new, old):
-    drop = old - new
-    if np.any(drop > _SEESAW_SLACK):
-        raise NonMonotoneSeesaw(f"see-saw objective decreased by {float(np.max(drop)):.3e}")
-
-
-def reference_engine(f, s, d_a, d_b, restarts, seed, max_iterations=10_000):
-    """``verify._seesaw`` as it gathered ``b[active]`` and scattered three arrays every pass."""
+def reference_power_seesaw(f, s, d_a, d_b, restarts, seed, max_iterations=10_000):
+    """``verify._seesaw`` run one restart at a time, with 2-D operators and vectors."""
     f = f.reshape(d_a, d_b, s.size)
     f_a = f.reshape(d_a, d_b * s.size)
     f_b = f.transpose(1, 0, 2).reshape(d_b, d_a * s.size)
 
-    a, b = starting_pairs(seed, restarts, d_a, d_b)
-    z = (b.conj()[:, None, :] @ _reference_contract(a, f_a, d_b))[:, 0]
-    value = np.sum((z.real ** 2 + z.imag ** 2) * s, axis=-1)
+    def operator(x, f_x, d_out):
+        y = (x.conj() @ f_x).reshape(d_out, s.size)
+        return (y * s) @ y.conj().T
 
-    active = np.arange(restarts)
-    iterations_total = 0
-    for _ in range(max_iterations):
-        half, a_new = reference_top_eigenvector(_reference_half_step_operators(b[active], f_b, s, d_a))
-        _reference_require_ascent(half, value[active])
-        new_value, b_new = reference_top_eigenvector(_reference_half_step_operators(a_new, f_a, s, d_b))
-        _reference_require_ascent(new_value, half)
-        iterations_total += active.size
-        a[active] = a_new
-        b[active] = b_new
-        improvement = new_value - value[active]
-        value[active] = new_value
-        active = active[~(improvement < _SEESAW_STOP)]
-        if active.size == 0:
-            break
-
-    best = int(np.argmax(value >= np.max(value) - _SEESAW_SLACK))
+    finals = []
+    iterations_total = capped = 0
+    for r in range(restarts):
+        rng = stream(seed, r)
+        a = random_unit_vector(rng, d_a)
+        b = random_unit_vector(rng, d_b)
+        z = b.conj() @ (a.conj() @ f_a).reshape(d_b, s.size)
+        value = np.sum((z.real ** 2 + z.imag ** 2) * s)
+        for _ in range(max_iterations):
+            half, a = reference_power_steps(operator(b, f_b, d_a), a)
+            new_value, b = reference_power_steps(operator(a, f_a, d_b), b)
+            if max(value - half, half - new_value) > _SEESAW_SLACK:
+                raise NonMonotoneSeesaw("reference see-saw objective decreased")
+            iterations_total += 1
+            improvement = new_value - value
+            value = new_value
+            if improvement < _SEESAW_STOP:
+                break
+        else:
+            capped += 1
+        finals.append((value, a, b))
+    best = max(run[0] for run in finals)
+    value, a, b = next(run for run in finals if run[0] >= best - _SEESAW_SLACK)
     return SeesawResult(
-        value=float(value[best]),
-        witness=ProductState(a[best], b[best], label="witness"),
+        value=float(value),
+        witness=ProductState(reference_canonical_phase(a), reference_canonical_phase(b), label="witness"),
         restarts_used=restarts,
         iterations_total=iterations_total,
-        capped_restarts=int(active.size),
+        capped_restarts=capped,
     )
 
 
@@ -332,7 +344,7 @@ def test_engine_is_bit_identical_on_random_projectors(dims):
         f, s = verify_factor(q, *dims)
         for seed in (0, 1):
             got = seesaw_max_product_overlap(q, *dims, restarts=60, seed=seed)
-            assert_same_run(got, reference_engine(f, s, *dims, 60, seed))
+            assert_same_run(got, reference_power_seesaw(f, s, *dims, 60, seed))
 
 
 TILES = {
@@ -351,9 +363,9 @@ def test_engine_is_bit_identical_on_tile_factors(name):
     rho = upb_density_state(basis)
     for seed in (0, 3):
         got = seesaw_max_product_overlap(q, d_a, d_b, restarts=30, seed=seed)
-        assert_same_run(got, reference_engine(*verify_factor(q, d_a, d_b), d_a, d_b, 30, seed))
+        assert_same_run(got, reference_power_seesaw(*verify_factor(q, d_a, d_b), d_a, d_b, 30, seed))
         report = range_criterion_report(rho, restarts=30, seed=seed)
-        want = reference_engine(*range_factor(rho), d_a, d_b, 30, seed)
+        want = reference_power_seesaw(*range_factor(rho), d_a, d_b, 30, seed)
         assert report.max_product_overlap == want.value
         assert report.witness.a.tobytes() == want.witness.a.tobytes()
         assert report.witness.b.tobytes() == want.witness.b.tobytes()
@@ -368,7 +380,7 @@ def test_engine_is_bit_identical_at_the_iteration_cap(monkeypatch, cap):
     for q, d_a, d_b in cases:
         got = seesaw_max_product_overlap(q, d_a, d_b, restarts=20, seed=2)
         assert got.capped_restarts > 0
-        assert_same_run(got, reference_engine(*verify_factor(q, d_a, d_b), d_a, d_b, 20, 2, cap))
+        assert_same_run(got, reference_power_seesaw(*verify_factor(q, d_a, d_b), d_a, d_b, 20, 2, cap))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 10, 12])
@@ -384,19 +396,20 @@ def test_top_eigenvector_is_bit_identical(dim):
 
 
 @pytest.mark.parametrize("name", ["g1_4", "g2_3x4"])
-def test_eigensolver_rows_are_two_per_iteration(monkeypatch, name):
-    # no stopped restart reaches the eigensolver again
+def test_power_step_rows_are_two_per_iteration(monkeypatch, name):
+    # no stopped restart is stepped again
     rows = []
+    power_steps = verify._power_steps
 
-    def counted(m):
-        rows.append(len(m))
-        return top_eigenvector(m)
+    def counted(m, x):
+        rows.append(len(x))
+        return power_steps(m, x)
 
-    monkeypatch.setattr(verify, "top_eigenvector", counted)
+    monkeypatch.setattr(verify, "_power_steps", counted)
     basis = TILES[name]()
     q = complement_projector(basis)
     res = seesaw_max_product_overlap(q, basis.d_a, basis.d_b, restarts=40, seed=1)
-    want = reference_engine(*verify_factor(q, basis.d_a, basis.d_b), basis.d_a, basis.d_b, 40, 1)
+    want = reference_power_seesaw(*verify_factor(q, basis.d_a, basis.d_b), basis.d_a, basis.d_b, 40, 1)
     assert res.iterations_total == want.iterations_total
     assert sum(rows) == 2 * res.iterations_total
     rows.clear()
@@ -405,7 +418,59 @@ def test_eigensolver_rows_are_two_per_iteration(monkeypatch, name):
     rows.clear()
     monkeypatch.setattr(verify, "_SEESAW_MAX_ITERATIONS", 2)
     capped = seesaw_max_product_overlap(q, basis.d_a, basis.d_b, restarts=40, seed=1)
+    assert capped.capped_restarts > 0
     assert sum(rows) == 2 * capped.iterations_total
+
+
+def test_power_steps_keep_a_row_whose_image_is_zero():
+    # a zero operator, and a start orthogonal to a rank-1 operator's range:
+    # Mx = 0 keeps x and gives value 0, with no NaN and no warning
+    x = np.array([[0.6, 0.8j], [0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    m = np.zeros((3, 2, 2), dtype=complex)
+    m[1:, 0, 0] = 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, vectors = verify._power_steps(m, x)
+    assert values.tolist() == [0.0, 0.0, 0.5]
+    assert np.array_equal(vectors, x)
+    # the engine on an empty factor: every restart is such a row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = verify._seesaw(np.zeros((6, 0), dtype=complex), np.zeros(0), 2, 3, 4, 0)
+    assert res.value == 0.0 and res.iterations_total == 4
+    assert np.isfinite(res.witness.a).all() and np.isfinite(res.witness.b).all()
+
+
+def test_engine_calls_no_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the see-saw called an eigensolver")
+
+    f, s = verify_factor(complement_projector(gen_tiles2(3, 4)), 3, 4)
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    want = reference_power_seesaw(f, s, 3, 4, 20, 0)
+    assert_same_run(verify._seesaw(f, s, 3, 4, 20, 0), want)
+
+
+@pytest.mark.parametrize("command", ["verify", "boundent"])
+def test_cli_jobs_call_top_eigenvector_zero_times(tmp_path, capsys, monkeypatch, command):
+    # every module binding of top_eigenvector, the one in verify too if any
+    calls = []
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return top_eigenvector(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("prodbasis") and getattr(module, "top_eigenvector", None) is top_eigenvector:
+            monkeypatch.setattr(module, "top_eigenvector", counted)
+    # verify imports no binding; one put there must stay uncalled too
+    monkeypatch.setattr(verify, "top_eigenvector", counted, raising=False)
+    path = tmp_path / "g2.json"
+    save_basis(gen_tiles2(3, 4), path)
+    assert cli.main([command, str(path), "--restarts", "20", "--seed", "0"]) == 0
+    assert capsys.readouterr().out
+    assert calls == []
 
 
 def test_ascent_check_reports_the_largest_drop_of_either_half_step():
@@ -423,12 +488,13 @@ def test_decrease_raises(monkeypatch, side):
     # lower the A (even) or the B (odd) half steps by 1e-6: once the see-saw
     # settles, each lowered step reports less than the half step before it
     calls = itertools.count()
+    power_steps = verify._power_steps
 
-    def lowered(m):
-        values, vectors = top_eigenvector(m)
+    def lowered(m, x):
+        values, vectors = power_steps(m, x)
         return (values - 1e-6 if next(calls) % 2 == side else values), vectors
 
-    monkeypatch.setattr(verify, "top_eigenvector", lowered)
+    monkeypatch.setattr(verify, "_power_steps", lowered)
     q = complement_projector(gen_tiles2(3, 4))
     with pytest.raises(NonMonotoneSeesaw):
         seesaw_max_product_overlap(q, 3, 4, restarts=5, seed=0)
