@@ -149,7 +149,7 @@ def range_criterion_report(
         raise ZeroState("density matrix has no eigenvalue above the range cutoff")
     cols = v[:, keep]
     result = _seesaw(cols, np.ones(cols.shape[1]), rho.d_a, rho.d_b, restarts, seed)
-    entangled = overlap_verdict(result.value, tol=TOLERANCES) is Verdict.UPB_NUMERIC
+    entangled = overlap_verdict(result.value) is Verdict.UPB_NUMERIC
     return RangeCriterionReport(
         range_rank=int(np.count_nonzero(keep)),
         max_product_overlap=result.value,

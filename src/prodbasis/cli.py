@@ -20,8 +20,8 @@ Commands raise :class:`~prodbasis.errors.ProductBasisError` for bad input;
 :func:`main` alone maps the error class to its exit code (``_EXIT_CODES``),
 and maps ``MemoryError`` to exit 1.
 
-The default for every --seed flag is the PB_SEED environment variable when
-set, else 0; identical seeds and inputs produce byte-identical reports.
+Every --seed flag defaults to 0; identical seeds and inputs produce
+byte-identical reports.
 
 :func:`main` builds the argument parser on its first call and reuses it, so
 an in-process caller pays for it once per process.  Each call dispatches to
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from .boundent import is_ppt, range_criterion_report, upb_density_state
@@ -58,14 +57,6 @@ _EXIT_CODES = (
     (IncompleteBasis, EXIT_INCOMPLETE),
     (ProductBasisError, EXIT_BAD_INPUT),
 )
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("PB_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ProductBasisError(f"PB_SEED must be an integer, got {raw!r}") from None
 
 
 def _fail(message: str, code: int) -> int:
@@ -111,9 +102,8 @@ def cmd_verify(args) -> int:
     if not 0.0 <= args.tol < float("inf"):  # NaN fails
         raise ProductBasisError(f"--tol must be a finite number >= 0, got {args.tol}")
     basis = load_basis(args.path)
-    seed = _default_seed() if args.seed is None else args.seed
     tolerances = dataclasses.replace(TOLERANCES, orthonormality=args.tol, upb_margin=args.eta)
-    report = check_upb(basis, restarts=args.restarts, seed=seed, tol=tolerances)
+    report = check_upb(basis, restarts=args.restarts, seed=args.seed, tol=tolerances)
     _warn_capped(report.capped_restarts, report.restarts_used)
 
     witness = report.witness_state
@@ -137,7 +127,7 @@ def cmd_verify(args) -> int:
             "capped_restarts": report.capped_restarts,   # json only; the text report leaves it out
             "seed": report.seed,
         },
-        "config": {"restarts": args.restarts, "seed": seed, "eta": args.eta, "tol": args.tol},
+        "config": {"restarts": args.restarts, "seed": args.seed, "eta": args.eta, "tol": args.tol},
     }
     if args.format == "json":
         print(json_text(payload))
@@ -166,7 +156,6 @@ def cmd_render(args) -> int:
 def cmd_boundent(args) -> int:
     _require_at_least("--restarts", args.restarts, 1)
     basis = load_basis(args.path)
-    seed = _default_seed() if args.seed is None else args.seed
     try:
         rho = upb_density_state(basis)
     except CompleteBasisInput:
@@ -174,7 +163,7 @@ def cmd_boundent(args) -> int:
     else:
         # The range of the complement state is the complement, so the range
         # see-saw also decides whether the basis is unextendible.
-        range_report = range_criterion_report(rho, restarts=args.restarts, seed=seed)
+        range_report = range_criterion_report(rho, restarts=args.restarts, seed=args.seed)
         _warn_capped(range_report.capped_restarts, range_report.restarts_used)
         verdict = overlap_verdict(range_report.max_product_overlap)
     if verdict in (Verdict.COMPLETE_BASIS, Verdict.EXTENDIBLE):
@@ -197,7 +186,7 @@ def cmd_boundent(args) -> int:
             "max_product_overlap": range_report.max_product_overlap,
             "capped_restarts": range_report.capped_restarts,
         },
-        "seed": seed,
+        "seed": args.seed,
     }
     if args.out:  # before the report, so a failed write leaves stdout empty
         write_json({"dims": [rho.d_a, rho.d_b], "matrix": complex_to_json(rho.matrix)}, args.out)
@@ -212,10 +201,9 @@ def cmd_wind(args) -> int:
         raise ProductBasisError("provide a basis file or --cartesian dA dB, not both")
     _require_at_least("--moves", args.moves, 0)
     basis = load_basis(args.path) if args.cartesian is None else cartesian_basis(*args.cartesian)
-    seed = _default_seed() if args.seed is None else args.seed
-    wound, moves = wind_basis(basis, args.moves, seed)
+    wound, moves = wind_basis(basis, args.moves, args.seed)
     save_basis(wound, args.out)
-    print(f"applied {len(moves)} winding moves (seed {seed}); wrote {args.out}")
+    print(f"applied {len(moves)} winding moves (seed {args.seed}); wrote {args.out}")
     return EXIT_OK
 
 
@@ -251,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="orthonormality, rank and unextendibility report")
     p.add_argument("path")
     p.add_argument("--restarts", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=TOLERANCES.orthonormality, help="orthonormality tolerance")
     p.add_argument("--eta", type=float, default=TOLERANCES.upb_margin, help="unextendibility margin")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -262,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("boundent", help="complement density state, PPT and range criterion")
     p.add_argument("path")
     p.add_argument("--restarts", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the density matrix to this path")
 
     p = sub.add_parser("wind", help="apply random winding moves to a complete basis")
@@ -270,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cartesian", nargs=2, type=int, metavar=("DA", "DB"),
                    help="start from the Cartesian basis of these dims")
     p.add_argument("--moves", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("unwind", help="search for a certified unwinding sequence")

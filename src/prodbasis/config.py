@@ -6,8 +6,9 @@ thresholds from :data:`TOLERANCES` when a function is called, so a report
 produced with one configuration is reproducible.  Only ``verify --tol/--eta``
 sets thresholds for a run, so only its path takes them as an argument,
 defaulting to :data:`TOLERANCES`: ``verify.check_upb`` forwards its record
-to ``seesaw_max_product_overlap``, ``overlap_verdict`` and (as
-``tol.orthonormality``) ``check_orthonormal``.
+to ``overlap_verdict`` and its ``tol.orthonormality`` to
+``check_orthonormal``.  The see-saw on that path, which neither flag sets,
+reads ``TOLERANCES.operator_interval`` like any other function.
 """
 
 from __future__ import annotations

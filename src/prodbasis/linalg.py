@@ -1,12 +1,13 @@
 """Dense complex linear-algebra substrate.
 
 Vectors are 1-D ``complex128`` numpy arrays, operators 2-D arrays.
-``dagger``, ``hermitian_part`` and ``top_eigenvector`` also take a stack of
-operators (shape ``(n, d, d)``) and act on each one independently, so a
-slice of a stacked result does not depend on the other members of the
-stack.  The functions here are thin wrappers over numpy/LAPACK routines;
-``kron``, ``partial_transpose`` and ``top_eigenvector`` check the shapes
-they are given.  All are pure and safe to invoke concurrently.
+``dagger`` and ``hermitian_part`` also take a stack of operators (shape
+``(n, d, d)``) and act on each one independently, so a slice of a stacked
+result does not depend on the other members of the stack;
+``top_eigenvector`` takes one operator.  The functions here are thin
+wrappers over numpy/LAPACK routines; ``kron``, ``partial_transpose`` and
+``top_eigenvector`` check the shapes they are given.  All are pure and
+safe to invoke concurrently.
 
 ``top_eigenvector`` solves with ``np.linalg.eigh`` (LAPACK ``zheevd``).  The
 see-saw does not call it: it takes power steps on its contracted operators
@@ -100,42 +101,30 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
 
 
 def top_eigenvector(m: np.ndarray):
-    """Largest eigenvalue and a deterministically chosen top eigenvector.
+    """Largest eigenvalue and a deterministically chosen top eigenvector of one operator.
 
     Among eigenvectors whose eigenvalue is within ``_TIE_TOL`` of the maximum,
     the phase-canonical vector with the lexicographically largest real part
     is selected, so degenerate inputs still give a reproducible answer.
 
-    ``m`` is one operator, which gives ``(float, vector)``, or a stack of
-    ``n`` operators, which gives ``n`` top eigenvalues and an ``(n, d)``
-    array of top eigenvectors.  Each slice of a stacked result is bit for
-    bit the result for that slice alone.  Only rows whose top eigenvalue is
-    degenerate within ``_TIE_TOL`` run the candidate loop.
-
-    Any other shape, or d = 0, raises :class:`DimensionMismatch`; an empty
-    stack gives empty arrays.  ``LinAlgError`` is raised when the
-    eigensolver does not converge or some top eigenpair is not finite (a
-    NaN or infinite entry, or a top eigenvalue beyond the float range).
+    ``m`` is one ``(d, d)`` operator with d >= 1, and the result is
+    ``(float, vector)``.  Any other shape, a stack of operators included,
+    raises :class:`DimensionMismatch`.  ``LinAlgError`` is raised when the
+    eigensolver does not converge or the top eigenpair is not finite (a NaN
+    or infinite entry, or a top eigenvalue beyond the float range).
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
-        raise DimensionMismatch(f"top_eigenvector needs a (d, d) operator or an (n, d, d) stack with d >= 1, got shape {m.shape}")
-    stack = m if m.ndim == 3 else m[None]
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise DimensionMismatch(f"top_eigenvector needs a (d, d) operator with d >= 1, got shape {m.shape}")
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite part fails the check below
-        h = hermitian_part(stack)
+        h = hermitian_part(m)
     w, v = np.linalg.eigh(h)
-    top = w[:, -1]
-    if not (np.isfinite(top).all() and np.isfinite(v[:, :, -1]).all()):
+    top = w[-1]
+    if not (np.isfinite(top) and np.isfinite(v[:, -1]).all()):
         raise LinAlgError("top eigenpair is not finite")
-    vecs = _canonical_phase(v[:, :, -1])
-    if w.shape[1] > 1:
-        for r in (w[:, -2] >= top - _TIE_TOL).nonzero()[0]:
-            candidates = _canonical_phase(v[r][:, w[r] >= top[r] - _TIE_TOL].T)
-            keys = [tuple(np.round(vec.real, 12)) for vec in candidates]
-            vecs[r] = candidates[max(range(len(keys)), key=keys.__getitem__)]
-    if m.ndim == 3:
-        return top, vecs
-    return float(top[0]), vecs[0]
+    candidates = _canonical_phase(v[:, w >= top - _TIE_TOL].T)
+    keys = [tuple(np.round(vec.real, 12)) for vec in candidates]
+    return float(top), candidates[max(range(len(keys)), key=keys.__getitem__)]
 
 
 def partial_transpose(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:

@@ -140,14 +140,18 @@ def complement_projector(basis: ProductBasis) -> np.ndarray:
     return _complement_of_checked(basis)
 
 
-def _check_operator_interval(q: np.ndarray, d_a: int, d_b: int, slack: float):
-    """Hermitian part of ``q`` and its eigenpairs ``(q, w, v)``, after checking 0 <= q <= I."""
+def _check_operator_interval(q: np.ndarray, d_a: int, d_b: int):
+    """Hermitian part of ``q`` and its eigenpairs ``(q, w, v)``, after checking 0 <= q <= I.
+
+    The slack of both checks is ``TOLERANCES.operator_interval``.
+    """
     if d_a < 1 or d_b < 1:
         raise DimensionMismatch(f"local dimensions ({d_a}, {d_b}) must be at least 1")
     q = np.asarray(q, dtype=complex)
     dim = d_a * d_b
     if q.shape != (dim, dim):
         raise DimensionMismatch(f"operator shape {q.shape} does not match dims ({d_a}, {d_b})")
+    slack = TOLERANCES.operator_interval
     # written so that NaN fails each check
     if not float(np.max(np.abs(q - dagger(q)))) <= slack:
         raise InvalidProjector("operator is not Hermitian within tolerance")
@@ -221,8 +225,6 @@ def seesaw_max_product_overlap(
     d_b: int,
     restarts: int = 100,
     seed: int = 0,
-    *,
-    tol: Tolerances | None = None,
 ) -> SeesawResult:
     """Maximize <a (x) b|Q|a (x) b> by alternating power steps.
 
@@ -239,10 +241,13 @@ def seesaw_max_product_overlap(
     and Vandewalle, SIAM J. Matrix Anal. Appl. 21, 1324 (2000).  A row
     with Ma = 0 keeps its vector, with value 0.  No eigensolver runs.
 
-    Q is factored once, from the eigendecomposition that checks its
-    spectrum, as F diag(s) F^dag over the eigenpairs above the numerical
-    rank cut D*eps*max|w|; each contracted operator is then X diag(s) X^dag
-    with X of size dA x k or dB x k.  All restarts advance together: each
+    Q must be Hermitian with its spectrum in [0, 1], up to
+    ``TOLERANCES.operator_interval`` as read at the call, or
+    :class:`InvalidProjector` is raised.  Q is factored once, from the
+    eigendecomposition that checks its spectrum, as F diag(s) F^dag over
+    the eigenpairs above the numerical rank cut D*eps*max|w|; each
+    contracted operator is then X diag(s) X^dag with X of size dA x k or
+    dB x k.  All restarts advance together: each
     half step is one stacked contraction and one batched matmul per power
     step over the restarts still active, and a restart leaves the active
     set once one iteration improves it by less than 1e-12
@@ -262,8 +267,7 @@ def seesaw_max_product_overlap(
     factors get a canonical global phase: the first entry above 1e-12 in
     modulus is real and positive.
     """
-    tol = TOLERANCES if tol is None else tol
-    _, w, v = _check_operator_interval(q, d_a, d_b, tol.operator_interval)
+    _, w, v = _check_operator_interval(q, d_a, d_b)
     keep = np.abs(w) > w.size * np.finfo(float).eps * np.max(np.abs(w))
     return _seesaw(v[:, keep], w[keep], d_a, d_b, restarts, seed)
 
@@ -486,7 +490,7 @@ def grid_oracle_max_product_overlap(
         raise DimensionTooLarge(f"grid oracle supports dA <= 2 and dB <= 3, got ({d_a}, {d_b})")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    q, w, _ = _check_operator_interval(q, d_a, d_b, TOLERANCES.operator_interval)
+    q, w, _ = _check_operator_interval(q, d_a, d_b)
     if d_a == 1:
         grid = np.ones((1, 1), dtype=complex)
         max_spacing = 0.0
@@ -553,7 +557,7 @@ def check_upb(
         value, witness, verdict, restarts_used, iterations, capped = 0.0, None, Verdict.COMPLETE_BASIS, 0, 0, 0
     else:
         q = _complement_of_checked(basis)
-        result = seesaw_max_product_overlap(q, basis.d_a, basis.d_b, restarts, seed, tol=tol)
+        result = seesaw_max_product_overlap(q, basis.d_a, basis.d_b, restarts, seed)
         value, witness = result.value, result.witness
         verdict = overlap_verdict(value, tol=tol)
         restarts_used, iterations, capped = result.restarts_used, result.iterations_total, result.capped_restarts

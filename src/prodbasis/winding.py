@@ -253,7 +253,7 @@ def _rotate(basis: ProductBasis, move: WindingMove, inside, provenance) -> Produ
         )
     except ValueError as exc:
         raise WindingInvariantError(f"winding move broke the unit-norm check: {exc}") from None
-    ok_gram, dev = check_orthonormal(out, TOLERANCES.orthonormality)
+    ok_gram, dev = check_orthonormal(out)
     if not ok_gram:
         raise WindingInvariantError(f"winding move broke orthonormality (deviation {max(dev):.3e})")
     return out

@@ -110,7 +110,8 @@ def test_range_criterion_reads_upb_margin(monkeypatch):
     # the range maximum of g1(6) with 20 restarts, seed 0 lies between 1 - 0.05 and 1 - 1e-3
     rho = upb_density_state(gen_tiles1(6))
     assert range_criterion_report(rho, restarts=20, seed=0).verdict is RangeVerdict.ENTANGLED
-    monkeypatch.setattr(boundent, "TOLERANCES", dataclasses.replace(TOLERANCES, upb_margin=0.05))
+    # the verdict is verify.overlap_verdict's, which reads the margin there
+    monkeypatch.setattr(verify, "TOLERANCES", dataclasses.replace(TOLERANCES, upb_margin=0.05))
     report = range_criterion_report(rho, restarts=20, seed=0)
     assert report.verdict is RangeVerdict.INCONCLUSIVE
     assert 1 - 0.05 <= report.max_product_overlap < 1 - 1e-3

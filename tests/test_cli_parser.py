@@ -10,34 +10,31 @@ from prodbasis.errors import ProductBasisError
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
-# (PB_SEED or None, argv, file the call writes or None), run in order in one directory
+# (argv, file the call writes or None), run in order in one directory; the
+# --seed 5 calls check that a cached parser gives the next call its default seed
 SEQUENCE = [
-    (None, ["construct", "--family", "gentiles1", "--n", "4", "--out", "g1_4.json"], "g1_4.json"),
-    (None, ["construct", "--family", "cartesian", "--m", "2", "--n", "3", "--out", "cart.json"], "cart.json"),
-    (None, ["verify", "g1_4.json", "--restarts", "5", "--seed", "1", "--format", "json"], None),
-    (None, ["render", "g1_4.json"], None),
-    (None, ["verify"], None),
-    (None, ["--help"], None),
-    (None, ["wind", "--help"], None),
-    (None, ["boundent", "g1_4.json", "--restarts", "5", "--out", "rho.json"], "rho.json"),
-    ("5", ["verify", "g1_4.json", "--restarts", "5"], None),
-    ("5", ["wind", "cart.json", "--moves", "1", "--out", "w1.json"], "w1.json"),
-    (None, ["wind", "--cartesian", "2", "3", "--moves", "2", "--out", "w2.json"], "w2.json"),
-    (None, ["wind", "cart.json", "--cartesian", "2", "3", "--out", "w3.json"], None),
-    (None, ["unwind", "w1.json", "--depth", "2"], None),
-    (None, ["verify", "missing.json"], None),
-    (None, ["construct", "--family", "gentiles2", "--m", "3", "--n", "3"], None),
+    (["construct", "--family", "gentiles1", "--n", "4", "--out", "g1_4.json"], "g1_4.json"),
+    (["construct", "--family", "cartesian", "--m", "2", "--n", "3", "--out", "cart.json"], "cart.json"),
+    (["verify", "g1_4.json", "--restarts", "5", "--seed", "1", "--format", "json"], None),
+    (["render", "g1_4.json"], None),
+    (["verify"], None),
+    (["--help"], None),
+    (["wind", "--help"], None),
+    (["boundent", "g1_4.json", "--restarts", "5", "--out", "rho.json"], "rho.json"),
+    (["verify", "g1_4.json", "--restarts", "5", "--seed", "5"], None),
+    (["wind", "cart.json", "--moves", "1", "--seed", "5", "--out", "w1.json"], "w1.json"),
+    (["wind", "--cartesian", "2", "3", "--moves", "2", "--out", "w2.json"], "w2.json"),
+    (["wind", "cart.json", "--cartesian", "2", "3", "--out", "w3.json"], None),
+    (["unwind", "w1.json", "--depth", "2"], None),
+    (["verify", "missing.json"], None),
+    (["construct", "--family", "gentiles2", "--m", "3", "--n", "3"], None),
 ]
 
 
 def run_sequence(tmp_path, monkeypatch, capsys, fresh: bool) -> list:
     """(exit code, stdout, stderr, written bytes) of every call in ``SEQUENCE``."""
     results = []
-    for seed, argv, written in SEQUENCE:
-        if seed is None:
-            monkeypatch.delenv("PB_SEED", raising=False)
-        else:
-            monkeypatch.setenv("PB_SEED", seed)
+    for argv, written in SEQUENCE:
         if fresh:
             monkeypatch.setattr(cli, "_parser", None)
         try:
@@ -68,7 +65,7 @@ def test_cached_parser_matches_fresh_parser(tmp_path, monkeypatch, capsys):
     fresh = run_sequence(tmp_path, monkeypatch, capsys, fresh=True)
     assert len(builds) == 1 + len(SEQUENCE)
 
-    for (_, argv, _), got, want in zip(SEQUENCE, cached, fresh):
+    for (argv, _), got, want in zip(SEQUENCE, cached, fresh):
         assert got == want, argv
     codes = [code for code, *_ in cached]
     assert codes == [0, 0, 0, 0, ("SystemExit", 2), ("SystemExit", 0), ("SystemExit", 0),

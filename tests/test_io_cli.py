@@ -153,17 +153,21 @@ def test_cli_wind_rounding_drift_is_an_error_line(tmp_path, capsys):
 
 
 def test_cli_verify_eta_sets_the_upb_margin(tmp_path, capsys):
-    # g1(6) with 20 restarts, seed 0 reaches 0.9784911487937616: below 1 - 1e-3, not below 1 - 0.05
+    # g1(6) with 20 restarts, seed 0 reaches about 0.978: below 1 - 1e-3, not below 1 - 0.05.
+    # Its last digits depend on the BLAS kernel, so both runs must print the in-process value.
+    value = verify.check_upb(gen_tiles1(6), restarts=20, seed=0).max_product_overlap
+    assert 0.95 <= value < 0.999
+    line = f"max_product_overlap: {value!r}\n"
     path = tmp_path / "g1.json"
     save_basis(gen_tiles1(6), path)
     args = ["verify", str(path), "--restarts", "20", "--seed", "0"]
     code, stdout, _ = run_cli(args, capsys)
     assert code == 0
-    assert "max_product_overlap: 0.9784911487937616\n" in stdout
+    assert line in stdout
     assert stdout.endswith("verdict: UPB_Numeric\n")
     code, stdout, _ = run_cli(args + ["--eta", "0.05"], capsys)
     assert code == 4
-    assert "max_product_overlap: 0.9784911487937616\n" in stdout
+    assert line in stdout
     assert stdout.endswith("verdict: Inconclusive\n")
     code, stdout, _ = run_cli(args + ["--eta", "0.05", "--format", "json"], capsys)
     assert json.loads(stdout)["config"]["eta"] == 0.05
@@ -321,15 +325,31 @@ def test_cli_json_reports_are_byte_identical(tmp_path, capsys):
     assert first == second
 
 
-def test_cli_pb_seed_env(tmp_path, capsys, monkeypatch):
+def test_cli_ignores_pb_seed(tmp_path, capsys, monkeypatch):
+    # --seed (default 0) is the only route to the seed; the PB_SEED variable is not read
     path = tmp_path / "g2.json"
-    run_cli(["construct", "--family", "gentiles2", "--m", "3", "--n", "4", "--out", str(path)], capsys)
-    monkeypatch.setenv("PB_SEED", "31")
-    _, via_env, _ = run_cli(["verify", str(path), "--restarts", "20", "--format", "json"], capsys)
-    monkeypatch.delenv("PB_SEED")
-    _, via_flag, _ = run_cli(["verify", str(path), "--restarts", "20", "--seed", "31", "--format", "json"], capsys)
-    assert json.loads(via_env)["report"]["seed"] == 31
-    assert via_env == via_flag
+    save_basis(gen_tiles2(3, 4), path)
+    rho, wound = tmp_path / "rho.json", tmp_path / "w.json"
+    commands = [
+        (["verify", str(path), "--restarts", "20", "--format", "json"], None),
+        (["boundent", str(path), "--restarts", "20", "--out", str(rho)], rho),
+        (["wind", "--cartesian", "2", "3", "--moves", "2", "--out", str(wound)], wound),
+    ]
+
+    def outcomes():
+        results = []
+        for argv, written in commands:
+            code, stdout, stderr = run_cli(argv, capsys)
+            results.append((code, stdout, stderr, written.read_bytes() if written else None))
+        return results
+
+    monkeypatch.delenv("PB_SEED", raising=False)
+    unset = outcomes()
+    assert [code for code, *_ in unset] == [0, 0, 0]
+    assert json.loads(unset[0][1])["report"]["seed"] == 0 and "(seed 0)" in unset[2][1]
+    for value in ("31", "seven"):
+        monkeypatch.setenv("PB_SEED", value)
+        assert outcomes() == unset, value
 
 
 def cartesian_text(**changes) -> str:
@@ -363,14 +383,6 @@ def test_cli_rejects_short_tile_cell(tmp_path, capsys):
         load_basis(path)
     code, stdout, stderr = run_cli(["render", str(path)], capsys)
     assert code == 1 and stdout == "" and stderr.startswith("error: ")
-
-
-def test_cli_rejects_non_integer_pb_seed(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PB_SEED", "seven")
-    code, stdout, stderr = run_cli(["wind", "--cartesian", "2", "2", "--out", str(tmp_path / "w.json")], capsys)
-    assert code == 1 and stdout == ""
-    assert stderr == "error: PB_SEED must be an integer, got 'seven'\n"
-    assert not (tmp_path / "w.json").exists()
 
 
 MALFORMED_NUMBERS = {
@@ -462,32 +474,31 @@ CLI_FILES = {
     **{name: (lambda changes=changes: cartesian_text(**changes)) for name, changes in MALFORMED_NUMBERS.items()},
 }
 
-# (case, argv, environment); "{tmp}" is the directory holding CLI_FILES
+# (case, argv); "{tmp}" is the directory holding CLI_FILES
 CLI_MALFORMED = [
-    *((name, ["verify", f"{{tmp}}/{name}.json"], {}) for name in list(CLI_FILES)[3:]),
-    ("missing_file", ["verify", "{tmp}/absent.json"], {}),
-    *((f"{command}_{name}", [command, f"{{tmp}}/{name}.json", *extra], {})
+    *((name, ["verify", f"{{tmp}}/{name}.json"]) for name in list(CLI_FILES)[3:]),
+    ("missing_file", ["verify", "{tmp}/absent.json"]),
+    *((f"{command}_{name}", [command, f"{{tmp}}/{name}.json", *extra])
       for command, extra in (("boundent", []), ("wind", ["--out", "{tmp}/w.json"]), ("unwind", []))
       for name in ("not_json", "missing_file")),  # no file is written for missing_file
-    ("boundent_duplicated_state", ["boundent", "{tmp}/duplicated_state.json"], {}),
-    ("render_without_tiles", ["render", "{tmp}/wound.json"], {}),
-    ("render_short_tile_cell", ["render", "{tmp}/short_tile_cell.json"], {}),
-    ("pb_seed_not_integer", ["wind", "--cartesian", "2", "2", "--out", "{tmp}/w.json"], {"PB_SEED": "seven"}),
-    ("gentiles1_without_n", ["construct", "--family", "gentiles1", "--out", "{tmp}/g.json"], {}),
-    ("gentiles2_without_m", ["construct", "--family", "gentiles2", "--n", "4", "--out", "{tmp}/g.json"], {}),
-    ("cartesian_without_m", ["construct", "--family", "cartesian", "--n", "4", "--out", "{tmp}/g.json"], {}),
+    ("boundent_duplicated_state", ["boundent", "{tmp}/duplicated_state.json"]),
+    ("render_without_tiles", ["render", "{tmp}/wound.json"]),
+    ("render_short_tile_cell", ["render", "{tmp}/short_tile_cell.json"]),
+    ("gentiles1_without_n", ["construct", "--family", "gentiles1", "--out", "{tmp}/g.json"]),
+    ("gentiles2_without_m", ["construct", "--family", "gentiles2", "--n", "4", "--out", "{tmp}/g.json"]),
+    ("cartesian_without_m", ["construct", "--family", "cartesian", "--n", "4", "--out", "{tmp}/g.json"]),
     ("construct_out_unwritable",
-     ["construct", "--family", "cartesian", "--m", "2", "--n", "2", "--out", "{tmp}/absent/x.json"], {}),
-    ("wind_out_directory", ["wind", "--cartesian", "2", "2", "--out", "{tmp}"], {}),
-    ("boundent_out_unwritable", ["boundent", "{tmp}/g2.json", "--out", "{tmp}/absent/rho.json"], {}),
-    ("wind_file_and_cartesian", ["wind", "{tmp}/cart.json", "--cartesian", "2", "3", "--out", "{tmp}/w.json"], {}),
-    ("verify_restarts_0", ["verify", "{tmp}/g2.json", "--restarts", "0"], {}),
-    ("boundent_restarts_0", ["boundent", "{tmp}/g2.json", "--restarts", "0"], {}),
+     ["construct", "--family", "cartesian", "--m", "2", "--n", "2", "--out", "{tmp}/absent/x.json"]),
+    ("wind_out_directory", ["wind", "--cartesian", "2", "2", "--out", "{tmp}"]),
+    ("boundent_out_unwritable", ["boundent", "{tmp}/g2.json", "--out", "{tmp}/absent/rho.json"]),
+    ("wind_file_and_cartesian", ["wind", "{tmp}/cart.json", "--cartesian", "2", "3", "--out", "{tmp}/w.json"]),
+    ("verify_restarts_0", ["verify", "{tmp}/g2.json", "--restarts", "0"]),
+    ("boundent_restarts_0", ["boundent", "{tmp}/g2.json", "--restarts", "0"]),
     # numpy refuses the starting points' allocation without making it
-    ("verify_restarts_too_large", ["verify", "{tmp}/g2.json", "--restarts", "100000000000000"], {}),
-    ("boundent_restarts_too_large", ["boundent", "{tmp}/g2.json", "--restarts", "100000000000000"], {}),
-    ("wind_moves_negative", ["wind", "--cartesian", "2", "2", "--moves", "-1", "--out", "{tmp}/w.json"], {}),
-    ("unwind_depth_negative", ["unwind", "{tmp}/cart.json", "--depth", "-1"], {}),
+    ("verify_restarts_too_large", ["verify", "{tmp}/g2.json", "--restarts", "100000000000000"]),
+    ("boundent_restarts_too_large", ["boundent", "{tmp}/g2.json", "--restarts", "100000000000000"]),
+    ("wind_moves_negative", ["wind", "--cartesian", "2", "2", "--moves", "-1", "--out", "{tmp}/w.json"]),
+    ("unwind_depth_negative", ["unwind", "{tmp}/cart.json", "--depth", "-1"]),
 ]
 
 
@@ -504,12 +515,10 @@ CLI_MALFORMED_STDERR = {
 }
 
 
-@pytest.mark.parametrize("case, argv, env", CLI_MALFORMED, ids=[case[0] for case in CLI_MALFORMED])
-def test_cli_malformed_input_exits_1(tmp_path, capsys, monkeypatch, case, argv, env):
+@pytest.mark.parametrize("case, argv", CLI_MALFORMED, ids=[case[0] for case in CLI_MALFORMED])
+def test_cli_malformed_input_exits_1(tmp_path, capsys, case, argv):
     for name, text in CLI_FILES.items():
         (tmp_path / f"{name}.json").write_text(text())
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     code, stdout, stderr = run_cli([arg.format(tmp=tmp_path) for arg in argv], capsys)
     assert code == 1 and stdout == ""
     assert stderr.startswith(CLI_MALFORMED_STDERR.get(case, "error: ").format(tmp=tmp_path))

@@ -54,21 +54,13 @@ def test_top_eigenvector_deterministic_under_degeneracy():
     assert np.array_equal(vec1, vec2)
 
 
-@pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3,), (), (2, 2, 3), (1, 2, 2, 2), (4, 0, 0)], ids=str)
+@pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3,), (), (2, 3, 3), (2, 2, 3), (1, 2, 2, 2), (4, 0, 0)], ids=str)
 def test_top_eigenvector_rejects_other_shapes(shape):
     with pytest.raises(DimensionMismatch):
         top_eigenvector(np.ones(shape, dtype=complex))
 
 
-def test_top_eigenvector_of_an_empty_stack_is_empty():
-    values, vectors = top_eigenvector(np.zeros((0, 3, 3), dtype=complex))
-    assert values.shape == (0,) and values.dtype == float
-    assert vectors.shape == (0, 3) and vectors.dtype == complex
-
-
 def nonfinite_inputs():
-    stack = random_vector(np.random.default_rng(5), (6, 2, 2))
-    stack[4, 1, 0] = np.nan                        # one bad operator among good ones
     return {
         "nan": np.full((2, 2), np.nan, dtype=complex),
         "inf_entry": np.array([[np.inf, 0], [0, 1]], dtype=complex),
@@ -77,7 +69,6 @@ def nonfinite_inputs():
         "nan_1x1": np.array([[np.nan]], dtype=complex),
         # a finite input whose top eigenvalue, 2.67e308, overflows; its vector is finite
         "overflow": np.full((3, 3), 0.89e308, dtype=complex),
-        "nan_in_a_stack": stack,
     }
 
 

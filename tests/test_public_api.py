@@ -57,14 +57,14 @@ def test_tolerance_fields_are_pinned():
 # the unextendibility margin is ``tol.upb_margin``, so none is a parameter.
 CERTIFICATION_SIGNATURES = {
     prodbasis.check_upb: ["basis", "restarts", "seed", "*tol"],
-    prodbasis.seesaw_max_product_overlap: ["q", "d_a", "d_b", "restarts", "seed", "*tol"],
+    prodbasis.seesaw_max_product_overlap: ["q", "d_a", "d_b", "restarts", "seed"],
     prodbasis.range_criterion_report: ["rho", "restarts", "seed"],
     prodbasis.verify.overlap_verdict: ["value", "*tol"],
 }
 
-# Every public function that reads a threshold.  Only the four that the
-# ``verify --tol/--eta`` path sets take one; the rest read ``TOLERANCES`` of
-# their module when called.
+# Every public function that reads a threshold.  Only the three that the
+# ``verify --tol/--eta`` path sets take one; the rest, the see-saw included,
+# read ``TOLERANCES`` of their module when called.
 THRESHOLD_SIGNATURES = {
     **CERTIFICATION_SIGNATURES,
     prodbasis.check_orthonormal: ["basis", "tol"],
@@ -81,7 +81,7 @@ THRESHOLD_SIGNATURES = {
     prodbasis.wind_basis: ["basis", "k_moves", "seed"],
     prodbasis.random_wound_basis: ["d_a", "d_b", "k_moves", "seed"],
 }
-TAKE_TOLERANCE = {"check_upb", "seesaw_max_product_overlap", "overlap_verdict", "check_orthonormal"}
+TAKE_TOLERANCE = {"check_upb", "overlap_verdict", "check_orthonormal"}
 
 
 def test_swap_shift_has_one_convention():

@@ -143,7 +143,7 @@ def test_capped_restarts_counts_restarts_stopped_by_the_cap(monkeypatch):
     assert 0 < capped.capped_restarts <= 20
 
 
-def _degenerate_stack(dim):
+def _degenerate_operators(dim):
     rng = stream(17, dim)
     u = haar_unitary(rng, dim)
     tie = np.linspace(0.1, 0.9, dim)
@@ -155,18 +155,6 @@ def _degenerate_stack(dim):
         (u * tie) @ u.conj().T,
         m + m.conj().T,
     ])
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4, 6, 10, 12])
-def test_stacked_top_eigenvector_matches_each_slice(dim):
-    stack = _degenerate_stack(dim)
-    values, vectors = top_eigenvector(stack)
-    assert values.shape == (4,) and vectors.shape == (4, dim)
-    for i, m in enumerate(stack):
-        value, vector = top_eigenvector(m)
-        assert isinstance(value, float)
-        assert value == values[i]
-        assert np.array_equal(vector, vectors[i])
 
 
 def test_stacked_top_eigenvector_tie_break():
@@ -239,19 +227,14 @@ def reference_canonical_phase(v):
 
 
 def reference_top_eigenvector(m):
-    m = np.asarray(m, dtype=complex)
-    stack = m if m.ndim == 3 else m[None]
-    w, v = np.linalg.eigh(hermitian_part(stack))
-    top = w[:, -1]
-    vecs = reference_canonical_phase(v[:, :, -1])
-    if w.shape[1] > 1:
-        for r in np.nonzero(w[:, -2] >= top - TIE_TOL)[0]:
-            candidates = reference_canonical_phase(v[r][:, w[r] >= top[r] - TIE_TOL].T)
-            keys = [tuple(np.round(vec.real, 12)) for vec in candidates]
-            vecs[r] = candidates[max(range(len(keys)), key=keys.__getitem__)]
-    if m.ndim == 3:
-        return top, vecs
-    return float(top[0]), vecs[0]
+    """Top eigenpair of one operator; only a top eigenvalue tied within TIE_TOL runs the candidate rule."""
+    w, v = np.linalg.eigh(hermitian_part(np.asarray(m, dtype=complex)))
+    vec = reference_canonical_phase(v[:, -1])
+    if w.size > 1 and w[-2] >= w[-1] - TIE_TOL:
+        candidates = reference_canonical_phase(v[:, w >= w[-1] - TIE_TOL].T)
+        keys = [tuple(np.round(c.real, 12)) for c in candidates]
+        vec = candidates[max(range(len(keys)), key=keys.__getitem__)]
+    return float(w[-1]), vec
 
 
 def reference_power_steps(m, x):
@@ -308,7 +291,7 @@ def reference_power_seesaw(f, s, d_a, d_b, restarts, seed, max_iterations=10_000
 
 def verify_factor(q, d_a, d_b):
     """The factor ``seesaw_max_product_overlap`` passes to the engine."""
-    _, w, v = verify._check_operator_interval(q, d_a, d_b, TOLERANCES.operator_interval)
+    _, w, v = verify._check_operator_interval(q, d_a, d_b)
     keep = np.abs(w) > w.size * np.finfo(float).eps * np.max(np.abs(w))
     return v[:, keep], w[keep]
 
@@ -387,12 +370,13 @@ def test_engine_is_bit_identical_at_the_iteration_cap(monkeypatch, cap):
 def test_top_eigenvector_is_bit_identical(dim):
     rng = stream(29, dim)
     m = rng.standard_normal((50, dim, dim)) + 1j * rng.standard_normal((50, dim, dim))
-    stacks = [m] if dim == 1 else [m, _degenerate_stack(dim)]
-    for stack in stacks:
-        values, vectors = top_eigenvector(stack)
-        want_values, want_vectors = reference_top_eigenvector(stack)
-        assert values.tobytes() == want_values.tobytes()
-        assert vectors.tobytes() == want_vectors.tobytes()
+    operators = [*m] if dim == 1 else [*m, *_degenerate_operators(dim)]
+    for op in operators:
+        value, vector = top_eigenvector(op)
+        want_value, want_vector = reference_top_eigenvector(op)
+        assert isinstance(value, float)
+        assert value == want_value
+        assert vector.tobytes() == want_vector.tobytes()
 
 
 @pytest.mark.parametrize("name", ["g1_4", "g2_3x4"])

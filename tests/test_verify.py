@@ -172,7 +172,7 @@ def reference_bloch_grid(resolution):
 
 def reference_grid_oracle(q, d_a, d_b, resolution=64):
     """The three-operand ``einsum`` contraction the two matmuls replaced."""
-    q, w, _ = verify._check_operator_interval(q, d_a, d_b, TOLERANCES.operator_interval)
+    q, w, _ = verify._check_operator_interval(q, d_a, d_b)
     if d_a == 1:
         grid = np.ones((1, 1), dtype=complex)
         max_spacing = 0.0
@@ -215,7 +215,7 @@ def test_grid_oracle_matches_einsum_reference():
 
 def full_grid_oracle(q, d_a, d_b, resolution):
     """The sweep that solves every grid state, as the oracle did before pruning."""
-    q, w, _ = verify._check_operator_interval(q, d_a, d_b, TOLERANCES.operator_interval)
+    q, w, _ = verify._check_operator_interval(q, d_a, d_b)
     if d_a == 1:
         grid = np.ones((1, 1), dtype=complex)
         max_spacing = 0.0
@@ -424,6 +424,17 @@ def test_default_tolerances_are_read_at_call_time(monkeypatch):
     for entry in (complement_projector, check_upb):
         with pytest.raises(NonOrthonormalInput):
             entry(basis)
+
+
+def test_operator_checks_read_the_interval_at_call_time(monkeypatch):
+    # spectrum {1 + 1e-6, 0, 0, 0}: outside [0, 1] by more than the default slack of 1e-8
+    q = np.diag([1.0 + 1e-6, 0.0, 0.0, 0.0]).astype(complex)
+    for entry in (seesaw_max_product_overlap, grid_oracle_max_product_overlap):
+        with pytest.raises(InvalidProjector):
+            entry(q, 2, 2)
+    monkeypatch.setattr(verify, "TOLERANCES", dataclasses.replace(TOLERANCES, operator_interval=1e-5))
+    assert abs(seesaw_max_product_overlap(q, 2, 2, restarts=3).value - (1.0 + 1e-6)) <= 1e-12
+    assert abs(grid_oracle_max_product_overlap(q, 2, 2).value - (1.0 + 1e-6)) <= 1e-12
 
 
 def test_check_upb_propagates_non_orthonormal():

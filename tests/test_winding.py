@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +8,6 @@ import pytest
 
 from prodbasis import cli, winding
 from prodbasis.basis import Family, ProductBasis, ProductState
-from prodbasis.config import TOLERANCES
 from prodbasis.errors import IncompleteBasis, InvalidSplit, NonOrthonormalInput, WindingInvariantError
 from prodbasis.families import _tile_basis, cartesian_basis, gen_tiles1
 from prodbasis.io import save_basis
@@ -261,8 +259,11 @@ def repeated_state_basis():
 
 
 def strict_orthonormality(monkeypatch):
-    """Make every Gram check of ``winding`` fail: no deviation is <= -1."""
-    monkeypatch.setattr(winding, "TOLERANCES", dataclasses.replace(TOLERANCES, orthonormality=-1.0))
+    """Make the Gram check of every winding output fail: no deviation is <= -1.
+
+    The input checks run in ``verify`` and still pass.
+    """
+    monkeypatch.setattr(winding, "check_orthonormal", lambda basis: check_orthonormal(basis, -1.0))
 
 
 def test_gram_check_after_move_raises(monkeypatch):
