@@ -22,7 +22,7 @@ from prodbasis import cli, verify
 from prodbasis.basis import ProductState
 from prodbasis.boundent import range_criterion_report, upb_density_state
 from prodbasis.config import TOLERANCES
-from prodbasis.errors import NonMonotoneSeesaw
+from prodbasis.errors import DimensionMismatch, NonMonotoneSeesaw
 from prodbasis.families import gen_tiles1, gen_tiles2
 from prodbasis.io import save_basis
 from prodbasis.linalg import dagger, hermitian_part, top_eigenvector
@@ -155,6 +155,21 @@ def _degenerate_operators(dim):
         (u * tie) @ u.conj().T,
         m + m.conj().T,
     ])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6, 10, 12])
+def test_stacked_top_eigenvector_matches_each_slice(dim):
+    # a stack is refused as a whole; each slice on its own gives its top eigenpair
+    stack = _degenerate_operators(dim)
+    with pytest.raises(DimensionMismatch):
+        top_eigenvector(stack)
+    for m in stack:
+        value, vector = top_eigenvector(m)
+        assert isinstance(value, float)
+        assert value == np.linalg.eigh(hermitian_part(m))[0][-1]
+        assert vector.shape == (dim,)
+        assert np.isclose(np.linalg.norm(vector), 1.0, atol=1e-12)
+        assert np.allclose(hermitian_part(m) @ vector, value * vector, atol=1e-9)
 
 
 def test_stacked_top_eigenvector_tie_break():
