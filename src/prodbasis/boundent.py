@@ -147,8 +147,7 @@ def range_criterion_report(
     keep = w > TOLERANCES.range_cutoff
     if not np.any(keep):
         raise ZeroState("density matrix has no eigenvalue above the range cutoff")
-    cols = v[:, keep]
-    result = _seesaw(cols, np.ones(cols.shape[1]), rho.d_a, rho.d_b, restarts, seed)
+    result = _seesaw(v[:, keep], rho.d_a, rho.d_b, restarts, seed)
     entangled = overlap_verdict(result.value) is Verdict.UPB_NUMERIC
     return RangeCriterionReport(
         range_rank=int(np.count_nonzero(keep)),

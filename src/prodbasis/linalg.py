@@ -47,10 +47,23 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^dag) / 2 of an operator, or of each operator in a stack; ``m`` is an ndarray."""
+    """(m + m^dag) / 2 of an operator, or of each operator in a stack; ``m`` is an ndarray.
+
+    Each term is halved in real arithmetic before the sum, so no complex
+    product forms inf * 0 and a representable result cannot overflow on the
+    way.  Halving is exact in the normal range, so there the bits are those
+    of (m + m^dag) / 2, signed zeros included: numpy's complex division by
+    2 returns the parts (r + 0 i) / 2 and (i - 0 r) / 2 of the sum r + i j,
+    and the signed zeros added last give a zero part the same sign without
+    forming 0 * inf.
+    """
     h = np.conj(m.swapaxes(-1, -2), order="C")   # dagger(m), row-major
-    h += m
-    h /= 2
+    h.view(float)[...] *= 0.5
+    h.real += 0.5 * m.real
+    h.imag += 0.5 * m.imag
+    real_zero = np.copysign(0.0, h.real)
+    h.real += np.copysign(0.0, h.imag)
+    h.imag -= real_zero
     return h
 
 

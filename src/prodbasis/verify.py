@@ -3,8 +3,8 @@
 Covers orthonormality and rank checks, the complement projector, and the
 numerical unextendibility test: a seeded see-saw maximization of the product
 overlap with the complement, which advances every restart together through
-one factorization of the operator by power steps, with no eigensolver in
-the loop, cross-checked at small dimensions by a
+one factorization of the operator's positive part by power steps, with no
+eigensolver in the loop, cross-checked at small dimensions by a
 brute-force grid oracle that never iterates the see-saw path.  The oracle
 prunes in two stages.  It bounds each grid state's top eigenvalue by its
 trace and Frobenius norm (Wolkowicz-Styan) and keeps the states whose bound
@@ -171,40 +171,56 @@ _SEESAW_SLACK = 1e-12
 _SEESAW_STOP = 1e-12
 _SEESAW_MAX_ITERATIONS = 10_000
 # Power steps per half step, local for the same reason.  More steps mean
-# fewer iterations but more matmuls in each; of 2, 4 and 8, 4 was fastest
-# over both see-saw benchmark workloads (2 lost on the tile families, 8 on
-# the 2 x 2 and 2 x 3 operators).
+# fewer iterations but more matmuls in each.  Of 2, 4 and 8 steps, each
+# normalised, 4 was fastest over both see-saw benchmark workloads; that
+# comparison predates the single normalisation per half step and was not
+# run again for it.
 _POWER_STEPS = 4
+# Smallest image norm that a half step divides by: sqrt of the smallest
+# normal float, so the squared norm is a normal number and the quotient a
+# unit vector to rounding.
+_IMAGE_FLOOR = np.sqrt(np.finfo(float).tiny)
 
 
-def _contract(x: np.ndarray, f_x: np.ndarray, d_out: int) -> np.ndarray:
-    """Per-row factors ``<x|F`` of shape (n, d_out, k), one matmul per row.
+def _contract(x: np.ndarray, g_x: np.ndarray, d_out: int) -> np.ndarray:
+    """Per-row factors ``<x|G`` of shape (n, d_out, k), one matmul per row.
 
-    ``f_x`` is the factor F of Q with the contracted side as its rows.  Rows
-    go through separate matmuls, so a row's result does not depend on the
-    other rows of ``x``.
+    ``g_x`` is the factor G of Q = G G^dag with the contracted side as its
+    rows.  Rows go through separate matmuls, so a row's result does not
+    depend on the other rows of ``x``.
     """
-    return (x.conj()[:, None, :] @ f_x).reshape(len(x), d_out, -1)
+    return (x.conj()[:, None, :] @ g_x).reshape(len(x), d_out, -1)
 
 
-def _half_step_operators(x: np.ndarray, f_x: np.ndarray, s: np.ndarray, d_out: int) -> np.ndarray:
-    """Stack of <x|Q|x> = X diag(s) X^dag over the other side, one per row of ``x``."""
-    y = _contract(x, f_x, d_out)
-    return (y * s) @ dagger(y)
+def _half_step_operators(x: np.ndarray, g_x: np.ndarray, d_out: int) -> np.ndarray:
+    """Stack of <x|Q|x> = Y Y^dag over the other side, Y = <x|G, one per row of ``x``."""
+    y = _contract(x, g_x, d_out)
+    return y @ dagger(y)
 
 
 def _power_steps(m: np.ndarray, x: np.ndarray):
-    """``_POWER_STEPS`` steps x <- Mx/||Mx|| on each row, then the values <x|M|x>.
+    """x <- M^4 x / ||M^4 x|| on each row (``_POWER_STEPS`` = 4), then the values <x|M|x>.
 
     ``m`` is a stack of positive semidefinite operators and ``x`` the unit
-    vectors they act on, one per row, so no step lowers <x|M|x>.  A row
-    with ||Mx|| = 0 keeps its vector, and its value is 0.  Each step is one
-    batched matmul, so a row's result does not depend on the other rows.
+    vectors they act on, one per row.  M is applied ``_POWER_STEPS`` times
+    with no scaling in between and the image is normalised once, which in
+    exact arithmetic is the iterate of as many normalised power steps, so
+    <x|M|x> does not drop.  ||M|| <= 1 + ``TOLERANCES.operator_interval``,
+    so M^4 x cannot overflow.  A row whose image norm is below
+    ``_IMAGE_FLOOR`` (about 1.5e-154) keeps its vector and so the value it
+    had, M^4 x = 0 included: below that floor the squared norm is
+    subnormal, and the quotient could miss unit norm far beyond rounding.
+    Since ||M^4 x|| >= ||Mx||^4 >= <x|M|x>^4 for a unit x, a kept row has
+    ||Mx|| and <x|M|x> below about 4e-39; M^4 x itself underflows to 0
+    only when ||Mx|| is below about 1e-81.  Each matmul is batched over
+    rows, so a row's result does not depend on the other rows.
     """
+    y = x[:, :, None]
     for _ in range(_POWER_STEPS):
-        y = (m @ x[:, :, None])[:, :, 0]
-        norm = _row_norms(y)[:, None]
-        x = np.divide(y, norm, out=x.copy(), where=norm > 0)
+        y = m @ y
+    y = y[:, :, 0]
+    norm = _row_norms(y)[:, None]
+    x = np.divide(y, norm, out=x.copy(), where=norm >= _IMAGE_FLOOR)
     return np.vecdot(x, (m @ x[:, :, None])[:, :, 0]).real, x
 
 
@@ -229,27 +245,36 @@ def seesaw_max_product_overlap(
     """Maximize <a (x) b|Q|a (x) b> by alternating power steps.
 
     With ``b`` fixed, the objective is <a|M|a> for the contracted dA x dA
-    operator M = <b|Q|b>, which is positive semidefinite, and symmetrically
-    for ``a``.  Each half step takes 4 power steps a <- Ma/||Ma||
-    (``_POWER_STEPS``) from the restart's current vector, and its value is
-    the final Rayleigh quotient <a|M|a>.  A power step on a positive
-    semidefinite operator never lowers the Rayleigh quotient, so the
-    objective never decreases (checked once per pass, over both half steps:
-    a drop beyond 1e-12 raises :class:`NonMonotoneSeesaw`, naming the
-    largest drop), and the stationary points are those of exact partial
-    maximization: the higher-order power method of De Lathauwer, De Moor
-    and Vandewalle, SIAM J. Matrix Anal. Appl. 21, 1324 (2000).  A row
-    with Ma = 0 keeps its vector, with value 0.  No eigensolver runs.
+    operator M = <b|Q|b>, and symmetrically for ``a``.  Each half step
+    applies M four times (``_POWER_STEPS``) to the restart's current vector
+    and normalises once, a <- M^4 a/||M^4 a||, which in exact arithmetic is
+    four power steps a <- Ma/||Ma||; its value is the final Rayleigh
+    quotient <a|M|a>.  A power step on a positive semidefinite operator
+    never lowers the Rayleigh quotient, so the objective never decreases
+    (checked once per pass, over both half steps: a drop beyond 1e-12
+    raises :class:`NonMonotoneSeesaw`, naming the largest drop), and the
+    stationary points are those of exact partial maximization: the
+    higher-order power method of De Lathauwer, De Moor and Vandewalle, SIAM
+    J. Matrix Anal. Appl. 21, 1324 (2000).  A row whose image M^4 a is
+    below about 1.5e-154 in norm, zero included, keeps its vector.  No
+    eigensolver runs.
 
     Q must be Hermitian with its spectrum in [0, 1], up to
     ``TOLERANCES.operator_interval`` as read at the call, or
-    :class:`InvalidProjector` is raised.  Q is factored once, from the
-    eigendecomposition that checks its spectrum, as F diag(s) F^dag over
-    the eigenpairs above the numerical rank cut D*eps*max|w|; each
-    contracted operator is then X diag(s) X^dag with X of size dA x k or
-    dB x k.  All restarts advance together: each
-    half step is one stacked contraction and one batched matmul per power
-    step over the restarts still active, and a restart leaves the active
+    :class:`InvalidProjector` is raised.  The see-saw maximizes over the
+    positive part Q+ of Q, which it factors once, from the
+    eigendecomposition that checks the spectrum, as G G^dag with
+    G = V+ sqrt(w+) over the eigenpairs above the numerical rank cut
+    D*eps*max|w|.  Every contracted operator Y Y^dag, with Y = <b|G of size
+    dA x k or <a|G of size dB x k, is then positive semidefinite, as the
+    power steps need; on an indefinite M a power step can lower the
+    Rayleigh quotient.  Q+ >= Q, so the maximum over Q+ is at least the one
+    over Q and exceeds it by at most the modulus of Q's most negative
+    eigenvalue, which the check bounds by the operator-interval slack: the
+    error lies on the safe side of a ``UPB_Numeric`` verdict.  All restarts
+    advance together: each half step is one stacked contraction, one
+    batched matmul for M and one per power step over the restarts still
+    active, and a restart leaves the active
     set once one iteration improves it by less than 1e-12
     (``_SEESAW_STOP``), or after 10 000 iterations
     (``_SEESAW_MAX_ITERATIONS``); ``capped_restarts`` counts the restarts
@@ -268,16 +293,17 @@ def seesaw_max_product_overlap(
     modulus is real and positive.
     """
     _, w, v = _check_operator_interval(q, d_a, d_b)
-    keep = np.abs(w) > w.size * np.finfo(float).eps * np.max(np.abs(w))
-    return _seesaw(v[:, keep], w[keep], d_a, d_b, restarts, seed)
+    keep = w > w.size * np.finfo(float).eps * np.max(np.abs(w))
+    return _seesaw(v[:, keep] * np.sqrt(w[keep]), d_a, d_b, restarts, seed)
 
 
-def _seesaw(f, s, d_a, d_b, restarts, seed) -> SeesawResult:
-    """The see-saw on Q = F diag(s) F^dag, for a factor ``f`` of shape (dA*dB, k).
+def _seesaw(g, d_a, d_b, restarts, seed) -> SeesawResult:
+    """The see-saw on Q = G G^dag, for a factor ``g`` of shape (dA*dB, k).
 
-    :func:`seesaw_max_product_overlap` checks Q and factors it; the range
-    criterion passes the range eigenvectors of its state with s = 1, a
-    projector by construction.
+    :func:`seesaw_max_product_overlap` checks Q and passes its positive
+    part's factor; the range criterion passes the range eigenvectors of its
+    state, whose Q is the range projector.  Each half step forms its
+    contracted operators as Y Y^dag, positive semidefinite by construction.
 
     Row ``i`` of the working arrays ``a_w``, ``b_w`` and ``value_w`` is
     restart ``rows[i]``.  A pass steps every working row, checks the
@@ -290,20 +316,21 @@ def _seesaw(f, s, d_a, d_b, restarts, seed) -> SeesawResult:
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    f = f.reshape(d_a, d_b, s.size)
-    f_a = f.reshape(d_a, d_b * s.size)                      # rows: A side
-    f_b = f.transpose(1, 0, 2).reshape(d_b, d_a * s.size)   # rows: B side
+    k = g.shape[1]
+    g = g.reshape(d_a, d_b, k)
+    g_a = g.reshape(d_a, d_b * k)                      # rows: A side
+    g_b = g.transpose(1, 0, 2).reshape(d_b, d_a * k)   # rows: B side
 
     a, b = starting_pairs(seed, restarts, d_a, d_b)
-    z = (b.conj()[:, None, :] @ _contract(a, f_a, d_b))[:, 0]
-    value = np.sum((z.real ** 2 + z.imag ** 2) * s, axis=-1)
+    z = (b.conj()[:, None, :] @ _contract(a, g_a, d_b))[:, 0]
+    value = np.sum(z.real ** 2 + z.imag ** 2, axis=-1)
 
     rows = np.arange(restarts)
     a_w, b_w, value_w = a, b, value
     iterations_total = 0
     for _ in range(_SEESAW_MAX_ITERATIONS):
-        half, a_w = _power_steps(_half_step_operators(b_w, f_b, s, d_a), a_w)
-        new_value, b_w = _power_steps(_half_step_operators(a_w, f_a, s, d_b), b_w)
+        half, a_w = _power_steps(_half_step_operators(b_w, g_b, d_a), a_w)
+        new_value, b_w = _power_steps(_half_step_operators(a_w, g_a, d_b), b_w)
         _require_ascent(value_w, half, new_value)
         iterations_total += rows.size
         stopped = new_value - value_w < _SEESAW_STOP     # a NaN improvement stops nothing

@@ -168,6 +168,21 @@ def test_hermitian_part_matches_reference_bitwise(shape):
     assert m.tobytes() == before.tobytes()          # the input is left alone
 
 
+def test_hermitian_part_of_infinite_and_huge_entries():
+    # halving before the sum: an infinite entry stays infinite with a zero
+    # imaginary part, and entries whose sum overflows give their own value
+    cases = {
+        "inf_entry": (np.array([[np.inf, 0], [0, 1]], dtype=complex), np.array([[np.inf, 0], [0, 1]], dtype=complex)),
+        "entry_sum_overflows": (np.full((2, 2), 1.5e308, dtype=complex), np.full((2, 2), 1.5e308, dtype=complex)),
+        "stack": (np.array([[[np.inf]], [[1.5e308 + 1.5e308j]]]), np.array([[[np.inf]], [[1.5e308]]], dtype=complex)),
+    }
+    for m, want in cases.values():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hermitian_part(m)
+        assert got.tobytes() == want.tobytes()
+
+
 def row_norm_inputs(d):
     """Row stacks of dimension ``d``: contiguous, Fortran-ordered, every other row, every other entry."""
     rng = np.random.default_rng(d)

@@ -129,7 +129,7 @@ def test_engine_matches_reference_loop_on_tiles(make):
     res = seesaw_max_product_overlap(q, basis.d_a, basis.d_b, restarts=30, seed=5)
     assert abs(res.value - value) <= 1e-12
     assert abs(np.vdot(a, res.witness.a) * np.vdot(b, res.witness.b)) ** 2 >= 1.0 - 1e-9
-    want = reference_power_seesaw(*verify_factor(q, basis.d_a, basis.d_b), basis.d_a, basis.d_b, 30, 5)
+    want = reference_power_seesaw(verify_factor(q, basis.d_a, basis.d_b), basis.d_a, basis.d_b, 30, 5)
     assert res.iterations_total == want.iterations_total
 
 
@@ -186,15 +186,14 @@ def test_stacked_top_eigenvector_tie_break():
 def test_half_step_operators_are_row_independent(d_x, d_out, k):
     # a lone row (the last active restart) must get the bits it gets in a batch
     rng = stream(23, d_x)
-    f_x = rng.standard_normal((d_x, d_out * k)) + 1j * rng.standard_normal((d_x, d_out * k))
-    s = rng.uniform(0.1, 1.0, k)
+    g_x = rng.standard_normal((d_x, d_out * k)) + 1j * rng.standard_normal((d_x, d_out * k))
     x = rng.standard_normal((40, d_x)) + 1j * rng.standard_normal((40, d_x))
-    batch = verify._half_step_operators(x, f_x, s, d_out)
+    batch = verify._half_step_operators(x, g_x, d_out)
     v = rng.standard_normal((40, d_out)) + 1j * rng.standard_normal((40, d_out))
     v /= np.linalg.norm(v, axis=1)[:, None]
     values, vectors = verify._power_steps(batch, v)
     for i in range(len(x)):
-        assert np.array_equal(verify._half_step_operators(x[i:i + 1], f_x, s, d_out)[0], batch[i])
+        assert np.array_equal(verify._half_step_operators(x[i:i + 1], g_x, d_out)[0], batch[i])
         value, vector = verify._power_steps(batch[i:i + 1], v[i:i + 1])
         want_value, want_vector = reference_power_steps(batch[i], v[i])
         assert value[0] == values[i] == want_value
@@ -226,6 +225,7 @@ _PHASE_TOL = 1e-12
 _SEESAW_SLACK = 1e-12
 _SEESAW_STOP = 1e-12
 _POWER_STEPS = 4
+_IMAGE_FLOOR = 2.0 ** -511        # sqrt of the smallest normal float, 2^-1022
 
 
 def reference_canonical_phase(v):
@@ -253,24 +253,26 @@ def reference_top_eigenvector(m):
 
 
 def reference_power_steps(m, x):
-    """Power steps x <- Mx/|Mx| on one 2-D operator, then <x|M|x>; x stays where Mx = 0."""
+    """x <- M^4 x/|M^4 x| on one 2-D operator, then <x|M|x>; x stays where |M^4 x| < _IMAGE_FLOOR."""
+    y = x
     for _ in range(_POWER_STEPS):
-        y = m @ x
-        norm = np.linalg.norm(y)
-        if norm > 0:
-            x = y / norm
+        y = m @ y
+    norm = np.linalg.norm(y)
+    if norm >= _IMAGE_FLOOR:
+        x = y / norm
     return np.vdot(x, m @ x).real, x
 
 
-def reference_power_seesaw(f, s, d_a, d_b, restarts, seed, max_iterations=10_000):
+def reference_power_seesaw(g, d_a, d_b, restarts, seed, max_iterations=10_000):
     """``verify._seesaw`` run one restart at a time, with 2-D operators and vectors."""
-    f = f.reshape(d_a, d_b, s.size)
-    f_a = f.reshape(d_a, d_b * s.size)
-    f_b = f.transpose(1, 0, 2).reshape(d_b, d_a * s.size)
+    k = g.shape[1]
+    g = g.reshape(d_a, d_b, k)
+    g_a = g.reshape(d_a, d_b * k)
+    g_b = g.transpose(1, 0, 2).reshape(d_b, d_a * k)
 
-    def operator(x, f_x, d_out):
-        y = (x.conj() @ f_x).reshape(d_out, s.size)
-        return (y * s) @ y.conj().T
+    def operator(x, g_x, d_out):
+        y = (x.conj() @ g_x).reshape(d_out, k)
+        return y @ y.conj().T
 
     finals = []
     iterations_total = capped = 0
@@ -278,11 +280,11 @@ def reference_power_seesaw(f, s, d_a, d_b, restarts, seed, max_iterations=10_000
         rng = stream(seed, r)
         a = random_unit_vector(rng, d_a)
         b = random_unit_vector(rng, d_b)
-        z = b.conj() @ (a.conj() @ f_a).reshape(d_b, s.size)
-        value = np.sum((z.real ** 2 + z.imag ** 2) * s)
+        z = b.conj() @ (a.conj() @ g_a).reshape(d_b, k)
+        value = np.sum(z.real ** 2 + z.imag ** 2)
         for _ in range(max_iterations):
-            half, a = reference_power_steps(operator(b, f_b, d_a), a)
-            new_value, b = reference_power_steps(operator(a, f_a, d_b), b)
+            half, a = reference_power_steps(operator(b, g_b, d_a), a)
+            new_value, b = reference_power_steps(operator(a, g_a, d_b), b)
             if max(value - half, half - new_value) > _SEESAW_SLACK:
                 raise NonMonotoneSeesaw("reference see-saw objective decreased")
             iterations_total += 1
@@ -305,17 +307,16 @@ def reference_power_seesaw(f, s, d_a, d_b, restarts, seed, max_iterations=10_000
 
 
 def verify_factor(q, d_a, d_b):
-    """The factor ``seesaw_max_product_overlap`` passes to the engine."""
+    """The factor ``seesaw_max_product_overlap`` passes to the engine: G = V+ sqrt(w+)."""
     _, w, v = verify._check_operator_interval(q, d_a, d_b)
-    keep = np.abs(w) > w.size * np.finfo(float).eps * np.max(np.abs(w))
-    return v[:, keep], w[keep]
+    keep = w > w.size * np.finfo(float).eps * np.max(np.abs(w))
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 def range_factor(rho):
-    """The factor ``range_criterion_report`` passes to the engine."""
+    """The factor ``range_criterion_report`` passes to the engine: the range eigenvectors."""
     w, v = rho._spectrum
-    cols = v[:, w > TOLERANCES.range_cutoff]
-    return cols, np.ones(cols.shape[1])
+    return v[:, w > TOLERANCES.range_cutoff]
 
 
 def assert_same_run(got, want):
@@ -339,10 +340,10 @@ def random_projector(d_a, d_b, index):
 def test_engine_is_bit_identical_on_random_projectors(dims):
     for index in range(8):
         q = random_projector(*dims, index)
-        f, s = verify_factor(q, *dims)
+        g = verify_factor(q, *dims)
         for seed in (0, 1):
             got = seesaw_max_product_overlap(q, *dims, restarts=60, seed=seed)
-            assert_same_run(got, reference_power_seesaw(f, s, *dims, 60, seed))
+            assert_same_run(got, reference_power_seesaw(g, *dims, 60, seed))
 
 
 TILES = {
@@ -361,9 +362,9 @@ def test_engine_is_bit_identical_on_tile_factors(name):
     rho = upb_density_state(basis)
     for seed in (0, 3):
         got = seesaw_max_product_overlap(q, d_a, d_b, restarts=30, seed=seed)
-        assert_same_run(got, reference_power_seesaw(*verify_factor(q, d_a, d_b), d_a, d_b, 30, seed))
+        assert_same_run(got, reference_power_seesaw(verify_factor(q, d_a, d_b), d_a, d_b, 30, seed))
         report = range_criterion_report(rho, restarts=30, seed=seed)
-        want = reference_power_seesaw(*range_factor(rho), d_a, d_b, 30, seed)
+        want = reference_power_seesaw(range_factor(rho), d_a, d_b, 30, seed)
         assert report.max_product_overlap == want.value
         assert report.witness.a.tobytes() == want.witness.a.tobytes()
         assert report.witness.b.tobytes() == want.witness.b.tobytes()
@@ -378,7 +379,7 @@ def test_engine_is_bit_identical_at_the_iteration_cap(monkeypatch, cap):
     for q, d_a, d_b in cases:
         got = seesaw_max_product_overlap(q, d_a, d_b, restarts=20, seed=2)
         assert got.capped_restarts > 0
-        assert_same_run(got, reference_power_seesaw(*verify_factor(q, d_a, d_b), d_a, d_b, 20, 2, cap))
+        assert_same_run(got, reference_power_seesaw(verify_factor(q, d_a, d_b), d_a, d_b, 20, 2, cap))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 10, 12])
@@ -408,7 +409,7 @@ def test_power_step_rows_are_two_per_iteration(monkeypatch, name):
     basis = TILES[name]()
     q = complement_projector(basis)
     res = seesaw_max_product_overlap(q, basis.d_a, basis.d_b, restarts=40, seed=1)
-    want = reference_power_seesaw(*verify_factor(q, basis.d_a, basis.d_b), basis.d_a, basis.d_b, 40, 1)
+    want = reference_power_seesaw(verify_factor(q, basis.d_a, basis.d_b), basis.d_a, basis.d_b, 40, 1)
     assert res.iterations_total == want.iterations_total
     assert sum(rows) == 2 * res.iterations_total
     rows.clear()
@@ -435,20 +436,63 @@ def test_power_steps_keep_a_row_whose_image_is_zero():
     # the engine on an empty factor: every restart is such a row
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = verify._seesaw(np.zeros((6, 0), dtype=complex), np.zeros(0), 2, 3, 4, 0)
+        res = verify._seesaw(np.zeros((6, 0), dtype=complex), 2, 3, 4, 0)
     assert res.value == 0.0 and res.iterations_total == 4
     assert np.isfinite(res.witness.a).all() and np.isfinite(res.witness.b).all()
+
+
+def test_power_steps_keep_a_row_whose_image_underflows():
+    # M = 1e-90 I: M^4 x = 1e-360 x is 0 in floating point, and M = 1e-40 I
+    # gives an image whose squared norm is subnormal; both rows keep their
+    # vector bit for bit, with value <x|M|x>, and M = 1e-30 I still normalises
+    assert verify._IMAGE_FLOOR == _IMAGE_FLOOR
+    x = np.array([[0.6, 0.8j], [0.8, -0.6j], [0.6j, 0.8]], dtype=complex)
+    m = np.eye(2, dtype=complex) * np.array([1e-90, 1e-40, 1e-30])[:, None, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, vectors = verify._power_steps(m, x)
+    assert vectors[:2].tobytes() == x[:2].tobytes()
+    assert np.allclose(values, [1e-90, 1e-40, 1e-30], rtol=1e-15, atol=0)
+    assert abs(np.linalg.norm(vectors[2]) - 1.0) <= 1e-15
+    for i in range(3):
+        want_value, want_vector = reference_power_steps(m[i], x[i])
+        assert values[i] == want_value and vectors[i].tobytes() == want_vector.tobytes()
+
+
+def test_tiny_operator_gives_a_unit_witness():
+    # a valid Q of norm 1e-40: every contracted operator has a subnormal
+    # squared image norm after four steps, so no row is normalised through it
+    q = 1e-40 * random_projector(2, 3, 1)
+    res = seesaw_max_product_overlap(q, 2, 3, restarts=10, seed=0)
+    assert np.linalg.norm(res.witness.a) == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.norm(res.witness.b) == pytest.approx(1.0, abs=1e-14)
+    assert 0.0 <= res.value <= 1e-40 * (1 + 1e-12)
+
+
+def test_seesaw_maximizes_the_positive_part_of_an_indefinite_operator():
+    # Q has spectrum (-5e-9, -5e-9, -5e-9, 1e-9, 0, 0), inside the operator
+    # interval's slack; a power step on an indefinite contraction can lower
+    # the objective, and the see-saw used to raise NonMonotoneSeesaw here.
+    # It maximizes over Q+ = 1e-9 |u><u|, whose maximum is 1e-9 times the
+    # squared top singular value of u as a 2 x 3 matrix
+    u = haar_unitary(stream(1, 0), 6)
+    q = (u * np.array([-5e-9, -5e-9, -5e-9, 1e-9, 0.0, 0.0])) @ u.conj().T
+    res = seesaw_max_product_overlap(q, 2, 3, restarts=20, seed=0)
+    top = 1e-9 * np.linalg.svd(u[:, 3].reshape(2, 3), compute_uv=False)[0] ** 2
+    assert abs(res.value - top) <= TOLERANCES.operator_interval
+    assert 0.0 < res.value <= top * (1 + 1e-12)
+    assert abs(objective(q, res.witness.a, res.witness.b) - res.value) <= TOLERANCES.operator_interval
 
 
 def test_engine_calls_no_eigensolver(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the see-saw called an eigensolver")
 
-    f, s = verify_factor(complement_projector(gen_tiles2(3, 4)), 3, 4)
+    g = verify_factor(complement_projector(gen_tiles2(3, 4)), 3, 4)
     for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    want = reference_power_seesaw(f, s, 3, 4, 20, 0)
-    assert_same_run(verify._seesaw(f, s, 3, 4, 20, 0), want)
+    want = reference_power_seesaw(g, 3, 4, 20, 0)
+    assert_same_run(verify._seesaw(g, 3, 4, 20, 0), want)
 
 
 @pytest.mark.parametrize("command", ["verify", "boundent"])
