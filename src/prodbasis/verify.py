@@ -19,7 +19,7 @@ own, the maximum is bit-identical to solving every grid state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -164,18 +164,23 @@ def _check_operator_interval(q: np.ndarray, d_a: int, d_b: int):
 
 # Rounding slack of the see-saw: how far a half step may lower the objective,
 # and how close to the best value a restart must be to supply the witness.
+# seesaw_max_product_overlap runs on Q scaled to unit top eigenvalue, so
+# there both slacks and the stop rule below are relative to lambda_max(Q).
 _SEESAW_SLACK = 1e-12
 # A restart stops once one iteration improves it by less than _SEESAW_STOP,
 # or after _SEESAW_MAX_ITERATIONS iterations.  Both are local because no
 # caller sets them; the certification margin is Tolerances.upb_margin.
 _SEESAW_STOP = 1e-12
 _SEESAW_MAX_ITERATIONS = 10_000
-# Power steps per half step, local for the same reason.  More steps mean
-# fewer iterations but more matmuls in each.  Of 2, 4 and 8 steps, each
-# normalised, 4 was fastest over both see-saw benchmark workloads; that
-# comparison predates the single normalisation per half step and was not
-# run again for it.
+# Power steps per half step, local for the same reason: a d x d contracted
+# operator M is applied _POWER_STEPS times when d <= 3 and _LONG_POWER_STEPS
+# times when d >= 4, then the image is normalised once.  More steps mean
+# fewer iterations but more matmuls in each.  With one normalisation per half
+# step, 8 steps made the tile certifications (d >= 4) about 15% faster than
+# 4, while on 2 x 2 and 2 x 3 operators (d <= 3) they cost about 10%.  The
+# count depends on d alone, so each row stays independent of its batch.
 _POWER_STEPS = 4
+_LONG_POWER_STEPS = 8
 # Smallest image norm that a half step divides by: sqrt of the smallest
 # normal float, so the squared norm is a normal number and the quotient a
 # unit vector to rounding.
@@ -199,24 +204,28 @@ def _half_step_operators(x: np.ndarray, g_x: np.ndarray, d_out: int) -> np.ndarr
 
 
 def _power_steps(m: np.ndarray, x: np.ndarray):
-    """x <- M^4 x / ||M^4 x|| on each row (``_POWER_STEPS`` = 4), then the values <x|M|x>.
+    """x <- M^s x / ||M^s x|| on each row, then the values <x|M|x>.
 
-    ``m`` is a stack of positive semidefinite operators and ``x`` the unit
-    vectors they act on, one per row.  M is applied ``_POWER_STEPS`` times
-    with no scaling in between and the image is normalised once, which in
-    exact arithmetic is the iterate of as many normalised power steps, so
-    <x|M|x> does not drop.  ||M|| <= 1 + ``TOLERANCES.operator_interval``,
-    so M^4 x cannot overflow.  A row whose image norm is below
-    ``_IMAGE_FLOOR`` (about 1.5e-154) keeps its vector and so the value it
-    had, M^4 x = 0 included: below that floor the squared norm is
-    subnormal, and the quotient could miss unit norm far beyond rounding.
-    Since ||M^4 x|| >= ||Mx||^4 >= <x|M|x>^4 for a unit x, a kept row has
-    ||Mx|| and <x|M|x> below about 4e-39; M^4 x itself underflows to 0
-    only when ||Mx|| is below about 1e-81.  Each matmul is batched over
-    rows, so a row's result does not depend on the other rows.
+    ``m`` is a stack of positive semidefinite d x d operators and ``x`` the
+    unit vectors they act on, one per row.  M is applied s times with no
+    scaling in between, s = ``_POWER_STEPS`` (4) for d <= 3 and
+    ``_LONG_POWER_STEPS`` (8) for d >= 4, and the image is normalised once,
+    which in exact arithmetic is the iterate of s normalised power steps, so
+    <x|M|x> does not drop.  The see-saw's operators have ||M|| <= 1 to
+    rounding, because its Q has unit top eigenvalue, so M^s x cannot
+    overflow.  A row whose image norm is below ``_IMAGE_FLOOR`` (about
+    1.5e-154) keeps its vector and so the value it had, M^s x = 0
+    included: below that floor the squared norm is subnormal, and the
+    quotient could miss unit norm far beyond rounding.
+    Since ||M^s x|| >= ||Mx||^s >= <x|M|x>^s for a unit x, a kept row has
+    ||Mx|| and <x|M|x> below about 3.5e-39 for 4 steps and 5.9e-20 for 8;
+    M^s x itself underflows to 0 only when ||Mx|| is below about 1.5e-81 for
+    4 steps and 3.9e-41 for 8.  Each matmul is batched over rows and s
+    depends on d alone, so a row's result does not depend on the other rows.
     """
+    steps = _POWER_STEPS if m.shape[-1] <= 3 else _LONG_POWER_STEPS
     y = x[:, :, None]
-    for _ in range(_POWER_STEPS):
+    for _ in range(steps):
         y = m @ y
     y = y[:, :, 0]
     norm = _row_norms(y)[:, None]
@@ -246,64 +255,77 @@ def seesaw_max_product_overlap(
 
     With ``b`` fixed, the objective is <a|M|a> for the contracted dA x dA
     operator M = <b|Q|b>, and symmetrically for ``a``.  Each half step
-    applies M four times (``_POWER_STEPS``) to the restart's current vector
-    and normalises once, a <- M^4 a/||M^4 a||, which in exact arithmetic is
-    four power steps a <- Ma/||Ma||; its value is the final Rayleigh
-    quotient <a|M|a>.  A power step on a positive semidefinite operator
-    never lowers the Rayleigh quotient, so the objective never decreases
-    (checked once per pass, over both half steps: a drop beyond 1e-12
-    raises :class:`NonMonotoneSeesaw`, naming the largest drop), and the
+    applies M s times to the restart's current vector and normalises once,
+    a <- M^s a/||M^s a||, which in exact arithmetic is s power steps
+    a <- Ma/||Ma||; its value is the final Rayleigh quotient <a|M|a>.  The
+    step count s depends on M's dimension d alone: 4 for d <= 3
+    (``_POWER_STEPS``) and 8 for d >= 4 (``_LONG_POWER_STEPS``).  A power
+    step on a positive semidefinite operator never lowers the Rayleigh
+    quotient, so the objective never decreases (checked once per pass, over
+    both half steps: a drop beyond 1e-12 lambda_max(Q) raises
+    :class:`NonMonotoneSeesaw`, naming the largest drop), and the
     stationary points are those of exact partial maximization: the
     higher-order power method of De Lathauwer, De Moor and Vandewalle, SIAM
-    J. Matrix Anal. Appl. 21, 1324 (2000).  A row whose image M^4 a is
-    below about 1.5e-154 in norm, zero included, keeps its vector.  No
-    eigensolver runs.
+    J. Matrix Anal. Appl. 21, 1324 (2000).  No eigensolver runs.
 
     Q must be Hermitian with its spectrum in [0, 1], up to
     ``TOLERANCES.operator_interval`` as read at the call, or
     :class:`InvalidProjector` is raised.  The see-saw maximizes over the
     positive part Q+ of Q, which it factors once, from the
-    eigendecomposition that checks the spectrum, as G G^dag with
-    G = V+ sqrt(w+) over the eigenpairs above the numerical rank cut
-    D*eps*max|w|.  Every contracted operator Y Y^dag, with Y = <b|G of size
-    dA x k or <a|G of size dB x k, is then positive semidefinite, as the
-    power steps need; on an indefinite M a power step can lower the
-    Rayleigh quotient.  Q+ >= Q, so the maximum over Q+ is at least the one
-    over Q and exceeds it by at most the modulus of Q's most negative
-    eigenvalue, which the check bounds by the operator-interval slack: the
-    error lies on the safe side of a ``UPB_Numeric`` verdict.  All restarts
-    advance together: each half step is one stacked contraction, one
-    batched matmul for M and one per power step over the restarts still
-    active, and a restart leaves the active
-    set once one iteration improves it by less than 1e-12
-    (``_SEESAW_STOP``), or after 10 000 iterations
-    (``_SEESAW_MAX_ITERATIONS``); ``capped_restarts`` counts the restarts
-    the cap stopped.  The active restarts' vectors and values live in
-    compact working arrays, so a stopped restart is never stepped again.
+    eigendecomposition that checks the spectrum, over the eigenpairs above
+    the numerical rank cut D*eps*max|w|.  It runs on Q+ scaled to unit top
+    eigenvalue, as G G^dag with G = V+ sqrt(w+ / w_max) for w_max the top
+    eigenvalue, and multiplies the value it finds by w_max; a Q with no
+    eigenpair kept (the zero operator) runs unscaled.  Every contracted
+    operator Y Y^dag, with Y = <b|G of size dA x k or <a|G of size dB x k,
+    is then positive semidefinite, as the power steps need (on an indefinite
+    M a power step can lower the Rayleigh quotient), and has norm at most 1.
+    So M^s a cannot overflow, and a row keeps its vector because its image
+    M^s a is below about 1.5e-154 in norm, zero included, only when
+    <a|M|a> is below about 3.5e-39 w_max for 4 steps and 5.9e-20 w_max for
+    8.  Q+ >= Q, so the maximum over Q+ is at least the one over Q and
+    exceeds it by at most the modulus of Q's most negative eigenvalue,
+    which the check bounds by the operator-interval slack: the error lies
+    on the safe side of a ``UPB_Numeric`` verdict.  All restarts advance
+    together: each half step is one stacked contraction, one batched matmul
+    for M and one per power step over the restarts still active, and a
+    restart leaves the active set once one iteration improves it by less
+    than 1e-12 lambda_max(Q) (``_SEESAW_STOP`` on the scaled operator), or
+    after 10 000 iterations (``_SEESAW_MAX_ITERATIONS``);
+    ``capped_restarts`` counts the restarts the cap stopped.  The active
+    restarts' vectors and values live in compact working arrays, so a
+    stopped restart is never stepped again.
 
     Restart ``r`` starts from a rotation-invariant pair drawn from the
     counter-seeded stream ``stream(seed, r)``.  One bit generator, re-keyed
     per restart, draws every pair (:func:`~prodbasis.sampling.starting_pairs`),
     with the same bits as separate streams.  A restart's trajectory does
     not depend on which other restarts share its batch.  The witness comes
-    from the lowest-index restart whose value is within 1e-12 of the best,
-    so rounding noise among restarts that reach the same optimum does not
-    pick it, and the outcome does not depend on execution order.  Its two
-    factors get a canonical global phase: the first entry above 1e-12 in
-    modulus is real and positive.
+    from the lowest-index restart whose value is within 1e-12 lambda_max(Q)
+    of the best, so rounding noise among restarts that reach the same
+    optimum does not pick it, and the outcome does not depend on execution
+    order.  Its two factors get a canonical global phase: the first entry
+    above 1e-12 in modulus is real and positive.
     """
     _, w, v = _check_operator_interval(q, d_a, d_b)
     keep = w > w.size * np.finfo(float).eps * np.max(np.abs(w))
-    return _seesaw(v[:, keep] * np.sqrt(w[keep]), d_a, d_b, restarts, seed)
+    w_max = float(w[-1]) if keep.any() else 1.0
+    result = _seesaw(v[:, keep] * np.sqrt(w[keep] / w_max), d_a, d_b, restarts, seed)
+    return replace(result, value=result.value * w_max)
 
 
 def _seesaw(g, d_a, d_b, restarts, seed) -> SeesawResult:
     """The see-saw on Q = G G^dag, for a factor ``g`` of shape (dA*dB, k).
 
-    :func:`seesaw_max_product_overlap` checks Q and passes its positive
-    part's factor; the range criterion passes the range eigenvectors of its
-    state, whose Q is the range projector.  Each half step forms its
-    contracted operators as Y Y^dag, positive semidefinite by construction.
+    :func:`seesaw_max_product_overlap` checks Q and passes the factor of its
+    positive part scaled to unit top eigenvalue; the range criterion passes
+    the range eigenvectors of its state, whose Q is the range projector.
+    Either way lambda_max(G G^dag) = 1, so every contracted operator has
+    norm at most 1, and the stop rule, the ascent slack and the witness tie,
+    absolute on G G^dag, are relative to the caller's lambda_max(Q).  Each
+    half step forms its contracted operators as Y Y^dag, positive
+    semidefinite by construction, and applies each d x d operator 4 times
+    for d <= 3 and 8 times for d >= 4 (:func:`_power_steps`).
 
     Row ``i`` of the working arrays ``a_w``, ``b_w`` and ``value_w`` is
     restart ``rows[i]``.  A pass steps every working row, checks the

@@ -37,13 +37,18 @@ def reference_seesaw(q, d_a, d_b, restarts, seed, stop_tol=1e-12, max_iterations
     """Per-restart see-saw over the dense operator.
 
     Each restart runs alone, with an ``einsum`` contraction of the full
-    D x D operator and one eigensolver call per half step.  Restarts are
-    merged by the lowest index whose value is within ``TIE_TOL`` of the
-    best.  Returns ``(value, a, b, iterations_total, gap)``, where ``gap``
-    is the smallest top-eigenvalue gap met on the chosen restart's path:
-    below about 1e-9, rounding noise may pick a different top eigenvector.
+    D x D operator and one eigensolver call per half step.  A restart stops
+    once an iteration improves it by less than ``stop_tol`` lambda_max(Q),
+    and restarts are merged by the lowest index whose value is within
+    ``TIE_TOL`` lambda_max(Q) of the best, as the engine does (both
+    absolute for a Q with no positive eigenvalue).  Returns
+    ``(value, a, b, iterations_total, gap)``, where ``gap`` is the smallest
+    top-eigenvalue gap met on the chosen restart's path: below about 1e-9,
+    rounding noise may pick a different top eigenvector.
     """
     q4 = np.asarray(q, dtype=complex).reshape(d_a, d_b, d_a, d_b)
+    top = np.linalg.eigvalsh(hermitian_part(np.asarray(q, dtype=complex)))[-1]
+    scale = top if top > 0 else 1.0
 
     def step(m):
         w = np.linalg.eigvalsh(m)
@@ -66,11 +71,11 @@ def reference_seesaw(q, d_a, d_b, restarts, seed, stop_tol=1e-12, max_iterations
             iterations_total += 1
             improvement = new_value - value
             value = new_value
-            if improvement < stop_tol:
+            if improvement < stop_tol * scale:
                 break
         finals.append((value, a, b, gap))
     best = max(f[0] for f in finals)
-    value, a, b, gap = next(f for f in finals if f[0] >= best - TIE_TOL)
+    value, a, b, gap = next(f for f in finals if f[0] >= best - TIE_TOL * scale)
     return value, a, b, iterations_total, gap
 
 
@@ -129,7 +134,7 @@ def test_engine_matches_reference_loop_on_tiles(make):
     res = seesaw_max_product_overlap(q, basis.d_a, basis.d_b, restarts=30, seed=5)
     assert abs(res.value - value) <= 1e-12
     assert abs(np.vdot(a, res.witness.a) * np.vdot(b, res.witness.b)) ** 2 >= 1.0 - 1e-9
-    want = reference_power_seesaw(verify_factor(q, basis.d_a, basis.d_b), basis.d_a, basis.d_b, 30, 5)
+    want = reference_verify_seesaw(q, basis.d_a, basis.d_b, 30, 5)
     assert res.iterations_total == want.iterations_total
 
 
@@ -224,7 +229,8 @@ def test_witness_prefix_consistency(make, dims, seed):
 _PHASE_TOL = 1e-12
 _SEESAW_SLACK = 1e-12
 _SEESAW_STOP = 1e-12
-_POWER_STEPS = 4
+_POWER_STEPS = 4                  # on d x d operators with d <= 3
+_LONG_POWER_STEPS = 8             # with d >= 4
 _IMAGE_FLOOR = 2.0 ** -511        # sqrt of the smallest normal float, 2^-1022
 
 
@@ -253,9 +259,12 @@ def reference_top_eigenvector(m):
 
 
 def reference_power_steps(m, x):
-    """x <- M^4 x/|M^4 x| on one 2-D operator, then <x|M|x>; x stays where |M^4 x| < _IMAGE_FLOOR."""
+    """x <- M^s x/|M^s x| on one 2-D operator, then <x|M|x>; x stays where |M^s x| < _IMAGE_FLOOR.
+
+    s is 4 for a d x d operator with d <= 3 and 8 for d >= 4.
+    """
     y = x
-    for _ in range(_POWER_STEPS):
+    for _ in range(_POWER_STEPS if len(m) <= 3 else _LONG_POWER_STEPS):
         y = m @ y
     norm = np.linalg.norm(y)
     if norm >= _IMAGE_FLOOR:
@@ -263,8 +272,13 @@ def reference_power_steps(m, x):
     return np.vdot(x, m @ x).real, x
 
 
-def reference_power_seesaw(g, d_a, d_b, restarts, seed, max_iterations=10_000):
-    """``verify._seesaw`` run one restart at a time, with 2-D operators and vectors."""
+def reference_power_seesaw(g, d_a, d_b, restarts, seed, max_iterations=10_000, scale=1.0):
+    """``verify._seesaw`` run one restart at a time, with 2-D operators and vectors.
+
+    The value found on Q = G G^dag is multiplied by ``scale``, as
+    ``seesaw_max_product_overlap`` multiplies it by lambda_max(Q) after
+    running on Q scaled to unit top eigenvalue.
+    """
     k = g.shape[1]
     g = g.reshape(d_a, d_b, k)
     g_a = g.reshape(d_a, d_b * k)
@@ -298,7 +312,7 @@ def reference_power_seesaw(g, d_a, d_b, restarts, seed, max_iterations=10_000):
     best = max(run[0] for run in finals)
     value, a, b = next(run for run in finals if run[0] >= best - _SEESAW_SLACK)
     return SeesawResult(
-        value=float(value),
+        value=float(value) * scale,
         witness=ProductState(reference_canonical_phase(a), reference_canonical_phase(b), label="witness"),
         restarts_used=restarts,
         iterations_total=iterations_total,
@@ -307,10 +321,21 @@ def reference_power_seesaw(g, d_a, d_b, restarts, seed, max_iterations=10_000):
 
 
 def verify_factor(q, d_a, d_b):
-    """The factor ``seesaw_max_product_overlap`` passes to the engine: G = V+ sqrt(w+)."""
+    """The factor ``seesaw_max_product_overlap`` passes to the engine, and the scale of its value.
+
+    G = V+ sqrt(w+ / w_max) and w_max, for w_max the top eigenvalue; an
+    empty G and 1 when no eigenpair is kept.
+    """
     _, w, v = verify._check_operator_interval(q, d_a, d_b)
     keep = w > w.size * np.finfo(float).eps * np.max(np.abs(w))
-    return v[:, keep] * np.sqrt(w[keep])
+    w_max = float(w[-1]) if keep.any() else 1.0
+    return v[:, keep] * np.sqrt(w[keep] / w_max), w_max
+
+
+def reference_verify_seesaw(q, d_a, d_b, restarts, seed, max_iterations=10_000):
+    """``seesaw_max_product_overlap`` one restart at a time: the power-step see-saw on the scaled factor."""
+    g, scale = verify_factor(q, d_a, d_b)
+    return reference_power_seesaw(g, d_a, d_b, restarts, seed, max_iterations, scale)
 
 
 def range_factor(rho):
@@ -340,10 +365,9 @@ def random_projector(d_a, d_b, index):
 def test_engine_is_bit_identical_on_random_projectors(dims):
     for index in range(8):
         q = random_projector(*dims, index)
-        g = verify_factor(q, *dims)
         for seed in (0, 1):
             got = seesaw_max_product_overlap(q, *dims, restarts=60, seed=seed)
-            assert_same_run(got, reference_power_seesaw(g, *dims, 60, seed))
+            assert_same_run(got, reference_verify_seesaw(q, *dims, 60, seed))
 
 
 TILES = {
@@ -362,7 +386,7 @@ def test_engine_is_bit_identical_on_tile_factors(name):
     rho = upb_density_state(basis)
     for seed in (0, 3):
         got = seesaw_max_product_overlap(q, d_a, d_b, restarts=30, seed=seed)
-        assert_same_run(got, reference_power_seesaw(verify_factor(q, d_a, d_b), d_a, d_b, 30, seed))
+        assert_same_run(got, reference_verify_seesaw(q, d_a, d_b, 30, seed))
         report = range_criterion_report(rho, restarts=30, seed=seed)
         want = reference_power_seesaw(range_factor(rho), d_a, d_b, 30, seed)
         assert report.max_product_overlap == want.value
@@ -379,7 +403,7 @@ def test_engine_is_bit_identical_at_the_iteration_cap(monkeypatch, cap):
     for q, d_a, d_b in cases:
         got = seesaw_max_product_overlap(q, d_a, d_b, restarts=20, seed=2)
         assert got.capped_restarts > 0
-        assert_same_run(got, reference_power_seesaw(verify_factor(q, d_a, d_b), d_a, d_b, 20, 2, cap))
+        assert_same_run(got, reference_verify_seesaw(q, d_a, d_b, 20, 2, cap))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 10, 12])
@@ -409,7 +433,7 @@ def test_power_step_rows_are_two_per_iteration(monkeypatch, name):
     basis = TILES[name]()
     q = complement_projector(basis)
     res = seesaw_max_product_overlap(q, basis.d_a, basis.d_b, restarts=40, seed=1)
-    want = reference_power_seesaw(verify_factor(q, basis.d_a, basis.d_b), basis.d_a, basis.d_b, 40, 1)
+    want = reference_verify_seesaw(q, basis.d_a, basis.d_b, 40, 1)
     assert res.iterations_total == want.iterations_total
     assert sum(rows) == 2 * res.iterations_total
     rows.clear()
@@ -460,8 +484,9 @@ def test_power_steps_keep_a_row_whose_image_underflows():
 
 
 def test_tiny_operator_gives_a_unit_witness():
-    # a valid Q of norm 1e-40: every contracted operator has a subnormal
-    # squared image norm after four steps, so no row is normalised through it
+    # a valid Q of norm 1e-40: unscaled, every contracted operator would
+    # have a subnormal squared image norm after four steps; whatever path a
+    # row takes, the witness must be a pair of unit vectors
     q = 1e-40 * random_projector(2, 3, 1)
     res = seesaw_max_product_overlap(q, 2, 3, restarts=10, seed=0)
     assert np.linalg.norm(res.witness.a) == pytest.approx(1.0, abs=1e-14)
@@ -484,11 +509,68 @@ def test_seesaw_maximizes_the_positive_part_of_an_indefinite_operator():
     assert abs(objective(q, res.witness.a, res.witness.b) - res.value) <= TOLERANCES.operator_interval
 
 
+@pytest.mark.parametrize("frame", range(8))
+def test_seesaw_reaches_the_positive_part_maximum_of_a_small_operator(frame):
+    # the indefinite operators above, in 8 frames: their maximum is about
+    # 1e-9, and an absolute 1e-12 stop rule ended restarts up to 6.9e-4
+    # short of it in relative terms; the see-saw runs on Q scaled to unit
+    # top eigenvalue, so its stop rule is relative to lambda_max(Q)
+    u = haar_unitary(stream(frame, 0), 6)
+    q = (u * np.array([-5e-9, -5e-9, -5e-9, 1e-9, 0.0, 0.0])) @ u.conj().T
+    res = seesaw_max_product_overlap(q, 2, 3, restarts=20, seed=0)
+    top = 1e-9 * np.linalg.svd(u[:, 3].reshape(2, 3), compute_uv=False)[0] ** 2
+    assert abs(res.value - top) <= 1e-9 * top
+
+
+@pytest.mark.parametrize("c", [1e-15, 1e-40, 1e-100])
+def test_seesaw_value_scales_with_the_operator(c):
+    # c P for a rank-2 projector P on 4 x 4: the see-saw runs on the same
+    # unit-scale operator whatever c, so its value is c times the c = 1 value
+    cols = haar_unitary(stream(41, 0), 16)[:, :2]
+    p = cols @ cols.conj().T
+    unit = seesaw_max_product_overlap(p, 4, 4).value
+    assert 0.0 < unit <= 1.0
+    value = seesaw_max_product_overlap(c * p, 4, 4).value
+    assert abs(value - c * unit) <= 1e-12 * c * unit
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (4, 4)])
+def test_zero_operator_stops_every_restart_after_one_iteration(dims):
+    # nothing is kept, so the engine runs unscaled on an empty factor: every
+    # image is 0, every row keeps its vector, and no restart improves
+    dim = dims[0] * dims[1]
+    res = seesaw_max_product_overlap(np.zeros((dim, dim), dtype=complex), *dims, restarts=7, seed=0)
+    assert res.value == 0.0
+    assert res.iterations_total == 7
+    assert res.capped_restarts == 0
+
+
+@pytest.mark.parametrize("dim,steps", [(3, 4), (4, 8)])
+def test_power_step_count_follows_the_operator_dimension(dim, steps):
+    # a stack of d x d operators in [0, I] takes 4 steps for d <= 3 and 8 for
+    # d >= 4, the same for every row; the other count gives other bits
+    rng = stream(43, dim)
+    m = np.stack([random_operator(int(seed), dim, dim, projector=False)
+                  for seed in rng.integers(0, 2**31, 12)])
+    x = rng.standard_normal((12, dim)) + 1j * rng.standard_normal((12, dim))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    values, vectors = verify._power_steps(m, x)
+    for i in range(len(m)):
+        want_value, want_vector = reference_power_steps(m[i], x[i])
+        assert values[i] == want_value and vectors[i].tobytes() == want_vector.tobytes()
+        y = x[i]
+        for _ in range(steps):
+            y = m[i] @ y
+        assert vectors[i].tobytes() == (y / np.linalg.norm(y)).tobytes()
+        other = np.linalg.matrix_power(m[i], 12 - steps) @ x[i]
+        assert not np.allclose(vectors[i], other / np.linalg.norm(other), rtol=0, atol=1e-12)
+
+
 def test_engine_calls_no_eigensolver(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the see-saw called an eigensolver")
 
-    g = verify_factor(complement_projector(gen_tiles2(3, 4)), 3, 4)
+    g, _ = verify_factor(complement_projector(gen_tiles2(3, 4)), 3, 4)
     for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, refuse)
     want = reference_power_seesaw(g, 3, 4, 20, 0)
