@@ -46,12 +46,7 @@ from .families import (
     swap_shift_basis,
 )
 from .io import load_basis, save_basis
-from .linalg import (
-    basis_vector,
-    kron,
-    partial_transpose,
-    top_eigenvector,
-)
+from .linalg import partial_transpose, top_eigenvector
 from .render import render_tiles
 from .verify import (
     GramDeviations,
@@ -103,7 +98,7 @@ __all__ = [
     # io
     "load_basis", "save_basis",
     # linalg
-    "basis_vector", "kron", "partial_transpose", "top_eigenvector",
+    "partial_transpose", "top_eigenvector",
     # render
     "render_tiles",
     # verify

@@ -82,10 +82,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_spectrum", (w, v))
 
-    @property
-    def dim(self) -> int:
-        return self.d_a * self.d_b
-
 
 @dataclass(frozen=True)
 class RangeCriterionReport:

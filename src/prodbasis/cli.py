@@ -104,7 +104,7 @@ def cmd_verify(args) -> int:
     basis = load_basis(args.path)
     tolerances = dataclasses.replace(TOLERANCES, orthonormality=args.tol, upb_margin=args.eta)
     report = check_upb(basis, restarts=args.restarts, seed=args.seed, tol=tolerances)
-    _warn_capped(report.capped_restarts, report.restarts_used)
+    _warn_capped(report.capped_restarts, args.restarts)
 
     witness = report.witness_state
     payload = {
@@ -164,7 +164,7 @@ def cmd_boundent(args) -> int:
         # The range of the complement state is the complement, so the range
         # see-saw also decides whether the basis is unextendible.
         range_report = range_criterion_report(rho, restarts=args.restarts, seed=args.seed)
-        _warn_capped(range_report.capped_restarts, range_report.restarts_used)
+        _warn_capped(range_report.capped_restarts, args.restarts)
         verdict = overlap_verdict(range_report.max_product_overlap)
     if verdict in (Verdict.COMPLETE_BASIS, Verdict.EXTENDIBLE):
         return _fail(

@@ -5,7 +5,7 @@ Vectors are 1-D ``complex128`` numpy arrays, operators 2-D arrays.
 ``(n, d, d)``) and act on each one independently, so a slice of a stacked
 result does not depend on the other members of the stack;
 ``top_eigenvector`` takes one operator.  The functions here are thin
-wrappers over numpy/LAPACK routines; ``kron``, ``partial_transpose`` and
+wrappers over numpy/LAPACK routines; ``partial_transpose`` and
 ``top_eigenvector`` check the shapes they are given.  All are pure and
 safe to invoke concurrently.
 
@@ -23,22 +23,11 @@ from numpy.linalg import LinAlgError
 from .errors import DimensionMismatch
 
 __all__ = [
-    "basis_vector",
     "dagger",
     "hermitian_part",
-    "kron",
     "top_eigenvector",
     "partial_transpose",
 ]
-
-
-def basis_vector(dim: int, k: int) -> np.ndarray:
-    """Computational basis vector |k> in dimension ``dim``."""
-    if not 0 <= k < dim:
-        raise IndexError(f"basis index {k} outside [0, {dim})")
-    v = np.zeros(dim, dtype=complex)
-    v[k] = 1.0
-    return v
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -65,15 +54,6 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     h.real += np.copysign(0.0, h.imag)
     h.imag -= real_zero
     return h
-
-
-def kron(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Tensor product of two vectors; entry (i*dim(v)+j) equals u_i * v_j."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.ndim != 1 or v.ndim != 1 or u.size < 1 or v.size < 1:
-        raise DimensionMismatch("kron needs two nonempty 1-D vectors")
-    return np.kron(u, v)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:

@@ -99,16 +99,6 @@ class SubspacePair:
     def dims(self) -> tuple[int, int]:
         return self.a_basis.shape[1], self.b_basis.shape[1]
 
-    def a_projector(self) -> np.ndarray:
-        return self.a_basis @ dagger(self.a_basis)
-
-    def b_projector(self) -> np.ndarray:
-        return self.b_basis @ dagger(self.b_basis)
-
-    def is_proper_for(self, d_a: int, d_b: int) -> bool:
-        """A proper split leaves something outside: (ka, kb) != (dA, dB)."""
-        return self.dims != (d_a, d_b)
-
 
 def _unitary(mat, dim: int, name: str) -> np.ndarray:
     arr = np.array(mat, dtype=complex)

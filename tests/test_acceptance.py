@@ -14,7 +14,6 @@ from prodbasis.boundent import RangeVerdict, is_ppt, range_criterion_report, upb
 from prodbasis.cli import main
 from prodbasis.families import cartesian_basis, cyclic_shift_basis, gen_tiles1, gen_tiles2
 from prodbasis.io import load_basis, save_basis
-from prodbasis.linalg import basis_vector, kron
 from prodbasis.sampling import random_unit_vector, stream
 from prodbasis.verify import (
     Verdict,
@@ -100,7 +99,7 @@ def test_criterion_4_oracle_agreement():
         # rank-1 product projector: both routes reach >= 0.998
         a = random_unit_vector(rng, d_a)
         b = random_unit_vector(rng, d_b)
-        v = kron(a, b)
+        v = np.kron(a, b)
         q = np.outer(v, v.conj())
         grid = grid_oracle_max_product_overlap(q, d_a, d_b, resolution=64)
         ss = seesaw_max_product_overlap(q, d_a, d_b, restarts=20, seed=0)
@@ -119,7 +118,7 @@ def test_criterion_5_bound_entanglement_signature():
         assert report.verdict is RangeVerdict.ENTANGLED, name
         assert report.max_product_overlap < 1 - 1e-3, (name, report.max_product_overlap)
     # control: maximally entangled state is not PPT, minimum eigenvalue -1/2
-    bell = (kron(basis_vector(2, 0), basis_vector(2, 0)) + kron(basis_vector(2, 1), basis_vector(2, 1))) / np.sqrt(2)
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     from prodbasis.boundent import DensityMatrix
 
     ok, min_pt = is_ppt(DensityMatrix(np.outer(bell, bell.conj()), 2, 2))

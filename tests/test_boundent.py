@@ -16,15 +16,15 @@ from prodbasis.boundent import (
 )
 from prodbasis.cli import main
 from prodbasis.config import TOLERANCES
-from prodbasis.errors import CompleteBasisInput, InvalidProjector, NonOrthonormalInput
+from prodbasis.errors import CompleteBasisInput, DimensionMismatch, InvalidProjector, NonOrthonormalInput
 from prodbasis.families import cartesian_basis, gen_tiles1, gen_tiles2
 from prodbasis.io import complex_to_json, load_basis, save_basis
-from prodbasis.linalg import basis_vector, kron, partial_transpose
+from prodbasis.linalg import partial_transpose
 from prodbasis.verify import Verdict, check_upb, complement_projector
 
 
 def bell_density():
-    bell = (kron(basis_vector(2, 0), basis_vector(2, 0)) + kron(basis_vector(2, 1), basis_vector(2, 1))) / np.sqrt(2)
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     return DensityMatrix(np.outer(bell, bell.conj()), 2, 2)
 
 
@@ -59,6 +59,13 @@ def test_density_matrix_rejects_nan():
         DensityMatrix(np.full((4, 4), np.nan, dtype=complex), 2, 2)
 
 
+def test_density_matrix_rejects_a_wrong_shape_or_trace():
+    with pytest.raises(DimensionMismatch):
+        DensityMatrix(np.eye(3) / 3, 2, 2)
+    with pytest.raises(ValueError, match="trace differs from 1"):
+        DensityMatrix(np.eye(4) / 2, 2, 2)
+
+
 def test_density_state_commutes_with_complement():
     basis = gen_tiles2(3, 4)
     rho = upb_density_state(basis)
@@ -73,7 +80,7 @@ def test_is_ppt_product_state():
     b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     a /= np.linalg.norm(a)
     b /= np.linalg.norm(b)
-    v = kron(a, b)
+    v = np.kron(a, b)
     rho = DensityMatrix(np.outer(v, v.conj()), 2, 3)
     ok, w_min = is_ppt(rho)
     assert ok and w_min >= -1e-10
@@ -128,7 +135,7 @@ def test_range_criterion_inconclusive_on_separable_mixture():
 
 
 def test_range_criterion_inconclusive_on_pure_product():
-    v = kron(basis_vector(2, 1), basis_vector(2, 0))
+    v = np.eye(4, dtype=complex)[2]
     rho = DensityMatrix(np.outer(v, v.conj()), 2, 2)
     report = range_criterion_report(rho, restarts=10, seed=0)
     assert report.verdict is RangeVerdict.INCONCLUSIVE
@@ -258,7 +265,7 @@ def test_cli_boundent_rejects_complement_state_with_negative_eigenvalue(tmp_path
     delta = 4.5e-11
     a = np.eye(3, dtype=complex) + delta * (np.ones((3, 3)) - np.eye(3))
     a /= np.linalg.norm(a, axis=0)
-    states = tuple(ProductState(a[:, i], basis_vector(3, j)) for i in range(3) for j in range(3))[:-1]
+    states = tuple(ProductState(a[:, i], np.eye(3, dtype=complex)[j]) for i in range(3) for j in range(3))[:-1]
     tilted = ProductBasis(3, 3, states)
     with pytest.raises(InvalidProjector, match="eigenvalue below -1e-10"):
         upb_density_state(tilted)

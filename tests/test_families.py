@@ -13,7 +13,6 @@ from prodbasis.families import (
     gen_tiles2,
     swap_shift_basis,
 )
-from prodbasis.linalg import basis_vector
 from prodbasis.verify import basis_set_equal_up_to_phase, gram_matrix
 from test_winding import domino_basis
 
@@ -115,6 +114,8 @@ def test_fourier_local_state_rejects_bad_support():
         fourier_local_state(4, (0.5, 1.7), 1, -1.0)
     with pytest.raises(IndexOutOfRange):
         fourier_local_state(4, (True, 2), 1, -1.0)
+    with pytest.raises(IndexOutOfRange, match="support must be nonempty"):
+        fourier_local_state(3, [], 0, 1.0)
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, True, "1", None, 1 + 0j])
@@ -160,7 +161,7 @@ def reference_gen_tiles1(n):
         for k in range(n):
             support = tuple((j + k + 1) % n for j in range(half))
             states.append((
-                basis_vector(n, k),
+                np.eye(n, dtype=complex)[k],
                 fourier_local_state(n, support, m, omega),
                 f"V[{m},{k}]",
                 frozenset((k, r) for r in support),
@@ -170,7 +171,7 @@ def reference_gen_tiles1(n):
             support = tuple((j + k) % n for j in range(half))
             states.append((
                 fourier_local_state(n, support, m, omega),
-                basis_vector(n, k),
+                np.eye(n, dtype=complex)[k],
                 f"H[{m},{k}]",
                 frozenset((c, k) for c in support),
             ))
@@ -188,7 +189,7 @@ def reference_gen_tiles2(m, n):
     for j in range(m):
         states.append((
             fourier_local_state(m, (j, (j + 1) % m), 1, -1.0),
-            basis_vector(n, j),
+            np.eye(n, dtype=complex)[j],
             f"S[{j}]",
             frozenset({(j, j), ((j + 1) % m, j)}),
         ))
@@ -197,7 +198,7 @@ def reference_gen_tiles2(m, n):
         support = tuple((i + j + 1) % m for i in range(m - 2)) + tuple(i + 2 for i in range(m - 2, n - 2))
         for k in range(1, n - 2):
             states.append((
-                basis_vector(m, j),
+                np.eye(m, dtype=complex)[j],
                 fourier_local_state(n, support, k, omega),
                 f"L[{j},{k}]",
                 frozenset((j, r) for r in support),

@@ -83,6 +83,24 @@ def test_load_rejects_malformed(tmp_path):
         basis_from_payload(payload)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("family", "Nope", "unknown family 'Nope'"),
+    ("states", [], "states must be a nonempty list"),
+    ("states", [1], "state 0 is not an object"),
+    ("provenance", "x", "provenance must be a list when present"),
+], ids=["family", "no_states", "state_not_object", "provenance_not_list"])
+def test_malformed_payload_field_is_a_basis_file_error(tmp_path, capsys, key, value, message):
+    payload = basis_to_payload(cartesian_basis(2, 2))
+    payload[key] = value
+    with pytest.raises(BasisFileError, match=message):
+        basis_from_payload(payload)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, stdout, stderr = run_cli(["verify", str(path)], capsys)
+    assert code == 1 and stdout == ""
+    assert stderr == f"error: {message}\n"
+
+
 def test_render_gentiles1_layout():
     text = render_tiles(gen_tiles1(4))
     lines = text.splitlines()
@@ -90,6 +108,14 @@ def test_render_gentiles1_layout():
     assert "V[1,0]" in lines[2] and "V[1,0]" in lines[3]
     assert "V[1,0]" not in lines[1] and "V[1,0]" not in lines[4]
     assert any("stopper F omitted" in ln for ln in lines)
+
+
+def test_render_lists_truncated_labels_in_a_legend():
+    lines = render_tiles(gen_tiles1(12)).splitlines()
+    # labels longer than six characters, such as V[1,10], are cut in the grid
+    legend = lines[lines.index("legend:") + 1:]
+    assert "  V[1,10 = V[1,10]" in legend and "  H[5,11 = H[5,11]" in legend
+    assert legend == sorted(legend)
 
 
 def test_render_gentiles2_short_tiles():
@@ -245,6 +271,15 @@ def test_cli_boundent(tmp_path, capsys):
     run_cli(["construct", "--family", "cartesian", "--m", "2", "--n", "2", "--out", str(cart)], capsys)
     code, _, stderr = run_cli(["boundent", str(cart)], capsys)
     assert code == 5
+
+
+def test_cli_boundent_inconclusive_exits_4(tmp_path, capsys):
+    # g2(3,20) is a UPB, but 100 restarts reach about 0.9991, inside the 1e-3 margin
+    path = tmp_path / "g2.json"
+    save_basis(gen_tiles2(3, 20), path)
+    code, stdout, stderr = run_cli(["boundent", str(path), "--restarts", "100", "--seed", "0"], capsys)
+    assert code == 4 and stdout == ""
+    assert stderr == "error: unextendibility check was inconclusive\n"
 
 
 def json_capped_restarts(argv, capsys):

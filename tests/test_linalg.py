@@ -9,41 +9,11 @@ from numpy.linalg import LinAlgError
 from prodbasis import linalg
 from prodbasis.errors import DimensionMismatch
 from prodbasis.families import cartesian_basis, gen_tiles1, gen_tiles2
-from prodbasis.linalg import basis_vector, dagger, hermitian_part, kron, partial_transpose, top_eigenvector
+from prodbasis.linalg import dagger, hermitian_part, partial_transpose, top_eigenvector
 
 
 def random_vector(rng, dim):
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-
-
-def test_kron_basis_vectors():
-    u = np.array([1.0, 0.0])
-    v = np.array([0.0, 1.0])
-    assert np.array_equal(kron(u, v), np.array([0.0, 1.0, 0.0, 0.0], dtype=complex))
-
-
-def test_kron_dimension_law():
-    rng = np.random.default_rng(0)
-    u = random_vector(rng, 2)
-    v = random_vector(rng, 3)
-    assert kron(u, v).size == 6
-
-
-@settings(max_examples=50, derandomize=True, database=None, deadline=None)
-@given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**31 - 1))
-def test_kron_norm_multiplicative(da, db, seed):
-    rng = np.random.default_rng(seed)
-    u = random_vector(rng, da)
-    v = random_vector(rng, db)
-    assert abs(np.linalg.norm(kron(u, v)) - np.linalg.norm(u) * np.linalg.norm(v)) <= 1e-12
-
-
-@settings(max_examples=25, derandomize=True, database=None, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_kron_associative_on_entries(seed):
-    rng = np.random.default_rng(seed)
-    u, v, w = (random_vector(rng, d) for d in (2, 3, 2))
-    assert np.max(np.abs(kron(kron(u, v), w) - kron(u, kron(v, w)))) <= 1e-12
 
 
 def test_top_eigenvector_deterministic_under_degeneracy():
@@ -89,7 +59,7 @@ def test_partial_transpose_product_operator():
 
 
 def test_partial_transpose_bell_eigenvalues():
-    bell = (kron(basis_vector(2, 0), basis_vector(2, 0)) + kron(basis_vector(2, 1), basis_vector(2, 1))) / np.sqrt(2)
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     pt = partial_transpose(np.outer(bell, bell.conj()), 2, 2)
     w = np.linalg.eigvalsh(pt)
     # exact spectrum of SWAP/2

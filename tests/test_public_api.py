@@ -15,11 +15,11 @@ PUBLIC_API = [
     "ProductState", "RangeCriterionReport", "RangeVerdict", "SeesawResult",
     "SplitClass", "SubspacePair", "TOLERANCES", "Tolerances", "Verdict",
     "VerificationReport", "WindingInvariantError", "WindingMove", "ZeroState",
-    "apply_winding_move", "basis_set_equal_up_to_phase", "basis_vector",
+    "apply_winding_move", "basis_set_equal_up_to_phase",
     "cartesian_basis", "check_orthonormal", "check_upb", "complement_projector",
     "cyclic_shift_basis", "enumerate_splits", "fourier_local_state", "gen_tiles1",
     "gen_tiles2", "gram_matrix", "grid_oracle_max_product_overlap", "inverse_move",
-    "is_cartesian", "is_ppt", "kron", "load_basis", "move_from_record",
+    "is_cartesian", "is_ppt", "load_basis", "move_from_record",
     "move_to_record", "partial_transpose", "random_wound_basis",
     "range_criterion_report", "render_tiles", "save_basis",
     "seesaw_max_product_overlap", "swap_shift_basis", "top_eigenvector", "unwind",
@@ -34,6 +34,7 @@ TOLERANCE_FIELDS = [
 
 
 def test_public_api_is_pinned():
+    assert len(PUBLIC_API) == 64
     assert sorted(prodbasis.__all__) == PUBLIC_API
 
 
@@ -41,11 +42,15 @@ def test_public_api_names_resolve():
     namespace = {}
     exec("from prodbasis import *", namespace)
     assert all(name in namespace for name in PUBLIC_API)
-    for removed in ("projector_from_states", "hermitian_eig", "NotHermitian"):
+    for removed in ("projector_from_states", "hermitian_eig", "NotHermitian", "kron", "basis_vector"):
         assert not hasattr(prodbasis, removed)
+        assert not hasattr(prodbasis.linalg, removed)
     assert not hasattr(prodbasis.ProductBasis, "with_provenance")
     for removed in ("global_vector", "d_a", "d_b"):
         assert not hasattr(prodbasis.ProductState, removed)
+    for removed in ("a_projector", "b_projector", "is_proper_for"):
+        assert not hasattr(prodbasis.SubspacePair, removed)
+    assert not hasattr(prodbasis.DensityMatrix, "dim")
 
 
 def test_tolerance_fields_are_pinned():

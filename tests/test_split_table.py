@@ -30,10 +30,14 @@ from prodbasis.winding import (
 REJECTING = (((2, 3), 1, 2), ((3, 3), 6, 1))
 
 
+def projectors(split):
+    """(P_A', P_B') of a split, formed from its orthonormal columns."""
+    return split.a_basis @ split.a_basis.conj().T, split.b_basis @ split.b_basis.conj().T
+
+
 def reference_validate(basis, split, tol):
     """Per-state classification loop: True iff every state is inside or outside."""
-    p_a = split.a_projector()
-    p_b = split.b_projector()
+    p_a, p_b = projectors(split)
     for st in basis:
         res_a = float(np.linalg.norm(st.a - p_a @ st.a))
         res_b = float(np.linalg.norm(st.b - p_b @ st.b))
@@ -70,9 +74,9 @@ def reference_splits(basis):
     splits, kept_a, kept_b = [], [], []
     for a_cols, b_cols in pairs:
         split = SubspacePair(a_cols, b_cols)
-        if not split.is_proper_for(basis.d_a, basis.d_b) or not reference_validate(basis, split, TOLERANCES):
+        if split.dims == (basis.d_a, basis.d_b) or not reference_validate(basis, split, TOLERANCES):
             continue
-        p_a, p_b = split.a_projector(), split.b_projector()
+        p_a, p_b = projectors(split)
         # duplicate: some kept split has both projectors within 1e-10
         if kept_a and np.any((np.abs(np.array(kept_a) - p_a).max(axis=(1, 2)) <= 1e-10)
                              & (np.abs(np.array(kept_b) - p_b).max(axis=(1, 2)) <= 1e-10)):
@@ -145,9 +149,9 @@ def test_no_two_splits_share_projectors():
     bases += [random_wound_basis(*dims, moves, seed)[0] for dims, seed, moves in REJECTING]
     bases += [random_wound_basis(3, 3, 2, seed)[0] for seed in range(5)]
     for basis in bases:
-        projectors = [(s.a_projector(), s.b_projector()) for s in enumerate_splits(basis)]
-        for i, (pa, pb) in enumerate(projectors):
-            for qa, qb in projectors[:i]:
+        pairs = [projectors(s) for s in enumerate_splits(basis)]
+        for i, (pa, pb) in enumerate(pairs):
+            for qa, qb in pairs[:i]:
                 # distinct unions of orthogonal components differ by an entry near 1/d or more
                 assert max(np.max(np.abs(pa - qa)), np.max(np.abs(pb - qb))) >= 0.5 / max(basis.d_a, basis.d_b)
 

@@ -14,7 +14,7 @@ from prodbasis.errors import (
     NonOrthonormalInput,
 )
 from prodbasis.families import cartesian_basis, gen_tiles1, gen_tiles2
-from prodbasis.linalg import basis_vector, dagger, hermitian_part, kron
+from prodbasis.linalg import dagger, hermitian_part
 from prodbasis.sampling import random_unit_vector, stream
 from prodbasis.verify import (
     Verdict,
@@ -34,11 +34,11 @@ GENTILES1_4_MAX_OVERLAP = 0.970278247980011
 
 
 def single_state_basis():
-    return ProductBasis(2, 2, (ProductState(basis_vector(2, 0), basis_vector(2, 0)),))
+    return ProductBasis(2, 2, (ProductState(np.eye(2, dtype=complex)[0], np.eye(2, dtype=complex)[0]),))
 
 
 def duplicated_state_basis():
-    st = ProductState(basis_vector(2, 0), basis_vector(2, 0))
+    st = ProductState(np.eye(2, dtype=complex)[0], np.eye(2, dtype=complex)[0])
     return ProductBasis(2, 2, (st, st))
 
 
@@ -87,8 +87,8 @@ def test_seesaw_finds_product_state_in_complement():
     res = seesaw_max_product_overlap(q, 2, 2, restarts=5, seed=0)
     assert res.value >= 1.0 - 1e-10
     # witness must be a product state orthogonal to |00>
-    w = kron(res.witness.a, res.witness.b)
-    assert abs(np.vdot(kron(basis_vector(2, 0), basis_vector(2, 0)), w)) <= 1e-6
+    w = np.kron(res.witness.a, res.witness.b)
+    assert abs(np.vdot(np.eye(4, dtype=complex)[0], w)) <= 1e-6
 
 
 def test_seesaw_gentiles1_4_regression():
@@ -124,6 +124,16 @@ def test_nonpositive_dimensions_rejected(d_a, d_b, dim):
         grid_oracle_max_product_overlap(q, d_a, d_b, resolution=8)
 
 
+def test_seesaw_rejects_an_operator_of_other_dims():
+    with pytest.raises(DimensionMismatch):
+        seesaw_max_product_overlap(np.eye(3), 2, 2)
+
+
+def test_grid_oracle_rejects_a_resolution_below_two():
+    with pytest.raises(ValueError, match="resolution must be at least 2"):
+        grid_oracle_max_product_overlap(np.eye(4) / 2, 2, 2, resolution=1)
+
+
 def test_seesaw_rejects_nan_operator():
     with pytest.raises(InvalidProjector):
         seesaw_max_product_overlap(np.full((4, 4), np.nan, dtype=complex), 2, 2, restarts=1, seed=0)
@@ -135,7 +145,7 @@ def test_grid_oracle_rejects_nan_operator():
 
 
 def test_grid_oracle_rank_one_product():
-    v = kron(basis_vector(2, 0), basis_vector(2, 0))
+    v = np.eye(4, dtype=complex)[0]
     q = np.outer(v, v.conj())
     res = grid_oracle_max_product_overlap(q, 2, 2, resolution=64)
     assert res.value >= 0.998
@@ -143,7 +153,7 @@ def test_grid_oracle_rank_one_product():
 
 
 def test_grid_oracle_maximally_entangled():
-    bell = (kron(basis_vector(2, 0), basis_vector(2, 0)) + kron(basis_vector(2, 1), basis_vector(2, 1))) / np.sqrt(2)
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     q = np.outer(bell, bell.conj())
     res = grid_oracle_max_product_overlap(q, 2, 2, resolution=64)
     # analytic optimum is the largest squared Schmidt coefficient, 1/2
@@ -256,12 +266,12 @@ def adversarial_cases():
     cases += [(d_a, d_b, 0.5 * np.eye(d_a * d_b, dtype=complex)) for d_a, d_b in dims]
     cases += [(2, 2, flat_projector(rng)) for _ in range(3)]
     for d_b in (2, 3):
-        pole = kron(basis_vector(2, 0), random_unit_vector(rng, d_b))   # a = |0>, theta = 0
+        pole = np.kron(np.eye(2, dtype=complex)[0], random_unit_vector(rng, d_b))   # a = |0>, theta = 0
         cases.append((2, d_b, np.outer(pole, pole.conj())))
     cases += [(d_a, d_b, random_operator(rng, d_a * d_b)) for d_a, d_b in dims for _ in range(3)]
     cases += [(2, 3, flat_projector(rng, 6)) for _ in range(2)]
     for _ in range(2):
-        product = kron(random_unit_vector(rng, 2), random_unit_vector(rng, 3))
+        product = np.kron(random_unit_vector(rng, 2), random_unit_vector(rng, 3))
         cases.append((2, 3, np.outer(product, product.conj())))
     cases += [(2, 3, rounded_spectrum_operator(rng, 6)) for _ in range(4)]
     return cases
@@ -460,3 +470,9 @@ def test_set_equal_rejects_different_sets():
 def test_set_equal_count_mismatch():
     with pytest.raises(CountMismatch):
         basis_set_equal_up_to_phase(gen_tiles1(4), cartesian_basis(4, 4))
+
+
+def test_set_equal_dims_mismatch():
+    # same count, other local dimensions
+    with pytest.raises(DimensionMismatch):
+        basis_set_equal_up_to_phase(cartesian_basis(2, 2), cartesian_basis(1, 4))

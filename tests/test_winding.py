@@ -8,7 +8,13 @@ import pytest
 
 from prodbasis import cli, winding
 from prodbasis.basis import Family, ProductBasis, ProductState
-from prodbasis.errors import IncompleteBasis, InvalidSplit, NonOrthonormalInput, WindingInvariantError
+from prodbasis.errors import (
+    IncompleteBasis,
+    InvalidSplit,
+    NonOrthonormalInput,
+    NoValidSplit,
+    WindingInvariantError,
+)
 from prodbasis.families import _tile_basis, cartesian_basis, gen_tiles1
 from prodbasis.io import save_basis
 from prodbasis.sampling import haar_unitary, stream
@@ -71,7 +77,7 @@ def test_validate_split_full_subspace():
     ok, classes = validate_split(basis, split)
     assert ok
     assert all(c is SplitClass.INSIDE for c in classes)
-    assert not split.is_proper_for(2, 2)
+    assert split.dims == (2, 2)
 
 
 def test_validate_split_requires_complete_basis():
@@ -124,6 +130,16 @@ def test_winding_move_rejects_nan_unitary():
         WindingMove(split, np.eye(1, dtype=complex), np.full((2, 2), np.nan, dtype=complex))
 
 
+def test_split_and_move_reject_wrong_shapes():
+    # more columns than rows
+    with pytest.raises(ValueError, match="a_basis must hold 1..dim orthonormal columns"):
+        SubspacePair(np.ones((1, 2)), np.eye(2))
+    # a (1, 2) split takes a 1x1 u_a
+    split = axis_split(2, 2, a_cols=[[1, 0]])
+    with pytest.raises(ValueError, match="u_a must be 1x1"):
+        WindingMove(split, np.eye(2, dtype=complex), np.eye(2, dtype=complex))
+
+
 def test_inverse_move_involution():
     _, move = wound_pi_over_7()
     double = inverse_move(inverse_move(move))
@@ -155,7 +171,7 @@ def test_enumerate_splits_cartesian_2x2():
     dims = sorted(s.dims for s in splits)
     assert dims == [(1, 1), (1, 1), (1, 1), (1, 1), (1, 2), (1, 2), (2, 1), (2, 1)]
     # the four axis splits must be present
-    projectors = {(round(float(np.real(s.a_projector()[0, 0])), 6), s.dims) for s in splits}
+    projectors = {(round(float(np.real((s.a_basis @ s.a_basis.conj().T)[0, 0])), 6), s.dims) for s in splits}
     assert (1.0, (1, 2)) in projectors and (0.0, (1, 2)) in projectors
 
 
@@ -246,6 +262,25 @@ def test_move_record_round_trip():
 def test_wind_basis_requires_complete():
     with pytest.raises(IncompleteBasis):
         wind_basis(gen_tiles1(4), 1, 0)
+
+
+def test_wind_basis_rejects_negative_moves():
+    with pytest.raises(ValueError, match="k_moves must be nonnegative"):
+        wind_basis(cartesian_basis(2, 2), -1, 0)
+
+
+def test_wind_domino_has_no_split(tmp_path, capsys):
+    # the domino's split table is empty, so not even the first move is drawn
+    with pytest.raises(NoValidSplit, match="after 0 moves") as exc:
+        wind_basis(domino_basis(), 1, 0)
+    assert exc.value.moves_applied == ()
+    path, out = tmp_path / "domino.json", tmp_path / "w.json"
+    save_basis(domino_basis(), path)
+    code = cli.main(["wind", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: no proper split available after 0 moves\n"
+    assert not out.exists()
 
 
 ROOT = Path(__file__).resolve().parents[1]
