@@ -54,12 +54,15 @@ def _factor_columns(rows, dim: int, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductState:
     """One product state |a> (x) |b> with optional label and tile support.
 
     ``tile_cells`` is the set of (A index, B index) grid cells on which the
     product amplitude is nonzero; columns index the A side, rows the B side.
+    Two states compare equal only when they are the same object, and a
+    state is hashable; :func:`prodbasis.verify.basis_set_equal_up_to_phase`
+    compares bases by value.
     """
 
     a: np.ndarray

@@ -14,10 +14,13 @@ projector gives both the range criterion and the unextendibility verdict,
 and both read it through :func:`prodbasis.verify.overlap_verdict`: the
 range label is ``entangled`` exactly when that verdict is ``UPB_Numeric``.
 
-A job decomposes the state once: :class:`DensityMatrix` checks its spectrum
-with ``eigh`` and keeps the eigenpairs, and the range criterion hands the
-range eigenvectors straight to the see-saw as the factor of the range
-projector.  The partial transpose has a spectrum of its own.
+A job factors the complement once, by QR: :func:`upb_density_state` builds
+the state from the orthonormal factor F of the complement that
+:func:`prodbasis.verify.check_upb` uses too, and keeps F as the state's
+range eigenvectors, so the range criterion hands F straight to the
+see-saw and prints the same maximum as ``verify``.  The state's spectrum
+check runs on the N x N Gram matrix of the orthonormality check.  The one
+D x D eigensolver of a job is the partial transpose's ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -30,8 +33,15 @@ import numpy as np
 from .basis import ProductBasis, ProductState
 from .config import TOLERANCES
 from .errors import CompleteBasisInput, DimensionMismatch, InvalidProjector, ZeroState
-from .linalg import hermitian_part, partial_transpose
-from .verify import Verdict, _seesaw, complement_projector, overlap_verdict
+from .linalg import dagger, hermitian_part, partial_transpose
+from .verify import (
+    Verdict,
+    _complement_factor,
+    _require_orthonormal,
+    _seesaw,
+    _top_gram_eigenvalue,
+    overlap_verdict,
+)
 
 __all__ = [
     "DensityMatrix",
@@ -51,12 +61,13 @@ class RangeVerdict(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Normalized density operator on C^dA (x) C^dB.
 
     Validation decomposes the Hermitian part once; its eigenpairs ``(w, v)``
-    are kept, read-only, in ``_spectrum`` for the range criterion.
+    are kept, read-only, in ``_spectrum`` for the range criterion.  Two
+    instances compare equal only when they are the same object.
     """
 
     matrix: np.ndarray
@@ -82,6 +93,25 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_spectrum", (w, v))
 
+    @classmethod
+    def _of_factor(cls, f: np.ndarray, d_a: int, d_b: int) -> "DensityMatrix":
+        """F F^dag divided by its trace, for orthonormal columns ``f`` of shape (D, k).
+
+        Its spectrum is 1/trace on the k columns of F and 0 elsewhere, so
+        ``_spectrum`` holds (1/trace repeated k times, F), and no
+        eigensolver runs.
+        """
+        m = hermitian_part(f @ dagger(f))
+        trace = float(np.trace(m).real)
+        m /= trace
+        w = np.full(f.shape[1], 1.0 / trace)
+        for array in (m, w, f):
+            array.setflags(write=False)
+        rho = object.__new__(cls)
+        for name, value in (("matrix", m), ("d_a", d_a), ("d_b", d_b), ("_spectrum", (w, f))):
+            object.__setattr__(rho, name, value)
+        return rho
+
 
 @dataclass(frozen=True)
 class RangeCriterionReport:
@@ -98,22 +128,28 @@ class RangeCriterionReport:
 def upb_density_state(basis: ProductBasis) -> DensityMatrix:
     """Uniform mixture over the complement of the basis span.
 
-    rho = (I - P_S) / tr(I - P_S); the spectrum is {0, 1/(D - N)} up to the
-    Gram deviation.  Dividing by the measured trace, not the rank D - N,
-    gives trace 1 to rounding however the admitted norm errors add up.  The
+    rho = F F^dag / tr(F F^dag), for F the orthonormal QR factor of the
+    complement (:func:`prodbasis.verify._complement_factor`); its spectrum
+    is 1/(D - N) on the complement and 0 on the span.  Dividing by the
+    measured trace, not the rank D - N, gives trace 1 to rounding.  The
     basis is checked for orthonormality first (:class:`NonOrthonormalInput`),
-    then for a nonempty complement (:class:`CompleteBasisInput`); Gram
-    deviations within tolerance that add up to an invalid state raise
-    :class:`InvalidProjector`.  Whether the basis is unextendible is left to
-    the range criterion on the result.
+    then for a nonempty complement (:class:`CompleteBasisInput`).  Then the
+    state I - V V^dag normalised by its trace t = D - tr(G), whose least
+    eigenvalue is (1 - lambda_max(G)) / t, must have no eigenvalue below
+    -1e-10: Gram deviations within tolerance that add up to more raise
+    :class:`InvalidProjector`.  That is decided on the Gram matrix G of the
+    orthonormality check, by its Gershgorin bound and, only when the bound
+    fails, by ``eigvalsh`` of G.  Whether the basis is unextendible is left
+    to the range criterion on the result.
     """
-    q = complement_projector(basis)
+    g, _ = _require_orthonormal(basis)
     if basis.dim == len(basis):
         raise CompleteBasisInput("basis spans the full space, the complement state is empty")
-    try:
-        return DensityMatrix(q / np.trace(q).real, basis.d_a, basis.d_b)
-    except ValueError as exc:
-        raise InvalidProjector(f"complement state is not a valid density matrix: {exc}") from None
+    limit = 1.0 + _STATE_TOL * (basis.dim - float(np.trace(g).real))
+    if not _top_gram_eigenvalue(g, limit) <= limit:
+        raise InvalidProjector("complement state is not a valid density matrix: "
+                               f"density matrix has an eigenvalue below -{_STATE_TOL:g}")
+    return DensityMatrix._of_factor(_complement_factor(basis), basis.d_a, basis.d_b)
 
 
 def is_ppt(rho: DensityMatrix):
@@ -130,8 +166,9 @@ def range_criterion_report(
 ) -> RangeCriterionReport:
     """Search the range of rho for product states.
 
-    The range is spanned by the eigenvectors of rho, from the decomposition
-    that validated it, with eigenvalue above ``TOLERANCES.range_cutoff``.  Those
+    The range is spanned by the eigenvectors of rho with eigenvalue above
+    ``TOLERANCES.range_cutoff``: from the decomposition that validated it,
+    or, for :func:`upb_density_state`, the complement factor F.  Those
     orthonormal columns V factor the range projector V V^dag, so the see-saw
     maximizes the product overlap with it without forming or decomposing
     it again, with the same fixed stop rule and iteration cap as

@@ -4,8 +4,11 @@ Covers orthonormality and rank checks, the complement projector, and the
 numerical unextendibility test: a seeded see-saw maximization of the product
 overlap with the complement, which advances every restart together through
 one factorization of the operator's positive part by power steps, with no
-eigensolver in the loop, cross-checked at small dimensions by a
-brute-force grid oracle that never iterates the see-saw path.  The oracle
+eigensolver in the loop.  For a basis, that factor is the orthonormal QR
+factor of the complement and the spectrum check runs on the Gram matrix, so
+``check_upb`` solves no D x D eigenproblem.  The see-saw is cross-checked at
+small dimensions by a brute-force grid oracle that never iterates the
+see-saw path.  The oracle
 prunes in two stages.  It bounds each grid state's top eigenvalue by its
 trace and Frobenius norm (Wolkowicz-Styan) and keeps the states whose bound
 reaches the best solved value within a rounding slack.  For dB = 3, where
@@ -106,38 +109,68 @@ def gram_matrix(basis: ProductBasis) -> np.ndarray:
     return (dagger(a) @ a) * (dagger(b) @ b)
 
 
+def _deviations(g: np.ndarray) -> GramDeviations:
+    off = g - np.diag(np.diag(g))
+    return GramDeviations(
+        max_offdiag=float(np.max(np.abs(off))) if len(g) > 1 else 0.0,
+        max_diag_error=float(np.max(np.abs(np.diag(g) - 1.0))),
+    )
+
+
 def check_orthonormal(basis: ProductBasis, tol: float | None = None):
     """True iff max|Gram - I| <= tol; the deviations are returned either way."""
     tol = TOLERANCES.orthonormality if tol is None else tol
+    dev = _deviations(gram_matrix(basis))
+    return max(dev) <= tol, dev
+
+
+def _require_orthonormal(basis: ProductBasis, tol: float | None = None):
+    """The Gram matrix and its deviations ``(g, dev)``, after checking max|Gram - I| <= tol."""
+    tol = TOLERANCES.orthonormality if tol is None else tol
     g = gram_matrix(basis)
-    off = g - np.diag(np.diag(g))
-    dev = GramDeviations(
-        max_offdiag=float(np.max(np.abs(off))) if len(basis) > 1 else 0.0,
-        max_diag_error=float(np.max(np.abs(np.diag(g) - 1.0))),
-    )
-    return max(dev.max_offdiag, dev.max_diag_error) <= tol, dev
-
-
-def _require_orthonormal(basis: ProductBasis, tol: float | None = None) -> GramDeviations:
-    ok, dev = check_orthonormal(basis, tol)
-    if not ok:
+    dev = _deviations(g)
+    if not max(dev) <= tol:
         raise NonOrthonormalInput(
             f"basis is not orthonormal (max deviation {max(dev):.3e})",
             deviation=max(dev),
         )
-    return dev
+    return g, dev
 
 
-def _complement_of_checked(basis: ProductBasis) -> np.ndarray:
-    """Complement projector of a basis already known to be orthonormal."""
-    v = basis.global_matrix()
-    return hermitian_part(np.eye(basis.dim, dtype=complex) - v @ dagger(v))
+def _top_gram_eigenvalue(g: np.ndarray, limit: float) -> float:
+    """lambda_max(G) of a Gram matrix, or an upper bound on it that is at most ``limit``.
+
+    The Gershgorin bound, the largest row sum of |G_ij|, decides first: when
+    it is at most ``limit``, so is lambda_max(G), and the bound is returned.
+    Only when it exceeds ``limit`` does ``eigvalsh`` solve the N x N matrix,
+    and its top eigenvalue is returned.
+    """
+    bound = float(np.max(np.sum(np.abs(g), axis=1)))
+    if bound <= limit:
+        return bound
+    return float(np.linalg.eigvalsh(g)[-1])
+
+
+def _complement_factor(basis: ProductBasis) -> np.ndarray:
+    """Orthonormal columns F, shape (D, D - N), that span the complement of the basis span.
+
+    F is the trailing D - N columns of the complete QR of the global matrix
+    V, so F F^dag is the projector onto the complement, with unit top
+    eigenvalue, and no D x D eigensolver runs.
+    """
+    q, _ = np.linalg.qr(basis.global_matrix(), mode="complete")
+    return np.ascontiguousarray(q[:, len(basis):])
 
 
 def complement_projector(basis: ProductBasis) -> np.ndarray:
-    """Projector onto the orthogonal complement of the basis span."""
+    """I - V V^dag for the global matrix V of an orthonormal basis.
+
+    Its trace D - tr(V^dag V) carries the norm errors of the states, and
+    its spectrum is 1 - lambda(G) on the span and 1 on the complement.
+    """
     _require_orthonormal(basis)
-    return _complement_of_checked(basis)
+    v = basis.global_matrix()
+    return hermitian_part(np.eye(basis.dim, dtype=complex) - v @ dagger(v))
 
 
 def _check_operator_interval(q: np.ndarray, d_a: int, d_b: int):
@@ -593,20 +626,32 @@ def check_upb(
     skipped), ``Extendible`` when a product state with overlap >= 1 -
     ``tol.extendible_margin`` is found in the complement (witness attached),
     ``UPB_Numeric`` when the best overlap stays below 1 - ``tol.upb_margin``,
-    and ``Inconclusive`` in between (see :func:`overlap_verdict`).  The
-    see-saw runs :func:`seesaw_max_product_overlap` with its fixed stop rule
-    and iteration cap.
+    and ``Inconclusive`` in between (see :func:`overlap_verdict`).
+
+    The see-saw runs on the complement Q = I - V V^dag of the global matrix
+    V.  Q has the eigenvalues 1 - lambda(G) of the Gram matrix G, and 1, so
+    it lies in [0, 1] within ``TOLERANCES.operator_interval`` exactly when
+    lambda_max(G) <= 1 + operator_interval; otherwise
+    :class:`InvalidProjector` is raised.  That is decided on the G of the
+    orthonormality check, by its Gershgorin bound and, only when the bound
+    fails, by ``eigvalsh`` of G.  The see-saw then maximizes over the
+    projector F F^dag, for F the orthonormal QR factor of the complement
+    (:func:`_complement_factor`), with the fixed stop rule and iteration cap
+    of :func:`seesaw_max_product_overlap`.  No D x D eigensolver runs.
     """
     tol = TOLERANCES if tol is None else tol
-    dev = _require_orthonormal(basis, tol.orthonormality)
+    g, dev = _require_orthonormal(basis, tol.orthonormality)
     span_rank = len(basis)
     complement_dim = basis.dim - span_rank
 
     if complement_dim == 0:
         value, witness, verdict, restarts_used, iterations, capped = 0.0, None, Verdict.COMPLETE_BASIS, 0, 0, 0
     else:
-        q = _complement_of_checked(basis)
-        result = seesaw_max_product_overlap(q, basis.d_a, basis.d_b, restarts, seed)
+        limit = 1.0 + TOLERANCES.operator_interval
+        top = _top_gram_eigenvalue(g, limit)
+        if not top <= limit:
+            raise InvalidProjector(f"spectrum [{1.0 - top:.3e}, {1.0:.3e}] outside [0, 1]")
+        result = _seesaw(_complement_factor(basis), basis.d_a, basis.d_b, restarts, seed)
         value, witness = result.value, result.witness
         verdict = overlap_verdict(value, tol=tol)
         restarts_used, iterations, capped = result.restarts_used, result.iterations_total, result.capped_restarts

@@ -258,15 +258,23 @@ def test_cli_boundent_rejects_unnormalizable_complement_state(tmp_path, capsys):
                             "the complement state needs an unextendible basis\n")
 
 
-def test_cli_boundent_rejects_complement_state_with_negative_eigenvalue(tmp_path, capsys):
-    # Cartesian 3x3 minus |2>|2>, with A factors whose pairwise overlaps of
-    # 9e-11 pass the orthonormality check; on each B block they add up to a
-    # complement eigenvalue of about -1.8e-10
-    delta = 4.5e-11
+def tilted_cartesian_3x3(delta):
+    """Cartesian 3x3 minus |2>|2>, with A factors eye(3) + delta (ones - eye), normalised.
+
+    Their pairwise overlaps are about 2 delta, and on each full B block the
+    three add up to a Gram eigenvalue of about 1 + 4 delta, so I - V V^dag has
+    an eigenvalue of about -4 delta.
+    """
     a = np.eye(3, dtype=complex) + delta * (np.ones((3, 3)) - np.eye(3))
     a /= np.linalg.norm(a, axis=0)
     states = tuple(ProductState(a[:, i], np.eye(3, dtype=complex)[j]) for i in range(3) for j in range(3))[:-1]
-    tilted = ProductBasis(3, 3, states)
+    return ProductBasis(3, 3, states)
+
+
+def test_cli_boundent_rejects_complement_state_with_negative_eigenvalue(tmp_path, capsys):
+    # pairwise overlaps of 9e-11 pass the orthonormality check; on each B
+    # block they add up to a complement eigenvalue of about -1.8e-10
+    tilted = tilted_cartesian_3x3(4.5e-11)
     with pytest.raises(InvalidProjector, match="eigenvalue below -1e-10"):
         upb_density_state(tilted)
     path = tmp_path / "tilted.json"
@@ -287,9 +295,9 @@ def test_range_criterion_and_seesaw_need_a_restart():
 
 
 def test_cli_boundent_decomposes_the_state_once(tmp_path, capsys, monkeypatch):
-    # one eigh of rho (validation, range cut and see-saw factor) and one
-    # eigvalsh of its partial transpose; the see-saw's stacked 3-D solves
-    # are not counted
+    # the state, its range cut and the see-saw factor come from one QR of
+    # the basis, so the one D x D solve is the eigvalsh of the partial
+    # transpose
     dim = 12
     calls = []
 
@@ -306,7 +314,28 @@ def test_cli_boundent_decomposes_the_state_once(tmp_path, capsys, monkeypatch):
     save_basis(gen_tiles2(3, 4), path)
     assert main(["boundent", str(path), "--restarts", "10", "--seed", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["ppt"]["is_ppt"] is True
-    assert sorted(calls) == ["eigh", "eigvalsh"]
+    assert calls == ["eigvalsh"]
+
+
+def test_cli_verify_forms_one_gram_matrix_and_calls_no_eigensolver(tmp_path, capsys, monkeypatch):
+    # the complement comes from one QR of the basis and its spectrum check
+    # from the Gershgorin bound of the Gram matrix
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(verify, "gram_matrix", counted("gram", verify.gram_matrix))
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    path = tmp_path / "g2.json"
+    save_basis(gen_tiles2(3, 4), path)
+    assert main(["verify", str(path), "--restarts", "10", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "UPB_Numeric"
+    assert calls == ["gram"]
 
 
 def test_cli_boundent_runs_one_gram_and_one_seesaw(tmp_path, capsys, monkeypatch):
@@ -327,3 +356,52 @@ def test_cli_boundent_runs_one_gram_and_one_seesaw(tmp_path, capsys, monkeypatch
     assert main(["boundent", str(path), "--restarts", "10", "--seed", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["range_criterion"]["range_rank"] == 5
     assert calls == {"gram": 1, "seesaw": 1}
+
+
+def test_cli_verify_rejects_a_complement_spectrum_below_zero(tmp_path, capsys):
+    # overlaps of 1e-8 pass --tol 1e-7, but the complement I - V V^dag has
+    # the eigenvalue -2e-8, outside [0, 1] by more than operator_interval
+    path = tmp_path / "tilted.json"
+    save_basis(tilted_cartesian_3x3(5e-9), path)
+    assert main(["verify", str(path), "--tol", "1e-7", "--restarts", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: spectrum [-2.000e-08, 1.000e+00] outside [0, 1]\n"
+
+
+def test_cli_verify_accepts_a_complement_spectrum_within_the_slack(tmp_path, capsys):
+    # eigenvalue -8e-9 lies within operator_interval = 1e-8; the complement,
+    # a_perp (x) |2> for the a_perp orthogonal to a_0 and a_1, is a product
+    # state, so the set is extendible
+    path = tmp_path / "tilted.json"
+    save_basis(tilted_cartesian_3x3(2e-9), path)
+    assert main(["verify", str(path), "--tol", "1e-7", "--restarts", "5"]) == 3
+    assert "verdict: Extendible" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name,basis", [("g1_6", gen_tiles1(6)), ("g2_3x4", gen_tiles2(3, 4)),
+                                        ("g2_6x10", gen_tiles2(6, 10))])
+def test_cli_verify_and_boundent_print_the_same_maximum(tmp_path, capsys, name, basis):
+    # both see-saws run on one QR factor of the complement, so the maxima
+    # agree bit for bit
+    path = tmp_path / f"{name}.json"
+    save_basis(basis, path)
+    for seed in (0, 7):
+        assert main(["verify", str(path), "--format", "json", "--seed", str(seed)]) == 0
+        verified = json.loads(capsys.readouterr().out)["report"]["max_product_overlap"]
+        assert main(["boundent", str(path), "--seed", str(seed)]) == 0
+        assert json.loads(capsys.readouterr().out)["range_criterion"]["max_product_overlap"] == verified
+
+
+def test_complement_state_is_the_normalised_complement_projector():
+    # the QR-built state against I - V V^dag divided by its trace, and its
+    # stored spectrum against the definition
+    for basis in (gen_tiles1(6), gen_tiles2(3, 4), tilted_cartesian_3x3(2e-11)):
+        rho = upb_density_state(basis)
+        q = complement_projector(basis)
+        assert np.max(np.abs(rho.matrix - q / np.trace(q).real)) <= 1e-9
+        w, v = rho._spectrum
+        k = basis.dim - len(basis)
+        assert w.shape == (k,) and np.all(w == w[0]) and abs(w[0] - 1 / k) <= 1e-12
+        assert np.max(np.abs(v.conj().T @ v - np.eye(k))) <= 1e-12
+        assert np.max(np.abs(rho.matrix @ v - v * w)) <= 1e-12

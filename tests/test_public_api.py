@@ -4,6 +4,8 @@ settable values of the certification entry points are contracts."""
 import dataclasses
 import inspect
 
+import numpy as np
+
 import prodbasis
 
 PUBLIC_API = [
@@ -111,3 +113,18 @@ def test_threshold_signatures_are_pinned():
     public = [getattr(prodbasis, name) for name in prodbasis.__all__]
     funcs = [f for f in public if inspect.isfunction(f)] + [prodbasis.verify.overlap_verdict]
     assert {f.__name__ for f in funcs if "tol" in inspect.signature(f).parameters} == TAKE_TOLERANCE
+
+
+def test_records_with_array_fields_compare_by_identity():
+    # equality of frozen records holding ndarrays would compare the arrays;
+    # both compare by identity and hash, and basis_set_equal_up_to_phase
+    # compares by value
+    a = prodbasis.ProductState([1, 0], [0, 1])
+    b = prodbasis.ProductState([1, 0], [0, 1])
+    rho = prodbasis.DensityMatrix(np.eye(4) / 4, 2, 2)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert rho == rho and rho != prodbasis.DensityMatrix(np.eye(4) / 4, 2, 2)
+    assert len({rho, rho}) == 1
+    ok, _ = prodbasis.basis_set_equal_up_to_phase(prodbasis.ProductBasis(2, 2, [a]), prodbasis.ProductBasis(2, 2, [b]))
+    assert ok

@@ -476,3 +476,28 @@ def test_set_equal_dims_mismatch():
     # same count, other local dimensions
     with pytest.raises(DimensionMismatch):
         basis_set_equal_up_to_phase(cartesian_basis(2, 2), cartesian_basis(1, 4))
+
+
+def test_gram_bound_and_eigvalsh_fallback_decide_alike(monkeypatch):
+    # G = I + eps M.  With M = ones - eye the Gershgorin bound 1 + 2 eps is
+    # lambda_max; with the signed M below lambda_max is 1 + eps, half the
+    # bound's excess.  Each limit lies on one side of each threshold.
+    eps = 1e-8
+    signed = np.array([[0, 1, 1], [1, 0, -1], [1, -1, 0]], dtype=complex)
+    solves = []
+    solve = np.linalg.eigvalsh
+
+    def counted(g):
+        solves.append(g.shape)
+        return solve(g)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for m in (np.ones((3, 3)) - np.eye(3), signed):
+        g = np.eye(3) + eps * m
+        top = solve(g)[-1]
+        bound = np.max(np.sum(np.abs(g), axis=1))
+        for excess in (0.5, 0.9, 1.1, 1.9, 2.1, 3.0):
+            limit = 1.0 + excess * eps
+            solves.clear()
+            assert (verify._top_gram_eigenvalue(g, limit) <= limit) == (top <= limit)
+            assert solves == ([] if bound <= limit else [(3, 3)])
