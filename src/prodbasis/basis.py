@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -133,11 +134,12 @@ class ProductBasis:
         d_a, d_b = dims
         a = _factor_columns(a, d_a, "a")
         b = _factor_columns(b, d_b, "b")
-        cells = [cell for support in tile_cells if support is not None for cell in support]
-        grid = np.array(cells).reshape(-1, 2)  # object dtype for ints beyond int64
-        outside = np.flatnonzero(np.any((grid < 0) | (grid >= (d_a, d_b)), axis=1))
-        if outside.size:
-            c, r = cells[outside[0]]
+        cells = list(chain.from_iterable(support for support in tile_cells if support is not None))
+        # bounds of each coordinate first, by C-level iteration; the first
+        # cell outside the grid is looked up only when one is
+        cols, rows = zip(*cells) if cells else ((), ())
+        if cells and (min(cols) < 0 or max(cols) >= d_a or min(rows) < 0 or max(rows) >= d_b):
+            c, r = next((c, r) for c, r in cells if not (0 <= c < d_a and 0 <= r < d_b))
             raise DimensionMismatch(f"tile cell ({c}, {r}) outside the {d_a}x{d_b} grid")
         for name, value in (("d_a", d_a), ("d_b", d_b), ("labels", tuple(labels)),
                             ("tile_cells", tuple(tile_cells)), ("family", family),

@@ -14,13 +14,18 @@ projector gives both the range criterion and the unextendibility verdict,
 and both read it through :func:`prodbasis.verify.overlap_verdict`: the
 range label is ``entangled`` exactly when that verdict is ``UPB_Numeric``.
 
-A job factors the complement once, by QR: :func:`upb_density_state` builds
-the state from the orthonormal factor F of the complement that
-:func:`prodbasis.verify.check_upb` uses too, and keeps F as the state's
-range eigenvectors, so the range criterion hands F straight to the
-see-saw and prints the same maximum as ``verify``.  The state's spectrum
-check runs on the N x N Gram matrix of the orthonormality check.  The one
-D x D eigensolver of a job is the partial transpose's ``eigvalsh``.
+A job builds the complement once: :func:`upb_density_state` builds the
+state from an orthonormal factor F of the complement and keeps F as the
+state's range eigenvectors.  For a tile-type basis whose certificate holds
+(:func:`prodbasis.verify._tile_complement`), F = U C comes from the tiles
+with no factorisation, and the state keeps the tile form too, so the range
+criterion runs the see-saw on the tile form, as
+:func:`prodbasis.verify.check_upb` does.  For any other basis F is the QR
+factor that ``check_upb`` uses, and the range criterion hands it straight
+to the see-saw.  Either way ``boundent`` prints the same maximum as
+``verify``.  The state's spectrum check runs on the N x N Gram matrix of
+the orthonormality check.  The one D x D eigensolver of a job is the
+partial transpose's ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .verify import (
     _complement_factor,
     _require_orthonormal,
     _seesaw,
+    _tile_complement,
     _top_gram_eigenvalue,
     overlap_verdict,
 )
@@ -74,6 +80,7 @@ class DensityMatrix:
     d_a: int
     d_b: int
     _spectrum: tuple = field(init=False, repr=False, compare=False)
+    _tiles: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -94,12 +101,14 @@ class DensityMatrix:
         object.__setattr__(self, "_spectrum", (w, v))
 
     @classmethod
-    def _of_factor(cls, f: np.ndarray, d_a: int, d_b: int) -> "DensityMatrix":
+    def _of_factor(cls, f: np.ndarray, d_a: int, d_b: int, tiles=None) -> "DensityMatrix":
         """F F^dag divided by its trace, for orthonormal columns ``f`` of shape (D, k).
 
         Its spectrum is 1/trace on the k columns of F and 0 elsewhere, so
         ``_spectrum`` holds (1/trace repeated k times, F), and no
-        eigensolver runs.
+        eigensolver runs.  ``tiles``, kept as ``_tiles``, is the tile form
+        of F F^dag for a tile-type basis (``verify._TileContractions``), or
+        None.
         """
         m = hermitian_part(f @ dagger(f))
         trace = float(np.trace(m).real)
@@ -108,7 +117,7 @@ class DensityMatrix:
         for array in (m, w, f):
             array.setflags(write=False)
         rho = object.__new__(cls)
-        for name, value in (("matrix", m), ("d_a", d_a), ("d_b", d_b), ("_spectrum", (w, f))):
+        for name, value in (("matrix", m), ("d_a", d_a), ("d_b", d_b), ("_spectrum", (w, f)), ("_tiles", tiles)):
             object.__setattr__(rho, name, value)
         return rho
 
@@ -128,9 +137,12 @@ class RangeCriterionReport:
 def upb_density_state(basis: ProductBasis) -> DensityMatrix:
     """Uniform mixture over the complement of the basis span.
 
-    rho = F F^dag / tr(F F^dag), for F the orthonormal QR factor of the
-    complement (:func:`prodbasis.verify._complement_factor`); its spectrum
-    is 1/(D - N) on the complement and 0 on the span.  Dividing by the
+    rho = F F^dag / tr(F F^dag), for F an orthonormal factor of the
+    complement: for a tile-type basis whose certificate holds, F = U C from
+    the tiles (``verify._TileContractions.factor``), and the tile form is
+    kept for the range criterion; otherwise the QR factor
+    (:func:`prodbasis.verify._complement_factor`).  Its spectrum is
+    1/(D - N) on the complement and 0 on the span.  Dividing by the
     measured trace, not the rank D - N, gives trace 1 to rounding.  The
     basis is checked for orthonormality first (:class:`NonOrthonormalInput`),
     then for a nonempty complement (:class:`CompleteBasisInput`).  Then the
@@ -149,7 +161,10 @@ def upb_density_state(basis: ProductBasis) -> DensityMatrix:
     if not _top_gram_eigenvalue(g, limit) <= limit:
         raise InvalidProjector("complement state is not a valid density matrix: "
                                f"density matrix has an eigenvalue below -{_STATE_TOL:g}")
-    return DensityMatrix._of_factor(_complement_factor(basis), basis.d_a, basis.d_b)
+    tiles = _tile_complement(basis)
+    if tiles is None:
+        return DensityMatrix._of_factor(_complement_factor(basis), basis.d_a, basis.d_b)
+    return DensityMatrix._of_factor(tiles.factor(), basis.d_a, basis.d_b, tiles)
 
 
 def is_ppt(rho: DensityMatrix):
@@ -171,7 +186,9 @@ def range_criterion_report(
     or, for :func:`upb_density_state`, the complement factor F.  Those
     orthonormal columns V factor the range projector V V^dag, so the see-saw
     maximizes the product overlap with it without forming or decomposing
-    it again, with the same fixed stop rule and iteration cap as
+    it again; for a state of a tile-type basis it runs on the kept tile form
+    of the same projector instead.  The see-saw has the same fixed stop
+    rule and iteration cap as
     :func:`~prodbasis.verify.seesaw_max_product_overlap`.  ``ENTANGLED``, the
     entanglement half of the signature, is :func:`~prodbasis.verify.overlap_verdict`'s
     ``UPB_Numeric``: no product state in the range numerically.
@@ -180,7 +197,9 @@ def range_criterion_report(
     keep = w > TOLERANCES.range_cutoff
     if not np.any(keep):
         raise ZeroState("density matrix has no eigenvalue above the range cutoff")
-    result = _seesaw(v[:, keep], rho.d_a, rho.d_b, restarts, seed)
+    # the range of a tile-type complement state is all of F: its w are equal
+    q = v[:, keep] if rho._tiles is None else rho._tiles
+    result = _seesaw(q, rho.d_a, rho.d_b, restarts, seed)
     entangled = overlap_verdict(result.value) is Verdict.UPB_NUMERIC
     return RangeCriterionReport(
         range_rank=int(np.count_nonzero(keep)),

@@ -26,6 +26,7 @@ floats, the bulk of every file, from one fixed template instead of running
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -79,6 +80,33 @@ def _is_int_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(type(x) is int for x in value)
 
 
+def _are_int_pair_lists(supports) -> bool:
+    """True iff every item of ``supports`` is a list of ``_is_int_pair`` pairs.
+
+    The same test as ``_is_int_pair`` on every pair, run over all cells at
+    once by C-level iteration (``map``, ``all``, ``set``) instead of one
+    Python call per pair.
+    """
+    if not all(map(isinstance, supports, repeat(list))):
+        return False
+    pairs = list(chain.from_iterable(supports))
+    return (all(map(isinstance, pairs, repeat(list))) and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {int})
+
+
+def _tile_cells(supports) -> list:
+    """Each state's ``tile_cells`` entry as a frozenset of (column, row) pairs, or None.
+
+    Every entry that is not None must be a list of [column, row] integer
+    pairs, else :class:`BasisFileError` names the first state that breaks it.
+    """
+    if not _are_int_pair_lists([support for support in supports if support is not None]):
+        i = next(i for i, support in enumerate(supports)
+                 if support is not None and not _are_int_pair_lists([support]))
+        raise BasisFileError(f"state {i} tile_cells must be [column, row] integer pairs")
+    return [None if support is None else frozenset(map(tuple, support)) for support in supports]
+
+
 def basis_to_payload(basis: ProductBasis) -> dict:
     a = complex_to_json(basis.a_matrix().T)
     b = complex_to_json(basis.b_matrix().T)
@@ -112,15 +140,14 @@ def basis_from_payload(payload: dict) -> ProductBasis:
     raw_states = payload.get("states")
     if not isinstance(raw_states, list) or not raw_states:
         raise BasisFileError("states must be a nonempty list")
-    labels, cells = [], []
+    labels, supports = [], []
     for i, entry in enumerate(raw_states):
         if not isinstance(entry, dict):
+            _tile_cells(supports)  # an earlier state's bad cells are reported first
             raise BasisFileError(f"state {i} is not an object")
-        support = entry.get("tile_cells")
-        if support is not None and not (isinstance(support, list) and all(map(_is_int_pair, support))):
-            raise BasisFileError(f"state {i} tile_cells must be [column, row] integer pairs")
+        supports.append(entry.get("tile_cells"))
         labels.append(str(entry.get("label", "")))
-        cells.append(None if support is None else frozenset(map(tuple, support)))
+    cells = _tile_cells(supports)
     # one codec call per side: row i of each (N, d) array is state i's factor
     a = complex_from_json([entry.get("a") for entry in raw_states], 2, "side a")
     b = complex_from_json([entry.get("b") for entry in raw_states], 2, "side b")

@@ -4,9 +4,13 @@ Covers orthonormality and rank checks, the complement projector, and the
 numerical unextendibility test: a seeded see-saw maximization of the product
 overlap with the complement, which advances every restart together through
 one factorization of the operator's positive part by power steps, with no
-eigensolver in the loop.  For a basis, that factor is the orthonormal QR
-factor of the complement and the spectrum check runs on the Gram matrix, so
-``check_upb`` solves no D x D eigenproblem.  The see-saw is cross-checked at
+eigensolver in the loop.  For a tile-type basis the see-saw runs on the
+closed form of the complement that the Tiles argument gives, sum_t u_t u_t^T
+- s s^T over the uniform tile states u_t and the stopper s, once a
+certificate bounds its distance from the complement of the span by 1e-12;
+for any other basis it runs on the orthonormal QR factor of the complement.
+The spectrum check runs on the Gram matrix, so ``check_upb`` solves no
+D x D eigenproblem.  The see-saw is cross-checked at
 small dimensions by a brute-force grid oracle that never iterates the
 see-saw path.  The oracle
 prunes in two stages.  It bounds each grid state's top eigenvalue by its
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -106,13 +111,19 @@ def gram_matrix(basis: ProductBasis) -> np.ndarray:
         raise CountMismatch("basis is empty")
     a = basis.a_matrix()
     b = basis.b_matrix()
-    return (dagger(a) @ a) * (dagger(b) @ b)
+    g = dagger(a) @ a
+    g *= dagger(b) @ b   # in place: one N x N temporary fewer
+    return g
 
 
 def _deviations(g: np.ndarray) -> GramDeviations:
-    off = g - np.diag(np.diag(g))
+    n = len(g)
+    # the flat entries after g[0, 0], in rows of n + 1, are n off-diagonal
+    # entries and then the next diagonal one: a view of every off-diagonal
+    # entry, with no N x N copy
+    off = g.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
     return GramDeviations(
-        max_offdiag=float(np.max(np.abs(off))) if len(g) > 1 else 0.0,
+        max_offdiag=float(np.max(np.abs(off))) if n > 1 else 0.0,
         max_diag_error=float(np.max(np.abs(np.diag(g) - 1.0))),
     )
 
@@ -236,11 +247,178 @@ def _half_step_operators(x: np.ndarray, g_x: np.ndarray, d_out: int) -> np.ndarr
     return y @ dagger(y)
 
 
+class _FactorContractions:
+    """The see-saw's contractions of Q = G G^dag, for a factor ``g`` of shape (dA*dB, k)."""
+
+    def __init__(self, g: np.ndarray, d_a: int, d_b: int):
+        k = g.shape[1]
+        g = g.reshape(d_a, d_b, k)
+        self.d_a, self.d_b = d_a, d_b
+        self.g_a = g.reshape(d_a, d_b * k)                      # rows: A side
+        self.g_b = g.transpose(1, 0, 2).reshape(d_b, d_a * k)   # rows: B side
+
+    def a_side(self, b: np.ndarray) -> np.ndarray:
+        """Stack of the dA x dA operators <b|Q|b>, one per row of ``b``."""
+        return _half_step_operators(b, self.g_b, self.d_a)
+
+    def b_side(self, a: np.ndarray) -> np.ndarray:
+        """Stack of the dB x dB operators <a|Q|a>, one per row of ``a``."""
+        return _half_step_operators(a, self.g_a, self.d_b)
+
+    def values(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """<a (x) b|Q|a (x) b> for each row pair."""
+        z = (b.conj()[:, None, :] @ _contract(a, self.g_a, self.d_b))[:, 0]
+        return np.sum(z.real ** 2 + z.imag ** 2, axis=-1)
+
+
+def _tile_weights(x: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """|<v_t|x>|^2 for the real rows v_t of ``vectors`` (T+1, d) and each row of ``x``.
+
+    Each row of ``x``, viewed as its (d, 2) real and imaginary parts, goes
+    through one (T+1, d) x (d, 2) matmul of its own, so a row's result does
+    not depend on the other rows.
+    """
+    y = vectors @ np.ascontiguousarray(x).view(float).reshape(len(x), -1, 2)
+    return y[:, :, 0] ** 2 + y[:, :, 1] ** 2
+
+
+class _TileContractions:
+    """The see-saw's contractions of Q = sum_t u_t u_t^T - s s^T for the tiles of a tile-type basis.
+
+    Tile t is the rectangle S_A x S_B of the grid, u_t = alpha_t (x) beta_t
+    the uniform product state on it and s = sigma_A (x) sigma_B the uniform
+    stopper, s = sum_t c_t u_t with c_t = sqrt(|t| / D).  ``alpha`` (T+1, dA)
+    holds the real unit vectors alpha_t as rows and sigma_A last, ``beta``
+    (T+1, dB) likewise.  With ``b`` fixed the A-side operator is
+
+        M_a(b) = sum_t |<beta_t|b>|^2 alpha_t alpha_t^T - |<sigma_B|b>|^2 sigma_A sigma_A^T,
+
+    its weight vector times the (T+1, dA^2) table of the outer products
+    alpha_t alpha_t^T, whose stopper row is negated: two matmuls per row.
+    The B side is symmetric.  Each operator is real and is cast to complex
+    once for the power steps.  It is positive semidefinite only up to
+    rounding, because the stopper term is subtracted: since Q is a
+    projector, its eigenvalues lie in [0, 1] within a few units of rounding.
+    """
+
+    def __init__(self, alpha: np.ndarray, beta: np.ndarray, c: np.ndarray):
+        self.alpha, self.beta, self.c = alpha, beta, c
+        self.sign = np.ones(len(alpha))
+        self.sign[-1] = -1.0
+        self.a_outer = self._outer(alpha)
+        self.b_outer = self._outer(beta)
+
+    def _outer(self, vectors: np.ndarray) -> np.ndarray:
+        d = vectors.shape[1]
+        return (vectors[:, :, None] * vectors[:, None, :]).reshape(-1, d * d) * self.sign[:, None]
+
+    @staticmethod
+    def _operators(w: np.ndarray, outer: np.ndarray, d: int) -> np.ndarray:
+        return (w[:, None, :] @ outer).reshape(len(w), d, d).astype(complex)
+
+    def a_side(self, b: np.ndarray) -> np.ndarray:
+        """Stack of the dA x dA operators M_a(b) = <b|Q|b>, one per row of ``b``."""
+        return self._operators(_tile_weights(b, self.beta), self.a_outer, self.alpha.shape[1])
+
+    def b_side(self, a: np.ndarray) -> np.ndarray:
+        """Stack of the dB x dB operators M_b(a) = <a|Q|a>, one per row of ``a``."""
+        return self._operators(_tile_weights(a, self.alpha), self.b_outer, self.beta.shape[1])
+
+    def values(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """<a (x) b|Q|a (x) b> for each row pair."""
+        return np.sum(_tile_weights(a, self.alpha) * _tile_weights(b, self.beta) * self.sign, axis=-1)
+
+    def factor(self) -> np.ndarray:
+        """Orthonormal columns F = U C of shape (D, T - 1), with F F^dag = Q, by no factorisation.
+
+        U holds the u_t as columns, and C is the last T - 1 columns of the
+        Householder reflection I - 2 h h^T / h^T h, h = c + e_0, which maps
+        c to -e_0: an isometry orthogonal to c, so U C C^T U^T =
+        U (I - c c^T) U^T = Q.
+        """
+        u = (self.alpha[:-1].T[:, None, :] * self.beta[:-1].T[None, :, :]).reshape(-1, len(self.c))
+        h = self.c.copy()
+        h[0] += 1.0
+        reflection = np.eye(len(h)) - (2.0 / (h @ h)) * np.outer(h, h)
+        return (u @ reflection[:, 1:]).astype(complex)
+
+
+def _tile_layout(basis: ProductBasis):
+    """The tiles of a tile-type basis as boolean masks ``(cols, rows)``, or None.
+
+    Decided from the tile cells alone: every state has them, exactly one
+    state's cells cover the grid (the stopper), the other states' distinct
+    cell sets are nonempty rectangles S_A x S_B that partition the grid,
+    and N = D - T + 1 for T tiles.  Row t of ``cols`` (T, dA) and of ``rows``
+    (T, dB) marks S_A and S_B of tile t, the tiles in order of first
+    appearance.
+    """
+    cells = basis.tile_cells
+    dim = basis.dim
+    if None in cells:
+        return None
+    sizes = list(map(len, cells))
+    if sizes.count(dim) != 1:
+        return None
+    tiles = dict.fromkeys(cells)
+    del tiles[cells[sizes.index(dim)]]
+    count = len(tiles)
+    sizes = np.fromiter(map(len, tiles), dtype=np.intp, count=count)
+    if len(basis) != dim - count + 1 or sizes.sum() != dim or not sizes.all():
+        return None
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(tiles)), dtype=np.intp, count=2 * dim)
+    col, row = flat.reshape(dim, 2).T
+    # D cells inside the grid cover it iff no cell repeats
+    if not np.all(np.bincount(col * basis.d_b + row, minlength=dim) == 1):
+        return None
+    owner = np.repeat(np.arange(count), sizes)
+    cols = np.zeros((count, basis.d_a), dtype=bool)
+    rows = np.zeros((count, basis.d_b), dtype=bool)
+    cols[owner, col] = True
+    rows[owner, row] = True
+    if not np.array_equal(cols.sum(axis=1) * rows.sum(axis=1), sizes):
+        return None
+    return cols, rows
+
+
+def _tile_complement(basis: ProductBasis) -> _TileContractions | None:
+    """The tile form of the complement of a tile-type basis that passes its certificate, or None.
+
+    With O_ti = <alpha_t|a_i><beta_t|b_i> = <u_t|v_i> (T x N) and c_t =
+    sqrt(|t| / D), eps = ||(I - c c^T) O||_F equals ||Q_c V||_F for the tile
+    complement Q_c = U (I - c c^T) U^T.  Q_c and the projector onto the
+    complement of the span both have rank D - N, so eps bounds how far
+    apart they are, and the tile form is used only when eps is at most the
+    see-saw's rounding slack (1e-12).  Every other basis returns None and
+    takes the QR factor (:func:`_complement_factor`).
+    """
+    layout = _tile_layout(basis)
+    if layout is None:
+        return None
+    cols, rows = layout
+    n_a, n_b = cols.sum(axis=1), rows.sum(axis=1)
+    alpha = np.empty((len(cols) + 1, basis.d_a))
+    beta = np.empty((len(rows) + 1, basis.d_b))
+    alpha[:-1] = cols / np.sqrt(n_a)[:, None]
+    beta[:-1] = rows / np.sqrt(n_b)[:, None]
+    alpha[-1] = 1.0 / np.sqrt(basis.d_a)
+    beta[-1] = 1.0 / np.sqrt(basis.d_b)
+    c = np.sqrt(n_a * n_b / basis.dim)
+    o = (alpha[:-1] @ basis.a_matrix()) * (beta[:-1] @ basis.b_matrix())
+    eps = float(np.linalg.norm(o - np.outer(c, c @ o)))
+    if not eps <= _SEESAW_SLACK:  # NaN fails
+        return None
+    return _TileContractions(alpha, beta, c)
+
+
 def _power_steps(m: np.ndarray, x: np.ndarray):
     """x <- M^s x / ||M^s x|| on each row, then the values <x|M|x>.
 
     ``m`` is a stack of positive semidefinite d x d operators and ``x`` the
-    unit vectors they act on, one per row.  M is applied s times with no
+    unit vectors they act on, one per row.  The tile form's operators are
+    positive semidefinite only up to rounding, because its stopper term is
+    subtracted; a step can then lower <x|M|x> by a few units of rounding,
+    far inside the see-saw's ascent slack.  M is applied s times with no
     scaling in between, s = ``_POWER_STEPS`` (4) for d <= 3 and
     ``_LONG_POWER_STEPS`` (8) for d >= 4, and the image is normalised once,
     which in exact arithmetic is the iterate of s normalised power steps, so
@@ -348,17 +526,21 @@ def seesaw_max_product_overlap(
 
 
 def _seesaw(g, d_a, d_b, restarts, seed) -> SeesawResult:
-    """The see-saw on Q = G G^dag, for a factor ``g`` of shape (dA*dB, k).
+    """The see-saw on Q = G G^dag, for a factor ``g`` of shape (dA*dB, k), or on a tile form.
 
     :func:`seesaw_max_product_overlap` checks Q and passes the factor of its
     positive part scaled to unit top eigenvalue; the range criterion passes
-    the range eigenvectors of its state, whose Q is the range projector.
-    Either way lambda_max(G G^dag) = 1, so every contracted operator has
-    norm at most 1, and the stop rule, the ascent slack and the witness tie,
-    absolute on G G^dag, are relative to the caller's lambda_max(Q).  Each
-    half step forms its contracted operators as Y Y^dag, positive
-    semidefinite by construction, and applies each d x d operator 4 times
-    for d <= 3 and 8 times for d >= 4 (:func:`_power_steps`).
+    the range eigenvectors of its state, whose Q is the range projector;
+    ``check_upb`` passes the complement's QR factor.  For a tile-type
+    basis, ``check_upb`` and the range criterion pass the tile form
+    (:class:`_TileContractions`) instead, whose Q is the complement
+    projector.  Either way lambda_max(Q) = 1, so every contracted operator
+    has norm at most 1 (to rounding), and the stop rule, the ascent slack
+    and the witness tie, absolute on Q, are relative to the caller's
+    lambda_max(Q).  Each half step forms its contracted operators, as
+    Y Y^dag on a factor, positive semidefinite by construction, or from the
+    tile tables, and applies each d x d operator 4 times for d <= 3 and 8
+    times for d >= 4 (:func:`_power_steps`).
 
     Row ``i`` of the working arrays ``a_w``, ``b_w`` and ``value_w`` is
     restart ``rows[i]``.  A pass steps every working row, checks the
@@ -371,21 +553,17 @@ def _seesaw(g, d_a, d_b, restarts, seed) -> SeesawResult:
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    k = g.shape[1]
-    g = g.reshape(d_a, d_b, k)
-    g_a = g.reshape(d_a, d_b * k)                      # rows: A side
-    g_b = g.transpose(1, 0, 2).reshape(d_b, d_a * k)   # rows: B side
+    q = g if isinstance(g, _TileContractions) else _FactorContractions(g, d_a, d_b)
 
     a, b = starting_pairs(seed, restarts, d_a, d_b)
-    z = (b.conj()[:, None, :] @ _contract(a, g_a, d_b))[:, 0]
-    value = np.sum(z.real ** 2 + z.imag ** 2, axis=-1)
+    value = q.values(a, b)
 
     rows = np.arange(restarts)
     a_w, b_w, value_w = a, b, value
     iterations_total = 0
     for _ in range(_SEESAW_MAX_ITERATIONS):
-        half, a_w = _power_steps(_half_step_operators(b_w, g_b, d_a), a_w)
-        new_value, b_w = _power_steps(_half_step_operators(a_w, g_a, d_b), b_w)
+        half, a_w = _power_steps(q.a_side(b_w), a_w)
+        new_value, b_w = _power_steps(q.b_side(a_w), b_w)
         _require_ascent(value_w, half, new_value)
         iterations_total += rows.size
         stopped = new_value - value_w < _SEESAW_STOP     # a NaN improvement stops nothing
@@ -635,9 +813,12 @@ def check_upb(
     :class:`InvalidProjector` is raised.  That is decided on the G of the
     orthonormality check, by its Gershgorin bound and, only when the bound
     fails, by ``eigvalsh`` of G.  The see-saw then maximizes over the
-    projector F F^dag, for F the orthonormal QR factor of the complement
-    (:func:`_complement_factor`), with the fixed stop rule and iteration cap
-    of :func:`seesaw_max_product_overlap`.  No D x D eigensolver runs.
+    complement projector, with the fixed stop rule and iteration cap of
+    :func:`seesaw_max_product_overlap`.  For a tile-type basis whose
+    certificate holds (:func:`_tile_complement`) it runs on the closed form
+    sum_t u_t u_t^T - s s^T, with real contracted operators and no QR;
+    for any other basis on F F^dag, for F the orthonormal QR factor of the
+    complement (:func:`_complement_factor`).  No D x D eigensolver runs.
     """
     tol = TOLERANCES if tol is None else tol
     g, dev = _require_orthonormal(basis, tol.orthonormality)
@@ -651,7 +832,9 @@ def check_upb(
         top = _top_gram_eigenvalue(g, limit)
         if not top <= limit:
             raise InvalidProjector(f"spectrum [{1.0 - top:.3e}, {1.0:.3e}] outside [0, 1]")
-        result = _seesaw(_complement_factor(basis), basis.d_a, basis.d_b, restarts, seed)
+        tiles = _tile_complement(basis)
+        q = _complement_factor(basis) if tiles is None else tiles
+        result = _seesaw(q, basis.d_a, basis.d_b, restarts, seed)
         value, witness = result.value, result.witness
         verdict = overlap_verdict(value, tol=tol)
         restarts_used, iterations, capped = result.restarts_used, result.iterations_total, result.capped_restarts

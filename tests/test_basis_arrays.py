@@ -100,6 +100,24 @@ def test_constructor_checks():
         ProductState(np.eye(2), e0)
 
 
+@pytest.mark.parametrize("bad,first", [
+    ([None, {(0, 0)}, {(2, 1)}, {(-1, 0)}], "(2, 1)"),
+    ([{(0, 0)}, {(0, -1)}, {(5, 5)}, None], "(0, -1)"),
+    ([{(1, 1)}, {(2**70, 0)}, {(0, 3)}, {(1, 0)}], f"({2**70}, 0)"),
+    ([{(1, 1)}, {(0, 0)}, {(1, 2)}, {(0, -(2**70))}], "(1, 2)"),
+])
+def test_tile_cells_outside_the_grid_name_the_first(bad, first):
+    # the first cell outside the 2x2 grid in state order, ints beyond int64 included
+    e0, e1 = np.eye(2, dtype=complex)
+    states = [ProductState(a, b, tile_cells=cells) for (a, b), cells in zip([(e0, e0), (e0, e1), (e1, e0), (e1, e1)], bad)]
+    with pytest.raises(DimensionMismatch, match=rf"^tile cell \{first[:-1]}\) outside the 2x2 grid$"):
+        ProductBasis(2, 2, states)
+    ok = [None if cells is None else {(c % 2, r % 2) for c, r in cells} for cells in bad]
+    basis = ProductBasis(2, 2, [ProductState(a, b, tile_cells=cells)
+                                for (a, b), cells in zip([(e0, e0), (e0, e1), (e1, e0), (e1, e1)], ok)])
+    assert basis.tile_cells == tuple(None if cells is None else frozenset(cells) for cells in ok)
+
+
 def test_empty_basis():
     empty = ProductBasis(2, 3, ())
     assert len(empty) == 0 and empty.states == () and not empty.is_complete()

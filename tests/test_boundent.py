@@ -295,9 +295,9 @@ def test_range_criterion_and_seesaw_need_a_restart():
 
 
 def test_cli_boundent_decomposes_the_state_once(tmp_path, capsys, monkeypatch):
-    # the state, its range cut and the see-saw factor come from one QR of
-    # the basis, so the one D x D solve is the eigvalsh of the partial
-    # transpose
+    # the state, its range cut and the see-saw's operators come from the
+    # tiles of g2(3,4) (from one QR for another basis), so the one D x D
+    # solve is the eigvalsh of the partial transpose
     dim = 12
     calls = []
 
@@ -318,8 +318,9 @@ def test_cli_boundent_decomposes_the_state_once(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_verify_forms_one_gram_matrix_and_calls_no_eigensolver(tmp_path, capsys, monkeypatch):
-    # the complement comes from one QR of the basis and its spectrum check
-    # from the Gershgorin bound of the Gram matrix
+    # the complement comes from the tiles of g2(3,4) (another basis would
+    # take one QR) and its spectrum check from the Gershgorin bound of the
+    # Gram matrix
     calls = []
 
     def counted(name, fn):
@@ -382,7 +383,7 @@ def test_cli_verify_accepts_a_complement_spectrum_within_the_slack(tmp_path, cap
 @pytest.mark.parametrize("name,basis", [("g1_6", gen_tiles1(6)), ("g2_3x4", gen_tiles2(3, 4)),
                                         ("g2_6x10", gen_tiles2(6, 10))])
 def test_cli_verify_and_boundent_print_the_same_maximum(tmp_path, capsys, name, basis):
-    # both see-saws run on one QR factor of the complement, so the maxima
+    # both see-saws run on the tile form of the complement, so the maxima
     # agree bit for bit
     path = tmp_path / f"{name}.json"
     save_basis(basis, path)
@@ -394,7 +395,8 @@ def test_cli_verify_and_boundent_print_the_same_maximum(tmp_path, capsys, name, 
 
 
 def test_complement_state_is_the_normalised_complement_projector():
-    # the QR-built state against I - V V^dag divided by its trace, and its
+    # the state built from the tiles (the two families) or the QR factor
+    # (the tilted set) against I - V V^dag divided by its trace, and its
     # stored spectrum against the definition
     for basis in (gen_tiles1(6), gen_tiles2(3, 4), tilted_cartesian_3x3(2e-11)):
         rho = upb_density_state(basis)

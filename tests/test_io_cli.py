@@ -420,6 +420,76 @@ def test_cli_rejects_short_tile_cell(tmp_path, capsys):
     assert code == 1 and stdout == "" and stderr.startswith("error: ")
 
 
+MALFORMED_TILE_CELLS = {
+    "bool": [[True, 0]],
+    "bool_second": [[0, False]],
+    "float": [[1.0, 0]],
+    "string": [["1", 0]],
+    "nested_list": [[[1], 0]],
+    "null_entry": [[None, 0]],
+    "short_pair": [[0]],
+    "empty_pair": [[]],
+    "long_pair": [[0, 1, 0]],
+    "tuple_cell": [(0, 1)],
+    "string_cell": ["01"],
+    "dict_cell": [{"c": 0, "r": 1}],
+    "int_cell": [0],
+    "null_cell": [None],
+    "good_then_bad": [[0, 1], [1, True]],
+    "support_string": "cells",
+    "support_dict": {"0": 1},
+    "support_int": 5,
+    "support_tuple": ((0, 1),),
+}
+
+
+def tile_payload(cells_by_state):
+    """The g1(4) payload with the tile cells of the given states replaced."""
+    payload = basis_to_payload(gen_tiles1(4))
+    for i, cells in cells_by_state.items():
+        payload["states"][i]["tile_cells"] = cells
+    return payload
+
+
+@pytest.mark.parametrize("cells", MALFORMED_TILE_CELLS.values(), ids=MALFORMED_TILE_CELLS.keys())
+def test_load_rejects_malformed_tile_cells_at_the_first_bad_state(cells):
+    with pytest.raises(BasisFileError, match=r"^state 3 tile_cells must be \[column, row\] integer pairs$"):
+        basis_from_payload(tile_payload({3: cells, 6: [[0, 0.5]]}))
+    with pytest.raises(BasisFileError, match=r"^state 0 tile_cells must be \[column, row\] integer pairs$"):
+        basis_from_payload(tile_payload({0: cells}))
+
+
+def test_load_reports_the_first_bad_state_whatever_its_fault():
+    # state 2 has bad cells and state 5 is not an object: state 2 is reported
+    payload = tile_payload({2: [[0, 1.5]]})
+    payload["states"][5] = [1, 2]
+    with pytest.raises(BasisFileError, match=r"^state 2 tile_cells must be"):
+        basis_from_payload(payload)
+    # and the other way round
+    payload = tile_payload({5: [[0, 1.5]]})
+    payload["states"][2] = "state"
+    with pytest.raises(BasisFileError, match=r"^state 2 is not an object$"):
+        basis_from_payload(payload)
+
+
+def test_load_keeps_the_tile_cells_as_frozensets():
+    for basis in (gen_tiles1(6), gen_tiles2(3, 5)):
+        loaded = basis_from_payload(basis_to_payload(basis))
+        assert loaded.tile_cells == basis.tile_cells
+        assert all(type(cells) is frozenset for cells in loaded.tile_cells)
+        assert all(type(cell) is tuple and all(type(x) is int for x in cell)
+                   for cells in loaded.tile_cells for cell in cells)
+    # an empty list of cells is an empty set, and a missing or null entry is None
+    payload = tile_payload({1: [], 2: None})
+    del payload["states"][3]["tile_cells"]
+    loaded = basis_from_payload(payload)
+    assert loaded.tile_cells[1] == frozenset()
+    assert loaded.tile_cells[2] is None and loaded.tile_cells[3] is None
+    # duplicate cells collapse, as in a set
+    loaded = basis_from_payload(tile_payload({1: [[0, 1], [0, 1]]}))
+    assert loaded.tile_cells[1] == frozenset({(0, 1)})
+
+
 MALFORMED_NUMBERS = {
     "dims_overflow": {"dims": ["1e400", 2]},
     "tile_cell_overflow": {"tile_cells": [["1e400", 0]]},

@@ -283,13 +283,8 @@ def reference_power_steps(m, x):
     return np.vdot(x, m @ x).real, x
 
 
-def reference_power_seesaw(g, d_a, d_b, restarts, seed, max_iterations=10_000, scale=1.0):
-    """``verify._seesaw`` run one restart at a time, with 2-D operators and vectors.
-
-    The value found on Q = G G^dag is multiplied by ``scale``, as
-    ``seesaw_max_product_overlap`` multiplies it by lambda_max(Q) after
-    running on Q scaled to unit top eigenvalue.
-    """
+def reference_factor_operators(g, d_a, d_b):
+    """Per-restart half-step operators and value of Q = G G^dag, with 2-D operators and vectors."""
     k = g.shape[1]
     g = g.reshape(d_a, d_b, k)
     g_a = g.reshape(d_a, d_b * k)
@@ -299,17 +294,71 @@ def reference_power_seesaw(g, d_a, d_b, restarts, seed, max_iterations=10_000, s
         y = (x.conj() @ g_x).reshape(d_out, k)
         return y @ y.conj().T
 
+    def value(a, b):
+        z = b.conj() @ (a.conj() @ g_a).reshape(d_b, k)
+        return np.sum(z.real ** 2 + z.imag ** 2)
+
+    return (lambda b: operator(b, g_b, d_a)), (lambda a: operator(a, g_a, d_b)), value
+
+
+def reference_tile_operators(basis):
+    """Per-restart half-step operators and value of the tile complement of a tile-type basis.
+
+    Q = sum_t u_t u_t^T - s s^T, u_t uniform on tile t (in order of first
+    appearance among the states that are not the whole-grid stopper) and s
+    uniform on the grid.  One restart at a time: the weights |<beta_t|b>|^2
+    from the (d, 2) real view of b, then M_a(b) = sum of the weights times
+    the outer products alpha_t alpha_t^T, the stopper's subtracted.
+    """
+    d_a, d_b = basis.d_a, basis.d_b
+    whole = d_a * d_b
+    tiles = list(dict.fromkeys(c for c in basis.tile_cells if len(c) != whole))
+    alpha = np.zeros((len(tiles) + 1, d_a))
+    beta = np.zeros((len(tiles) + 1, d_b))
+    for t, cells in enumerate(tiles):
+        cols = sorted({c for c, _ in cells})
+        rows = sorted({r for _, r in cells})
+        alpha[t, cols] = 1.0 / np.sqrt(len(cols))
+        beta[t, rows] = 1.0 / np.sqrt(len(rows))
+    alpha[-1] = 1.0 / np.sqrt(d_a)
+    beta[-1] = 1.0 / np.sqrt(d_b)
+    sign = np.array([1.0] * len(tiles) + [-1.0])
+
+    def weights(x, vectors):
+        y = vectors @ x.view(float).reshape(-1, 2)
+        return y[:, 0] ** 2 + y[:, 1] ** 2
+
+    def operator(x, vectors_x, vectors_out):
+        outer = np.array([s * np.outer(v, v).ravel() for s, v in zip(sign, vectors_out)])
+        d = vectors_out.shape[1]
+        return (weights(x, vectors_x) @ outer).reshape(d, d).astype(complex)
+
+    def value(a, b):
+        return np.sum(weights(a, alpha) * weights(b, beta) * sign)
+
+    return (lambda b: operator(b, beta, alpha)), (lambda a: operator(a, alpha, beta)), value
+
+
+def reference_power_seesaw(g, d_a, d_b, restarts, seed, max_iterations=10_000, scale=1.0, operators=None):
+    """``verify._seesaw`` run one restart at a time, with 2-D operators and vectors.
+
+    The value found on Q = G G^dag is multiplied by ``scale``, as
+    ``seesaw_max_product_overlap`` multiplies it by lambda_max(Q) after
+    running on Q scaled to unit top eigenvalue.  ``operators``, when given,
+    replaces the factor's ``(a_side, b_side, value)`` triple, as
+    :func:`reference_tile_operators` does.
+    """
+    a_side, b_side, objective_of = operators or reference_factor_operators(g, d_a, d_b)
     finals = []
     iterations_total = capped = 0
     for r in range(restarts):
         rng = stream(seed, r)
         a = random_unit_vector(rng, d_a)
         b = random_unit_vector(rng, d_b)
-        z = b.conj() @ (a.conj() @ g_a).reshape(d_b, k)
-        value = np.sum(z.real ** 2 + z.imag ** 2)
+        value = objective_of(a, b)
         for _ in range(max_iterations):
-            half, a = reference_power_steps(operator(b, g_b, d_a), a)
-            new_value, b = reference_power_steps(operator(a, g_a, d_b), b)
+            half, a = reference_power_steps(a_side(b), a)
+            new_value, b = reference_power_steps(b_side(a), b)
             if max(value - half, half - new_value) > _SEESAW_SLACK:
                 raise NonMonotoneSeesaw("reference see-saw objective decreased")
             iterations_total += 1
@@ -349,12 +398,6 @@ def reference_verify_seesaw(q, d_a, d_b, restarts, seed, max_iterations=10_000):
     return reference_power_seesaw(g, d_a, d_b, restarts, seed, max_iterations, scale)
 
 
-def range_factor(rho):
-    """The factor ``range_criterion_report`` passes to the engine: the range eigenvectors."""
-    w, v = rho._spectrum
-    return v[:, w > TOLERANCES.range_cutoff]
-
-
 def assert_same_run(got, want):
     assert got.value == want.value
     assert got.witness.a.tobytes() == want.witness.a.tobytes()
@@ -391,6 +434,8 @@ TILES = {
 
 @pytest.mark.parametrize("name", TILES)
 def test_engine_is_bit_identical_on_tile_factors(name):
+    # seesaw_max_product_overlap against the factor loop; the range criterion
+    # of a tile-type basis against the tile contraction's loop
     basis = TILES[name]()
     d_a, d_b = basis.d_a, basis.d_b
     q = complement_projector(basis)
@@ -399,7 +444,7 @@ def test_engine_is_bit_identical_on_tile_factors(name):
         got = seesaw_max_product_overlap(q, d_a, d_b, restarts=30, seed=seed)
         assert_same_run(got, reference_verify_seesaw(q, d_a, d_b, 30, seed))
         report = range_criterion_report(rho, restarts=30, seed=seed)
-        want = reference_power_seesaw(range_factor(rho), d_a, d_b, 30, seed)
+        want = reference_power_seesaw(None, d_a, d_b, 30, seed, operators=reference_tile_operators(basis))
         assert report.max_product_overlap == want.value
         assert report.witness.a.tobytes() == want.witness.a.tobytes()
         assert report.witness.b.tobytes() == want.witness.b.tobytes()

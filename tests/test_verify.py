@@ -63,6 +63,25 @@ def test_check_orthonormal():
     assert abs(dev.max_offdiag - 1.0) < 1e-12
 
 
+def old_deviations(g):
+    """The Gram deviations as formed before, through the N x N copy g - diag(g)."""
+    off = g - np.diag(np.diag(g))
+    return (float(np.max(np.abs(off))) if len(g) > 1 else 0.0, float(np.max(np.abs(np.diag(g) - 1.0))))
+
+
+def test_deviations_are_bit_identical_to_the_copying_formula():
+    grams = [gram_matrix(b) for b in (gen_tiles1(4), gen_tiles1(12), gen_tiles2(3, 4), gen_tiles2(6, 10),
+                                      cartesian_basis(3, 3), duplicated_state_basis(), single_state_basis())]
+    rng = stream(47, 0)
+    for n in (1, 2, 3, 7, 40):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        grams += [m @ m.conj().T, m]
+    assert any(len(g) == 1 for g in grams)
+    for g in grams:
+        dev = verify._deviations(g)
+        assert (dev.max_offdiag, dev.max_diag_error) == old_deviations(g)
+
+
 def test_complement_projector_traces():
     q = complement_projector(gen_tiles1(6))
     assert abs(np.trace(q).real - 11.0) <= 1e-9
