@@ -14,15 +14,12 @@ projector gives both the range criterion and the unextendibility verdict,
 and both read it through :func:`prodbasis.verify.overlap_verdict`: the
 range label is ``entangled`` exactly when that verdict is ``UPB_Numeric``.
 
-A job builds the complement once: :func:`upb_density_state` builds the
-state from an orthonormal factor F of the complement and keeps F as the
-state's range eigenvectors.  For a tile-type basis whose certificate holds
-(:func:`prodbasis.verify._tile_complement`), F = U C comes from the tiles
-with no factorisation, and the state keeps the tile form too, so the range
-criterion runs the see-saw on the tile form, as
-:func:`prodbasis.verify.check_upb` does.  For any other basis F is the QR
-factor that ``check_upb`` uses, and the range criterion hands it straight
-to the see-saw.  Either way ``boundent`` prints the same maximum as
+A job builds the complement once, in the form that
+:func:`prodbasis.verify._complement` chooses for ``check_upb`` too: the tile
+closed form for a tile-type basis whose certificate holds, the QR factor
+otherwise.  :func:`upb_density_state` builds the state from that form's
+orthonormal factor F, keeps F as the state's range eigenvectors and the form
+itself for the range criterion, so ``boundent`` prints the same maximum as
 ``verify``.  The state's spectrum check runs on the N x N Gram matrix of
 the orthonormality check.  The one D x D eigensolver of a job is the
 partial transpose's ``eigvalsh``.
@@ -41,10 +38,10 @@ from .errors import CompleteBasisInput, DimensionMismatch, InvalidProjector, Zer
 from .linalg import dagger, hermitian_part, partial_transpose
 from .verify import (
     Verdict,
-    _complement_factor,
+    _FactorContractions,
+    _complement,
     _require_orthonormal,
     _seesaw,
-    _tile_complement,
     _top_gram_eigenvalue,
     overlap_verdict,
 )
@@ -72,15 +69,17 @@ class DensityMatrix:
     """Normalized density operator on C^dA (x) C^dB.
 
     Validation decomposes the Hermitian part once; its eigenpairs ``(w, v)``
-    are kept, read-only, in ``_spectrum`` for the range criterion.  Two
-    instances compare equal only when they are the same object.
+    are kept, read-only, in ``_spectrum`` for the range criterion.
+    ``_range`` is the see-saw's operand for the range projector when the
+    state was built from it (:meth:`_of_complement`), and None otherwise.
+    Two instances compare equal only when they are the same object.
     """
 
     matrix: np.ndarray
     d_a: int
     d_b: int
     _spectrum: tuple = field(init=False, repr=False, compare=False)
-    _tiles: object = field(default=None, init=False, repr=False, compare=False)
+    _range: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -101,15 +100,15 @@ class DensityMatrix:
         object.__setattr__(self, "_spectrum", (w, v))
 
     @classmethod
-    def _of_factor(cls, f: np.ndarray, d_a: int, d_b: int, tiles=None) -> "DensityMatrix":
-        """F F^dag divided by its trace, for orthonormal columns ``f`` of shape (D, k).
+    def _of_complement(cls, c) -> "DensityMatrix":
+        """F F^dag divided by its trace, for the orthonormal factor F = ``c.factor()`` of shape (D, k).
 
-        Its spectrum is 1/trace on the k columns of F and 0 elsewhere, so
-        ``_spectrum`` holds (1/trace repeated k times, F), and no
-        eigensolver runs.  ``tiles``, kept as ``_tiles``, is the tile form
-        of F F^dag for a tile-type basis (``verify._TileContractions``), or
-        None.
+        ``c`` is the complement that :func:`prodbasis.verify._complement`
+        returns, kept as ``_range``.  The spectrum is 1/trace on the k
+        columns of F and 0 elsewhere, so ``_spectrum`` holds (1/trace
+        repeated k times, F), and no eigensolver runs.
         """
+        f = c.factor()
         m = hermitian_part(f @ dagger(f))
         trace = float(np.trace(m).real)
         m /= trace
@@ -117,7 +116,7 @@ class DensityMatrix:
         for array in (m, w, f):
             array.setflags(write=False)
         rho = object.__new__(cls)
-        for name, value in (("matrix", m), ("d_a", d_a), ("d_b", d_b), ("_spectrum", (w, f)), ("_tiles", tiles)):
+        for name, value in (("matrix", m), ("d_a", c.d_a), ("d_b", c.d_b), ("_spectrum", (w, f)), ("_range", c)):
             object.__setattr__(rho, name, value)
         return rho
 
@@ -137,11 +136,9 @@ class RangeCriterionReport:
 def upb_density_state(basis: ProductBasis) -> DensityMatrix:
     """Uniform mixture over the complement of the basis span.
 
-    rho = F F^dag / tr(F F^dag), for F an orthonormal factor of the
-    complement: for a tile-type basis whose certificate holds, F = U C from
-    the tiles (``verify._TileContractions.factor``), and the tile form is
-    kept for the range criterion; otherwise the QR factor
-    (:func:`prodbasis.verify._complement_factor`).  Its spectrum is
+    rho = F F^dag / tr(F F^dag), for F the orthonormal factor of the
+    complement that :func:`prodbasis.verify._complement` returns, which the
+    state keeps for the range criterion.  Its spectrum is
     1/(D - N) on the complement and 0 on the span.  Dividing by the
     measured trace, not the rank D - N, gives trace 1 to rounding.  The
     basis is checked for orthonormality first (:class:`NonOrthonormalInput`),
@@ -161,10 +158,7 @@ def upb_density_state(basis: ProductBasis) -> DensityMatrix:
     if not _top_gram_eigenvalue(g, limit) <= limit:
         raise InvalidProjector("complement state is not a valid density matrix: "
                                f"density matrix has an eigenvalue below -{_STATE_TOL:g}")
-    tiles = _tile_complement(basis)
-    if tiles is None:
-        return DensityMatrix._of_factor(_complement_factor(basis), basis.d_a, basis.d_b)
-    return DensityMatrix._of_factor(tiles.factor(), basis.d_a, basis.d_b, tiles)
+    return DensityMatrix._of_complement(_complement(basis))
 
 
 def is_ppt(rho: DensityMatrix):
@@ -186,8 +180,9 @@ def range_criterion_report(
     or, for :func:`upb_density_state`, the complement factor F.  Those
     orthonormal columns V factor the range projector V V^dag, so the see-saw
     maximizes the product overlap with it without forming or decomposing
-    it again; for a state of a tile-type basis it runs on the kept tile form
-    of the same projector instead.  The see-saw has the same fixed stop
+    it again; a state from :func:`upb_density_state` hands over the
+    complement it was built from, which is the tile form for a tile-type
+    basis, as in ``check_upb``.  The see-saw has the same fixed stop
     rule and iteration cap as
     :func:`~prodbasis.verify.seesaw_max_product_overlap`.  ``ENTANGLED``, the
     entanglement half of the signature, is :func:`~prodbasis.verify.overlap_verdict`'s
@@ -197,9 +192,9 @@ def range_criterion_report(
     keep = w > TOLERANCES.range_cutoff
     if not np.any(keep):
         raise ZeroState("density matrix has no eigenvalue above the range cutoff")
-    # the range of a tile-type complement state is all of F: its w are equal
-    q = v[:, keep] if rho._tiles is None else rho._tiles
-    result = _seesaw(q, rho.d_a, rho.d_b, restarts, seed)
+    # the range of a complement state is all of F: its w are equal
+    q = _FactorContractions(v[:, keep], rho.d_a, rho.d_b) if rho._range is None else rho._range
+    result = _seesaw(q, restarts, seed)
     entangled = overlap_verdict(result.value) is Verdict.UPB_NUMERIC
     return RangeCriterionReport(
         range_rank=int(np.count_nonzero(keep)),

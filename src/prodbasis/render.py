@@ -37,10 +37,7 @@ def render_tiles(basis: ProductBasis) -> str:
             covering = [short[i] for i in tiles if (c, r) in basis.tile_cells[i]]
             cell_text[(c, r)] = " ".join(covering) if covering else "."
 
-    widths = [
-        max(len(cell_text[(c, r)]) for r in range(basis.d_b)) if basis.d_b else 1
-        for c in range(basis.d_a)
-    ]
+    widths = [max(len(cell_text[(c, r)]) for r in range(basis.d_b)) for c in range(basis.d_a)]
     widths = [max(w, len(f"A{c}")) for c, w in enumerate(widths)]
 
     lines = []

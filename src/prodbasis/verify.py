@@ -4,13 +4,14 @@ Covers orthonormality and rank checks, the complement projector, and the
 numerical unextendibility test: a seeded see-saw maximization of the product
 overlap with the complement, which advances every restart together through
 one factorization of the operator's positive part by power steps, with no
-eigensolver in the loop.  For a tile-type basis the see-saw runs on the
-closed form of the complement that the Tiles argument gives, sum_t u_t u_t^T
-- s s^T over the uniform tile states u_t and the stopper s, once a
-certificate bounds its distance from the complement of the span by 1e-12;
-for any other basis it runs on the orthonormal QR factor of the complement.
-The spectrum check runs on the Gram matrix, so ``check_upb`` solves no
-D x D eigenproblem.  The see-saw is cross-checked at
+eigensolver in the loop.  One function, ``_complement``, decides which form
+of the complement the see-saw runs on, for ``check_upb`` and for the
+bound-entanglement pipeline alike: the closed form that the Tiles argument
+gives a tile-type basis, sum_t u_t u_t^T - s s^T over the uniform tile
+states u_t and the stopper s, once a certificate bounds its distance from
+the complement of the span by 1e-12; for any other basis, the orthonormal QR
+factor of the complement.  The spectrum check runs on the Gram matrix, so
+``check_upb`` solves no D x D eigenproblem.  The see-saw is cross-checked at
 small dimensions by a brute-force grid oracle that never iterates the
 see-saw path.  The oracle
 prunes in two stages.  It bounds each grid state's top eigenvalue by its
@@ -162,17 +163,6 @@ def _top_gram_eigenvalue(g: np.ndarray, limit: float) -> float:
     return float(np.linalg.eigvalsh(g)[-1])
 
 
-def _complement_factor(basis: ProductBasis) -> np.ndarray:
-    """Orthonormal columns F, shape (D, D - N), that span the complement of the basis span.
-
-    F is the trailing D - N columns of the complete QR of the global matrix
-    V, so F F^dag is the projector onto the complement, with unit top
-    eigenvalue, and no D x D eigensolver runs.
-    """
-    q, _ = np.linalg.qr(basis.global_matrix(), mode="complete")
-    return np.ascontiguousarray(q[:, len(basis):])
-
-
 def complement_projector(basis: ProductBasis) -> np.ndarray:
     """I - V V^dag for the global matrix V of an orthonormal basis.
 
@@ -251,9 +241,9 @@ class _FactorContractions:
     """The see-saw's contractions of Q = G G^dag, for a factor ``g`` of shape (dA*dB, k)."""
 
     def __init__(self, g: np.ndarray, d_a: int, d_b: int):
+        self.g, self.d_a, self.d_b = g, d_a, d_b
         k = g.shape[1]
         g = g.reshape(d_a, d_b, k)
-        self.d_a, self.d_b = d_a, d_b
         self.g_a = g.reshape(d_a, d_b * k)                      # rows: A side
         self.g_b = g.transpose(1, 0, 2).reshape(d_b, d_a * k)   # rows: B side
 
@@ -269,6 +259,10 @@ class _FactorContractions:
         """<a (x) b|Q|a (x) b> for each row pair."""
         z = (b.conj()[:, None, :] @ _contract(a, self.g_a, self.d_b))[:, 0]
         return np.sum(z.real ** 2 + z.imag ** 2, axis=-1)
+
+    def factor(self) -> np.ndarray:
+        """The factor G, with G G^dag = Q."""
+        return self.g
 
 
 def _tile_weights(x: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -303,6 +297,7 @@ class _TileContractions:
 
     def __init__(self, alpha: np.ndarray, beta: np.ndarray, c: np.ndarray):
         self.alpha, self.beta, self.c = alpha, beta, c
+        self.d_a, self.d_b = alpha.shape[1], beta.shape[1]
         self.sign = np.ones(len(alpha))
         self.sign[-1] = -1.0
         self.a_outer = self._outer(alpha)
@@ -318,11 +313,11 @@ class _TileContractions:
 
     def a_side(self, b: np.ndarray) -> np.ndarray:
         """Stack of the dA x dA operators M_a(b) = <b|Q|b>, one per row of ``b``."""
-        return self._operators(_tile_weights(b, self.beta), self.a_outer, self.alpha.shape[1])
+        return self._operators(_tile_weights(b, self.beta), self.a_outer, self.d_a)
 
     def b_side(self, a: np.ndarray) -> np.ndarray:
         """Stack of the dB x dB operators M_b(a) = <a|Q|a>, one per row of ``a``."""
-        return self._operators(_tile_weights(a, self.alpha), self.b_outer, self.beta.shape[1])
+        return self._operators(_tile_weights(a, self.alpha), self.b_outer, self.d_b)
 
     def values(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """<a (x) b|Q|a (x) b> for each row pair."""
@@ -381,34 +376,43 @@ def _tile_layout(basis: ProductBasis):
     return cols, rows
 
 
-def _tile_complement(basis: ProductBasis) -> _TileContractions | None:
-    """The tile form of the complement of a tile-type basis that passes its certificate, or None.
+def _complement_factor(basis: ProductBasis) -> np.ndarray:
+    """Orthonormal columns F, shape (D, D - N): the trailing columns of the complete QR of V."""
+    q, _ = np.linalg.qr(basis.global_matrix(), mode="complete")
+    return np.ascontiguousarray(q[:, len(basis):])
 
-    With O_ti = <alpha_t|a_i><beta_t|b_i> = <u_t|v_i> (T x N) and c_t =
-    sqrt(|t| / D), eps = ||(I - c c^T) O||_F equals ||Q_c V||_F for the tile
-    complement Q_c = U (I - c c^T) U^T.  Q_c and the projector onto the
-    complement of the span both have rank D - N, so eps bounds how far
-    apart they are, and the tile form is used only when eps is at most the
-    see-saw's rounding slack (1e-12).  Every other basis returns None and
-    takes the QR factor (:func:`_complement_factor`).
+
+def _complement(basis: ProductBasis) -> _TileContractions | _FactorContractions:
+    """The see-saw's operand for the complement of the basis span: the only code that picks its form.
+
+    A tile-type basis (:func:`_tile_layout`) gets the tile form
+    :class:`_TileContractions` when its certificate holds.  With O_ti =
+    <alpha_t|a_i><beta_t|b_i> = <u_t|v_i> (T x N) and c_t = sqrt(|t| / D),
+    eps = ||(I - c c^T) O||_F equals ||Q_c V||_F for the tile complement
+    Q_c = U (I - c c^T) U^T.  Q_c and the projector onto the complement of
+    the span both have rank D - N, so eps bounds how far apart they are, and
+    the tile form is used only when eps is at most the see-saw's rounding
+    slack (1e-12).  Every other basis gets :class:`_FactorContractions` over
+    F, the trailing D - N columns of the complete QR of the global matrix V,
+    so F F^dag is the complement projector and no D x D eigensolver runs.
+    Either form has Q with unit top eigenvalue, and its ``factor()`` is an
+    orthonormal factor of Q.
     """
     layout = _tile_layout(basis)
-    if layout is None:
-        return None
-    cols, rows = layout
-    n_a, n_b = cols.sum(axis=1), rows.sum(axis=1)
-    alpha = np.empty((len(cols) + 1, basis.d_a))
-    beta = np.empty((len(rows) + 1, basis.d_b))
-    alpha[:-1] = cols / np.sqrt(n_a)[:, None]
-    beta[:-1] = rows / np.sqrt(n_b)[:, None]
-    alpha[-1] = 1.0 / np.sqrt(basis.d_a)
-    beta[-1] = 1.0 / np.sqrt(basis.d_b)
-    c = np.sqrt(n_a * n_b / basis.dim)
-    o = (alpha[:-1] @ basis.a_matrix()) * (beta[:-1] @ basis.b_matrix())
-    eps = float(np.linalg.norm(o - np.outer(c, c @ o)))
-    if not eps <= _SEESAW_SLACK:  # NaN fails
-        return None
-    return _TileContractions(alpha, beta, c)
+    if layout is not None:
+        cols, rows = layout
+        n_a, n_b = cols.sum(axis=1), rows.sum(axis=1)
+        alpha = np.empty((len(cols) + 1, basis.d_a))
+        beta = np.empty((len(rows) + 1, basis.d_b))
+        alpha[:-1] = cols / np.sqrt(n_a)[:, None]
+        beta[:-1] = rows / np.sqrt(n_b)[:, None]
+        alpha[-1] = 1.0 / np.sqrt(basis.d_a)
+        beta[-1] = 1.0 / np.sqrt(basis.d_b)
+        c = np.sqrt(n_a * n_b / basis.dim)
+        o = (alpha[:-1] @ basis.a_matrix()) * (beta[:-1] @ basis.b_matrix())
+        if float(np.linalg.norm(o - np.outer(c, c @ o))) <= _SEESAW_SLACK:  # NaN fails
+            return _TileContractions(alpha, beta, c)
+    return _FactorContractions(_complement_factor(basis), basis.d_a, basis.d_b)
 
 
 def _power_steps(m: np.ndarray, x: np.ndarray):
@@ -521,26 +525,28 @@ def seesaw_max_product_overlap(
     _, w, v = _check_operator_interval(q, d_a, d_b)
     keep = w > w.size * np.finfo(float).eps * np.max(np.abs(w))
     w_max = float(w[-1]) if keep.any() else 1.0
-    result = _seesaw(v[:, keep] * np.sqrt(w[keep] / w_max), d_a, d_b, restarts, seed)
+    g = v[:, keep] * np.sqrt(w[keep] / w_max)
+    result = _seesaw(_FactorContractions(g, d_a, d_b), restarts, seed)
     return replace(result, value=result.value * w_max)
 
 
-def _seesaw(g, d_a, d_b, restarts, seed) -> SeesawResult:
-    """The see-saw on Q = G G^dag, for a factor ``g`` of shape (dA*dB, k), or on a tile form.
+def _seesaw(q, restarts, seed) -> SeesawResult:
+    """The see-saw on the contractions ``q`` of an operator Q with lambda_max(Q) = 1.
 
-    :func:`seesaw_max_product_overlap` checks Q and passes the factor of its
-    positive part scaled to unit top eigenvalue; the range criterion passes
-    the range eigenvectors of its state, whose Q is the range projector;
-    ``check_upb`` passes the complement's QR factor.  For a tile-type
-    basis, ``check_upb`` and the range criterion pass the tile form
-    (:class:`_TileContractions`) instead, whose Q is the complement
-    projector.  Either way lambda_max(Q) = 1, so every contracted operator
-    has norm at most 1 (to rounding), and the stop rule, the ascent slack
-    and the witness tie, absolute on Q, are relative to the caller's
-    lambda_max(Q).  Each half step forms its contracted operators, as
-    Y Y^dag on a factor, positive semidefinite by construction, or from the
-    tile tables, and applies each d x d operator 4 times for d <= 3 and 8
-    times for d >= 4 (:func:`_power_steps`).
+    ``q`` is a :class:`_FactorContractions` or a :class:`_TileContractions`,
+    and the see-saw reads the local dimensions from it.
+    :func:`seesaw_max_product_overlap` passes the factor of its checked Q's
+    positive part scaled to unit top eigenvalue; ``check_upb`` and the range
+    criterion of a state from :func:`prodbasis.boundent.upb_density_state`
+    pass the complement that :func:`_complement` chose; the range criterion
+    of any other state passes the factor of its range eigenvectors.  Since
+    lambda_max(Q) = 1, every contracted operator has norm at most 1 (to
+    rounding), and the stop rule, the ascent slack and the witness tie,
+    absolute on Q, are relative to the caller's lambda_max(Q).  Each half
+    step forms its contracted operators, as Y Y^dag on a factor, positive
+    semidefinite by construction, or from the tile tables, and applies each
+    d x d operator 4 times for d <= 3 and 8 times for d >= 4
+    (:func:`_power_steps`).
 
     Row ``i`` of the working arrays ``a_w``, ``b_w`` and ``value_w`` is
     restart ``rows[i]``.  A pass steps every working row, checks the
@@ -553,9 +559,8 @@ def _seesaw(g, d_a, d_b, restarts, seed) -> SeesawResult:
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    q = g if isinstance(g, _TileContractions) else _FactorContractions(g, d_a, d_b)
 
-    a, b = starting_pairs(seed, restarts, d_a, d_b)
+    a, b = starting_pairs(seed, restarts, q.d_a, q.d_b)
     value = q.values(a, b)
 
     rows = np.arange(restarts)
@@ -814,11 +819,11 @@ def check_upb(
     orthonormality check, by its Gershgorin bound and, only when the bound
     fails, by ``eigvalsh`` of G.  The see-saw then maximizes over the
     complement projector, with the fixed stop rule and iteration cap of
-    :func:`seesaw_max_product_overlap`.  For a tile-type basis whose
-    certificate holds (:func:`_tile_complement`) it runs on the closed form
-    sum_t u_t u_t^T - s s^T, with real contracted operators and no QR;
-    for any other basis on F F^dag, for F the orthonormal QR factor of the
-    complement (:func:`_complement_factor`).  No D x D eigensolver runs.
+    :func:`seesaw_max_product_overlap`, on the form of the complement that
+    :func:`_complement` chooses: the tile closed form sum_t u_t u_t^T - s s^T
+    for a tile-type basis whose certificate holds, with real contracted
+    operators and no QR, and F F^dag for the orthonormal QR factor F of the
+    complement otherwise.  No D x D eigensolver runs.
     """
     tol = TOLERANCES if tol is None else tol
     g, dev = _require_orthonormal(basis, tol.orthonormality)
@@ -832,9 +837,7 @@ def check_upb(
         top = _top_gram_eigenvalue(g, limit)
         if not top <= limit:
             raise InvalidProjector(f"spectrum [{1.0 - top:.3e}, {1.0:.3e}] outside [0, 1]")
-        tiles = _tile_complement(basis)
-        q = _complement_factor(basis) if tiles is None else tiles
-        result = _seesaw(q, basis.d_a, basis.d_b, restarts, seed)
+        result = _seesaw(_complement(basis), restarts, seed)
         value, witness = result.value, result.witness
         verdict = overlap_verdict(value, tol=tol)
         restarts_used, iterations, capped = result.restarts_used, result.iterations_total, result.capped_restarts

@@ -318,9 +318,10 @@ def test_cli_boundent_decomposes_the_state_once(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_verify_forms_one_gram_matrix_and_calls_no_eigensolver(tmp_path, capsys, monkeypatch):
-    # the complement comes from the tiles of g2(3,4) (another basis would
-    # take one QR) and its spectrum check from the Gershgorin bound of the
-    # Gram matrix
+    # the complement comes from the tiles of g2(3,4) and g1(6) and from one
+    # QR for g2(4,6) minus one state, picked by one call of
+    # verify._complement, and its spectrum check from the Gershgorin bound
+    # of the Gram matrix
     calls = []
 
     def counted(name, fn):
@@ -329,18 +330,36 @@ def test_cli_verify_forms_one_gram_matrix_and_calls_no_eigensolver(tmp_path, cap
             return fn(*args, **kwargs)
         return wrapper
 
+    original = verify._complement
+
+    def complement(basis):
+        c = original(basis)
+        calls.append(type(c).__name__)
+        return c
+
     monkeypatch.setattr(verify, "gram_matrix", counted("gram", verify.gram_matrix))
+    for module in (verify, boundent):  # every module binding of the complement
+        monkeypatch.setattr(module, "_complement", complement)
     for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     path = tmp_path / "g2.json"
     save_basis(gen_tiles2(3, 4), path)
     assert main(["verify", str(path), "--restarts", "10", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "UPB_Numeric"
-    assert calls == ["gram"]
+    assert calls == ["gram", "_TileContractions"]
+    for basis, code, verdict, form in ((gen_tiles1(6), 0, "UPB_Numeric", "_TileContractions"),
+                                       (drop_last(gen_tiles2(4, 6)), 3, "Extendible", "_FactorContractions")):
+        calls.clear()
+        save_basis(basis, path)
+        assert main(["verify", str(path), "--restarts", "10", "--format", "json"]) == code
+        assert json.loads(capsys.readouterr().out)["report"]["verdict"] == verdict
+        assert calls == ["gram", form]
 
 
 def test_cli_boundent_runs_one_gram_and_one_seesaw(tmp_path, capsys, monkeypatch):
-    calls = {"gram": 0, "seesaw": 0}
+    # and picks the complement once: from the tiles of g2(3,4) and g1(6),
+    # from one QR for g2(4,6) minus one state (extendible: exit 5)
+    calls = {"gram": 0, "seesaw": 0, "complement": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -350,13 +369,23 @@ def test_cli_boundent_runs_one_gram_and_one_seesaw(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(verify, "gram_matrix", counted("gram", verify.gram_matrix))
     seesaw = counted("seesaw", verify._seesaw)
-    for module in (verify, boundent):  # boundent imports the see-saw engine by name
+    complement = counted("complement", verify._complement)
+    for module in (verify, boundent):  # boundent imports the see-saw engine and the complement by name
         monkeypatch.setattr(module, "_seesaw", seesaw)
+        monkeypatch.setattr(module, "_complement", complement)
     path = tmp_path / "g2.json"
     save_basis(gen_tiles2(3, 4), path)
     assert main(["boundent", str(path), "--restarts", "10", "--seed", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["range_criterion"]["range_rank"] == 5
-    assert calls == {"gram": 1, "seesaw": 1}
+    assert calls == {"gram": 1, "seesaw": 1, "complement": 1}
+    for basis, code in ((gen_tiles1(6), 0), (drop_last(gen_tiles2(4, 6)), 5)):
+        calls.update(gram=0, seesaw=0, complement=0)
+        save_basis(basis, path)
+        assert main(["boundent", str(path), "--restarts", "10", "--seed", "0"]) == code
+        out = capsys.readouterr().out
+        if code == 0:
+            assert json.loads(out)["range_criterion"]["range_rank"] == basis.dim - len(basis)
+        assert calls == {"gram": 1, "seesaw": 1, "complement": 1}
 
 
 def test_cli_verify_rejects_a_complement_spectrum_below_zero(tmp_path, capsys):

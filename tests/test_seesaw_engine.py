@@ -516,7 +516,7 @@ def test_power_steps_keep_a_row_whose_image_is_zero():
     # the engine on an empty factor: every restart is such a row
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = verify._seesaw(np.zeros((6, 0), dtype=complex), 2, 3, 4, 0)
+        res = verify._seesaw(verify._FactorContractions(np.zeros((6, 0), dtype=complex), 2, 3), 4, 0)
     assert res.value == 0.0 and res.iterations_total == 4
     assert np.isfinite(res.witness.a).all() and np.isfinite(res.witness.b).all()
 
@@ -630,7 +630,7 @@ def test_engine_calls_no_eigensolver(monkeypatch):
     for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, refuse)
     want = reference_power_seesaw(g, 3, 4, 20, 0)
-    assert_same_run(verify._seesaw(g, 3, 4, 20, 0), want)
+    assert_same_run(verify._seesaw(verify._FactorContractions(g, 3, 4), 20, 0), want)
 
 
 @pytest.mark.parametrize("command", ["verify", "boundent"])

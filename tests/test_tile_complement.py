@@ -14,12 +14,20 @@ import pytest
 
 from prodbasis import cli, verify
 from prodbasis.basis import ProductBasis
-from prodbasis.boundent import range_criterion_report, upb_density_state
+from prodbasis.boundent import DensityMatrix, range_criterion_report, upb_density_state
 from prodbasis.config import TOLERANCES
 from prodbasis.families import cartesian_basis, gen_tiles1, gen_tiles2
 from prodbasis.io import save_basis
 from prodbasis.sampling import stream
-from prodbasis.verify import _complement_factor, _seesaw, _tile_complement, check_upb, overlap_verdict
+from prodbasis.verify import (
+    _complement,
+    _complement_factor,
+    _FactorContractions,
+    _seesaw,
+    _TileContractions,
+    check_upb,
+    overlap_verdict,
+)
 from prodbasis.winding import random_wound_basis
 
 # the basis files of the certify_tiles benchmark workload, and g2(3,20)
@@ -76,6 +84,11 @@ def tilted(basis, delta):
                                    basis.labels, basis.tile_cells, family=basis.family)
 
 
+def qr_seesaw(basis, restarts, seed):
+    """The see-saw on the QR factor of the complement, whatever form ``_complement`` picks."""
+    return _seesaw(_FactorContractions(_complement_factor(basis), basis.d_a, basis.d_b), restarts, seed)
+
+
 def assert_same_run(got, want):
     assert got.max_product_overlap == want.value
     assert got.witness_state.a.tobytes() == want.witness.a.tobytes()
@@ -88,7 +101,8 @@ def test_tile_operators_are_row_independent(name):
     # a lone row (the last active restart) must get the bits it gets in a batch
     basis = {"g1_4": gen_tiles1(4), "g1_6": gen_tiles1(6), "g2_3x4": gen_tiles2(3, 4),
              "g2_3x20": gen_tiles2(3, 20)}[name]
-    tiles = _tile_complement(basis)
+    tiles = _complement(basis)
+    assert isinstance(tiles, _TileContractions)
     rng = stream(31, basis.dim)
     a = rng.standard_normal((40, basis.d_a)) + 1j * rng.standard_normal((40, basis.d_a))
     b = rng.standard_normal((40, basis.d_b)) + 1j * rng.standard_normal((40, basis.d_b))
@@ -110,7 +124,8 @@ def test_tile_operators_are_row_independent(name):
 def test_tile_operators_are_the_contractions_of_the_qr_complement(name):
     # <b|Q|b> and <a|Q|a> of the projector F F^dag, and the objective, to rounding
     basis = CERTIFY_FILES[name]()
-    tiles = _tile_complement(basis)
+    tiles = _complement(basis)
+    assert isinstance(tiles, _TileContractions)
     f = _complement_factor(basis)
     q = (f @ f.conj().T).reshape(basis.d_a, basis.d_b, basis.d_a, basis.d_b)
     rng = stream(37, basis.dim)
@@ -134,10 +149,10 @@ def test_tile_operators_are_the_contractions_of_the_qr_complement(name):
 @pytest.mark.parametrize("name", CERTIFY_FILES)
 def test_tile_and_qr_paths_agree(name):
     basis = CERTIFY_FILES[name]()
-    assert _tile_complement(basis) is not None
+    assert isinstance(_complement(basis), _TileContractions)
     for seed in (0, 7):
         got = check_upb(basis, seed=seed)
-        want = _seesaw(_complement_factor(basis), basis.d_a, basis.d_b, 100, seed)
+        want = qr_seesaw(basis, 100, seed)
         assert got.verdict is overlap_verdict(want.value)
         assert abs(got.max_product_overlap - want.value) <= 1e-12
         assert got.capped_restarts == want.capped_restarts == 0
@@ -157,14 +172,14 @@ FALLBACKS = {
 @pytest.mark.parametrize("name", FALLBACKS)
 def test_other_inputs_take_the_qr_factor(name):
     basis = FALLBACKS[name]()
-    assert _tile_complement(basis) is None
+    assert isinstance(_complement(basis), _FactorContractions)
     for seed in (0, 7):
-        want = _seesaw(_complement_factor(basis), basis.d_a, basis.d_b, 30, seed)
+        want = qr_seesaw(basis, 30, seed)
         assert_same_run(check_upb(basis, restarts=30, seed=seed), want)
 
 
 def test_complete_bases_have_no_tile_form():
-    assert _tile_complement(cartesian_basis(3, 3)) is None
+    assert isinstance(_complement(cartesian_basis(3, 3)), _FactorContractions)
     assert check_upb(cartesian_basis(3, 3)).verdict.value == "CompleteBasis"
 
 
@@ -173,10 +188,10 @@ def test_a_tilted_tile_basis_fails_the_certificate():
     # certificate reads about 1e-9, far above the 1e-12 slack
     basis = tilted(gen_tiles1(6), 1e-9)
     assert verify._tile_layout(basis) is not None
-    assert _tile_complement(basis) is None
+    assert isinstance(_complement(basis), _FactorContractions)
     tol = dataclasses.replace(TOLERANCES, orthonormality=1e-7)
     for seed in (0, 7):
-        want = _seesaw(_complement_factor(basis), basis.d_a, basis.d_b, 30, seed)
+        want = qr_seesaw(basis, 30, seed)
         assert_same_run(check_upb(basis, restarts=30, seed=seed, tol=tol), want)
 
 
@@ -199,12 +214,32 @@ def test_range_criterion_falls_back_with_the_state():
     # its range criterion runs on that factor
     basis = drop_last(gen_tiles1(6))
     rho = upb_density_state(basis)
-    assert rho._tiles is None
+    assert isinstance(rho._range, _FactorContractions)
     w, v = rho._spectrum
     report = range_criterion_report(rho, restarts=20, seed=1)
-    want = _seesaw(v, basis.d_a, basis.d_b, 20, 1)
+    want = _seesaw(_FactorContractions(v, basis.d_a, basis.d_b), 20, 1)
     assert report.max_product_overlap == want.value
     assert report.witness.a.tobytes() == want.witness.a.tobytes()
+
+
+@pytest.mark.parametrize("name,make", [
+    ("g1_6", lambda: gen_tiles1(6)),
+    ("g2_3x4", lambda: gen_tiles2(3, 4)),
+    ("g2_6x10", lambda: gen_tiles2(6, 10)),
+    ("g2_4x6_minus1", lambda: drop_last(gen_tiles2(4, 6))),
+    ("g1_8_minus1", lambda: drop_last(gen_tiles1(8))),
+])
+def test_range_criterion_agrees_on_the_kept_complement_and_the_eigh_range(name, make):
+    # the state's kept complement (tile form or QR factor) against the
+    # range eigenvectors that DensityMatrix's own eigh finds for its matrix
+    rho = upb_density_state(make())
+    public = DensityMatrix(rho.matrix, rho.d_a, rho.d_b)
+    assert public._range is None
+    for seed in (0, 1, 7):
+        got = range_criterion_report(rho, restarts=40, seed=seed)
+        want = range_criterion_report(public, restarts=40, seed=seed)
+        assert (got.verdict, got.range_rank) == (want.verdict, want.range_rank)
+        assert abs(got.max_product_overlap - want.max_product_overlap) <= 1e-12
 
 
 @pytest.mark.parametrize("name,make,code,calls", [
