@@ -20,7 +20,7 @@ from itertools import chain
 import numpy as np
 
 from .config import TOLERANCES
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, IndexOutOfRange
 
 __all__ = ["Family", "ProductState", "ProductBasis"]
 
@@ -30,6 +30,11 @@ class Family(str, Enum):
     GENTILES2 = "GenTiles2"
     CARTESIAN = "Cartesian"
     CUSTOM = "Custom"
+
+
+def _is_integer(x) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _factor_columns(rows, dim: int, name: str) -> np.ndarray:
@@ -61,9 +66,11 @@ class ProductState:
 
     ``tile_cells`` is the set of (A index, B index) grid cells on which the
     product amplitude is nonzero; columns index the A side, rows the B side.
-    Two states compare equal only when they are the same object, and a
-    state is hashable; :func:`prodbasis.verify.basis_set_equal_up_to_phase`
-    compares bases by value.
+    A cell that is not a pair of Python or numpy integers (bools excluded)
+    raises :class:`IndexOutOfRange`.  Two states compare equal only when
+    they are the same object, and a state is hashable;
+    :func:`prodbasis.verify.basis_set_equal_up_to_phase` compares bases by
+    value.
     """
 
     a: np.ndarray
@@ -78,8 +85,11 @@ class ProductState:
                 raise DimensionMismatch(f"{name} must be a nonempty 1-D vector")
             object.__setattr__(self, name, _factor_columns(v[None], v.size, name)[:, 0])
         if self.tile_cells is not None:
-            cells = frozenset((int(c), int(r)) for c, r in self.tile_cells)
-            object.__setattr__(self, "tile_cells", cells)
+            cells = [(c, r) for c, r in self.tile_cells]
+            for cell in cells:
+                if not all(map(_is_integer, cell)):
+                    raise IndexOutOfRange(f"tile cell {cell!r} is not a pair of integers")
+            object.__setattr__(self, "tile_cells", frozenset((int(c), int(r)) for c, r in cells))
 
     @classmethod
     def _view(cls, a, b, label, tile_cells) -> "ProductState":

@@ -17,12 +17,11 @@ range label is ``entangled`` exactly when that verdict is ``UPB_Numeric``.
 A job builds the complement once, in the form that
 :func:`prodbasis.verify._complement` chooses for ``check_upb`` too: the tile
 closed form for a tile-type basis whose certificate holds, the QR factor
-otherwise.  :func:`upb_density_state` builds the state from that form's
-orthonormal factor F, keeps F as the state's range eigenvectors and the form
-itself for the range criterion, so ``boundent`` prints the same maximum as
-``verify``.  The state's spectrum check runs on the N x N Gram matrix of
-the orthonormality check.  The one D x D eigensolver of a job is the
-partial transpose's ``eigvalsh``.
+otherwise.  :func:`upb_density_state` forms the matrix from that form's
+orthonormal factor F and keeps the form as the state's one range operand,
+so ``boundent`` prints the same maximum as ``verify``.  The state's
+spectrum check runs on the N x N Gram matrix of the orthonormality check.
+The one D x D eigensolver of a job is the partial transpose's ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 from .basis import ProductBasis, ProductState
 from .config import TOLERANCES
 from .errors import CompleteBasisInput, DimensionMismatch, InvalidProjector, ZeroState
-from .linalg import dagger, hermitian_part, partial_transpose
+from .linalg import _require_local_dims, dagger, hermitian_part, partial_transpose
 from .verify import (
     Verdict,
     _FactorContractions,
@@ -68,20 +67,20 @@ class RangeVerdict(str, Enum):
 class DensityMatrix:
     """Normalized density operator on C^dA (x) C^dB.
 
-    Validation decomposes the Hermitian part once; its eigenpairs ``(w, v)``
-    are kept, read-only, in ``_spectrum`` for the range criterion.
-    ``_range`` is the see-saw's operand for the range projector when the
-    state was built from it (:meth:`_of_complement`), and None otherwise.
-    Two instances compare equal only when they are the same object.
+    ``_range`` is the see-saw's operand for the projector onto the range:
+    the read-only eigenvectors with eigenvalue above
+    ``TOLERANCES.range_cutoff`` of the decomposition that validates the
+    state, or the complement a state from :meth:`_of_complement` was built
+    from.  Two instances compare equal only when they are the same object.
     """
 
     matrix: np.ndarray
     d_a: int
     d_b: int
-    _spectrum: tuple = field(init=False, repr=False, compare=False)
-    _range: object = field(default=None, init=False, repr=False, compare=False)
+    _range: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_local_dims(self.d_a, self.d_b)
         m = np.array(self.matrix, dtype=complex)
         dim = self.d_a * self.d_b
         if m.shape != (dim, dim):
@@ -94,29 +93,26 @@ class DensityMatrix:
         w, v = np.linalg.eigh(hermitian_part(m))
         if not float(w[0]) >= -_STATE_TOL:
             raise ValueError(f"density matrix has an eigenvalue below -{_STATE_TOL:g}")
-        for array in (m, w, v):
+        v = v[:, w > TOLERANCES.range_cutoff]
+        for array in (m, v):
             array.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_spectrum", (w, v))
+        object.__setattr__(self, "_range", _FactorContractions(v, self.d_a, self.d_b))
 
     @classmethod
     def _of_complement(cls, c) -> "DensityMatrix":
-        """F F^dag divided by its trace, for the orthonormal factor F = ``c.factor()`` of shape (D, k).
+        """F F^dag divided by its trace, for the orthonormal factor F = ``c.factor()``.
 
         ``c`` is the complement that :func:`prodbasis.verify._complement`
-        returns, kept as ``_range``.  The spectrum is 1/trace on the k
-        columns of F and 0 elsewhere, so ``_spectrum`` holds (1/trace
-        repeated k times, F), and no eigensolver runs.
+        returns, kept as ``_range``: the range of F F^dag is all of F's
+        columns, so no eigensolver runs.
         """
         f = c.factor()
         m = hermitian_part(f @ dagger(f))
-        trace = float(np.trace(m).real)
-        m /= trace
-        w = np.full(f.shape[1], 1.0 / trace)
-        for array in (m, w, f):
-            array.setflags(write=False)
+        m /= float(np.trace(m).real)
+        m.setflags(write=False)
         rho = object.__new__(cls)
-        for name, value in (("matrix", m), ("d_a", c.d_a), ("d_b", c.d_b), ("_spectrum", (w, f)), ("_range", c)):
+        for name, value in (("matrix", m), ("d_a", c.d_a), ("d_b", c.d_b), ("_range", c)):
             object.__setattr__(rho, name, value)
         return rho
 
@@ -138,7 +134,7 @@ def upb_density_state(basis: ProductBasis) -> DensityMatrix:
 
     rho = F F^dag / tr(F F^dag), for F the orthonormal factor of the
     complement that :func:`prodbasis.verify._complement` returns, which the
-    state keeps for the range criterion.  Its spectrum is
+    state keeps as its range operand.  Its spectrum is
     1/(D - N) on the complement and 0 on the span.  Dividing by the
     measured trace, not the rank D - N, gives trace 1 to rounding.  The
     basis is checked for orthonormality first (:class:`NonOrthonormalInput`),
@@ -175,29 +171,23 @@ def range_criterion_report(
 ) -> RangeCriterionReport:
     """Search the range of rho for product states.
 
-    The range is spanned by the eigenvectors of rho with eigenvalue above
-    ``TOLERANCES.range_cutoff``: from the decomposition that validated it,
-    or, for :func:`upb_density_state`, the complement factor F.  Those
-    orthonormal columns V factor the range projector V V^dag, so the see-saw
-    maximizes the product overlap with it without forming or decomposing
-    it again; a state from :func:`upb_density_state` hands over the
-    complement it was built from, which is the tile form for a tile-type
-    basis, as in ``check_upb``.  The see-saw has the same fixed stop
-    rule and iteration cap as
+    The see-saw runs on the state's range operand, a factor of the range
+    projector, without forming or decomposing it again: the eigenvectors
+    above ``TOLERANCES.range_cutoff`` when the state was built, or the
+    complement of :func:`upb_density_state`, the tile form for a tile-type
+    basis as in ``check_upb``.  ``range_rank`` is the operand's rank.  The
+    see-saw has the same fixed stop rule and iteration cap as
     :func:`~prodbasis.verify.seesaw_max_product_overlap`.  ``ENTANGLED``, the
     entanglement half of the signature, is :func:`~prodbasis.verify.overlap_verdict`'s
     ``UPB_Numeric``: no product state in the range numerically.
     """
-    w, v = rho._spectrum
-    keep = w > TOLERANCES.range_cutoff
-    if not np.any(keep):
+    q = rho._range
+    if q.rank == 0:
         raise ZeroState("density matrix has no eigenvalue above the range cutoff")
-    # the range of a complement state is all of F: its w are equal
-    q = _FactorContractions(v[:, keep], rho.d_a, rho.d_b) if rho._range is None else rho._range
     result = _seesaw(q, restarts, seed)
     entangled = overlap_verdict(result.value) is Verdict.UPB_NUMERIC
     return RangeCriterionReport(
-        range_rank=int(np.count_nonzero(keep)),
+        range_rank=q.rank,
         max_product_overlap=result.value,
         witness=result.witness,
         verdict=RangeVerdict.ENTANGLED if entangled else RangeVerdict.INCONCLUSIVE,

@@ -3,7 +3,9 @@
 The tile constructions are algebraically exact; fixed tolerances are what
 make their properties checkable in floating point.  Every module reads its
 thresholds from :data:`TOLERANCES` when a function is called, so a report
-produced with one configuration is reproducible.  Only ``verify --tol/--eta``
+produced with one configuration is reproducible; ``range_cutoff`` is read
+when a ``boundent.DensityMatrix`` is built, not when its range criterion
+runs.  Only ``verify --tol/--eta``
 sets thresholds for a run, so only its path takes them as an argument,
 defaulting to :data:`TOLERANCES`: ``verify.check_upb`` forwards its record
 to ``overlap_verdict`` and its ``tol.orthonormality`` to

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import Family, ProductBasis
+from .basis import Family, ProductBasis, _is_integer
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidDimension
 
 __all__ = [
@@ -24,10 +24,6 @@ __all__ = [
     "cyclic_shift_basis",
     "swap_shift_basis",
 ]
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def fourier_local_state(dim: int, support, m: int, omega: complex) -> np.ndarray:

@@ -120,12 +120,19 @@ def top_eigenvector(m: np.ndarray):
     return float(top), candidates[max(range(len(keys)), key=keys.__getitem__)]
 
 
+def _require_local_dims(d_a: int, d_b: int):
+    """Raise :class:`DimensionMismatch` unless both local dimensions are at least 1."""
+    if d_a < 1 or d_b < 1:
+        raise DimensionMismatch(f"local dimensions ({d_a}, {d_b}) must be at least 1")
+
+
 def partial_transpose(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     """Transpose the second tensor factor of an operator on C^dA (x) C^dB.
 
     Implemented as an index permutation, so applying it twice returns the
     input bit-exactly and the diagonal (hence the trace) is untouched.
     """
+    _require_local_dims(d_a, d_b)
     m = np.asarray(m, dtype=complex)
     dim = d_a * d_b
     if m.shape != (dim, dim):

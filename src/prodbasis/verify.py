@@ -44,7 +44,7 @@ from .errors import (
     NonMonotoneSeesaw,
     NonOrthonormalInput,
 )
-from .linalg import _canonical_phase, _row_norms, dagger, hermitian_part
+from .linalg import _canonical_phase, _require_local_dims, _row_norms, dagger, hermitian_part
 from .sampling import starting_pairs
 
 __all__ = [
@@ -179,8 +179,7 @@ def _check_operator_interval(q: np.ndarray, d_a: int, d_b: int):
 
     The slack of both checks is ``TOLERANCES.operator_interval``.
     """
-    if d_a < 1 or d_b < 1:
-        raise DimensionMismatch(f"local dimensions ({d_a}, {d_b}) must be at least 1")
+    _require_local_dims(d_a, d_b)
     q = np.asarray(q, dtype=complex)
     dim = d_a * d_b
     if q.shape != (dim, dim):
@@ -238,11 +237,11 @@ def _half_step_operators(x: np.ndarray, g_x: np.ndarray, d_out: int) -> np.ndarr
 
 
 class _FactorContractions:
-    """The see-saw's contractions of Q = G G^dag, for a factor ``g`` of shape (dA*dB, k)."""
+    """The see-saw's contractions of Q = G G^dag, for a factor ``g`` of shape (dA*dB, k); ``rank`` is k."""
 
     def __init__(self, g: np.ndarray, d_a: int, d_b: int):
         self.g, self.d_a, self.d_b = g, d_a, d_b
-        k = g.shape[1]
+        self.rank = k = g.shape[1]
         g = g.reshape(d_a, d_b, k)
         self.g_a = g.reshape(d_a, d_b * k)                      # rows: A side
         self.g_b = g.transpose(1, 0, 2).reshape(d_b, d_a * k)   # rows: B side
@@ -293,11 +292,13 @@ class _TileContractions:
     once for the power steps.  It is positive semidefinite only up to
     rounding, because the stopper term is subtracted: since Q is a
     projector, its eigenvalues lie in [0, 1] within a few units of rounding.
+    Its ``rank`` is T - 1.
     """
 
     def __init__(self, alpha: np.ndarray, beta: np.ndarray, c: np.ndarray):
         self.alpha, self.beta, self.c = alpha, beta, c
         self.d_a, self.d_b = alpha.shape[1], beta.shape[1]
+        self.rank = len(c) - 1
         self.sign = np.ones(len(alpha))
         self.sign[-1] = -1.0
         self.a_outer = self._outer(alpha)
@@ -536,10 +537,11 @@ def _seesaw(q, restarts, seed) -> SeesawResult:
     ``q`` is a :class:`_FactorContractions` or a :class:`_TileContractions`,
     and the see-saw reads the local dimensions from it.
     :func:`seesaw_max_product_overlap` passes the factor of its checked Q's
-    positive part scaled to unit top eigenvalue; ``check_upb`` and the range
-    criterion of a state from :func:`prodbasis.boundent.upb_density_state`
-    pass the complement that :func:`_complement` chose; the range criterion
-    of any other state passes the factor of its range eigenvectors.  Since
+    positive part scaled to unit top eigenvalue; ``check_upb`` passes the
+    complement that :func:`_complement` chose; the range criterion passes
+    its state's range operand (:class:`prodbasis.boundent.DensityMatrix`),
+    which is that complement for a state from
+    :func:`prodbasis.boundent.upb_density_state`.  Since
     lambda_max(Q) = 1, every contracted operator has norm at most 1 (to
     rounding), and the stop rule, the ascent slack and the witness tie,
     absolute on Q, are relative to the caller's lambda_max(Q).  Each half

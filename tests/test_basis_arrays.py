@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prodbasis.basis import ProductBasis, ProductState
-from prodbasis.errors import CountMismatch, DimensionMismatch
+from prodbasis.errors import CountMismatch, DimensionMismatch, IndexOutOfRange
 from prodbasis.families import cartesian_basis, cyclic_shift_basis, gen_tiles1, gen_tiles2, swap_shift_basis
 from prodbasis.io import load_basis, save_basis
 from prodbasis.verify import complement_projector, gram_matrix
@@ -116,6 +116,19 @@ def test_tile_cells_outside_the_grid_name_the_first(bad, first):
     basis = ProductBasis(2, 2, [ProductState(a, b, tile_cells=cells)
                                 for (a, b), cells in zip([(e0, e0), (e0, e1), (e1, e0), (e1, e1)], ok)])
     assert basis.tile_cells == tuple(None if cells is None else frozenset(cells) for cells in ok)
+
+
+@pytest.mark.parametrize("cells", [[(0.7, 1.2)], [("1", True)], [(True, 0)], [(0, 1.0)],
+                                   [(0, 0), (np.float64(1), 0)]])
+def test_state_rejects_tile_cells_that_are_not_integers(cells):
+    with pytest.raises(IndexOutOfRange, match="is not a pair of integers"):
+        ProductState([1, 0], [1, 0], tile_cells=cells)
+
+
+def test_state_keeps_numpy_integer_tile_cells_as_ints():
+    st = ProductState([1, 0], [1, 0], tile_cells=[(np.int64(1), np.uint8(0)), (0, 1)])
+    assert st.tile_cells == frozenset({(1, 0), (0, 1)})
+    assert all(type(x) is int for cell in st.tile_cells for x in cell)
 
 
 def test_empty_basis():

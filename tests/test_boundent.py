@@ -66,6 +66,13 @@ def test_density_matrix_rejects_a_wrong_shape_or_trace():
         DensityMatrix(np.eye(4) / 2, 2, 2)
 
 
+@pytest.mark.parametrize("matrix,d_a,d_b", [(np.eye(6) / 6, -2, -3), (np.zeros((0, 0)), 0, 3),
+                                            (np.eye(2) / 2, 2, 0)])
+def test_density_matrix_rejects_local_dimensions_below_one(matrix, d_a, d_b):
+    with pytest.raises(DimensionMismatch, match=r"must be at least 1$"):
+        DensityMatrix(matrix, d_a, d_b)
+
+
 def test_density_state_commutes_with_complement():
     basis = gen_tiles2(3, 4)
     rho = upb_density_state(basis)
@@ -425,14 +432,15 @@ def test_cli_verify_and_boundent_print_the_same_maximum(tmp_path, capsys, name, 
 
 def test_complement_state_is_the_normalised_complement_projector():
     # the state built from the tiles (the two families) or the QR factor
-    # (the tilted set) against I - V V^dag divided by its trace, and its
-    # stored spectrum against the definition
+    # (the tilted set) against I - V V^dag divided by its trace, and the
+    # factor of its kept range operand against the definition: k orthonormal
+    # eigenvectors of eigenvalue 1/k
     for basis in (gen_tiles1(6), gen_tiles2(3, 4), tilted_cartesian_3x3(2e-11)):
         rho = upb_density_state(basis)
         q = complement_projector(basis)
         assert np.max(np.abs(rho.matrix - q / np.trace(q).real)) <= 1e-9
-        w, v = rho._spectrum
+        f = rho._range.factor()
         k = basis.dim - len(basis)
-        assert w.shape == (k,) and np.all(w == w[0]) and abs(w[0] - 1 / k) <= 1e-12
-        assert np.max(np.abs(v.conj().T @ v - np.eye(k))) <= 1e-12
-        assert np.max(np.abs(rho.matrix @ v - v * w)) <= 1e-12
+        assert rho._range.rank == k and f.shape == (basis.dim, k)
+        assert np.max(np.abs(f.conj().T @ f - np.eye(k))) <= 1e-12
+        assert np.max(np.abs(rho.matrix @ f - f / k)) <= 1e-12

@@ -79,6 +79,10 @@ def test_partial_transpose_involution_and_trace(seed):
 def test_partial_transpose_dimension_check():
     with pytest.raises(DimensionMismatch):
         partial_transpose(np.eye(5, dtype=complex), 2, 3)
+    # (-2) * (-3) = 6 matches the shape, but no local dimension is below 1
+    for d_a, d_b in ((-2, -3), (0, 3), (3, 0)):
+        with pytest.raises(DimensionMismatch, match=r"must be at least 1$"):
+            partial_transpose(np.eye(6, dtype=complex), d_a, d_b)
 
 
 def reference_canonical_phase(v):

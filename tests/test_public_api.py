@@ -53,6 +53,10 @@ def test_public_api_names_resolve():
     for removed in ("a_projector", "b_projector", "is_proper_for"):
         assert not hasattr(prodbasis.SubspacePair, removed)
     assert not hasattr(prodbasis.DensityMatrix, "dim")
+    # a state keeps one private field, its range operand, and no eigenpairs
+    rho = prodbasis.DensityMatrix(np.eye(4) / 4, 2, 2)
+    assert [f.name for f in dataclasses.fields(rho)] == ["matrix", "d_a", "d_b", "_range"]
+    assert set(vars(rho)) == {"matrix", "d_a", "d_b", "_range"}
 
 
 def test_tolerance_fields_are_pinned():

@@ -215,9 +215,10 @@ def test_range_criterion_falls_back_with_the_state():
     basis = drop_last(gen_tiles1(6))
     rho = upb_density_state(basis)
     assert isinstance(rho._range, _FactorContractions)
-    w, v = rho._spectrum
+    f = _complement_factor(basis)
+    assert rho._range.factor().tobytes() == f.tobytes()
     report = range_criterion_report(rho, restarts=20, seed=1)
-    want = _seesaw(_FactorContractions(v, basis.d_a, basis.d_b), 20, 1)
+    want = _seesaw(_FactorContractions(f, basis.d_a, basis.d_b), 20, 1)
     assert report.max_product_overlap == want.value
     assert report.witness.a.tobytes() == want.witness.a.tobytes()
 
@@ -234,7 +235,8 @@ def test_range_criterion_agrees_on_the_kept_complement_and_the_eigh_range(name, 
     # range eigenvectors that DensityMatrix's own eigh finds for its matrix
     rho = upb_density_state(make())
     public = DensityMatrix(rho.matrix, rho.d_a, rho.d_b)
-    assert public._range is None
+    assert isinstance(public._range, _FactorContractions)
+    assert public._range.rank == rho._range.rank
     for seed in (0, 1, 7):
         got = range_criterion_report(rho, restarts=40, seed=seed)
         want = range_criterion_report(public, restarts=40, seed=seed)
