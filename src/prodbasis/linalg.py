@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.linalg import LinAlgError
 
+from .basis import _is_integer
 from .errors import DimensionMismatch
 
 __all__ = [
@@ -121,7 +122,13 @@ def top_eigenvector(m: np.ndarray):
 
 
 def _require_local_dims(d_a: int, d_b: int):
-    """Raise :class:`DimensionMismatch` unless both local dimensions are at least 1."""
+    """Raise :class:`DimensionMismatch` unless both local dimensions are integers of at least 1.
+
+    Python and numpy integers pass; a bool, a float such as 2.0 or any
+    other type fails here rather than as a ``TypeError`` in a reshape.
+    """
+    if not (_is_integer(d_a) and _is_integer(d_b)):
+        raise DimensionMismatch(f"local dimensions ({d_a!r}, {d_b!r}) must be integers")
     if d_a < 1 or d_b < 1:
         raise DimensionMismatch(f"local dimensions ({d_a}, {d_b}) must be at least 1")
 

@@ -4,7 +4,10 @@ Covers orthonormality and rank checks, the complement projector, and the
 numerical unextendibility test: a seeded see-saw maximization of the product
 overlap with the complement, which advances every restart together through
 one factorization of the operator's positive part by power steps, with no
-eigensolver in the loop.  One function, ``_complement``, decides which form
+eigensolver in the loop.  From pass 40 on, each pass also tries one
+extrapolation step along the restart's last pass and keeps it only when it
+raises the objective, which cuts the tail of restarts that climb slowly.
+One function, ``_complement``, decides which form
 of the complement the see-saw runs on, for ``check_upb`` and for the
 bound-entanglement pipeline alike: the closed form that the Tiles argument
 gives a tile-type basis, sum_t u_t u_t^T - s s^T over the uniform tile
@@ -214,6 +217,19 @@ _SEESAW_MAX_ITERATIONS = 10_000
 # count depends on d alone, so each row stays independent of its batch.
 _POWER_STEPS = 4
 _LONG_POWER_STEPS = 8
+# The see-saw's extrapolation step (see seesaw_max_product_overlap) is tried
+# on every pass from index _EXTRAPOLATE_FROM on, with a step size per row
+# that starts at _BETA_START, grows by _BETA_GROW on a kept step up to
+# _BETA_MAX and shrinks by _BETA_SHRINK on a rejected one down to _BETA_MIN.
+# Local like the step counts: no caller sets them.  Every restart that stops
+# before pass 40 keeps the bits it had without the step, the whole
+# golden-digest corpus included; a switch at pass 16 changes those digests.
+_EXTRAPOLATE_FROM = 40
+_BETA_START = 1.0
+_BETA_GROW = 1.5
+_BETA_MAX = 50.0
+_BETA_SHRINK = 0.5
+_BETA_MIN = 0.5
 # Smallest image norm that a half step divides by: sqrt of the smallest
 # normal float, so the squared norm is a normal number and the quotient a
 # unit vector to rounding.
@@ -449,6 +465,34 @@ def _power_steps(m: np.ndarray, x: np.ndarray):
     return np.vecdot(x, (m @ x[:, :, None])[:, :, 0]).real, x
 
 
+def _extrapolated(x0: np.ndarray, x1: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """(x1 + beta (x1 - x0)) / ||.|| on each row, for unit rows with <x0|x1> >= 0.
+
+    Then ||(1 + beta) x1 - beta x0||^2 = 1 + 2 beta (1 + beta) (1 - <x0|x1>)
+    is at least 1, so no row divides by a small norm.
+    """
+    x = x1 + beta[:, None] * (x1 - x0)
+    return x / _row_norms(x)[:, None]
+
+
+def _extrapolate(q, a0, b0, a1, b1, value, beta):
+    """One extrapolation try on each row: ``(a, b, value, beta)`` after it.
+
+    ``(a0, b0)`` went to ``(a1, b1)`` with value ``value`` in the plain
+    pass.  A half step applies an even power of a positive semidefinite
+    operator, so <x0|x1> >= 0 and the two iterates need no phase alignment.
+    A row keeps the candidate pair only when its value is strictly above
+    ``value`` (so NaN rejects it), and its ``beta`` grows on a kept
+    candidate and shrinks on a rejected one.  Every operation is per row.
+    """
+    a_e, b_e = _extrapolated(a0, a1, beta), _extrapolated(b0, b1, beta)
+    value_e = q.values(a_e, b_e)
+    kept = value_e > value
+    return (np.where(kept[:, None], a_e, a1), np.where(kept[:, None], b_e, b1),
+            np.where(kept, value_e, value),
+            np.where(kept, np.minimum(beta * _BETA_GROW, _BETA_MAX), np.maximum(beta * _BETA_SHRINK, _BETA_MIN)))
+
+
 def _require_ascent(before: np.ndarray, half: np.ndarray, after: np.ndarray) -> None:
     """Raise :class:`NonMonotoneSeesaw` if a half step of the pass lowered a row beyond the slack.
 
@@ -512,6 +556,23 @@ def seesaw_max_product_overlap(
     restarts' vectors and values live in compact working arrays, so a
     stopped restart is never stepped again.
 
+    A restart still climbing at pass index 40 (``_EXTRAPOLATE_FROM``,
+    0-based) is probably in the slow tail of the alternation, which converges
+    linearly at a rate close to 1.  From that pass on, each pass that took a
+    restart from (a0, b0) to (a1, b1) with value v1 also evaluates the
+    candidate pair a_e = (a1 + beta (a1 - a0)) / ||.||,
+    b_e = (b1 + beta (b1 - b0)) / ||.|| and keeps it only when its value is
+    strictly above v1, so a NaN value rejects it: the extrapolation of
+    Rajih, Comon and Harshman, SIAM J. Matrix Anal. Appl. 30, 1128 (2008).
+    Each restart has its own beta: it starts at 1, is multiplied by 1.5 on a
+    kept candidate (at most 50) and halved on a rejected one (at least 0.5).
+    A half step applies an even power of a positive semidefinite M, so
+    <x0|x1> >= 0: the two iterates need no phase alignment, and the norm
+    that normalises a candidate is at least 1.  The ascent check reads the plain half steps, a kept
+    candidate only raises the value, and the stop rule reads the gain of the
+    whole pass.  The switch reads the pass index alone, which every active
+    restart shares, so it keeps each restart independent of its batch.
+
     Restart ``r`` starts from a rotation-invariant pair drawn from the
     counter-seeded stream ``stream(seed, r)``.  One bit generator, re-keyed
     per restart, draws every pair (:func:`~prodbasis.sampling.starting_pairs`),
@@ -548,12 +609,13 @@ def _seesaw(q, restarts, seed) -> SeesawResult:
     step forms its contracted operators, as Y Y^dag on a factor, positive
     semidefinite by construction, or from the tile tables, and applies each
     d x d operator 4 times for d <= 3 and 8 times for d >= 4
-    (:func:`_power_steps`).
+    (:func:`_power_steps`).  From pass index ``_EXTRAPOLATE_FROM`` on, a
+    pass then tries one extrapolation step on each row (:func:`_extrapolate`).
 
-    Row ``i`` of the working arrays ``a_w``, ``b_w`` and ``value_w`` is
-    restart ``rows[i]``.  A pass steps every working row, checks the
-    ascent of both half steps in one test, and compacts the arrays only
-    when some restart stops; the stopped rows are first written back to
+    Row ``i`` of the working arrays ``a_w``, ``b_w``, ``value_w`` and
+    ``beta_w`` is restart ``rows[i]``.  A pass steps every working row,
+    checks the ascent of both half steps in one test, and compacts the
+    arrays only when some restart stops; the stopped rows are first written back to
     ``a``, ``b`` and ``value``.  The rows still active at the iteration
     cap are written back after the loop.  Each row goes through the same
     arithmetic as it would alone, so the result does not depend on when
@@ -567,11 +629,15 @@ def _seesaw(q, restarts, seed) -> SeesawResult:
 
     rows = np.arange(restarts)
     a_w, b_w, value_w = a, b, value
+    beta_w = np.full(restarts, _BETA_START)
     iterations_total = 0
-    for _ in range(_SEESAW_MAX_ITERATIONS):
+    for index in range(_SEESAW_MAX_ITERATIONS):
+        a_0, b_0 = a_w, b_w
         half, a_w = _power_steps(q.a_side(b_w), a_w)
         new_value, b_w = _power_steps(q.b_side(a_w), b_w)
         _require_ascent(value_w, half, new_value)
+        if index >= _EXTRAPOLATE_FROM:
+            a_w, b_w, new_value, beta_w = _extrapolate(q, a_0, b_0, a_w, b_w, new_value, beta_w)
         iterations_total += rows.size
         stopped = new_value - value_w < _SEESAW_STOP     # a NaN improvement stops nothing
         value_w = new_value
@@ -579,7 +645,7 @@ def _seesaw(q, restarts, seed) -> SeesawResult:
             done = rows[stopped]
             a[done], b[done], value[done] = a_w[stopped], b_w[stopped], value_w[stopped]
             going = ~stopped
-            rows, a_w, b_w, value_w = rows[going], a_w[going], b_w[going], value_w[going]
+            rows, a_w, b_w, value_w, beta_w = rows[going], a_w[going], b_w[going], value_w[going], beta_w[going]
             if rows.size == 0:
                 break
     a[rows], b[rows], value[rows] = a_w, b_w, value_w
@@ -753,6 +819,7 @@ def grid_oracle_max_product_overlap(
     own, so the value is the same float as a sweep that solves every grid
     state.
     """
+    _require_local_dims(d_a, d_b)
     if d_a > 2 or d_b > 3:
         raise DimensionTooLarge(f"grid oracle supports dA <= 2 and dB <= 3, got ({d_a}, {d_b})")
     if resolution < 2:

@@ -9,7 +9,9 @@ from numpy.linalg import LinAlgError
 from prodbasis import linalg
 from prodbasis.errors import DimensionMismatch
 from prodbasis.families import cartesian_basis, gen_tiles1, gen_tiles2
+from prodbasis.boundent import DensityMatrix
 from prodbasis.linalg import dagger, hermitian_part, partial_transpose, top_eigenvector
+from prodbasis.verify import grid_oracle_max_product_overlap, seesaw_max_product_overlap
 
 
 def random_vector(rng, dim):
@@ -83,6 +85,27 @@ def test_partial_transpose_dimension_check():
     for d_a, d_b in ((-2, -3), (0, 3), (3, 0)):
         with pytest.raises(DimensionMismatch, match=r"must be at least 1$"):
             partial_transpose(np.eye(6, dtype=complex), d_a, d_b)
+
+
+ENTRY_POINTS = {
+    "DensityMatrix": lambda d_a, d_b: DensityMatrix(np.eye(6) / 6, d_a, d_b),
+    "partial_transpose": lambda d_a, d_b: partial_transpose(np.eye(6), d_a, d_b),
+    "seesaw": lambda d_a, d_b: seesaw_max_product_overlap(np.eye(6) / 6, d_a, d_b, 3, 0),
+    "grid_oracle": lambda d_a, d_b: grid_oracle_max_product_overlap(np.eye(6) / 6, d_a, d_b),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+@pytest.mark.parametrize("d_a,d_b", [(2.0, 3), (2, 3.0), (True, 6), (6, True), ("2", 3), (None, 3)])
+def test_local_dimensions_that_are_not_integers_raise_dimension_mismatch(name, d_a, d_b):
+    # each used to leak a TypeError from a reshape or from range()
+    with pytest.raises(DimensionMismatch, match="must be integers$"):
+        ENTRY_POINTS[name](d_a, d_b)
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_numpy_integer_local_dimensions_are_accepted(name):
+    ENTRY_POINTS[name](np.int64(2), np.int32(3))
 
 
 def reference_canonical_phase(v):

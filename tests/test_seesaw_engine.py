@@ -28,13 +28,18 @@ from prodbasis.families import gen_tiles1, gen_tiles2
 from prodbasis.io import save_basis
 from prodbasis.linalg import dagger, hermitian_part, top_eigenvector
 from prodbasis.sampling import haar_unitary, random_unit_vector, stream
-from prodbasis.verify import SeesawResult, complement_projector, seesaw_max_product_overlap
+from prodbasis.verify import (
+    SeesawResult,
+    complement_projector,
+    grid_oracle_max_product_overlap,
+    seesaw_max_product_overlap,
+)
 
 TIE_TOL = 1e-12
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def reference_seesaw(q, d_a, d_b, restarts, seed, stop_tol=1e-12, max_iterations=10_000):
+def reference_seesaw(q, d_a, d_b, restarts, seed, stop_tol=1e-15, max_iterations=10_000):
     """Per-restart see-saw over the dense operator.
 
     Each restart runs alone, with an ``einsum`` contraction of the full
@@ -42,7 +47,11 @@ def reference_seesaw(q, d_a, d_b, restarts, seed, stop_tol=1e-12, max_iterations
     once an iteration improves it by less than ``stop_tol`` lambda_max(Q),
     and restarts are merged by the lowest index whose value is within
     ``TIE_TOL`` lambda_max(Q) of the best, as the engine does (both
-    absolute for a Q with no positive eigenvalue).  Returns
+    absolute for a Q with no positive eigenvalue).  The default stop is
+    1000 times tighter than the engine's 1e-12 gain rule, which stops a
+    slowly climbing restart short of its local maximum: a reference
+    stopped by that rule can end below an engine whose extrapolation step
+    got closer.  Returns
     ``(value, a, b, iterations_total, gap)``, where ``gap`` is the smallest
     top-eigenvalue gap met on the chosen restart's path: below about 1e-9,
     rounding noise may pick a different top eigenvector.
@@ -243,6 +252,7 @@ _SEESAW_STOP = 1e-12
 _POWER_STEPS = 4                  # on d x d operators with d <= 3
 _LONG_POWER_STEPS = 8             # with d >= 4
 _IMAGE_FLOOR = 2.0 ** -511        # sqrt of the smallest normal float, 2^-1022
+_EXTRAPOLATE_FROM = 40            # first pass index that tries an extrapolation step
 
 
 def reference_canonical_phase(v):
@@ -281,6 +291,12 @@ def reference_power_steps(m, x):
     if norm >= _IMAGE_FLOOR:
         x = y / norm
     return np.vdot(x, m @ x).real, x
+
+
+def reference_extrapolated(x0, x1, beta):
+    """(x1 + beta (x1 - x0)) / ||.|| for one pair of unit vectors."""
+    x = x1 + beta * (x1 - x0)
+    return x / np.linalg.norm(x)
 
 
 def reference_factor_operators(g, d_a, d_b):
@@ -346,7 +362,12 @@ def reference_power_seesaw(g, d_a, d_b, restarts, seed, max_iterations=10_000, s
     ``seesaw_max_product_overlap`` multiplies it by lambda_max(Q) after
     running on Q scaled to unit top eigenvalue.  ``operators``, when given,
     replaces the factor's ``(a_side, b_side, value)`` triple, as
-    :func:`reference_tile_operators` does.
+    :func:`reference_tile_operators` does.  From pass index
+    ``_EXTRAPOLATE_FROM`` on, a pass from (a0, b0) to (a1, b1) also tries
+    the pair x1 + beta (x1 - x0), normalised on each side, and keeps it
+    when its value is strictly above the pass's; beta starts at 1, is
+    multiplied by 1.5 (at most 50) on a kept pair and halved (at least 0.5)
+    on a rejected one.
     """
     a_side, b_side, objective_of = operators or reference_factor_operators(g, d_a, d_b)
     finals = []
@@ -356,11 +377,20 @@ def reference_power_seesaw(g, d_a, d_b, restarts, seed, max_iterations=10_000, s
         a = random_unit_vector(rng, d_a)
         b = random_unit_vector(rng, d_b)
         value = objective_of(a, b)
-        for _ in range(max_iterations):
+        beta = 1.0
+        for index in range(max_iterations):
+            a_0, b_0 = a, b
             half, a = reference_power_steps(a_side(b), a)
             new_value, b = reference_power_steps(b_side(a), b)
             if max(value - half, half - new_value) > _SEESAW_SLACK:
                 raise NonMonotoneSeesaw("reference see-saw objective decreased")
+            if index >= _EXTRAPOLATE_FROM:
+                a_e, b_e = reference_extrapolated(a_0, a, beta), reference_extrapolated(b_0, b, beta)
+                value_e = objective_of(a_e, b_e)
+                if value_e > new_value:
+                    a, b, new_value, beta = a_e, b_e, value_e, min(beta * 1.5, 50.0)
+                else:
+                    beta = max(beta * 0.5, 0.5)
             iterations_total += 1
             improvement = new_value - value
             value = new_value
@@ -424,11 +454,82 @@ def test_engine_is_bit_identical_on_random_projectors(dims):
             assert_same_run(got, reference_verify_seesaw(q, *dims, 60, seed))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_engine_is_bit_identical_across_the_extrapolation_switch(monkeypatch, seed):
+    # projector #11 of the 2 x 3 stream keeps restarts climbing for hundreds
+    # of passes, so most of its passes take the extrapolation step
+    assert verify._EXTRAPOLATE_FROM == _EXTRAPOLATE_FROM
+    calls = []
+    extrapolate = verify._extrapolate
+    monkeypatch.setattr(verify, "_extrapolate", lambda *args: calls.append(1) or extrapolate(*args))
+    q = random_projector(2, 3, 11)
+    got = seesaw_max_product_overlap(q, 2, 3, restarts=60, seed=seed)
+    assert calls
+    assert_same_run(got, reference_verify_seesaw(q, 2, 3, 60, seed))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_extrapolation_cuts_the_slow_tail_of_projector_11(seed):
+    # without the step these runs took 10,044-11,631 iterations
+    q = random_projector(2, 3, 11)
+    res = seesaw_max_product_overlap(q, 2, 3, restarts=60, seed=seed)
+    assert res.iterations_total <= 4_000
+    assert res.capped_restarts == 0
+    assert res.value >= grid_oracle_max_product_overlap(q, 2, 3).value - 1e-6
+
+
+def test_restarts_are_row_independent_across_the_extrapolation_switch(monkeypatch):
+    # each restart of projector #11 run alone, from its own starting pair,
+    # gives the bits it has in the batch of 60
+    q = random_projector(2, 3, 11)
+    batch = seesaw_max_product_overlap(q, 2, 3, restarts=60, seed=1)
+    a, b = verify.starting_pairs(1, 60, 2, 3)
+    alone = []
+    for r in range(60):
+        monkeypatch.setattr(verify, "starting_pairs", lambda *args, r=r: (a[r:r + 1].copy(), b[r:r + 1].copy()))
+        alone.append(seesaw_max_product_overlap(q, 2, 3, restarts=1, seed=1))
+    assert max(res.iterations_total for res in alone) > _EXTRAPOLATE_FROM
+    assert batch.iterations_total == sum(res.iterations_total for res in alone)
+    assert batch.capped_restarts == sum(res.capped_restarts for res in alone)
+    best = max(res.value for res in alone)
+    picked = next(res for res in alone if res.value >= best - TIE_TOL)
+    assert batch.value == picked.value
+    assert batch.witness.a.tobytes() == picked.witness.a.tobytes()
+    assert batch.witness.b.tobytes() == picked.witness.b.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seesaw_cases())
+def test_extrapolation_from_the_first_pass_never_lowers_the_objective(case):
+    # with the switch at pass 0 every pass tries the step: a kept candidate
+    # must raise its row's value, rows stay unit vectors, and the plain half
+    # steps that follow a kept candidate must pass the ascent check
+    q, d_a, d_b, seed = case
+    extrapolate = verify._extrapolate
+
+    def checked(q_, a0, b0, a1, b1, value, beta):
+        a, b, new_value, new_beta = extrapolate(q_, a0, b0, a1, b1, value, beta)
+        assert np.all(new_value >= value)
+        assert np.allclose(np.linalg.norm(a, axis=1), 1.0, rtol=0, atol=1e-14)
+        assert np.allclose(np.linalg.norm(b, axis=1), 1.0, rtol=0, atol=1e-14)
+        assert np.all((0.5 <= new_beta) & (new_beta <= 50.0))
+        return a, b, new_value, new_beta
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_EXTRAPOLATE_FROM", 0)
+        patch.setattr(verify, "_extrapolate", checked)
+        res = seesaw_max_product_overlap(q, d_a, d_b, restarts=12, seed=seed)
+    top = np.linalg.eigvalsh(hermitian_part(q))[-1]
+    assert res.value <= top + 1e-12
+    assert abs(objective(q, res.witness.a, res.witness.b) - res.value) <= 1e-12
+
+
 TILES = {
     "g1_4": lambda: gen_tiles1(4),
     "g1_6": lambda: gen_tiles1(6),
     "g2_3x4": lambda: gen_tiles2(3, 4),
     "g2_4x6": lambda: gen_tiles2(4, 6),
+    "g2_6x10": lambda: gen_tiles2(6, 10),   # restarts cross the extrapolation switch
 }
 
 
