@@ -37,6 +37,18 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _require_local_dims(d_a: int, d_b: int):
+    """Raise :class:`DimensionMismatch` unless both local dimensions are integers of at least 1.
+
+    Python and numpy integers pass; a bool, a float such as 2.0 or any
+    other type fails here rather than as a ``TypeError`` in a reshape.
+    """
+    if not (_is_integer(d_a) and _is_integer(d_b)):
+        raise DimensionMismatch(f"local dimensions ({d_a!r}, {d_b!r}) must be integers")
+    if d_a < 1 or d_b < 1:
+        raise DimensionMismatch(f"local dimensions ({d_a}, {d_b}) must be at least 1")
+
+
 def _factor_columns(rows, dim: int, name: str) -> np.ndarray:
     """Read-only (dim, N) factor matrix whose column i is ``rows[i]``, checked in one pass.
 
@@ -44,8 +56,6 @@ def _factor_columns(rows, dim: int, name: str) -> np.ndarray:
     so each state's factor is contiguous and a column view computes exactly
     like a standalone vector.
     """
-    if dim < 1:
-        raise DimensionMismatch("local dimensions must be positive")
     try:
         arr = np.array(rows, dtype=complex).reshape(len(rows), dim).T
     except ValueError:
@@ -112,7 +122,7 @@ class ProductBasis:
     matrices.  Orthonormality is a property of the intended families, not a
     structural requirement; it is checked by the verification module so
     that defective inputs can be diagnosed rather than rejected at
-    construction.
+    construction.  The local dimensions are stored as Python ints.
     """
 
     d_a: int
@@ -141,7 +151,8 @@ class ProductBasis:
         return basis
 
     def _store(self, dims, a, b, labels, tile_cells, family, provenance):
-        d_a, d_b = dims
+        _require_local_dims(*dims)
+        d_a, d_b = map(int, dims)
         a = _factor_columns(a, d_a, "a")
         b = _factor_columns(b, d_b, "b")
         cells = list(chain.from_iterable(support for support in tile_cells if support is not None))

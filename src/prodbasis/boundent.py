@@ -18,8 +18,9 @@ A job builds the complement once, in the form that
 :func:`prodbasis.verify._complement` chooses for ``check_upb`` too: the tile
 closed form for a tile-type basis whose certificate holds, the QR factor
 otherwise.  :func:`upb_density_state` forms the matrix from that form's
-orthonormal factor F and keeps the form as the state's one range operand,
-so ``boundent`` prints the same maximum as ``verify``.  The state's
+projector Q, the tile closed form itself or F F^dag for the QR factor F, and
+keeps the form as the state's one range operand, so ``boundent`` prints the
+same maximum as ``verify``.  The state's
 spectrum check runs on the N x N Gram matrix of the orthonormality check.
 The one D x D eigensolver of a job is the partial transpose's ``eigvalsh``.
 """
@@ -31,10 +32,10 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import ProductBasis, ProductState
+from .basis import ProductBasis, ProductState, _require_local_dims
 from .config import TOLERANCES
 from .errors import CompleteBasisInput, DimensionMismatch, InvalidProjector, ZeroState
-from .linalg import _require_local_dims, dagger, hermitian_part, partial_transpose
+from .linalg import hermitian_part, partial_transpose
 from .verify import (
     Verdict,
     _FactorContractions,
@@ -67,11 +68,12 @@ class RangeVerdict(str, Enum):
 class DensityMatrix:
     """Normalized density operator on C^dA (x) C^dB.
 
-    ``_range`` is the see-saw's operand for the projector onto the range:
-    the read-only eigenvectors with eigenvalue above
-    ``TOLERANCES.range_cutoff`` of the decomposition that validates the
-    state, or the complement a state from :meth:`_of_complement` was built
-    from.  Two instances compare equal only when they are the same object.
+    ``matrix`` is the read-only Hermitian part of the matrix given, which
+    must be Hermitian within 1e-10, so it is exactly Hermitian.  ``_range``
+    is the see-saw's operand for the projector onto the range: the read-only
+    eigenvectors with eigenvalue above ``TOLERANCES.range_cutoff`` of the
+    decomposition that validates the state, or the complement a state from
+    :meth:`_of_complement` was built from.  Two instances compare equal only when they are the same object.
     """
 
     matrix: np.ndarray
@@ -81,16 +83,17 @@ class DensityMatrix:
 
     def __post_init__(self):
         _require_local_dims(self.d_a, self.d_b)
-        m = np.array(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix, dtype=complex)
         dim = self.d_a * self.d_b
         if m.shape != (dim, dim):
             raise DimensionMismatch(f"matrix shape {m.shape} does not match dims ({self.d_a}, {self.d_b})")
         # written so that NaN fails each check
         if not float(np.max(np.abs(m - m.conj().T))) <= _STATE_TOL:
             raise ValueError(f"density matrix is not Hermitian within {_STATE_TOL:g}")
+        m = hermitian_part(m)
         if not abs(float(np.trace(m).real) - 1.0) <= _STATE_TOL:
             raise ValueError(f"density matrix trace differs from 1 beyond {_STATE_TOL:g}")
-        w, v = np.linalg.eigh(hermitian_part(m))
+        w, v = np.linalg.eigh(m)
         if not float(w[0]) >= -_STATE_TOL:
             raise ValueError(f"density matrix has an eigenvalue below -{_STATE_TOL:g}")
         v = v[:, w > TOLERANCES.range_cutoff]
@@ -101,14 +104,13 @@ class DensityMatrix:
 
     @classmethod
     def _of_complement(cls, c) -> "DensityMatrix":
-        """F F^dag divided by its trace, for the orthonormal factor F = ``c.factor()``.
+        """The Hermitian part of the projector Q = ``c.projector()`` divided by its trace.
 
         ``c`` is the complement that :func:`prodbasis.verify._complement`
-        returns, kept as ``_range``: the range of F F^dag is all of F's
-        columns, so no eigensolver runs.
+        returns, kept as ``_range``: it is the see-saw's operand for Q, whose
+        range is the state's range, so no eigensolver runs.
         """
-        f = c.factor()
-        m = hermitian_part(f @ dagger(f))
+        m = hermitian_part(c.projector())
         m /= float(np.trace(m).real)
         m.setflags(write=False)
         rho = object.__new__(cls)
@@ -132,9 +134,10 @@ class RangeCriterionReport:
 def upb_density_state(basis: ProductBasis) -> DensityMatrix:
     """Uniform mixture over the complement of the basis span.
 
-    rho = F F^dag / tr(F F^dag), for F the orthonormal factor of the
-    complement that :func:`prodbasis.verify._complement` returns, which the
-    state keeps as its range operand.  Its spectrum is
+    rho = Q / tr(Q), for Q the projector of the complement that
+    :func:`prodbasis.verify._complement` returns, which the state keeps as
+    its range operand: sum_t u_t u_t^T - s s^T for a tile-type basis, F F^dag
+    for the orthonormal QR factor F otherwise.  Its spectrum is
     1/(D - N) on the complement and 0 on the span.  Dividing by the
     measured trace, not the rank D - N, gives trace 1 to rounding.  The
     basis is checked for orthonormality first (:class:`NonOrthonormalInput`),
@@ -158,9 +161,11 @@ def upb_density_state(basis: ProductBasis) -> DensityMatrix:
 
 
 def is_ppt(rho: DensityMatrix):
-    """PPT test: (min partial-transpose eigenvalue >= -``TOLERANCES.ppt``, that eigenvalue)."""
-    pt = partial_transpose(rho.matrix, rho.d_a, rho.d_b)
-    w_min = float(np.linalg.eigvalsh(hermitian_part(pt))[0])
+    """PPT test: (min partial-transpose eigenvalue >= -``TOLERANCES.ppt``, that eigenvalue).
+
+    ``rho.matrix`` is exactly Hermitian, and so is its partial transpose.
+    """
+    w_min = float(np.linalg.eigvalsh(partial_transpose(rho.matrix, rho.d_a, rho.d_b))[0])
     return w_min >= -TOLERANCES.ppt, w_min
 
 

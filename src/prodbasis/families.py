@@ -74,8 +74,9 @@ def gen_tiles1(n: int) -> ProductBasis:
     state occupies column k, rows k+1..k+n/2 (mod n); a horizontal state row
     k, columns k..k+n/2-1 (mod n); the stopper covers the whole grid.
     """
-    if n % 2 != 0 or n < 4:
+    if not _is_integer(n) or n % 2 != 0 or n < 4:
         raise InvalidDimension(f"gen_tiles1 requires even n >= 4, got n={n}")
+    n = int(n)
     omega = np.exp(4j * np.pi / n)
     half = n // 2
     rows = [(f"V[{m},{k}]", (k,), 0, [(k + 1 + j) % n for j in range(half)], m, omega)
@@ -95,8 +96,9 @@ def gen_tiles2(m: int, n: int) -> ProductBasis:
     vertical and in general not contiguous.  A uniform stopper completes
     the set.
     """
-    if m < 3 or n <= 3 or n < m:
+    if not (_is_integer(m) and _is_integer(n)) or m < 3 or n <= 3 or n < m:
         raise InvalidDimension(f"gen_tiles2 requires n > 3, m >= 3 and n >= m, got m={m}, n={n}")
+    m, n = int(m), int(n)
     omega = np.exp(2j * np.pi / (n - 2))
     rows = [(f"S[{j}]", (j, (j + 1) % m), 1, (j,), 0, -1.0) for j in range(m)]
     long_support = [[(i + j + 1) % m for i in range(m - 2)] + list(range(m, n)) for j in range(m)]
@@ -110,7 +112,7 @@ def cartesian_basis(d_a: int, d_b: int) -> ProductBasis:
 
     Carries no tile metadata; tiles belong to the two constructions above.
     """
-    if d_a < 1 or d_b < 1:
+    if not (_is_integer(d_a) and _is_integer(d_b)) or d_a < 1 or d_b < 1:
         raise InvalidDimension(f"cartesian_basis needs positive dims, got ({d_a}, {d_b})")
     # state i*dB + j is |i> (x) |j>
     return ProductBasis._from_rows(
@@ -132,13 +134,16 @@ def _moved_cells(tile_cells, n: int, s_c: int, s_r: int):
 def cyclic_shift_basis(basis: ProductBasis, s: int) -> ProductBasis:
     """Simultaneously shift both local bases by s: |x> -> |x+s mod n>.
 
-    Requires dA = dB.  Both tile families are invariant under this map as
-    sets, which is what the set-equality tests exercise.
+    Requires dA = dB and an integer s; the provenance records s mod n as
+    a Python int.  Both tile families are invariant under this map as sets,
+    which is what the set-equality tests exercise.
     """
     if basis.d_a != basis.d_b:
         raise DimensionMismatch("cyclic shift needs equal local dimensions")
+    if not _is_integer(s):
+        raise IndexOutOfRange(f"shift must be an integer, got {s!r}")
     n = basis.d_a
-    sh = s % n
+    sh = int(s) % n
     return ProductBasis._from_rows(
         (n, n), np.roll(basis.a_matrix().T, sh, axis=1), np.roll(basis.b_matrix().T, sh, axis=1),
         basis.labels, _moved_cells(basis.tile_cells, n, sh, sh), family=basis.family,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .basis import _is_integer
+from .basis import _require_local_dims
 from .errors import DimensionMismatch
 
 __all__ = [
@@ -119,18 +119,6 @@ def top_eigenvector(m: np.ndarray):
     candidates = _canonical_phase(v[:, w >= top - _TIE_TOL].T)
     keys = [tuple(np.round(vec.real, 12)) for vec in candidates]
     return float(top), candidates[max(range(len(keys)), key=keys.__getitem__)]
-
-
-def _require_local_dims(d_a: int, d_b: int):
-    """Raise :class:`DimensionMismatch` unless both local dimensions are integers of at least 1.
-
-    Python and numpy integers pass; a bool, a float such as 2.0 or any
-    other type fails here rather than as a ``TypeError`` in a reshape.
-    """
-    if not (_is_integer(d_a) and _is_integer(d_b)):
-        raise DimensionMismatch(f"local dimensions ({d_a!r}, {d_b!r}) must be integers")
-    if d_a < 1 or d_b < 1:
-        raise DimensionMismatch(f"local dimensions ({d_a}, {d_b}) must be at least 1")
 
 
 def partial_transpose(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:

@@ -18,24 +18,20 @@ _LABEL_WIDTH = 6
 def render_tiles(basis: ProductBasis) -> str:
     if any(cells is None for cells in basis.tile_cells):
         raise NoTileMetadata("basis states carry no tile-cell metadata")
-    full_grid = frozenset((c, r) for c in range(basis.d_a) for r in range(basis.d_b))
-    tiles = [i for i, cells in enumerate(basis.tile_cells) if cells != full_grid]
-    stoppers = [i for i, cells in enumerate(basis.tile_cells) if cells == full_grid]
+    # the stopper covers every cell, the rule verify._tile_layout uses
+    stoppers = [i for i, cells in enumerate(basis.tile_cells) if len(cells) == basis.dim]
+    tiles = [i for i, cells in enumerate(basis.tile_cells) if len(cells) != basis.dim]
 
-    short = {}  # state index -> truncated label
+    covering = {}  # cell -> truncated labels of the tiles on it, in state order
     legend = []
     for i in tiles:
         label = basis.labels[i] or "?"
         trunc = label[:_LABEL_WIDTH]
-        short[i] = trunc
         if len(label) > _LABEL_WIDTH:
             legend.append(f"{trunc} = {label}")
-
-    cell_text = {}
-    for c in range(basis.d_a):
-        for r in range(basis.d_b):
-            covering = [short[i] for i in tiles if (c, r) in basis.tile_cells[i]]
-            cell_text[(c, r)] = " ".join(covering) if covering else "."
+        for cell in basis.tile_cells[i]:
+            covering.setdefault(cell, []).append(trunc)
+    cell_text = {(c, r): " ".join(covering.get((c, r), ["."])) for c in range(basis.d_a) for r in range(basis.d_b)}
 
     widths = [max(len(cell_text[(c, r)]) for r in range(basis.d_b)) for c in range(basis.d_a)]
     widths = [max(w, len(f"A{c}")) for c, w in enumerate(widths)]

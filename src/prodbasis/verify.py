@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import ProductBasis, ProductState
+from .basis import ProductBasis, ProductState, _require_local_dims
 from .config import TOLERANCES, Tolerances
 from .errors import (
     CountMismatch,
@@ -47,7 +47,7 @@ from .errors import (
     NonMonotoneSeesaw,
     NonOrthonormalInput,
 )
-from .linalg import _canonical_phase, _require_local_dims, _row_norms, dagger, hermitian_part
+from .linalg import _canonical_phase, _row_norms, dagger, hermitian_part
 from .sampling import starting_pairs
 
 __all__ = [
@@ -275,9 +275,9 @@ class _FactorContractions:
         z = (b.conj()[:, None, :] @ _contract(a, self.g_a, self.d_b))[:, 0]
         return np.sum(z.real ** 2 + z.imag ** 2, axis=-1)
 
-    def factor(self) -> np.ndarray:
-        """The factor G, with G G^dag = Q."""
-        return self.g
+    def projector(self) -> np.ndarray:
+        """Q = G G^dag."""
+        return self.g @ dagger(self.g)
 
 
 def _tile_weights(x: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -308,7 +308,8 @@ class _TileContractions:
     once for the power steps.  It is positive semidefinite only up to
     rounding, because the stopper term is subtracted: since Q is a
     projector, its eigenvalues lie in [0, 1] within a few units of rounding.
-    Its ``rank`` is T - 1.
+    Its ``rank`` is T - 1.  :meth:`projector` forms Q itself from the same
+    vectors, for the complement state of :mod:`prodbasis.boundent`.
     """
 
     def __init__(self, alpha: np.ndarray, beta: np.ndarray, c: np.ndarray):
@@ -340,19 +341,11 @@ class _TileContractions:
         """<a (x) b|Q|a (x) b> for each row pair."""
         return np.sum(_tile_weights(a, self.alpha) * _tile_weights(b, self.beta) * self.sign, axis=-1)
 
-    def factor(self) -> np.ndarray:
-        """Orthonormal columns F = U C of shape (D, T - 1), with F F^dag = Q, by no factorisation.
-
-        U holds the u_t as columns, and C is the last T - 1 columns of the
-        Householder reflection I - 2 h h^T / h^T h, h = c + e_0, which maps
-        c to -e_0: an isometry orthogonal to c, so U C C^T U^T =
-        U (I - c c^T) U^T = Q.
-        """
+    def projector(self) -> np.ndarray:
+        """Q = U U^T - s s^T as a complex (D, D) matrix, for U the u_t as columns and s = U c."""
         u = (self.alpha[:-1].T[:, None, :] * self.beta[:-1].T[None, :, :]).reshape(-1, len(self.c))
-        h = self.c.copy()
-        h[0] += 1.0
-        reflection = np.eye(len(h)) - (2.0 / (h @ h)) * np.outer(h, h)
-        return (u @ reflection[:, 1:]).astype(complex)
+        s = u @ self.c
+        return (u @ u.T - np.outer(s, s)).astype(complex)
 
 
 def _tile_layout(basis: ProductBasis):
@@ -393,12 +386,6 @@ def _tile_layout(basis: ProductBasis):
     return cols, rows
 
 
-def _complement_factor(basis: ProductBasis) -> np.ndarray:
-    """Orthonormal columns F, shape (D, D - N): the trailing columns of the complete QR of V."""
-    q, _ = np.linalg.qr(basis.global_matrix(), mode="complete")
-    return np.ascontiguousarray(q[:, len(basis):])
-
-
 def _complement(basis: ProductBasis) -> _TileContractions | _FactorContractions:
     """The see-saw's operand for the complement of the basis span: the only code that picks its form.
 
@@ -412,8 +399,8 @@ def _complement(basis: ProductBasis) -> _TileContractions | _FactorContractions:
     slack (1e-12).  Every other basis gets :class:`_FactorContractions` over
     F, the trailing D - N columns of the complete QR of the global matrix V,
     so F F^dag is the complement projector and no D x D eigensolver runs.
-    Either form has Q with unit top eigenvalue, and its ``factor()`` is an
-    orthonormal factor of Q.
+    Either form has Q with unit top eigenvalue, and its ``projector()``
+    forms Q as a D x D matrix.
     """
     layout = _tile_layout(basis)
     if layout is not None:
@@ -429,7 +416,8 @@ def _complement(basis: ProductBasis) -> _TileContractions | _FactorContractions:
         o = (alpha[:-1] @ basis.a_matrix()) * (beta[:-1] @ basis.b_matrix())
         if float(np.linalg.norm(o - np.outer(c, c @ o))) <= _SEESAW_SLACK:  # NaN fails
             return _TileContractions(alpha, beta, c)
-    return _FactorContractions(_complement_factor(basis), basis.d_a, basis.d_b)
+    q, _ = np.linalg.qr(basis.global_matrix(), mode="complete")
+    return _FactorContractions(np.ascontiguousarray(q[:, len(basis):]), basis.d_a, basis.d_b)
 
 
 def _power_steps(m: np.ndarray, x: np.ndarray):

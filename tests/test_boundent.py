@@ -19,7 +19,7 @@ from prodbasis.config import TOLERANCES
 from prodbasis.errors import CompleteBasisInput, DimensionMismatch, InvalidProjector, NonOrthonormalInput
 from prodbasis.families import cartesian_basis, gen_tiles1, gen_tiles2
 from prodbasis.io import complex_to_json, load_basis, save_basis
-from prodbasis.linalg import partial_transpose
+from prodbasis.linalg import hermitian_part, partial_transpose
 from prodbasis.verify import Verdict, check_upb, complement_projector
 
 
@@ -104,6 +104,42 @@ def test_upb_complement_state_is_ppt(make):
     rho = upb_density_state(make())
     ok, w_min = is_ppt(rho)
     assert ok, w_min
+
+
+def noisy_matrices():
+    """(matrix, d_a, d_b): complement states with anti-Hermitian noise of 1e-12 added."""
+    rng = np.random.default_rng(3)
+    for basis in (gen_tiles1(4), gen_tiles2(3, 4), gen_tiles1(6)):
+        m = upb_density_state(basis).matrix
+        x = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+        yield m + 1e-12 * (x - x.conj().T), basis.d_a, basis.d_b
+
+
+def test_public_density_matrix_is_exactly_hermitian():
+    # the input is Hermitian only within 1e-10; the stored matrix is its
+    # Hermitian part, read-only
+    for m, d_a, d_b in noisy_matrices():
+        rho = DensityMatrix(m, d_a, d_b)
+        assert not np.array_equal(m, m.conj().T)
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        assert rho.matrix.tobytes() == hermitian_part(m).tobytes()
+        assert not rho.matrix.flags.writeable
+
+
+def test_is_ppt_is_the_eigenvalue_of_the_hermitian_part_of_the_partial_transpose():
+    # is_ppt takes no Hermitian part, and gives the bits of the two-step
+    # eigvalsh(hermitian_part(partial_transpose(m)))[0] on the matrix m given:
+    # the state's own matrix for complement states, the noisy input for
+    # public states
+    states = [upb_density_state(make()) for make in (lambda: gen_tiles1(6), lambda: gen_tiles1(12),
+                                                     lambda: gen_tiles2(3, 4), lambda: gen_tiles2(6, 10))]
+    cases = [(rho, rho.matrix) for rho in states]
+    cases += [(DensityMatrix(m, d_a, d_b), m) for m, d_a, d_b in noisy_matrices()]
+    for rho, m in cases:
+        want = float(np.linalg.eigvalsh(hermitian_part(partial_transpose(m, rho.d_a, rho.d_b)))[0])
+        got = is_ppt(rho)
+        assert got == (want >= -TOLERANCES.ppt, want)
+        assert got[1].hex() == want.hex()
 
 
 def test_partial_transpose_of_density_keeps_trace():
@@ -433,14 +469,15 @@ def test_cli_verify_and_boundent_print_the_same_maximum(tmp_path, capsys, name, 
 def test_complement_state_is_the_normalised_complement_projector():
     # the state built from the tiles (the two families) or the QR factor
     # (the tilted set) against I - V V^dag divided by its trace, and the
-    # factor of its kept range operand against the definition: k orthonormal
-    # eigenvectors of eigenvalue 1/k
+    # projector of its kept range operand against the definition: a rank-k
+    # projector on whose range the state is 1/k
     for basis in (gen_tiles1(6), gen_tiles2(3, 4), tilted_cartesian_3x3(2e-11)):
         rho = upb_density_state(basis)
         q = complement_projector(basis)
         assert np.max(np.abs(rho.matrix - q / np.trace(q).real)) <= 1e-9
-        f = rho._range.factor()
+        p = rho._range.projector()
         k = basis.dim - len(basis)
-        assert rho._range.rank == k and f.shape == (basis.dim, k)
-        assert np.max(np.abs(f.conj().T @ f - np.eye(k))) <= 1e-12
-        assert np.max(np.abs(rho.matrix @ f - f / k)) <= 1e-12
+        assert rho._range.rank == k and p.shape == (basis.dim, basis.dim)
+        assert abs(np.trace(p).real - k) <= 1e-12
+        assert np.max(np.abs(p @ p - p)) <= 1e-12
+        assert np.max(np.abs(rho.matrix @ p - p / k)) <= 1e-12

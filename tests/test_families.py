@@ -13,7 +13,9 @@ from prodbasis.families import (
     gen_tiles2,
     swap_shift_basis,
 )
+from prodbasis.io import basis_to_payload, load_basis, save_basis
 from prodbasis.verify import basis_set_equal_up_to_phase, gram_matrix
+from prodbasis.winding import random_wound_basis
 from test_winding import domino_basis
 
 
@@ -298,3 +300,50 @@ def test_swap_shift_on_cartesian():
 def test_swap_shift_requires_square():
     with pytest.raises(DimensionMismatch):
         swap_shift_basis(gen_tiles2(3, 4))
+
+
+NUMPY_SIZED = {
+    "gen_tiles1": (lambda: gen_tiles1(np.int64(4)), lambda: gen_tiles1(4)),
+    "gen_tiles2": (lambda: gen_tiles2(np.int64(3), np.int64(4)), lambda: gen_tiles2(3, 4)),
+    "cartesian": (lambda: cartesian_basis(np.int64(2), np.int32(2)), lambda: cartesian_basis(2, 2)),
+    "wound": (lambda: random_wound_basis(np.int64(2), np.int64(2), 1, 0)[0],
+              lambda: random_wound_basis(2, 2, 1, 0)[0]),
+    "cyclic_shift": (lambda: cyclic_shift_basis(gen_tiles1(4), np.int64(5)),
+                     lambda: cyclic_shift_basis(gen_tiles1(4), 1)),
+}
+
+
+@pytest.mark.parametrize("name", NUMPY_SIZED)
+def test_numpy_integer_sizes_give_the_python_integer_basis(tmp_path, name):
+    # numpy sizes used to be stored as they came, and save_basis could not
+    # write them to JSON
+    got, want = (make() for make in NUMPY_SIZED[name])
+    assert type(got.d_a) is int and type(got.d_b) is int
+    assert basis_to_payload(got) == basis_to_payload(want)
+    save_basis(got, tmp_path / "basis.json")
+    assert basis_to_payload(load_basis(tmp_path / "basis.json")) == basis_to_payload(want)
+
+
+@pytest.mark.parametrize("make", [lambda: gen_tiles1(6.0), lambda: gen_tiles1(True), lambda: gen_tiles1("6"),
+                                  lambda: gen_tiles2(3.0, 4), lambda: gen_tiles2(3, 4.0),
+                                  lambda: cartesian_basis(2.0, 2), lambda: cartesian_basis(2, None)])
+def test_family_sizes_that_are_not_integers_raise_invalid_dimension(make):
+    # each used to leak a TypeError from range()
+    with pytest.raises(InvalidDimension):
+        make()
+
+
+@pytest.mark.parametrize("s", [1.5, 1.0, True, "1", None])
+def test_cyclic_shift_rejects_a_shift_that_is_not_an_integer(s):
+    with pytest.raises(IndexOutOfRange, match="shift must be an integer"):
+        cyclic_shift_basis(gen_tiles1(4), s)
+
+
+def test_product_basis_stores_python_integer_dimensions():
+    states = cartesian_basis(2, 3).states
+    basis = ProductBasis(np.int64(2), np.int32(3), states)
+    assert (basis.d_a, basis.d_b) == (2, 3)
+    assert type(basis.d_a) is int and type(basis.d_b) is int
+    for d_a, d_b in ((2.0, 3), (2, True), (0, 3), (2, -3)):
+        with pytest.raises(DimensionMismatch, match="must be integers$|must be at least 1$"):
+            ProductBasis(d_a, d_b, states)

@@ -2,8 +2,9 @@
 
 Each case runs ``prodbasis.cli.main`` in-process in a scratch directory and
 hashes its exit code, its stdout and the file it writes, if any.  The corpus
-covers ``construct``, ``verify`` (text and json), ``boundent --out``, ``wind``
-and ``unwind``; later cases read the files that earlier ones wrote.
+covers ``construct``, ``verify`` (text and json), ``boundent --out``,
+``render``, ``wind`` and ``unwind``; later cases read the files that earlier
+ones wrote.
 
 The digests in ``golden_digests.json`` hold for the numpy version stored next
 to them.  Another numpy may round LAPACK results differently, so the test
@@ -85,6 +86,8 @@ def corpus():
     for name in ("g1_6", "g2_3x4"):
         cases.append((f"boundent {name}", ["boundent", f"{name}.json", "--out", f"rho_{name}.json"],
                       f"rho_{name}.json"))
+    for name in ("g1_6", "g2_3x4"):
+        cases.append((f"render {name}", ["render", f"{name}.json"], None))
     for d_a, d_b in WIND_DIMS:
         for seed in WIND_SEEDS:
             for k in WIND_MOVES:

@@ -21,7 +21,6 @@ from prodbasis.io import save_basis
 from prodbasis.sampling import stream
 from prodbasis.verify import (
     _complement,
-    _complement_factor,
     _FactorContractions,
     _seesaw,
     _TileContractions,
@@ -84,9 +83,20 @@ def tilted(basis, delta):
                                    basis.labels, basis.tile_cells, family=basis.family)
 
 
+def qr_complement(basis):
+    """The QR form of the complement, whatever form ``_complement`` picks for the basis.
+
+    The basis without its tile cells has the same global matrix and no tile
+    form, so ``_complement`` takes the QR factor of that matrix.
+    """
+    q = _complement(with_cells(basis, [None] * len(basis)))
+    assert isinstance(q, _FactorContractions)
+    return q
+
+
 def qr_seesaw(basis, restarts, seed):
     """The see-saw on the QR factor of the complement, whatever form ``_complement`` picks."""
-    return _seesaw(_FactorContractions(_complement_factor(basis), basis.d_a, basis.d_b), restarts, seed)
+    return _seesaw(qr_complement(basis), restarts, seed)
 
 
 def assert_same_run(got, want):
@@ -126,8 +136,8 @@ def test_tile_operators_are_the_contractions_of_the_qr_complement(name):
     basis = CERTIFY_FILES[name]()
     tiles = _complement(basis)
     assert isinstance(tiles, _TileContractions)
-    f = _complement_factor(basis)
-    q = (f @ f.conj().T).reshape(basis.d_a, basis.d_b, basis.d_a, basis.d_b)
+    qr = qr_complement(basis).projector()
+    q = qr.reshape(basis.d_a, basis.d_b, basis.d_a, basis.d_b)
     rng = stream(37, basis.dim)
     a = rng.standard_normal((5, basis.d_a)) + 1j * rng.standard_normal((5, basis.d_a))
     b = rng.standard_normal((5, basis.d_b)) + 1j * rng.standard_normal((5, basis.d_b))
@@ -139,11 +149,21 @@ def test_tile_operators_are_the_contractions_of_the_qr_complement(name):
     assert np.max(np.abs(tiles.a_side(b) - want_a)) <= 1e-14
     assert np.max(np.abs(tiles.b_side(a) - want_b)) <= 1e-14
     assert np.max(np.abs(tiles.values(a, b) - want)) <= 1e-14
-    # F = U C is an orthonormal factor of the same projector
-    g = tiles.factor()
-    assert g.shape == f.shape
-    assert np.max(np.abs(g.conj().T @ g - np.eye(g.shape[1]))) <= 1e-14
-    assert np.max(np.abs(g @ g.conj().T - f @ f.conj().T)) <= 1e-14
+    # U U^T - s s^T is the same projector
+    p = tiles.projector()
+    assert p.shape == qr.shape
+    assert np.max(np.abs(p @ p - p)) <= 1e-14
+    assert np.max(np.abs(p - qr)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", CERTIFY_FILES)
+def test_tile_projector_is_the_qr_complement_projector(name):
+    basis = CERTIFY_FILES[name]()
+    tiles = _complement(basis)
+    assert isinstance(tiles, _TileContractions)
+    p = tiles.projector()
+    assert p.dtype == complex and not p.imag.any()
+    assert np.max(np.abs(p - qr_complement(basis).projector())) <= 1e-14
 
 
 @pytest.mark.parametrize("name", CERTIFY_FILES)
@@ -215,10 +235,11 @@ def test_range_criterion_falls_back_with_the_state():
     basis = drop_last(gen_tiles1(6))
     rho = upb_density_state(basis)
     assert isinstance(rho._range, _FactorContractions)
-    f = _complement_factor(basis)
-    assert rho._range.factor().tobytes() == f.tobytes()
+    q = _complement(basis)
+    assert isinstance(q, _FactorContractions)
+    assert rho._range.projector().tobytes() == q.projector().tobytes()
     report = range_criterion_report(rho, restarts=20, seed=1)
-    want = _seesaw(_FactorContractions(f, basis.d_a, basis.d_b), 20, 1)
+    want = _seesaw(q, 20, 1)
     assert report.max_product_overlap == want.value
     assert report.witness.a.tobytes() == want.witness.a.tobytes()
 
