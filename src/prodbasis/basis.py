@@ -49,6 +49,17 @@ def _require_local_dims(d_a: int, d_b: int):
         raise DimensionMismatch(f"local dimensions ({d_a}, {d_b}) must be at least 1")
 
 
+def _cell(cell) -> tuple[int, int]:
+    """``cell`` as two Python ints; :class:`IndexOutOfRange` unless it is a pair of integers."""
+    try:
+        c, r = cell
+    except (TypeError, ValueError):  # not iterable, or not two items
+        c = r = None
+    if not (_is_integer(c) and _is_integer(r)):
+        raise IndexOutOfRange(f"tile cell {cell!r} is not a pair of integers")
+    return int(c), int(r)
+
+
 def _factor_columns(rows, dim: int, name: str) -> np.ndarray:
     """Read-only (dim, N) factor matrix whose column i is ``rows[i]``, checked in one pass.
 
@@ -74,11 +85,12 @@ def _factor_columns(rows, dim: int, name: str) -> np.ndarray:
 class ProductState:
     """One product state |a> (x) |b> with optional label and tile support.
 
-    ``tile_cells`` is the set of (A index, B index) grid cells on which the
-    product amplitude is nonzero; columns index the A side, rows the B side.
-    A cell that is not a pair of Python or numpy integers (bools excluded)
-    raises :class:`IndexOutOfRange`.  Two states compare equal only when
-    they are the same object, and a state is hashable;
+    A ``label`` that is not a string raises ``ValueError``.  ``tile_cells``
+    is the set of (A index, B index) grid cells on which the product
+    amplitude is nonzero; columns index the A side, rows the B side.  A cell
+    that is not a pair of Python or numpy integers (bools excluded) raises
+    :class:`IndexOutOfRange`.  Two states compare equal only when they are
+    the same object, and a state is hashable;
     :func:`prodbasis.verify.basis_set_equal_up_to_phase` compares bases by
     value.
     """
@@ -94,12 +106,10 @@ class ProductState:
             if v.ndim != 1 or v.size < 1:
                 raise DimensionMismatch(f"{name} must be a nonempty 1-D vector")
             object.__setattr__(self, name, _factor_columns(v[None], v.size, name)[:, 0])
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         if self.tile_cells is not None:
-            cells = [(c, r) for c, r in self.tile_cells]
-            for cell in cells:
-                if not all(map(_is_integer, cell)):
-                    raise IndexOutOfRange(f"tile cell {cell!r} is not a pair of integers")
-            object.__setattr__(self, "tile_cells", frozenset((int(c), int(r)) for c, r in cells))
+            object.__setattr__(self, "tile_cells", frozenset(map(_cell, self.tile_cells)))
 
     @classmethod
     def _view(cls, a, b, label, tile_cells) -> "ProductState":

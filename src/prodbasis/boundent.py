@@ -14,15 +14,12 @@ projector gives both the range criterion and the unextendibility verdict,
 and both read it through :func:`prodbasis.verify.overlap_verdict`: the
 range label is ``entangled`` exactly when that verdict is ``UPB_Numeric``.
 
-A job builds the complement once, in the form that
-:func:`prodbasis.verify._complement` chooses for ``check_upb`` too: the tile
-closed form for a tile-type basis whose certificate holds, the QR factor
-otherwise.  :func:`upb_density_state` forms the matrix from that form's
-projector Q, the tile closed form itself or F F^dag for the QR factor F, and
-keeps the form as the state's one range operand, so ``boundent`` prints the
-same maximum as ``verify``.  The state's
-spectrum check runs on the N x N Gram matrix of the orthonormality check.
-The one D x D eigensolver of a job is the partial transpose's ``eigvalsh``.
+:func:`upb_density_state` takes its input check and complement from
+``check_upb``'s front end, :func:`prodbasis.verify._checked_complement`, so
+``boundent`` rejects what ``verify`` rejects, with the same message, and
+prints the same maximum: the state is the complement's projector over its
+trace and keeps the complement as its one range operand.  The one D x D
+eigensolver of a job is the partial transpose's ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -34,17 +31,9 @@ import numpy as np
 
 from .basis import ProductBasis, ProductState, _require_local_dims
 from .config import TOLERANCES
-from .errors import CompleteBasisInput, DimensionMismatch, InvalidProjector, ZeroState
+from .errors import CompleteBasisInput, DimensionMismatch, ZeroState
 from .linalg import hermitian_part, partial_transpose
-from .verify import (
-    Verdict,
-    _FactorContractions,
-    _complement,
-    _require_orthonormal,
-    _seesaw,
-    _top_gram_eigenvalue,
-    overlap_verdict,
-)
+from .verify import Verdict, _FactorContractions, _checked_complement, _seesaw, overlap_verdict
 
 __all__ = [
     "DensityMatrix",
@@ -140,24 +129,15 @@ def upb_density_state(basis: ProductBasis) -> DensityMatrix:
     for the orthonormal QR factor F otherwise.  Its spectrum is
     1/(D - N) on the complement and 0 on the span.  Dividing by the
     measured trace, not the rank D - N, gives trace 1 to rounding.  The
-    basis is checked for orthonormality first (:class:`NonOrthonormalInput`),
-    then for a nonempty complement (:class:`CompleteBasisInput`).  Then the
-    state I - V V^dag normalised by its trace t = D - tr(G), whose least
-    eigenvalue is (1 - lambda_max(G)) / t, must have no eigenvalue below
-    -1e-10: Gram deviations within tolerance that add up to more raise
-    :class:`InvalidProjector`.  That is decided on the Gram matrix G of the
-    orthonormality check, by its Gershgorin bound and, only when the bound
-    fails, by ``eigvalsh`` of G.  Whether the basis is unextendible is left
+    input is checked by ``check_upb``'s :func:`prodbasis.verify._checked_complement`,
+    with its errors and messages, and a complete basis raises
+    :class:`CompleteBasisInput`.  Whether the basis is unextendible is left
     to the range criterion on the result.
     """
-    g, _ = _require_orthonormal(basis)
-    if basis.dim == len(basis):
+    _, complement = _checked_complement(basis)
+    if complement is None:
         raise CompleteBasisInput("basis spans the full space, the complement state is empty")
-    limit = 1.0 + _STATE_TOL * (basis.dim - float(np.trace(g).real))
-    if not _top_gram_eigenvalue(g, limit) <= limit:
-        raise InvalidProjector("complement state is not a valid density matrix: "
-                               f"density matrix has an eigenvalue below -{_STATE_TOL:g}")
-    return DensityMatrix._of_complement(_complement(basis))
+    return DensityMatrix._of_complement(complement)
 
 
 def is_ppt(rho: DensityMatrix):

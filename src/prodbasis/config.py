@@ -10,10 +10,11 @@ sets thresholds for a run, so only its path takes them as an argument,
 defaulting to :data:`TOLERANCES`: ``verify.check_upb`` forwards its record
 to ``overlap_verdict`` and its ``tol.orthonormality`` to
 ``_require_orthonormal``, the orthonormality check that raises
-``NonOrthonormalInput``.  Neither flag sets ``operator_interval``:
-``check_upb`` reads ``TOLERANCES.operator_interval`` for the spectrum check
-of its complement, on the Gram matrix, as ``seesaw_max_product_overlap``
-and the grid oracle read it for the operators they are given.
+``NonOrthonormalInput``.  Neither flag sets ``operator_interval``: the
+input check that ``check_upb`` and ``boundent`` share reads it for the
+spectrum check of the complement, on the Gram matrix, as
+``seesaw_max_product_overlap`` and the grid oracle read it for the
+operators they are given.
 """
 
 from __future__ import annotations

@@ -7,10 +7,11 @@ file is read and written one side at a time: the "a" lists of all states
 decode with one codec call into the (N, dA) array whose row i is state i's
 A factor, likewise for "b", and the basis checks both arrays in one pass
 (see :mod:`prodbasis.basis`), so a malformed amplitude list is reported
-per side, not per state.  Python's float serialization emits the shortest
-decimal (at most 17 significant digits) that parses back to the identical
-bit pattern, so save/load round-trips are exact and the files stay
-human-diffable.  Key order is fixed, making output byte-stable for
+per side, not per state.  A label must be a string (absent, it reads as
+""), so labels round-trip too.  Python's float serialization emits the
+shortest decimal (at most 17 significant digits) that parses back to the
+identical bit pattern, so save/load round-trips are exact and the files
+stay human-diffable.  Key order is fixed, making output byte-stable for
 identical inputs.
 
 Every JSON document the package writes (basis files, the ``boundent --out``
@@ -146,7 +147,10 @@ def basis_from_payload(payload: dict) -> ProductBasis:
             _tile_cells(supports)  # an earlier state's bad cells are reported first
             raise BasisFileError(f"state {i} is not an object")
         supports.append(entry.get("tile_cells"))
-        labels.append(str(entry.get("label", "")))
+        labels.append(entry.get("label", ""))
+        if not isinstance(labels[-1], str):
+            _tile_cells(supports)
+            raise BasisFileError(f"state {i} label must be a string")
     cells = _tile_cells(supports)
     # one codec call per side: row i of each (N, d) array is state i's factor
     a = complex_from_json([entry.get("a") for entry in raw_states], 2, "side a")

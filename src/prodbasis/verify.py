@@ -7,14 +7,14 @@ one factorization of the operator's positive part by power steps, with no
 eigensolver in the loop.  From pass 40 on, each pass also tries one
 extrapolation step along the restart's last pass and keeps it only when it
 raises the objective, which cuts the tail of restarts that climb slowly.
-One function, ``_complement``, decides which form
-of the complement the see-saw runs on, for ``check_upb`` and for the
-bound-entanglement pipeline alike: the closed form that the Tiles argument
-gives a tile-type basis, sum_t u_t u_t^T - s s^T over the uniform tile
-states u_t and the stopper s, once a certificate bounds its distance from
-the complement of the span by 1e-12; for any other basis, the orthonormal QR
-factor of the complement.  The spectrum check runs on the Gram matrix, so
-``check_upb`` solves no D x D eigenproblem.  The see-saw is cross-checked at
+One front end, ``_checked_complement``, decides which bases ``check_upb``
+and the bound-entanglement pipeline accept, and ``_complement`` which form
+of the complement both run the see-saw on: the closed form that the Tiles
+argument gives a tile-type basis, sum_t u_t u_t^T - s s^T over the uniform
+tile states u_t and the stopper s, once a certificate bounds its distance
+from the complement of the span by 1e-12; for any other basis, the
+orthonormal QR factor of the complement.  The spectrum check runs on the
+Gram matrix, so ``check_upb`` solves no D x D eigenproblem.  The see-saw is cross-checked at
 small dimensions by a brute-force grid oracle that never iterates the
 see-saw path.  The oracle
 prunes in two stages.  It bounds each grid state's top eigenvalue by its
@@ -418,6 +418,24 @@ def _complement(basis: ProductBasis) -> _TileContractions | _FactorContractions:
             return _TileContractions(alpha, beta, c)
     q, _ = np.linalg.qr(basis.global_matrix(), mode="complete")
     return _FactorContractions(np.ascontiguousarray(q[:, len(basis):]), basis.d_a, basis.d_b)
+
+
+def _checked_complement(basis: ProductBasis, tol: float | None = None):
+    """The input decision of both certify pipelines: ``(deviations, complement or None)``.
+
+    After the orthonormality check with ``tol``, a complete basis gives
+    None.  Otherwise Q = I - V V^dag, whose eigenvalues are 1 - lambda(G)
+    and 1, must lie in [0, 1] within ``TOLERANCES.operator_interval``, as
+    decided on the Gram matrix G, else :class:`InvalidProjector`.
+    """
+    g, dev = _require_orthonormal(basis, tol)
+    if len(basis) == basis.dim:
+        return dev, None
+    limit = 1.0 + TOLERANCES.operator_interval
+    top = _top_gram_eigenvalue(g, limit)
+    if not top <= limit:
+        raise InvalidProjector(f"spectrum [{1.0 - top:.3e}, {1.0:.3e}] outside [0, 1]")
+    return dev, _complement(basis)
 
 
 def _power_steps(m: np.ndarray, x: np.ndarray):
@@ -868,41 +886,27 @@ def check_upb(
     ``UPB_Numeric`` when the best overlap stays below 1 - ``tol.upb_margin``,
     and ``Inconclusive`` in between (see :func:`overlap_verdict`).
 
-    The see-saw runs on the complement Q = I - V V^dag of the global matrix
-    V.  Q has the eigenvalues 1 - lambda(G) of the Gram matrix G, and 1, so
-    it lies in [0, 1] within ``TOLERANCES.operator_interval`` exactly when
-    lambda_max(G) <= 1 + operator_interval; otherwise
-    :class:`InvalidProjector` is raised.  That is decided on the G of the
-    orthonormality check, by its Gershgorin bound and, only when the bound
-    fails, by ``eigvalsh`` of G.  The see-saw then maximizes over the
-    complement projector, with the fixed stop rule and iteration cap of
-    :func:`seesaw_max_product_overlap`, on the form of the complement that
-    :func:`_complement` chooses: the tile closed form sum_t u_t u_t^T - s s^T
-    for a tile-type basis whose certificate holds, with real contracted
-    operators and no QR, and F F^dag for the orthonormal QR factor F of the
-    complement otherwise.  No D x D eigensolver runs.
+    :func:`_checked_complement` decides the input, with ``tol.orthonormality``.
+    The see-saw then maximizes over the complement projector, with the fixed
+    stop rule and iteration cap of :func:`seesaw_max_product_overlap`, on the
+    form of the complement that :func:`_complement` chooses, the tile closed
+    form with real contracted operators or the QR factor.  No D x D
+    eigensolver runs.
     """
     tol = TOLERANCES if tol is None else tol
-    g, dev = _require_orthonormal(basis, tol.orthonormality)
-    span_rank = len(basis)
-    complement_dim = basis.dim - span_rank
-
-    if complement_dim == 0:
+    dev, complement = _checked_complement(basis, tol.orthonormality)
+    if complement is None:
         value, witness, verdict, restarts_used, iterations, capped = 0.0, None, Verdict.COMPLETE_BASIS, 0, 0, 0
     else:
-        limit = 1.0 + TOLERANCES.operator_interval
-        top = _top_gram_eigenvalue(g, limit)
-        if not top <= limit:
-            raise InvalidProjector(f"spectrum [{1.0 - top:.3e}, {1.0:.3e}] outside [0, 1]")
-        result = _seesaw(_complement(basis), restarts, seed)
+        result = _seesaw(complement, restarts, seed)
         value, witness = result.value, result.witness
         verdict = overlap_verdict(value, tol=tol)
         restarts_used, iterations, capped = result.restarts_used, result.iterations_total, result.capped_restarts
     return VerificationReport(
         gram_max_offdiag=dev.max_offdiag,
         gram_max_diag_error=dev.max_diag_error,
-        span_rank=span_rank,
-        complement_dim=complement_dim,
+        span_rank=len(basis),
+        complement_dim=basis.dim - len(basis),
         max_product_overlap=value,
         witness_state=witness,
         verdict=verdict,

@@ -119,10 +119,16 @@ def test_tile_cells_outside_the_grid_name_the_first(bad, first):
 
 
 @pytest.mark.parametrize("cells", [[(0.7, 1.2)], [("1", True)], [(True, 0)], [(0, 1.0)],
-                                   [(0, 0), (np.float64(1), 0)]])
+                                   [(0, 0), (np.float64(1), 0)], {(1, 2, 3)}, {5}])
 def test_state_rejects_tile_cells_that_are_not_integers(cells):
     with pytest.raises(IndexOutOfRange, match="is not a pair of integers"):
         ProductState([1, 0], [1, 0], tile_cells=cells)
+
+
+@pytest.mark.parametrize("label", [5, None, b"x", ["a"]])
+def test_state_rejects_a_label_that_is_not_a_string(label):
+    with pytest.raises(ValueError, match="label must be a string"):
+        ProductState([1, 0], [1, 0], label=label)
 
 
 def test_state_keeps_numpy_integer_tile_cells_as_ints():

@@ -16,11 +16,12 @@ from prodbasis.boundent import (
 )
 from prodbasis.cli import main
 from prodbasis.config import TOLERANCES
-from prodbasis.errors import CompleteBasisInput, DimensionMismatch, InvalidProjector, NonOrthonormalInput
+from prodbasis.errors import CompleteBasisInput, DimensionMismatch, NonOrthonormalInput
 from prodbasis.families import cartesian_basis, gen_tiles1, gen_tiles2
-from prodbasis.io import complex_to_json, load_basis, save_basis
+from prodbasis.io import basis_to_payload, complex_to_json, load_basis, save_basis
 from prodbasis.linalg import hermitian_part, partial_transpose
 from prodbasis.verify import Verdict, check_upb, complement_projector
+from test_io_cli import CLI_FILES
 
 
 def bell_density():
@@ -301,32 +302,62 @@ def test_cli_boundent_rejects_unnormalizable_complement_state(tmp_path, capsys):
                             "the complement state needs an unextendible basis\n")
 
 
-def tilted_cartesian_3x3(delta):
-    """Cartesian 3x3 minus |2>|2>, with A factors eye(3) + delta (ones - eye), normalised.
+def tilted_cartesian(delta, d_a=3, d_b=3):
+    """Cartesian d_a x d_b minus its last state, with A factors eye(d_a) + delta (ones - eye), normalised.
 
     Their pairwise overlaps are about 2 delta, and on each full B block the
-    three add up to a Gram eigenvalue of about 1 + 4 delta, so I - V V^dag has
-    an eigenvalue of about -4 delta.
+    d_a of them add up to a Gram eigenvalue of about 1 + 2 (d_a - 1) delta,
+    so I - V V^dag has an eigenvalue of about -2 (d_a - 1) delta.
     """
-    a = np.eye(3, dtype=complex) + delta * (np.ones((3, 3)) - np.eye(3))
+    a = np.eye(d_a, dtype=complex) + delta * (np.ones((d_a, d_a)) - np.eye(d_a))
     a /= np.linalg.norm(a, axis=0)
-    states = tuple(ProductState(a[:, i], np.eye(3, dtype=complex)[j]) for i in range(3) for j in range(3))[:-1]
-    return ProductBasis(3, 3, states)
+    b = np.eye(d_b, dtype=complex)
+    states = tuple(ProductState(a[:, i], b[j]) for i in range(d_a) for j in range(d_b))[:-1]
+    return ProductBasis(d_a, d_b, states)
 
 
-def test_cli_boundent_rejects_complement_state_with_negative_eigenvalue(tmp_path, capsys):
-    # pairwise overlaps of 9e-11 pass the orthonormality check; on each B
-    # block they add up to a complement eigenvalue of about -1.8e-10
-    tilted = tilted_cartesian_3x3(4.5e-11)
-    with pytest.raises(InvalidProjector, match="eigenvalue below -1e-10"):
-        upb_density_state(tilted)
-    path = tmp_path / "tilted.json"
-    save_basis(tilted, path)
-    assert main(["boundent", str(path), "--restarts", "5"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: complement state is not a valid density matrix: "
-                            "density matrix has an eigenvalue below -1e-10\n")
+def basis_text(make):
+    return lambda: json.dumps(basis_to_payload(make()))
+
+
+# Every input of the agreement test below, as file text, with verify's exit
+# code: the boundent files, two tilted Cartesian sets whose pairwise overlaps
+# of 9e-11 pass the orthonormality check, and every malformed file of
+# test_io_cli.py (exit 1)
+AGREEMENT_FILES = {
+    **{name: basis_text(make) for name, make in BOUNDENT_FILES.items()},
+    # complement eigenvalue about -1.8e-10, inside operator_interval: the
+    # complement is a product state, so the set is extendible
+    "tilted_3x3": basis_text(lambda: tilted_cartesian(4.5e-11)),
+    # complement eigenvalue about -1.14e-8, outside operator_interval
+    "tilted_128x2": basis_text(lambda: tilted_cartesian(4.5e-11, 128, 2)),
+    **{f"malformed_{name}": text for name, text in list(CLI_FILES.items())[3:]},
+}
+VERIFY_EXITS = {"g1_4": 0, "g1_6": 0, "g2_3x4": 0, "g1_8_minus1": 3, "g2_4x6_minus1": 3, "cart_3x3": 0,
+                "tilted_3x3": 3}
+# verify's exit code and verdict -> boundent's exit code
+AGREEING_EXITS = {(0, "UPB_Numeric"): 0, (0, "CompleteBasis"): 5, (3, "Extendible"): 5, (4, "Inconclusive"): 4}
+
+
+@pytest.mark.parametrize("name", AGREEMENT_FILES)
+def test_cli_verify_and_boundent_accept_the_same_inputs(tmp_path, capsys, name):
+    # one front end decides the input of both commands: an input that verify
+    # rejects, boundent rejects with the same one-line message, and an input
+    # that verify certifies, boundent reads with the same verdict
+    path = tmp_path / f"{name}.json"
+    path.write_text(AGREEMENT_FILES[name]())
+    code = main(["verify", str(path), "--format", "json"])
+    verified = capsys.readouterr()
+    assert code == VERIFY_EXITS.get(name, 1)
+    bound = main(["boundent", str(path)])
+    bounded = capsys.readouterr()
+    if code == 1:
+        assert bound == 1 and verified.out == bounded.out == ""
+        assert bounded.err == verified.err and verified.err.count("\n") == 1
+        if name == "tilted_128x2":
+            assert verified.err == "error: spectrum [-1.143e-08, 1.000e+00] outside [0, 1]\n"
+    else:
+        assert bound == AGREEING_EXITS[code, json.loads(verified.out)["report"]["verdict"]]
 
 
 def test_range_criterion_and_seesaw_need_a_restart():
@@ -381,8 +412,7 @@ def test_cli_verify_forms_one_gram_matrix_and_calls_no_eigensolver(tmp_path, cap
         return c
 
     monkeypatch.setattr(verify, "gram_matrix", counted("gram", verify.gram_matrix))
-    for module in (verify, boundent):  # every module binding of the complement
-        monkeypatch.setattr(module, "_complement", complement)
+    monkeypatch.setattr(verify, "_complement", complement)  # its one binding, which the front end calls
     for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     path = tmp_path / "g2.json"
@@ -413,9 +443,9 @@ def test_cli_boundent_runs_one_gram_and_one_seesaw(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(verify, "gram_matrix", counted("gram", verify.gram_matrix))
     seesaw = counted("seesaw", verify._seesaw)
     complement = counted("complement", verify._complement)
-    for module in (verify, boundent):  # boundent imports the see-saw engine and the complement by name
+    monkeypatch.setattr(verify, "_complement", complement)  # called by the front end of both pipelines
+    for module in (verify, boundent):  # boundent imports the see-saw engine by name
         monkeypatch.setattr(module, "_seesaw", seesaw)
-        monkeypatch.setattr(module, "_complement", complement)
     path = tmp_path / "g2.json"
     save_basis(gen_tiles2(3, 4), path)
     assert main(["boundent", str(path), "--restarts", "10", "--seed", "0"]) == 0
@@ -435,7 +465,7 @@ def test_cli_verify_rejects_a_complement_spectrum_below_zero(tmp_path, capsys):
     # overlaps of 1e-8 pass --tol 1e-7, but the complement I - V V^dag has
     # the eigenvalue -2e-8, outside [0, 1] by more than operator_interval
     path = tmp_path / "tilted.json"
-    save_basis(tilted_cartesian_3x3(5e-9), path)
+    save_basis(tilted_cartesian(5e-9), path)
     assert main(["verify", str(path), "--tol", "1e-7", "--restarts", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -447,7 +477,7 @@ def test_cli_verify_accepts_a_complement_spectrum_within_the_slack(tmp_path, cap
     # a_perp (x) |2> for the a_perp orthogonal to a_0 and a_1, is a product
     # state, so the set is extendible
     path = tmp_path / "tilted.json"
-    save_basis(tilted_cartesian_3x3(2e-9), path)
+    save_basis(tilted_cartesian(2e-9), path)
     assert main(["verify", str(path), "--tol", "1e-7", "--restarts", "5"]) == 3
     assert "verdict: Extendible" in capsys.readouterr().out
 
@@ -471,7 +501,7 @@ def test_complement_state_is_the_normalised_complement_projector():
     # (the tilted set) against I - V V^dag divided by its trace, and the
     # projector of its kept range operand against the definition: a rank-k
     # projector on whose range the state is 1/k
-    for basis in (gen_tiles1(6), gen_tiles2(3, 4), tilted_cartesian_3x3(2e-11)):
+    for basis in (gen_tiles1(6), gen_tiles2(3, 4), tilted_cartesian(2e-11)):
         rho = upb_density_state(basis)
         q = complement_projector(basis)
         assert np.max(np.abs(rho.matrix - q / np.trace(q).real)) <= 1e-9

@@ -68,6 +68,7 @@ def test_basis_from_payload_fuzz(payload):
         return
     assert isinstance(basis, ProductBasis)
     json.dumps(basis_to_payload(basis))
+    assert basis_from_payload(basis_to_payload(basis)).labels == basis.labels
 
 
 @FUZZ

@@ -2,9 +2,9 @@
 
 Each case runs ``prodbasis.cli.main`` in-process in a scratch directory and
 hashes its exit code, its stdout and the file it writes, if any.  The corpus
-covers ``construct``, ``verify`` (text and json), ``boundent --out``,
-``render``, ``wind`` and ``unwind``; later cases read the files that earlier
-ones wrote.
+covers ``construct``, ``verify`` (text and json), ``boundent --out`` (on
+the tile and the QR form of the complement), ``render``, ``wind`` and
+``unwind``; later cases read the files that earlier ones wrote.
 
 The digests in ``golden_digests.json`` hold for the numpy version stored next
 to them.  Another numpy may round LAPACK results differently, so the test
@@ -83,7 +83,7 @@ def corpus():
                 cases.append((f"verify {name} {fmt} seed={seed}",
                               ["verify", f"{name}.json", "--restarts", "20", "--seed", str(seed), "--format", fmt],
                               None))
-    for name in ("g1_6", "g2_3x4"):
+    for name in ("g1_6", "g2_3x4", "g1_6_qr"):
         cases.append((f"boundent {name}", ["boundent", f"{name}.json", "--out", f"rho_{name}.json"],
                       f"rho_{name}.json"))
     for name in ("g1_6", "g2_3x4"):
@@ -99,10 +99,18 @@ def corpus():
     return cases
 
 
-def _drop_last_state(src: Path, dst: Path) -> None:
-    # prepared from the constructed file, so the input needs no library call
+# Files prepared from the one a construct case wrote, by an edit of its
+# states, so the input needs no library call: (source, prepared, edit).
+# g1_6_qr has no tile cells, so boundent takes the QR form of the complement.
+PREPARED = {
+    "construct g1_6": ("g1_6.json", "g1_6_qr.json", lambda states: [{**st, "tile_cells": None} for st in states]),
+    "construct g2_4x6": ("g2_4x6.json", "g2_4x6_minus1.json", lambda states: states[:-1]),
+}
+
+
+def _prepare(src: Path, dst: Path, edit) -> None:
     payload = json.loads(src.read_text(encoding="utf-8"))
-    payload["states"] = payload["states"][:-1]
+    payload["states"] = edit(payload["states"])
     dst.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
@@ -118,8 +126,9 @@ def run_corpus(workdir: Path) -> dict:
         if written is not None:
             h.update(b"\0" + (workdir / written).read_bytes())
         digests[name] = h.hexdigest()
-        if name == "construct g2_4x6":
-            _drop_last_state(workdir / "g2_4x6.json", workdir / "g2_4x6_minus1.json")
+        if name in PREPARED:
+            src, dst, edit = PREPARED[name]
+            _prepare(workdir / src, workdir / dst, edit)
     return digests
 
 

@@ -388,10 +388,10 @@ def test_cli_ignores_pb_seed(tmp_path, capsys, monkeypatch):
 
 
 def cartesian_text(**changes) -> str:
-    """A Cartesian 2x3 basis file with top-level fields or state 0's "a" or "tile_cells" replaced."""
+    """A Cartesian 2x3 basis file with top-level fields or state 0's "a", "tile_cells" or "label" replaced."""
     payload = basis_to_payload(cartesian_basis(2, 3))
     for key, value in changes.items():
-        if key in ("a", "tile_cells"):
+        if key in ("a", "tile_cells", "label"):
             payload["states"][0][key] = value
         else:
             payload[key] = value
@@ -470,6 +470,34 @@ def test_load_reports_the_first_bad_state_whatever_its_fault():
     payload["states"][2] = "state"
     with pytest.raises(BasisFileError, match=r"^state 2 is not an object$"):
         basis_from_payload(payload)
+    # a label that is not a string, either side of bad cells
+    payload = tile_payload({2: [[0, 1.5]]})
+    payload["states"][5]["label"] = 5
+    with pytest.raises(BasisFileError, match=r"^state 2 tile_cells must be"):
+        basis_from_payload(payload)
+    payload = tile_payload({5: [[0, 1.5]]})
+    payload["states"][2]["label"] = None
+    with pytest.raises(BasisFileError, match=r"^state 2 label must be a string$"):
+        basis_from_payload(payload)
+
+
+@pytest.mark.parametrize("label", [None, {"x": 1}, 5, True, ["a"]])
+def test_load_rejects_a_label_that_is_not_a_string(label):
+    payload = basis_to_payload(cartesian_basis(2, 2))
+    payload["states"][1]["label"] = label
+    with pytest.raises(BasisFileError, match=r"^state 1 label must be a string$"):
+        basis_from_payload(payload)
+
+
+def test_labels_round_trip_and_an_absent_label_reads_as_empty(tmp_path):
+    labels = ("", "C[0,1]", "5", "None")
+    basis = ProductBasis(2, 2, [ProductState(st.a, st.b, label=label)
+                                for st, label in zip(cartesian_basis(2, 2), labels)])
+    save_basis(basis, tmp_path / "b.json")
+    assert load_basis(tmp_path / "b.json").labels == labels
+    payload = basis_to_payload(basis)
+    del payload["states"][2]["label"]
+    assert basis_from_payload(payload).labels == ("", "C[0,1]", "", "None")
 
 
 def test_load_keeps_the_tile_cells_as_frozensets():
@@ -576,6 +604,8 @@ CLI_FILES = {
     "ragged_side_a": lambda: cartesian_2x2_text(a=[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
     "short_side_b": lambda: cartesian_2x2_text(b=[[1.0, 0.0]]),
     "tile_cell_outside_grid": lambda: cartesian_2x2_text(tile_cells=[[2, 0]]),
+    "label_null": lambda: cartesian_text(label=None),
+    "label_object": lambda: cartesian_text(label={"x": 1}),
     **{name: (lambda changes=changes: cartesian_text(**changes)) for name, changes in MALFORMED_NUMBERS.items()},
 }
 

@@ -14,10 +14,11 @@ import pytest
 
 from prodbasis import cli, verify
 from prodbasis.basis import ProductBasis
-from prodbasis.boundent import DensityMatrix, range_criterion_report, upb_density_state
+from prodbasis.boundent import DensityMatrix, is_ppt, range_criterion_report, upb_density_state
 from prodbasis.config import TOLERANCES
 from prodbasis.families import cartesian_basis, gen_tiles1, gen_tiles2
 from prodbasis.io import save_basis
+from prodbasis.linalg import partial_transpose
 from prodbasis.sampling import stream
 from prodbasis.verify import (
     _complement,
@@ -164,6 +165,19 @@ def test_tile_projector_is_the_qr_complement_projector(name):
     p = tiles.projector()
     assert p.dtype == complex and not p.imag.any()
     assert np.max(np.abs(p - qr_complement(basis).projector())) <= 1e-14
+
+
+@pytest.mark.parametrize("name", CERTIFY_FILES)
+def test_tile_complement_is_its_own_partial_transpose(name):
+    # (alpha alpha^T (x) beta beta^T)^Gamma = alpha alpha^T (x) beta beta^T for
+    # real alpha and beta, so Q^Gamma = Q and the PPT half of the signature
+    # holds exactly for tile-type inputs
+    basis = CERTIFY_FILES[name]()
+    p = _complement(basis).projector()
+    assert np.max(np.abs(partial_transpose(p, basis.d_a, basis.d_b) - p)) <= 1e-15
+    rho = upb_density_state(basis)
+    if np.array_equal(partial_transpose(rho.matrix, basis.d_a, basis.d_b), rho.matrix):
+        assert is_ppt(rho)[1] == float(np.linalg.eigvalsh(rho.matrix)[0])
 
 
 @pytest.mark.parametrize("name", CERTIFY_FILES)
