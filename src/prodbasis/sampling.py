@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .basis import _is_integer
 from .linalg import _row_norms
 
 __all__ = ["stream", "random_unit_vector", "starting_pairs", "haar_unitary"]
 
 
 def _key(seed: int, counter: int) -> np.ndarray:
-    return np.array([seed % 2**64, counter % 2**64], dtype=np.uint64)
+    if not (_is_integer(seed) and _is_integer(counter)):
+        raise ValueError(f"seed and counter must be integers, got ({seed!r}, {counter!r})")
+    return np.array([int(seed) % 2**64, int(counter) % 2**64], dtype=np.uint64)
 
 
 def stream(seed: int, counter: int = 0) -> np.random.Generator:

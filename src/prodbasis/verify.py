@@ -14,18 +14,19 @@ argument gives a tile-type basis, sum_t u_t u_t^T - s s^T over the uniform
 tile states u_t and the stopper s, once a certificate bounds its distance
 from the complement of the span by 1e-12; for any other basis, the
 orthonormal QR factor of the complement.  The spectrum check runs on the
-Gram matrix, so ``check_upb`` solves no D x D eigenproblem.  The see-saw is cross-checked at
-small dimensions by a brute-force grid oracle that never iterates the
-see-saw path.  The oracle
-prunes in two stages.  It bounds each grid state's top eigenvalue by its
-trace and Frobenius norm (Wolkowicz-Styan) and keeps the states whose bound
-reaches the best solved value within a rounding slack.  For dB = 3, where
-that bound is loose, it then solves the kept state with the largest
-closed-form (Smith) eigenvalue estimate and drops every state whose
-mu I - H, mu the best solved value less the slack, is certified positive
-definite by its characteristic polynomial's coefficients with a rounding
-error bound.  Since the eigensolver treats each operator of a stack on its
-own, the maximum is bit-identical to solving every grid state.
+Gram matrix, so ``check_upb`` solves no D x D eigenproblem.  The see-saw is
+cross-checked at small dimensions by a brute-force grid oracle that never
+iterates the see-saw path.  The oracle forms every grid state's contracted
+operator in closed form, with no matmul, and prunes in two stages.  It
+bounds each grid state's top eigenvalue by its trace and Frobenius norm
+(Wolkowicz-Styan) and keeps the states whose bound reaches the best solved
+value within a rounding slack.  For dB = 3, where that bound is loose, it
+then solves the kept state with the largest closed-form (Smith) eigenvalue
+estimate and drops every state whose mu I - H, mu the best solved value
+less the slack, is certified positive definite by its characteristic
+polynomial's coefficients with a rounding error bound.  Since the
+eigensolver treats each operator of a stack on its own, the maximum is
+bit-identical to solving every grid state.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import ProductBasis, ProductState, _require_local_dims
+from .basis import ProductBasis, ProductState, _is_integer, _require_local_dims
 from .config import TOLERANCES, Tolerances
 from .errors import (
     CountMismatch,
@@ -627,8 +628,8 @@ def _seesaw(q, restarts, seed) -> SeesawResult:
     arithmetic as it would alone, so the result does not depend on when
     the arrays are compacted.
     """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    if not _is_integer(restarts) or restarts < 1:
+        raise ValueError(f"need at least one restart, as an integer; got {restarts!r}")
 
     a, b = starting_pairs(seed, restarts, q.d_a, q.d_b)
     value = q.values(a, b)
@@ -666,29 +667,44 @@ def _seesaw(q, restarts, seed) -> SeesawResult:
     )
 
 
-def _bloch_grid(resolution: int) -> np.ndarray:
-    """All qubit states (cos(t/2), e^{i p} sin(t/2)) on a (theta, phi) grid."""
-    thetas = np.linspace(0.0, np.pi, resolution)
-    phis = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-    states = np.empty((resolution, resolution, 2), dtype=complex)   # (theta, phi, amplitude)
-    states[:, :, 0] = np.cos(thetas / 2)[:, None]
-    states[:, :, 1] = np.sin(thetas / 2)[:, None] * np.exp(1j * phis)
-    return states.reshape(-1, 2)
+def _grid_operators(q: np.ndarray, d_a: int, d_b: int, resolution: int):
+    """<a|Q|a> for each a = (c, e^{i p} s) of the (theta, phi) Bloch grid, and its half-cell radius.
+
+    c = cos(t/2), s = sin(t/2), theta outermost; for dA = 1 the one operator
+    is Q.  With X = e^{i p} Q_01, <a|Q|a> = c^2 Q_00 + s^2 Q_11 + c s (X +
+    X^dag), broadcast over the real and imaginary parts of Q's dB x dB
+    blocks.  Entry (j, l) and its mirror go through the same operations, the
+    imaginary parts with opposite signs, so each operator is exactly
+    Hermitian when Q is.
+    """
+    if d_a == 1:
+        return q[None], 0.0
+    half = np.linspace(0.0, np.pi, resolution) / 2
+    c, s = np.cos(half), np.sin(half)
+    x = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False))[:, None, None] * q[:d_b, d_b:]
+    ends = (np.multiply.outer(c * c, q[:d_b, :d_b].view(float))
+            + np.multiply.outer(s * s, q[d_b:, d_b:].view(float)))         # (theta, j, re/im of l)
+    # one full-size array, added to in place: (theta, phi, j, re/im of l)
+    m = np.multiply.outer(c * s, (x + dagger(x)).view(float))
+    m += ends[:, None]
+    d_theta = np.pi / (resolution - 1)
+    d_phi = 2.0 * np.pi / resolution
+    # half-cell chordal radius: |da/dtheta| = 1/2, |da/dphi| <= 1
+    return m.view(complex).reshape(-1, d_b, d_b), np.sqrt((d_theta / 4) ** 2 + (d_phi / 2) ** 2)
 
 
-# Rounding slack of the grid oracle's pruning.  Let M = <a|Q|a> (d x d),
-# H = (M + M^dag)/2 the operator eigvalsh solves, and t = tr H = Re tr M.
-# Then lambda_max(H) <= t/d + sqrt((d-1)/d * (||H||_F^2 - t^2/d)) (Wolkowicz
-# and Styan, Linear Algebra Appl. 29, 471 (1980)), and ||H||_F <= ||M||_F
-# only raises the right side.  In floating point, the 2d^2 squares summed
-# into ||M||_F^2, the d-term trace in t^2/d, their difference and its
-# (d-1)/d scaling err by at most (2d^2 + 2d + 3) u ||M||_F^2 (u = eps/2).
-# For d <= 3 that is below the 16 d u ||M||_F^2 = _GRID_FRO_SLACK * d *
-# ||M||_F^2 added inside the square root, so cancellation cannot cut the
-# bound.  _GRID_VALUE_SLACK covers what is left, each O(d eps ||M||) with
-# ||M|| <= 1 + operator_interval: the rounded Hermitian part, eigvalsh's
-# backward error, t/d and the square root.  So a state whose bound lies
-# more than _GRID_VALUE_SLACK below a solved value cannot hold the maximum.
+# Rounding slack of the grid oracle's pruning.  Let M = <a|Q|a> (d x d), the
+# exactly Hermitian operator eigvalsh solves, and t = tr M, which is real.
+# Then lambda_max(M) <= t/d + sqrt((d-1)/d * (||M||_F^2 - t^2/d)) (Wolkowicz
+# and Styan, Linear Algebra Appl. 29, 471 (1980)).  In floating point, the
+# 2d^2 squares summed into ||M||_F^2, the d-term trace in t^2/d, their
+# difference and its (d-1)/d scaling err by at most (2d^2 + 2d + 3) u
+# ||M||_F^2 (u = eps/2).  For d <= 3 that is below the 16 d u ||M||_F^2 =
+# _GRID_FRO_SLACK * d * ||M||_F^2 added inside the square root, so
+# cancellation cannot cut the bound.  _GRID_VALUE_SLACK covers what is left,
+# each O(d eps ||M||) with ||M|| <= 1 + operator_interval: eigvalsh's
+# backward error, t/d and the square root.  So a state whose bound lies more
+# than _GRID_VALUE_SLACK below a solved value cannot hold the maximum.
 _GRID_FRO_SLACK = 8 * np.finfo(float).eps
 _GRID_VALUE_SLACK = 1e-12
 #
@@ -712,18 +728,13 @@ _GRID_PD_FLOOR = np.finfo(float).tiny
 
 
 def _top_eigenvalue_bound(m: np.ndarray) -> np.ndarray:
-    """Upper bound on the top eigenvalue of each Hermitian part in a stack."""
+    """Upper bound on the top eigenvalue of each Hermitian operator in a stack."""
     n, d, _ = m.shape
     trace = np.einsum("nii->n", m.real)
     parts = m.view(float).reshape(n, -1)
     fro2 = np.einsum("ij,ij->i", parts, parts)
     spread = (d - 1) / d * (fro2 - trace * trace / d) + _GRID_FRO_SLACK * d * fro2
     return trace / d + np.sqrt(spread)
-
-
-def _top_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of each Hermitian operator in a stack."""
-    return np.linalg.eigvalsh(h)[:, -1]
 
 
 # upper triangle of a 3x3 operator: (0, 1), (0, 2), (1, 2)
@@ -799,14 +810,14 @@ def grid_oracle_max_product_overlap(
 
     The A side is swept over a discretized Bloch sphere with ``resolution``
     points per angle; for each grid state the B side is maximized exactly as
-    the top eigenvalue of the contracted operator <a|Q|a>.  That operator is
-    built in two matmuls: one contracts the bra <a| of every grid state
-    with Q, a second, batched over grid states, contracts each state's ket
-    |a> with its own row of the first product.  Every evaluation is a
-    feasible product state, so the result is a certified lower bound of the
-    true maximum, and it explores no see-saw trajectory.  The reported gap
-    bound is a conservative Lipschitz estimate covering the A-side
-    discretization.
+    the top eigenvalue of the contracted operator <a|Q|a>.  The operators
+    of all grid states are formed in closed form from Q's four dB x dB
+    blocks by elementwise broadcasting, with no matmul, and each is exactly
+    Hermitian, so eigvalsh solves them as built (:func:`_grid_operators`).
+    Every evaluation is a feasible product state, so the result is a
+    certified lower bound of the true maximum, and it explores no see-saw
+    trajectory.  The reported gap bound is a conservative Lipschitz
+    estimate covering the A-side discretization.
 
     Only grid states that can hold the maximum reach the eigensolver, after
     two stages of pruning.  First, each operator's top eigenvalue is
@@ -818,7 +829,7 @@ def grid_oracle_max_product_overlap(
     root), are kept.  Second, for dB = 3, where the bound is loose, the
     kept state with the largest eigenvalue estimate by Smith's closed form
     is solved too, and a kept state is dropped when mu I - H is certified
-    positive definite, for H its Hermitian part and mu the best solved value
+    positive definite, for H its operator and mu the best solved value
     less 1e-12: each coefficient of the characteristic polynomial of
     mu I - H must exceed its rounding-error bound.  No pruned state can
     reach the maximum, and eigvalsh solves each operator of a stack on its
@@ -828,33 +839,19 @@ def grid_oracle_max_product_overlap(
     _require_local_dims(d_a, d_b)
     if d_a > 2 or d_b > 3:
         raise DimensionTooLarge(f"grid oracle supports dA <= 2 and dB <= 3, got ({d_a}, {d_b})")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    if not _is_integer(resolution) or resolution < 2:
+        raise ValueError(f"resolution must be at least 2, as an integer; got {resolution!r}")
     q, w, _ = _check_operator_interval(q, d_a, d_b)
-    if d_a == 1:
-        grid = np.ones((1, 1), dtype=complex)
-        max_spacing = 0.0
-    else:
-        grid = _bloch_grid(resolution)
-        d_theta = np.pi / (resolution - 1)
-        d_phi = 2.0 * np.pi / resolution
-        # half-cell chordal radius: |da/dtheta| = 1/2, |da/dphi| <= 1
-        max_spacing = np.sqrt((d_theta / 4) ** 2 + (d_phi / 2) ** 2)
-
-    # Q's indices (i, j, k, l) reordered to rows i (bra), columns (k, j, l)
-    q_bra = q.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a, -1)
-    bra_q = (grid.conj() @ q_bra).reshape(len(grid), d_a, d_b * d_b)
-    m_b = (grid[:, None, :] @ bra_q).reshape(len(grid), d_b, d_b)
-    bound = _top_eigenvalue_bound(m_b)
-    best = _top_eigenvalues(hermitian_part(m_b[[np.argmax(bound)]]))[0]
-    h = hermitian_part(m_b[bound >= best - _GRID_VALUE_SLACK])
+    m, max_spacing = _grid_operators(q, d_a, d_b, resolution)
+    bound = _top_eigenvalue_bound(m)
+    best = np.linalg.eigvalsh(m[[np.argmax(bound)]])[0, -1]
+    h = m[bound >= best - _GRID_VALUE_SLACK]
     if d_b == 3:
         d, n, t, l1 = _entries3(h)
-        best = max(best, _top_eigenvalues(h[[np.argmax(_smith_top_eigenvalue(d, n, t))]])[0])
+        best = max(best, np.linalg.eigvalsh(h[[np.argmax(_smith_top_eigenvalue(d, n, t))]])[0, -1])
         h = h[~_certified_below(d, n, t, l1, best - _GRID_VALUE_SLACK)]
-    value = float(np.max(_top_eigenvalues(h)))
-    lipschitz = 2.0 * float(np.max(np.abs(w)))
-    return GridOracleResult(value=value, gap_bound=float(lipschitz * max_spacing))
+    value = float(np.max(np.linalg.eigvalsh(h)[:, -1]))
+    return GridOracleResult(value=value, gap_bound=float(2.0 * np.max(np.abs(w)) * max_spacing))
 
 
 def overlap_verdict(value: float, *, tol: Tolerances | None = None) -> Verdict:

@@ -366,6 +366,12 @@ def test_range_criterion_and_seesaw_need_a_restart():
         range_criterion_report(rho, restarts=0)
     with pytest.raises(ValueError, match="at least one restart"):
         verify.seesaw_max_product_overlap(complement_projector(gen_tiles2(3, 4)), 3, 4, restarts=0)
+    # a count that is not an integer is refused, not truncated or raised as a TypeError
+    for restarts in (True, 2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="at least one restart, as an integer"):
+            range_criterion_report(rho, restarts=restarts)
+        with pytest.raises(ValueError, match="at least one restart, as an integer"):
+            verify.seesaw_max_product_overlap(np.eye(4) / 2, 2, 2, restarts=restarts)
 
 
 def test_cli_boundent_decomposes_the_state_once(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from prodbasis import check_upb, gen_tiles2, seesaw_max_product_overlap
+from prodbasis.families import cartesian_basis
 from prodbasis.sampling import _restart_streams, random_unit_vector, starting_pairs, stream
+from prodbasis.winding import move_to_record, random_wound_basis, wind_basis
 
 SEEDS = [0, 7, 2**63 + 5, -1]
 
@@ -36,3 +39,33 @@ def test_rekeyed_generator_starts_in_a_fresh_stream_state(seed):
         rng.standard_normal(5)     # the next re-key must undo a partly used buffer
         count += 1
     assert count == 100
+
+
+NUMPY_SEEDS = [(3, np.int64(3)), (3, np.uint8(3)), (2**63 + 5, np.uint64(2**63 + 5)), (-1, np.int64(-1))]
+
+
+@pytest.mark.parametrize("seed, np_seed", NUMPY_SEEDS)
+def test_a_numpy_integer_seed_gives_the_python_integer_seeds_output(seed, np_seed):
+    assert stream(np_seed, np.int32(2)).random(4).tobytes() == stream(seed, 2).random(4).tobytes()
+    for x, y in zip(starting_pairs(np_seed, 5, 2, 3), starting_pairs(seed, 5, 2, 3)):
+        assert x.tobytes() == y.tobytes()
+    got, want = (seesaw_max_product_overlap(np.diag([1.0, 0.0, 0.0, 0.5]), 2, 2, restarts=10, seed=s)
+                 for s in (np_seed, seed))
+    assert got.value == want.value and got.iterations_total == want.iterations_total
+    assert got.witness.a.tobytes() == want.witness.a.tobytes() and got.witness.b.tobytes() == want.witness.b.tobytes()
+    got, want = (check_upb(gen_tiles2(3, 4), restarts=10, seed=s) for s in (np_seed, seed))
+    assert (got.max_product_overlap, got.verdict, got.iterations_total) == \
+        (want.max_product_overlap, want.verdict, want.iterations_total)
+    for wound in (lambda s: random_wound_basis(3, 3, 2, s), lambda s: wind_basis(cartesian_basis(2, 3), 1, s)):
+        (basis, moves), (want, want_moves) = wound(np_seed), wound(seed)
+        assert basis.global_matrix().tobytes() == want.global_matrix().tobytes()
+        assert [move_to_record(m) for m in moves] == [move_to_record(m) for m in want_moves]
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None])
+def test_a_non_integer_seed_is_refused(seed):
+    for call in (lambda: stream(seed), lambda: stream(0, seed), lambda: starting_pairs(seed, 3, 2, 2),
+                 lambda: seesaw_max_product_overlap(np.eye(4) / 2, 2, 2, restarts=2, seed=seed),
+                 lambda: random_wound_basis(2, 3, 1, seed)):
+        with pytest.raises(ValueError, match="must be integers"):
+            call()

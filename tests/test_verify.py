@@ -151,6 +151,11 @@ def test_seesaw_rejects_an_operator_of_other_dims():
 def test_grid_oracle_rejects_a_resolution_below_two():
     with pytest.raises(ValueError, match="resolution must be at least 2"):
         grid_oracle_max_product_overlap(np.eye(4) / 2, 2, 2, resolution=1)
+    # a non-integer resolution is refused too, also where dA = 1 uses no grid
+    for resolution in (np.int64(1), 8.0, 2.5, "8", True, None):
+        for d_a, d_b in ((2, 2), (1, 2)):
+            with pytest.raises(ValueError, match="resolution must be at least 2, as an integer"):
+                grid_oracle_max_product_overlap(np.eye(d_a * d_b) / 2, d_a, d_b, resolution=resolution)
 
 
 def test_seesaw_rejects_nan_operator():
@@ -200,7 +205,7 @@ def reference_bloch_grid(resolution):
 
 
 def reference_grid_oracle(q, d_a, d_b, resolution=64):
-    """The three-operand ``einsum`` contraction the two matmuls replaced."""
+    """The oracle's value by the three-operand ``einsum`` contraction on the meshgrid Bloch grid."""
     q, w, _ = verify._check_operator_interval(q, d_a, d_b)
     if d_a == 1:
         grid = np.ones((1, 1), dtype=complex)
@@ -227,11 +232,6 @@ def crosscheck_cases():
     return cases
 
 
-@pytest.mark.parametrize("resolution", [2, 17, 64])
-def test_bloch_grid_matches_meshgrid_reference(resolution):
-    assert verify._bloch_grid(resolution).tobytes() == reference_bloch_grid(resolution).tobytes()
-
-
 def test_grid_oracle_matches_einsum_reference():
     for d_a, d_b, q in crosscheck_cases():
         grid = grid_oracle_max_product_overlap(q, d_a, d_b, resolution=64)
@@ -243,18 +243,10 @@ def test_grid_oracle_matches_einsum_reference():
 
 
 def full_grid_oracle(q, d_a, d_b, resolution):
-    """The sweep that solves every grid state, as the oracle did before pruning."""
+    """The sweep that solves every operator of the oracle's grid stack, with no pruning."""
     q, w, _ = verify._check_operator_interval(q, d_a, d_b)
-    if d_a == 1:
-        grid = np.ones((1, 1), dtype=complex)
-        max_spacing = 0.0
-    else:
-        grid = verify._bloch_grid(resolution)
-        max_spacing = np.sqrt((np.pi / (resolution - 1) / 4) ** 2 + (2.0 * np.pi / resolution / 2) ** 2)
-    q_bra = q.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a, -1)
-    bra_q = (grid.conj() @ q_bra).reshape(len(grid), d_a, d_b * d_b)
-    m_b = (grid[:, None, :] @ bra_q).reshape(len(grid), d_b, d_b)
-    value = float(np.max(np.linalg.eigvalsh(hermitian_part(m_b))[:, -1]))
+    m, max_spacing = verify._grid_operators(q, d_a, d_b, resolution)
+    value = float(np.max(np.linalg.eigvalsh(m)[:, -1]))
     return value, float(2.0 * float(np.max(np.abs(w))) * max_spacing)
 
 
@@ -297,6 +289,22 @@ def adversarial_cases():
 
 
 @pytest.mark.parametrize("resolution", [2, 17, 64])
+def test_grid_operators_match_einsum_reference(resolution):
+    # <a|Q|a> for each state a of the meshgrid Bloch grid, by a three-operand einsum
+    for d_a, d_b, q in crosscheck_cases() + adversarial_cases():
+        q, _, _ = verify._check_operator_interval(q, d_a, d_b)
+        m, max_spacing = verify._grid_operators(q, d_a, d_b, resolution)
+        grid = np.ones((1, 1), dtype=complex) if d_a == 1 else reference_bloch_grid(resolution)
+        want = np.einsum("ijkl,ni,nk->njl", q.reshape(d_a, d_b, d_a, d_b), grid.conj(), grid)
+        assert m.shape == want.shape
+        assert np.max(np.abs(m - want)) <= 1e-15
+        # exactly Hermitian, so eigvalsh and the pruning read the same operator
+        assert np.array_equal(dagger(m), m)
+        assert np.array_equal(hermitian_part(m), m)
+        assert (max_spacing == 0.0) == (d_a == 1)
+
+
+@pytest.mark.parametrize("resolution", [2, 17, 64])
 def test_grid_oracle_bitwise_equals_full_sweep(resolution):
     for d_a, d_b, q in crosscheck_cases() + adversarial_cases():
         grid = grid_oracle_max_product_overlap(q, d_a, d_b, resolution=resolution)
@@ -313,7 +321,7 @@ def test_top_eigenvalue_bound_covers_solved_values():
             noise = rng.standard_normal((500, d, d)) + 1j * rng.standard_normal((500, d, d))
             m = rng.uniform(0.0, 1.0, (500, 1, 1)) * np.eye(d) + scale * noise
             bound = verify._top_eigenvalue_bound(m)
-            assert np.all(bound >= verify._top_eigenvalues(hermitian_part(m)) - verify._GRID_VALUE_SLACK)
+            assert np.all(bound >= np.linalg.eigvalsh(hermitian_part(m))[:, -1] - verify._GRID_VALUE_SLACK)
 
 
 def hermitian3_stacks(rng, count=300):
@@ -335,7 +343,7 @@ def hermitian3_stacks(rng, count=300):
 def test_certified_below_keeps_every_state_at_or_above_mu():
     rng = np.random.default_rng(12)
     for h in hermitian3_stacks(rng):
-        top = verify._top_eigenvalues(h)
+        top = np.linalg.eigvalsh(h)[:, -1]
         d, n, t, l1 = verify._entries3(h)
         scale = np.max(np.abs(h), axis=(1, 2))
         for mu in (top - verify._GRID_VALUE_SLACK, top - 1e-14, top - 1e-12 * scale,
