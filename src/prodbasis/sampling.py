@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import _is_integer
+from .basis import _is_integer, _require_local_dims
 from .linalg import _row_norms
 
 __all__ = ["stream", "random_unit_vector", "starting_pairs", "haar_unitary"]
@@ -60,7 +60,13 @@ def starting_pairs(seed: int, count: int, d_a: int, d_b: int) -> tuple[np.ndarra
     Philox bit generator serves every row: it is re-keyed to stream ``r``
     and then makes one ``standard_normal`` draw of ``2 * (d_a + d_b)``
     values, which is the concatenation of the four draws of those calls.
+    A ``count`` that is not an integer of at least 1 raises ``ValueError``,
+    and local dimensions that are not integers of at least 1 raise
+    :class:`~prodbasis.errors.DimensionMismatch`; bools are not integers.
     """
+    if not _is_integer(count) or count < 1:
+        raise ValueError(f"need at least one starting pair, as an integer; got {count!r}")
+    _require_local_dims(d_a, d_b)
     x = np.empty((count, 2 * (d_a + d_b)))
     for r, rng in enumerate(_restart_streams(seed, count)):
         rng.standard_normal(out=x[r])

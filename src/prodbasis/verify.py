@@ -13,7 +13,12 @@ of the complement both run the see-saw on: the closed form that the Tiles
 argument gives a tile-type basis, sum_t u_t u_t^T - s s^T over the uniform
 tile states u_t and the stopper s, once a certificate bounds its distance
 from the complement of the span by 1e-12; for any other basis, the
-orthonormal QR factor of the complement.  The spectrum check runs on the
+orthonormal QR factor of the complement.  Each form owns the see-saw's row
+layout and half step.  On the tile form every contracted operator is real,
+so the see-saw keeps each vector as the real pair [Re; Im] from the
+starting pairs to the witness, never forms a complex operator, and reads
+its values from the tile weights that the next half step needs anyway,
+with no Rayleigh quotient.  The spectrum check runs on the
 Gram matrix, so ``check_upb`` solves no D x D eigenproblem.  The see-saw is
 cross-checked at small dimensions by a brute-force grid oracle that never
 iterates the see-saw path.  The oracle forms every grid state's contracted
@@ -254,7 +259,11 @@ def _half_step_operators(x: np.ndarray, g_x: np.ndarray, d_out: int) -> np.ndarr
 
 
 class _FactorContractions:
-    """The see-saw's contractions of Q = G G^dag, for a factor ``g`` of shape (dA*dB, k); ``rank`` is k."""
+    """The see-saw's contractions of Q = G G^dag, for a factor ``g`` of shape (dA*dB, k); ``rank`` is k.
+
+    The see-saw's rows are the complex unit vectors themselves, and a row is
+    its own key: the A half step reads ``b`` to form <b|Q|b>.
+    """
 
     def __init__(self, g: np.ndarray, d_a: int, d_b: int):
         self.g, self.d_a, self.d_b = g, d_a, d_b
@@ -262,6 +271,16 @@ class _FactorContractions:
         g = g.reshape(d_a, d_b, k)
         self.g_a = g.reshape(d_a, d_b * k)                      # rows: A side
         self.g_b = g.transpose(1, 0, 2).reshape(d_b, d_a * k)   # rows: B side
+
+    @staticmethod
+    def rows(x: np.ndarray) -> np.ndarray:
+        """The see-saw's rows for the complex unit vectors ``x`` (n, d): ``x`` itself."""
+        return x
+
+    @staticmethod
+    def vector(row: np.ndarray) -> np.ndarray:
+        """The complex vector of one row."""
+        return row
 
     def a_side(self, b: np.ndarray) -> np.ndarray:
         """Stack of the dA x dA operators <b|Q|b>, one per row of ``b``."""
@@ -271,25 +290,35 @@ class _FactorContractions:
         """Stack of the dB x dB operators <a|Q|a>, one per row of ``a``."""
         return _half_step_operators(a, self.g_a, self.d_b)
 
-    def values(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """<a (x) b|Q|a (x) b> for each row pair."""
+    def a_step(self, a: np.ndarray, b: np.ndarray):
+        """The A half step with each ``b`` fixed: ``(values, a, a)``, a now the power-step image."""
+        values, a = _rayleigh_steps(self.a_side(b), a)
+        return values, a, a
+
+    def b_step(self, b: np.ndarray, a: np.ndarray):
+        """The B half step with each ``a`` fixed: ``(values, b, b)``, b now the power-step image."""
+        values, b = _rayleigh_steps(self.b_side(a), b)
+        return values, b, b
+
+    def values(self, a: np.ndarray, b: np.ndarray):
+        """<a (x) b|Q|a (x) b> for each row pair, and the key of ``b``: ``(values, b)``."""
         z = (b.conj()[:, None, :] @ _contract(a, self.g_a, self.d_b))[:, 0]
-        return np.sum(z.real ** 2 + z.imag ** 2, axis=-1)
+        return np.sum(z.real ** 2 + z.imag ** 2, axis=-1), b
 
     def projector(self) -> np.ndarray:
         """Q = G G^dag."""
         return self.g @ dagger(self.g)
 
 
-def _tile_weights(x: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """|<v_t|x>|^2 for the real rows v_t of ``vectors`` (T+1, d) and each row of ``x``.
+def _tile_weights(z: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """|<v_t|x>|^2 for the real columns v_t of ``columns`` (d, T+1) and each row z = [Re x; Im x] of ``z``.
 
-    Each row of ``x``, viewed as its (d, 2) real and imaginary parts, goes
-    through one (T+1, d) x (d, 2) matmul of its own, so a row's result does
-    not depend on the other rows.
+    ``z`` is (n, 2, d).  Each row goes through one (2, d) x (d, T+1) matmul
+    of its own, and the weight is the sum of the squares of its two rows,
+    so a row's result does not depend on the other rows.
     """
-    y = vectors @ np.ascontiguousarray(x).view(float).reshape(len(x), -1, 2)
-    return y[:, :, 0] ** 2 + y[:, :, 1] ** 2
+    y = z @ columns
+    return y[:, 0] ** 2 + y[:, 1] ** 2
 
 
 class _TileContractions:
@@ -304,13 +333,19 @@ class _TileContractions:
         M_a(b) = sum_t |<beta_t|b>|^2 alpha_t alpha_t^T - |<sigma_B|b>|^2 sigma_A sigma_A^T,
 
     its weight vector times the (T+1, dA^2) table of the outer products
-    alpha_t alpha_t^T, whose stopper row is negated: two matmuls per row.
-    The B side is symmetric.  Each operator is real and is cast to complex
-    once for the power steps.  It is positive semidefinite only up to
-    rounding, because the stopper term is subtracted: since Q is a
-    projector, its eigenvalues lie in [0, 1] within a few units of rounding.
-    Its ``rank`` is T - 1.  :meth:`projector` forms Q itself from the same
-    vectors, for the complement state of :mod:`prodbasis.boundent`.
+    alpha_t alpha_t^T, whose stopper row is negated: one matmul per row.
+    The B side is symmetric.  Each operator is real, so the see-saw keeps a
+    vector x as the real (2, d) row pair [Re x; Im x], applies M to both rows
+    at once and never forms a complex operator.  A row's key is its weight
+    vector |<beta_t|b>|^2 (or |<alpha_t|a>|^2): the next half step forms
+    its operator from it, and <a (x) b|Q|a (x) b> = sum_t sign_t
+    |<alpha_t|a>|^2 |<beta_t|b>|^2 is read from the two sides' keys, so no
+    half step evaluates a Rayleigh quotient.  M is positive semidefinite
+    only up to rounding, because the stopper term is subtracted: since Q is
+    a projector, its eigenvalues lie in [0, 1] within a few units of
+    rounding.  Its ``rank`` is T - 1.  :meth:`projector` forms Q itself
+    from the same vectors, for the complement state of
+    :mod:`prodbasis.boundent`.
     """
 
     def __init__(self, alpha: np.ndarray, beta: np.ndarray, c: np.ndarray):
@@ -319,6 +354,8 @@ class _TileContractions:
         self.rank = len(c) - 1
         self.sign = np.ones(len(alpha))
         self.sign[-1] = -1.0
+        self.a_columns = np.ascontiguousarray(alpha.T)
+        self.b_columns = np.ascontiguousarray(beta.T)
         self.a_outer = self._outer(alpha)
         self.b_outer = self._outer(beta)
 
@@ -327,20 +364,42 @@ class _TileContractions:
         return (vectors[:, :, None] * vectors[:, None, :]).reshape(-1, d * d) * self.sign[:, None]
 
     @staticmethod
-    def _operators(w: np.ndarray, outer: np.ndarray, d: int) -> np.ndarray:
-        return (w[:, None, :] @ outer).reshape(len(w), d, d).astype(complex)
+    def rows(x: np.ndarray) -> np.ndarray:
+        """The see-saw's rows for the complex unit vectors ``x`` (n, d): the real (n, 2, d) pairs [Re x; Im x]."""
+        return np.stack((x.real, x.imag), axis=1)
 
-    def a_side(self, b: np.ndarray) -> np.ndarray:
-        """Stack of the dA x dA operators M_a(b) = <b|Q|b>, one per row of ``b``."""
-        return self._operators(_tile_weights(b, self.beta), self.a_outer, self.d_a)
+    @staticmethod
+    def vector(row: np.ndarray) -> np.ndarray:
+        """The complex vector of one (2, d) row pair."""
+        return row[0] + 1j * row[1]
 
-    def b_side(self, a: np.ndarray) -> np.ndarray:
-        """Stack of the dB x dB operators M_b(a) = <a|Q|a>, one per row of ``a``."""
-        return self._operators(_tile_weights(a, self.alpha), self.b_outer, self.d_b)
+    def a_side(self, w_b: np.ndarray) -> np.ndarray:
+        """Stack of the real dA x dA operators M_a(b) = <b|Q|b>, from the weights |<beta_t|b>|^2 of each b."""
+        return (w_b[:, None, :] @ self.a_outer).reshape(len(w_b), self.d_a, self.d_a)
 
-    def values(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """<a (x) b|Q|a (x) b> for each row pair."""
-        return np.sum(_tile_weights(a, self.alpha) * _tile_weights(b, self.beta) * self.sign, axis=-1)
+    def b_side(self, w_a: np.ndarray) -> np.ndarray:
+        """Stack of the real dB x dB operators M_b(a) = <a|Q|a>, from the weights |<alpha_t|a>|^2 of each a."""
+        return (w_a[:, None, :] @ self.b_outer).reshape(len(w_a), self.d_b, self.d_b)
+
+    def _values(self, w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
+        return np.vecdot(w_a * w_b, self.sign)
+
+    def a_step(self, a: np.ndarray, w_b: np.ndarray):
+        """The A half step with each b fixed by its weights ``w_b``: ``(values, a, w_a)``."""
+        a = _power_steps(self.a_side(w_b), a)
+        w_a = _tile_weights(a, self.a_columns)
+        return self._values(w_a, w_b), a, w_a
+
+    def b_step(self, b: np.ndarray, w_a: np.ndarray):
+        """The B half step with each a fixed by its weights ``w_a``: ``(values, b, w_b)``."""
+        b = _power_steps(self.b_side(w_a), b)
+        w_b = _tile_weights(b, self.b_columns)
+        return self._values(w_a, w_b), b, w_b
+
+    def values(self, a: np.ndarray, b: np.ndarray):
+        """<a (x) b|Q|a (x) b> for each pair of row pairs, and the weights of ``b``: ``(values, w_b)``."""
+        w_b = _tile_weights(b, self.b_columns)
+        return self._values(_tile_weights(a, self.a_columns), w_b), w_b
 
     def projector(self) -> np.ndarray:
         """Q = U U^T - s s^T as a complex (D, D) matrix, for U the u_t as columns and s = U c."""
@@ -439,23 +498,45 @@ def _checked_complement(basis: ProductBasis, tol: float | None = None):
     return dev, _complement(basis)
 
 
-def _power_steps(m: np.ndarray, x: np.ndarray):
-    """x <- M^s x / ||M^s x|| on each row, then the values <x|M|x>.
+def _per_row(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The per-row scalars ``v`` shaped to broadcast over the rows of ``x``."""
+    return v.reshape((-1,) + (1,) * (x.ndim - 1))
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The norm of each row of ``x``, shaped to divide it.
+
+    A row is a complex vector (``x`` of shape (n, d)), whose norm is
+    sqrt(Re.Re + Im.Im), or a real pair [Re; Im] ((n, 2, d)), whose norm
+    is that of its 2d entries: one dot product per row either way, or per
+    part of a complex row.
+    """
+    if x.ndim == 2:
+        return _row_norms(x)[:, None]
+    flat = x.reshape(len(x), -1)
+    return _per_row(np.sqrt(np.vecdot(flat, flat)), x)
+
+
+def _power_steps(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x <- M^s x / ||M^s x|| on each row.
 
     ``m`` is a stack of positive semidefinite d x d operators and ``x`` the
-    unit vectors they act on, one per row.  The tile form's operators are
-    positive semidefinite only up to rounding, because its stopper term is
+    unit vectors they act on, one per row: complex vectors (n, d), which M
+    multiplies as columns, or, for the tile form's real symmetric operators,
+    real row pairs [Re x; Im x] (n, 2, d), which go through z <- z M, so M
+    acts on both rows at once.  The tile form's operators are positive
+    semidefinite only up to rounding, because its stopper term is
     subtracted; a step can then lower <x|M|x> by a few units of rounding,
     far inside the see-saw's ascent slack.  M is applied s times with no
     scaling in between, s = ``_POWER_STEPS`` (4) for d <= 3 and
     ``_LONG_POWER_STEPS`` (8) for d >= 4, and the image is normalised once,
-    which in exact arithmetic is the iterate of s normalised power steps, so
-    <x|M|x> does not drop.  The see-saw's operators have ||M|| <= 1 to
-    rounding, because its Q has unit top eigenvalue, so M^s x cannot
-    overflow.  A row whose image norm is below ``_IMAGE_FLOOR`` (about
-    1.5e-154) keeps its vector and so the value it had, M^s x = 0
-    included: below that floor the squared norm is subnormal, and the
-    quotient could miss unit norm far beyond rounding.
+    over both rows of a pair, which in exact arithmetic is the iterate of s
+    normalised power steps, so <x|M|x> does not drop.  The see-saw's
+    operators have ||M|| <= 1 to rounding, because its Q has unit top
+    eigenvalue, so M^s x cannot overflow.  A row whose image norm is below
+    ``_IMAGE_FLOOR`` (about 1.5e-154) keeps its vector and so the value it
+    had, M^s x = 0 included: below that floor the squared norm is
+    subnormal, and the quotient could miss unit norm far beyond rounding.
     Since ||M^s x|| >= ||Mx||^s >= <x|M|x>^s for a unit x, a kept row has
     ||Mx|| and <x|M|x> below about 3.5e-39 for 4 steps and 5.9e-20 for 8;
     M^s x itself underflows to 0 only when ||Mx|| is below about 1.5e-81 for
@@ -463,12 +544,22 @@ def _power_steps(m: np.ndarray, x: np.ndarray):
     depends on d alone, so a row's result does not depend on the other rows.
     """
     steps = _POWER_STEPS if m.shape[-1] <= 3 else _LONG_POWER_STEPS
-    y = x[:, :, None]
-    for _ in range(steps):
-        y = m @ y
-    y = y[:, :, 0]
-    norm = _row_norms(y)[:, None]
-    x = np.divide(y, norm, out=x.copy(), where=norm >= _IMAGE_FLOOR)
+    if x.ndim == 2:
+        y = x[:, :, None]
+        for _ in range(steps):
+            y = m @ y
+        y = y[:, :, 0]
+    else:
+        y = x
+        for _ in range(steps):
+            y = y @ m
+    norm = _norms(y)
+    return np.divide(y, norm, out=x.copy(), where=norm >= _IMAGE_FLOOR)
+
+
+def _rayleigh_steps(m: np.ndarray, x: np.ndarray):
+    """The factor form's half step: x <- M^s x / ||M^s x|| (:func:`_power_steps`), then the values <x|M|x>."""
+    x = _power_steps(m, x)
     return np.vecdot(x, (m @ x[:, :, None])[:, :, 0]).real, x
 
 
@@ -476,27 +567,29 @@ def _extrapolated(x0: np.ndarray, x1: np.ndarray, beta: np.ndarray) -> np.ndarra
     """(x1 + beta (x1 - x0)) / ||.|| on each row, for unit rows with <x0|x1> >= 0.
 
     Then ||(1 + beta) x1 - beta x0||^2 = 1 + 2 beta (1 + beta) (1 - <x0|x1>)
-    is at least 1, so no row divides by a small norm.
+    is at least 1, so no row divides by a small norm.  A real row pair is
+    normalised over both its rows.
     """
-    x = x1 + beta[:, None] * (x1 - x0)
-    return x / _row_norms(x)[:, None]
+    x = x1 + _per_row(beta, x1) * (x1 - x0)
+    return x / _norms(x)
 
 
-def _extrapolate(q, a0, b0, a1, b1, value, beta):
-    """One extrapolation try on each row: ``(a, b, value, beta)`` after it.
+def _extrapolate(q, a0, b0, a1, b1, b_key, value, beta):
+    """One extrapolation try on each row: ``(a, b, b_key, value, beta)`` after it.
 
     ``(a0, b0)`` went to ``(a1, b1)`` with value ``value`` in the plain
-    pass.  A half step applies an even power of a positive semidefinite
-    operator, so <x0|x1> >= 0 and the two iterates need no phase alignment.
-    A row keeps the candidate pair only when its value is strictly above
-    ``value`` (so NaN rejects it), and its ``beta`` grows on a kept
-    candidate and shrinks on a rejected one.  Every operation is per row.
+    pass, and ``b_key`` is the key of ``b1``.  A half step applies an even
+    power of a positive semidefinite operator, so <x0|x1> >= 0 and the two
+    iterates need no phase alignment.  A row keeps the candidate pair, with
+    its key, only when its value is strictly above ``value`` (so NaN
+    rejects it), and its ``beta`` grows on a kept candidate and shrinks on a
+    rejected one.  Every operation is per row.
     """
     a_e, b_e = _extrapolated(a0, a1, beta), _extrapolated(b0, b1, beta)
-    value_e = q.values(a_e, b_e)
+    value_e, key_e = q.values(a_e, b_e)
     kept = value_e > value
-    return (np.where(kept[:, None], a_e, a1), np.where(kept[:, None], b_e, b1),
-            np.where(kept, value_e, value),
+    return (np.where(_per_row(kept, a1), a_e, a1), np.where(_per_row(kept, b1), b_e, b1),
+            np.where(_per_row(kept, b_key), key_e, b_key), np.where(kept, value_e, value),
             np.where(kept, np.minimum(beta * _BETA_GROW, _BETA_MAX), np.maximum(beta * _BETA_SHRINK, _BETA_MIN)))
 
 
@@ -612,39 +705,49 @@ def _seesaw(q, restarts, seed) -> SeesawResult:
     :func:`prodbasis.boundent.upb_density_state`.  Since
     lambda_max(Q) = 1, every contracted operator has norm at most 1 (to
     rounding), and the stop rule, the ascent slack and the witness tie,
-    absolute on Q, are relative to the caller's lambda_max(Q).  Each half
-    step forms its contracted operators, as Y Y^dag on a factor, positive
-    semidefinite by construction, or from the tile tables, and applies each
-    d x d operator 4 times for d <= 3 and 8 times for d >= 4
-    (:func:`_power_steps`).  From pass index ``_EXTRAPOLATE_FROM`` on, a
-    pass then tries one extrapolation step on each row (:func:`_extrapolate`).
+    absolute on Q, are relative to the caller's lambda_max(Q).
 
-    Row ``i`` of the working arrays ``a_w``, ``b_w``, ``value_w`` and
-    ``beta_w`` is restart ``rows[i]``.  A pass steps every working row,
-    checks the ascent of both half steps in one test, and compacts the
-    arrays only when some restart stops; the stopped rows are first written back to
-    ``a``, ``b`` and ``value``.  The rows still active at the iteration
-    cap are written back after the loop.  Each row goes through the same
-    arithmetic as it would alone, so the result does not depend on when
-    the arrays are compacted.
+    ``q`` owns the row layout and the half steps.  The starting pairs are
+    turned into its rows once (``q.rows``), the complex vectors themselves
+    on a factor, real pairs [Re; Im] on the tile form, and only the
+    witness's rows are turned back (``q.vector``).  A half step
+    (``q.a_step``, ``q.b_step``) forms the contracted operators from the
+    fixed side's key, as Y Y^dag on a factor, positive semidefinite by
+    construction, or from the tile weights, applies each d x d operator 4
+    times for d <= 3 and 8 times for d >= 4 (:func:`_power_steps`), and
+    returns the half-step values, the new rows and their key: a factor's
+    values are the Rayleigh quotients, the tile form's are read from the
+    two sides' weights.  The key of ``b`` is carried from one pass to the
+    next.  From pass index ``_EXTRAPOLATE_FROM`` on, a pass then tries one
+    extrapolation step on each row (:func:`_extrapolate`).
+
+    Row ``i`` of the working arrays ``a_w``, ``b_w``, ``key_w``,
+    ``value_w`` and ``beta_w`` is restart ``rows[i]``.  A pass steps every
+    working row, checks the ascent of both half steps in one test, and
+    compacts the arrays only when some restart stops; the stopped rows are
+    first written back to ``a``, ``b`` and ``value``.  The rows still
+    active at the iteration cap are written back after the loop.  Each row
+    goes through the same arithmetic as it would alone, so the result does
+    not depend on when the arrays are compacted.
     """
     if not _is_integer(restarts) or restarts < 1:
         raise ValueError(f"need at least one restart, as an integer; got {restarts!r}")
 
     a, b = starting_pairs(seed, restarts, q.d_a, q.d_b)
-    value = q.values(a, b)
+    a, b = q.rows(a), q.rows(b)
+    value, key = q.values(a, b)
 
     rows = np.arange(restarts)
-    a_w, b_w, value_w = a, b, value
+    a_w, b_w, key_w, value_w = a, b, key, value
     beta_w = np.full(restarts, _BETA_START)
     iterations_total = 0
     for index in range(_SEESAW_MAX_ITERATIONS):
         a_0, b_0 = a_w, b_w
-        half, a_w = _power_steps(q.a_side(b_w), a_w)
-        new_value, b_w = _power_steps(q.b_side(a_w), b_w)
+        half, a_w, key_a = q.a_step(a_w, key_w)
+        new_value, b_w, key_w = q.b_step(b_w, key_a)
         _require_ascent(value_w, half, new_value)
         if index >= _EXTRAPOLATE_FROM:
-            a_w, b_w, new_value, beta_w = _extrapolate(q, a_0, b_0, a_w, b_w, new_value, beta_w)
+            a_w, b_w, key_w, new_value, beta_w = _extrapolate(q, a_0, b_0, a_w, b_w, key_w, new_value, beta_w)
         iterations_total += rows.size
         stopped = new_value - value_w < _SEESAW_STOP     # a NaN improvement stops nothing
         value_w = new_value
@@ -652,7 +755,8 @@ def _seesaw(q, restarts, seed) -> SeesawResult:
             done = rows[stopped]
             a[done], b[done], value[done] = a_w[stopped], b_w[stopped], value_w[stopped]
             going = ~stopped
-            rows, a_w, b_w, value_w, beta_w = rows[going], a_w[going], b_w[going], value_w[going], beta_w[going]
+            rows, a_w, b_w, key_w, value_w, beta_w = (
+                rows[going], a_w[going], b_w[going], key_w[going], value_w[going], beta_w[going])
             if rows.size == 0:
                 break
     a[rows], b[rows], value[rows] = a_w, b_w, value_w
@@ -660,7 +764,8 @@ def _seesaw(q, restarts, seed) -> SeesawResult:
     best = int(np.argmax(value >= np.max(value) - _SEESAW_SLACK))
     return SeesawResult(
         value=float(value[best]),
-        witness=ProductState(_canonical_phase(a[best]), _canonical_phase(b[best]), label="witness"),
+        witness=ProductState(_canonical_phase(q.vector(a[best])), _canonical_phase(q.vector(b[best])),
+                             label="witness"),
         restarts_used=restarts,
         iterations_total=iterations_total,
         capped_restarts=int(rows.size),

@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import Family, ProductBasis
+from .basis import Family, ProductBasis, _is_integer
 from .config import TOLERANCES
 from .errors import BasisFileError, IncompleteBasis, InvalidSplit, NoValidSplit, WindingInvariantError
 from .families import cartesian_basis
@@ -550,10 +550,11 @@ def wind_basis(basis: ProductBasis, k_moves: int, seed: int):
     move list; raises :class:`NoValidSplit` (carrying the moves applied so
     far) if the split enumeration ever comes up empty.  An incomplete input
     raises :class:`IncompleteBasis`, a non-orthonormal one
-    :class:`NonOrthonormalInput`.
+    :class:`NonOrthonormalInput`, and a ``k_moves`` that is not an integer
+    of at least 0 (a bool or a float included) ``ValueError``.
     """
-    if k_moves < 0:
-        raise ValueError("k_moves must be nonnegative")
+    if not _is_integer(k_moves) or k_moves < 0:
+        raise ValueError(f"k_moves must be nonnegative, as an integer; got {k_moves!r}")
     _require_complete(basis)
     _require_orthonormal(basis)
     moves: list[WindingMove] = []

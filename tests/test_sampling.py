@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prodbasis import check_upb, gen_tiles2, seesaw_max_product_overlap
+from prodbasis.errors import DimensionMismatch
 from prodbasis.families import cartesian_basis
 from prodbasis.sampling import _restart_streams, random_unit_vector, starting_pairs, stream
 from prodbasis.winding import move_to_record, random_wound_basis, wind_basis
@@ -69,3 +70,21 @@ def test_a_non_integer_seed_is_refused(seed):
                  lambda: random_wound_basis(2, 3, 1, seed)):
         with pytest.raises(ValueError, match="must be integers"):
             call()
+
+
+@pytest.mark.parametrize("count", [0, -1, True, False, 2.0, 2.5, "2", None])
+def test_starting_pairs_refuse_a_count_that_is_not_a_positive_integer(count):
+    # True used to give (1, d) arrays and 2.0 numpy's TypeError
+    with pytest.raises(ValueError, match="need at least one starting pair, as an integer"):
+        starting_pairs(0, count, 2, 3)
+
+
+@pytest.mark.parametrize("d_a, d_b", [(0, 2), (2, -1), (True, 2), (2, True), (2.0, 2), (2, 2.5), ("2", 2), (2, None)])
+def test_starting_pairs_refuse_local_dims_that_are_not_positive_integers(d_a, d_b):
+    with pytest.raises(DimensionMismatch):
+        starting_pairs(0, 3, d_a, d_b)
+
+
+def test_starting_pairs_take_numpy_integer_counts_and_dims():
+    for x, y in zip(starting_pairs(5, np.int64(4), np.int32(2), np.uint8(3)), starting_pairs(5, 4, 2, 3)):
+        assert x.tobytes() == y.tobytes()

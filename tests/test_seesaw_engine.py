@@ -13,6 +13,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -216,10 +217,10 @@ def test_half_step_operators_are_row_independent(d_x, d_out, k):
     batch = verify._half_step_operators(x, g_x, d_out)
     v = rng.standard_normal((40, d_out)) + 1j * rng.standard_normal((40, d_out))
     v /= np.linalg.norm(v, axis=1)[:, None]
-    values, vectors = verify._power_steps(batch, v)
+    values, vectors = verify._rayleigh_steps(batch, v)
     for i in range(len(x)):
         assert np.array_equal(verify._half_step_operators(x[i:i + 1], g_x, d_out)[0], batch[i])
-        value, vector = verify._power_steps(batch[i:i + 1], v[i:i + 1])
+        value, vector = verify._rayleigh_steps(batch[i:i + 1], v[i:i + 1])
         want_value, want_vector = reference_power_steps(batch[i], v[i])
         assert value[0] == values[i] == want_value
         assert vector[0].tobytes() == vectors[i].tobytes() == want_vector.tobytes()
@@ -300,7 +301,12 @@ def reference_extrapolated(x0, x1, beta):
 
 
 def reference_factor_operators(g, d_a, d_b):
-    """Per-restart half-step operators and value of Q = G G^dag, with 2-D operators and vectors."""
+    """Per-restart rows, half steps and value of Q = G G^dag, with 2-D operators and vectors.
+
+    A row is the complex vector itself.  A half step is
+    :func:`reference_power_steps` on <b|Q|b> or <a|Q|a>, whose value is the
+    Rayleigh quotient.
+    """
     k = g.shape[1]
     g = g.reshape(d_a, d_b, k)
     g_a = g.reshape(d_a, d_b * k)
@@ -314,17 +320,24 @@ def reference_factor_operators(g, d_a, d_b):
         z = b.conj() @ (a.conj() @ g_a).reshape(d_b, k)
         return np.sum(z.real ** 2 + z.imag ** 2)
 
-    return (lambda b: operator(b, g_b, d_a)), (lambda a: operator(a, g_a, d_b)), value
+    return SimpleNamespace(
+        rows=lambda x: x, vector=lambda x: x, value=value,
+        a_half=lambda a, b: reference_power_steps(operator(b, g_b, d_a), a),
+        b_half=lambda b, a: reference_power_steps(operator(a, g_a, d_b), b))
 
 
 def reference_tile_operators(basis):
-    """Per-restart half-step operators and value of the tile complement of a tile-type basis.
+    """Per-restart rows, half steps and value of the tile complement of a tile-type basis.
 
     Q = sum_t u_t u_t^T - s s^T, u_t uniform on tile t (in order of first
     appearance among the states that are not the whole-grid stopper) and s
-    uniform on the grid.  One restart at a time: the weights |<beta_t|b>|^2
-    from the (d, 2) real view of b, then M_a(b) = sum of the weights times
-    the outer products alpha_t alpha_t^T, the stopper's subtracted.
+    uniform on the grid.  One restart at a time, on the real row pair
+    z = [Re x; Im x] of each vector x: the weights |<beta_t|b>|^2 are the
+    sums over the two rows of (z beta^T)^2; M_a(b) = the weights times the
+    outer products alpha_t alpha_t^T, the stopper's subtracted, is real; a
+    half step takes z <- z M s times and normalises once over both rows,
+    keeping z when the image norm is below the floor; and every value is
+    sum_t sign_t |<alpha_t|a>|^2 |<beta_t|b>|^2, with no Rayleigh quotient.
     """
     d_a, d_b = basis.d_a, basis.d_b
     whole = d_a * d_b
@@ -339,20 +352,37 @@ def reference_tile_operators(basis):
     alpha[-1] = 1.0 / np.sqrt(d_a)
     beta[-1] = 1.0 / np.sqrt(d_b)
     sign = np.array([1.0] * len(tiles) + [-1.0])
+    a_columns, b_columns = np.ascontiguousarray(alpha.T), np.ascontiguousarray(beta.T)
 
-    def weights(x, vectors):
-        y = vectors @ x.view(float).reshape(-1, 2)
-        return y[:, 0] ** 2 + y[:, 1] ** 2
+    def weights(z, columns):
+        y = z @ columns
+        return y[0] ** 2 + y[1] ** 2
 
-    def operator(x, vectors_x, vectors_out):
+    def operator(w, vectors_out):
         outer = np.array([s * np.outer(v, v).ravel() for s, v in zip(sign, vectors_out)])
         d = vectors_out.shape[1]
-        return (weights(x, vectors_x) @ outer).reshape(d, d).astype(complex)
+        return (w @ outer).reshape(d, d)
+
+    def power_steps(m, z):
+        y = z
+        for _ in range(_POWER_STEPS if len(m) <= 3 else _LONG_POWER_STEPS):
+            y = y @ m
+        norm = np.linalg.norm(y)      # over the 2d entries of the pair
+        return y / norm if norm >= _IMAGE_FLOOR else z
 
     def value(a, b):
-        return np.sum(weights(a, alpha) * weights(b, beta) * sign)
+        return np.dot(weights(a, a_columns) * weights(b, b_columns), sign)
 
-    return (lambda b: operator(b, beta, alpha)), (lambda a: operator(a, alpha, beta)), value
+    def a_half(a, b):
+        a = power_steps(operator(weights(b, b_columns), alpha), a)
+        return value(a, b), a
+
+    def b_half(b, a):
+        b = power_steps(operator(weights(a, a_columns), beta), b)
+        return value(a, b), b
+
+    return SimpleNamespace(rows=lambda x: np.array([x.real, x.imag]), vector=lambda z: z[0] + 1j * z[1],
+                           value=value, a_half=a_half, b_half=b_half)
 
 
 def reference_power_seesaw(g, d_a, d_b, restarts, seed, max_iterations=10_000, scale=1.0, operators=None):
@@ -361,7 +391,7 @@ def reference_power_seesaw(g, d_a, d_b, restarts, seed, max_iterations=10_000, s
     The value found on Q = G G^dag is multiplied by ``scale``, as
     ``seesaw_max_product_overlap`` multiplies it by lambda_max(Q) after
     running on Q scaled to unit top eigenvalue.  ``operators``, when given,
-    replaces the factor's ``(a_side, b_side, value)`` triple, as
+    replaces the factor's rows, half steps and value, as
     :func:`reference_tile_operators` does.  From pass index
     ``_EXTRAPOLATE_FROM`` on, a pass from (a0, b0) to (a1, b1) also tries
     the pair x1 + beta (x1 - x0), normalised on each side, and keeps it
@@ -369,19 +399,20 @@ def reference_power_seesaw(g, d_a, d_b, restarts, seed, max_iterations=10_000, s
     multiplied by 1.5 (at most 50) on a kept pair and halved (at least 0.5)
     on a rejected one.
     """
-    a_side, b_side, objective_of = operators or reference_factor_operators(g, d_a, d_b)
+    form = operators or reference_factor_operators(g, d_a, d_b)
+    objective_of = form.value
     finals = []
     iterations_total = capped = 0
     for r in range(restarts):
         rng = stream(seed, r)
-        a = random_unit_vector(rng, d_a)
-        b = random_unit_vector(rng, d_b)
+        a = form.rows(random_unit_vector(rng, d_a))
+        b = form.rows(random_unit_vector(rng, d_b))
         value = objective_of(a, b)
         beta = 1.0
         for index in range(max_iterations):
             a_0, b_0 = a, b
-            half, a = reference_power_steps(a_side(b), a)
-            new_value, b = reference_power_steps(b_side(a), b)
+            half, a = form.a_half(a, b)
+            new_value, b = form.b_half(b, a)
             if max(value - half, half - new_value) > _SEESAW_SLACK:
                 raise NonMonotoneSeesaw("reference see-saw objective decreased")
             if index >= _EXTRAPOLATE_FROM:
@@ -403,7 +434,8 @@ def reference_power_seesaw(g, d_a, d_b, restarts, seed, max_iterations=10_000, s
     value, a, b = next(run for run in finals if run[0] >= best - _SEESAW_SLACK)
     return SeesawResult(
         value=float(value) * scale,
-        witness=ProductState(reference_canonical_phase(a), reference_canonical_phase(b), label="witness"),
+        witness=ProductState(reference_canonical_phase(form.vector(a)), reference_canonical_phase(form.vector(b)),
+                             label="witness"),
         restarts_used=restarts,
         iterations_total=iterations_total,
         capped_restarts=capped,
@@ -507,13 +539,13 @@ def test_extrapolation_from_the_first_pass_never_lowers_the_objective(case):
     q, d_a, d_b, seed = case
     extrapolate = verify._extrapolate
 
-    def checked(q_, a0, b0, a1, b1, value, beta):
-        a, b, new_value, new_beta = extrapolate(q_, a0, b0, a1, b1, value, beta)
+    def checked(q_, a0, b0, a1, b1, b_key, value, beta):
+        a, b, new_key, new_value, new_beta = extrapolate(q_, a0, b0, a1, b1, b_key, value, beta)
         assert np.all(new_value >= value)
         assert np.allclose(np.linalg.norm(a, axis=1), 1.0, rtol=0, atol=1e-14)
         assert np.allclose(np.linalg.norm(b, axis=1), 1.0, rtol=0, atol=1e-14)
         assert np.all((0.5 <= new_beta) & (new_beta <= 50.0))
-        return a, b, new_value, new_beta
+        return a, b, new_key, new_value, new_beta
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "_EXTRAPOLATE_FROM", 0)
@@ -611,9 +643,14 @@ def test_power_steps_keep_a_row_whose_image_is_zero():
     m[1:, 0, 0] = 0.5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, vectors = verify._power_steps(m, x)
+        values, vectors = verify._rayleigh_steps(m, x)
     assert values.tolist() == [0.0, 0.0, 0.5]
     assert np.array_equal(vectors, x)
+    # the same rows as the tile form's real pairs [Re x; Im x] under the real M
+    z = np.stack((x.real, x.imag), axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(verify._power_steps(m.real, z), z)
     # the engine on an empty factor: every restart is such a row
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -631,13 +668,21 @@ def test_power_steps_keep_a_row_whose_image_underflows():
     m = np.eye(2, dtype=complex) * np.array([1e-90, 1e-40, 1e-30])[:, None, None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, vectors = verify._power_steps(m, x)
+        values, vectors = verify._rayleigh_steps(m, x)
     assert vectors[:2].tobytes() == x[:2].tobytes()
     assert np.allclose(values, [1e-90, 1e-40, 1e-30], rtol=1e-15, atol=0)
     assert abs(np.linalg.norm(vectors[2]) - 1.0) <= 1e-15
     for i in range(3):
         want_value, want_vector = reference_power_steps(m[i], x[i])
         assert values[i] == want_value and vectors[i].tobytes() == want_vector.tobytes()
+    # the tile form's real pairs: the same two rows keep their bits, and the
+    # third is normalised over both its rows
+    z = np.stack((x.real, x.imag), axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = verify._power_steps(m.real, z)
+    assert pairs[:2].tobytes() == z[:2].tobytes()
+    assert abs(np.linalg.norm(pairs[2]) - 1.0) <= 1e-15
 
 
 def test_tiny_operator_gives_a_unit_witness():
@@ -711,7 +756,7 @@ def test_power_step_count_follows_the_operator_dimension(dim, steps):
                   for seed in rng.integers(0, 2**31, 12)])
     x = rng.standard_normal((12, dim)) + 1j * rng.standard_normal((12, dim))
     x /= np.linalg.norm(x, axis=1)[:, None]
-    values, vectors = verify._power_steps(m, x)
+    values, vectors = verify._rayleigh_steps(m, x)
     for i in range(len(m)):
         want_value, want_vector = reference_power_steps(m[i], x[i])
         assert values[i] == want_value and vectors[i].tobytes() == want_vector.tobytes()
@@ -770,13 +815,13 @@ def test_decrease_raises(monkeypatch, side):
     # lower the A (even) or the B (odd) half steps by 1e-6: once the see-saw
     # settles, each lowered step reports less than the half step before it
     calls = itertools.count()
-    power_steps = verify._power_steps
+    rayleigh_steps = verify._rayleigh_steps
 
     def lowered(m, x):
-        values, vectors = power_steps(m, x)
+        values, vectors = rayleigh_steps(m, x)
         return (values - 1e-6 if next(calls) % 2 == side else values), vectors
 
-    monkeypatch.setattr(verify, "_power_steps", lowered)
+    monkeypatch.setattr(verify, "_rayleigh_steps", lowered)
     q = complement_projector(gen_tiles2(3, 4))
     with pytest.raises(NonMonotoneSeesaw):
         seesaw_max_product_overlap(q, 3, 4, restarts=5, seed=0)

@@ -107,28 +107,70 @@ def assert_same_run(got, want):
     assert (got.iterations_total, got.capped_restarts) == (want.iterations_total, want.capped_restarts)
 
 
+def unit_rows(tiles, count, seed):
+    """``count`` random unit vector pairs as the tile form's real row pairs [Re; Im]."""
+    rng = stream(seed, tiles.d_a * tiles.d_b)
+    a = rng.standard_normal((count, tiles.d_a)) + 1j * rng.standard_normal((count, tiles.d_a))
+    b = rng.standard_normal((count, tiles.d_b)) + 1j * rng.standard_normal((count, tiles.d_b))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    return a, b, tiles.rows(a), tiles.rows(b)
+
+
 @pytest.mark.parametrize("name", ["g1_4", "g1_6", "g2_3x4", "g2_3x20"])
 def test_tile_operators_are_row_independent(name):
-    # a lone row (the last active restart) must get the bits it gets in a batch
+    # a lone row (the last active restart) must get the bits it gets in a
+    # batch: weights, operators, power steps, values and both half steps
     basis = {"g1_4": gen_tiles1(4), "g1_6": gen_tiles1(6), "g2_3x4": gen_tiles2(3, 4),
              "g2_3x20": gen_tiles2(3, 20)}[name]
     tiles = _complement(basis)
     assert isinstance(tiles, _TileContractions)
-    rng = stream(31, basis.dim)
-    a = rng.standard_normal((40, basis.d_a)) + 1j * rng.standard_normal((40, basis.d_a))
-    b = rng.standard_normal((40, basis.d_b)) + 1j * rng.standard_normal((40, basis.d_b))
-    a /= np.linalg.norm(a, axis=1)[:, None]
-    b /= np.linalg.norm(b, axis=1)[:, None]
-    m_a, m_b, values = tiles.a_side(b), tiles.b_side(a), tiles.values(a, b)
-    assert m_a.dtype == m_b.dtype == complex
-    assert not m_a.imag.any() and not m_b.imag.any()
-    steps_a = verify._power_steps(m_a, a)
+    a, b, za, zb = unit_rows(tiles, 40, 31)
+    assert za.dtype == zb.dtype == np.float64
+    assert za.shape == (40, 2, basis.d_a) and zb.shape == (40, 2, basis.d_b)
+    assert np.array_equal(za[:, 0] + 1j * za[:, 1], a) and tiles.vector(za[3]).tobytes() == a[3].tobytes()
+    w_a, w_b = verify._tile_weights(za, tiles.a_columns), verify._tile_weights(zb, tiles.b_columns)
+    m_a, m_b = tiles.a_side(w_b), tiles.b_side(w_a)
+    values, key = tiles.values(za, zb)
+    steps_a = verify._power_steps(m_a, za)
+    half, a1, w_a1 = tiles.a_step(za, w_b)
+    new, b1, w_b1 = tiles.b_step(zb, w_a1)
+    assert key.tobytes() == w_b.tobytes() and a1.tobytes() == steps_a.tobytes()
     for i in range(len(a)):
-        assert m_a[i].tobytes() == tiles.a_side(b[i:i + 1])[0].tobytes()
-        assert m_b[i].tobytes() == tiles.b_side(a[i:i + 1])[0].tobytes()
-        assert values[i] == tiles.values(a[i:i + 1], b[i:i + 1])[0]
-        value, vector = verify._power_steps(m_a[i:i + 1], a[i:i + 1])
-        assert value[0] == steps_a[0][i] and vector[0].tobytes() == steps_a[1][i].tobytes()
+        lone = slice(i, i + 1)
+        assert verify._tile_weights(za[lone], tiles.a_columns).tobytes() == w_a[i].tobytes()
+        assert verify._tile_weights(zb[lone], tiles.b_columns).tobytes() == w_b[i].tobytes()
+        assert m_a[i].tobytes() == tiles.a_side(w_b[lone])[0].tobytes()
+        assert m_b[i].tobytes() == tiles.b_side(w_a[lone])[0].tobytes()
+        assert values[i] == tiles.values(za[lone], zb[lone])[0][0]
+        assert verify._power_steps(m_a[lone], za[lone])[0].tobytes() == steps_a[i].tobytes()
+        value, row, weights = tiles.a_step(za[lone], w_b[lone])
+        assert value[0] == half[i] and row[0].tobytes() == a1[i].tobytes() and weights[0].tobytes() == w_a1[i].tobytes()
+        value, row, weights = tiles.b_step(zb[lone], w_a1[lone])
+        assert value[0] == new[i] and row[0].tobytes() == b1[i].tobytes() and weights[0].tobytes() == w_b1[i].tobytes()
+
+
+@pytest.mark.parametrize("name", ["g1_6", "g2_3x4", "g2_6x10"])
+def test_tile_seesaw_forms_no_complex_operator(monkeypatch, name):
+    # every operator the tile see-saw steps with is float64, and so is every row
+    basis = CERTIFY_FILES[name]()
+    tiles = _complement(basis)
+    assert isinstance(tiles, _TileContractions)
+    _, _, za, zb = unit_rows(tiles, 5, 41)
+    assert tiles.a_side(verify._tile_weights(zb, tiles.b_columns)).dtype == np.float64
+    assert tiles.b_side(verify._tile_weights(za, tiles.a_columns)).dtype == np.float64
+    seen = set()
+    power_steps = verify._power_steps
+
+    def recorded(m, x):
+        seen.add((m.dtype, x.dtype))
+        return power_steps(m, x)
+
+    monkeypatch.setattr(verify, "_power_steps", recorded)
+    report = check_upb(basis, restarts=20, seed=0)
+    assert report.witness_state.a.dtype == report.witness_state.b.dtype == complex
+    range_criterion_report(upb_density_state(basis), restarts=20, seed=0)
+    assert seen == {(np.dtype(np.float64), np.dtype(np.float64))}
 
 
 @pytest.mark.parametrize("name", ["g1_6", "g2_3x4", "g2_4x6"])
@@ -139,17 +181,13 @@ def test_tile_operators_are_the_contractions_of_the_qr_complement(name):
     assert isinstance(tiles, _TileContractions)
     qr = qr_complement(basis).projector()
     q = qr.reshape(basis.d_a, basis.d_b, basis.d_a, basis.d_b)
-    rng = stream(37, basis.dim)
-    a = rng.standard_normal((5, basis.d_a)) + 1j * rng.standard_normal((5, basis.d_a))
-    b = rng.standard_normal((5, basis.d_b)) + 1j * rng.standard_normal((5, basis.d_b))
-    a /= np.linalg.norm(a, axis=1)[:, None]
-    b /= np.linalg.norm(b, axis=1)[:, None]
+    a, b, za, zb = unit_rows(tiles, 5, 37)
     want_a = np.einsum("ijkl,nj,nl->nik", q, b.conj(), b)
     want_b = np.einsum("ijkl,ni,nk->njl", q, a.conj(), a)
     want = np.einsum("ijkl,ni,nj,nk,nl->n", q, a.conj(), b.conj(), a, b).real
-    assert np.max(np.abs(tiles.a_side(b) - want_a)) <= 1e-14
-    assert np.max(np.abs(tiles.b_side(a) - want_b)) <= 1e-14
-    assert np.max(np.abs(tiles.values(a, b) - want)) <= 1e-14
+    assert np.max(np.abs(tiles.a_side(verify._tile_weights(zb, tiles.b_columns)) - want_a)) <= 1e-14
+    assert np.max(np.abs(tiles.b_side(verify._tile_weights(za, tiles.a_columns)) - want_b)) <= 1e-14
+    assert np.max(np.abs(tiles.values(za, zb)[0] - want)) <= 1e-14
     # U U^T - s s^T is the same projector
     p = tiles.projector()
     assert p.shape == qr.shape

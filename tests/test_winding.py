@@ -269,6 +269,21 @@ def test_wind_basis_rejects_negative_moves():
         wind_basis(cartesian_basis(2, 2), -1, 0)
 
 
+@pytest.mark.parametrize("k_moves", [True, False, 1.0, 2.5, "1", None])
+def test_wind_basis_rejects_moves_that_are_not_an_integer(k_moves):
+    # True used to run one move, and 1.0 raised numpy's TypeError
+    for call in (lambda: wind_basis(cartesian_basis(2, 3), k_moves, 0), lambda: random_wound_basis(2, 3, k_moves, 0)):
+        with pytest.raises(ValueError, match="k_moves must be nonnegative, as an integer"):
+            call()
+
+
+def test_wind_basis_takes_a_numpy_integer_move_count():
+    got, moves = random_wound_basis(2, 3, np.int64(2), 4)
+    want, want_moves = random_wound_basis(2, 3, 2, 4)
+    assert got.global_matrix().tobytes() == want.global_matrix().tobytes()
+    assert [move_to_record(m) for m in moves] == [move_to_record(m) for m in want_moves]
+
+
 def test_wind_domino_has_no_split(tmp_path, capsys):
     # the domino's split table is empty, so not even the first move is drawn
     with pytest.raises(NoValidSplit, match="after 0 moves") as exc:
